@@ -3,17 +3,16 @@
 //!
 //! detlint is a tier-1 verify stage, so its wall-clock cost is paid on
 //! every CI run — worth tracking like any other hot path. The bench
-//! lints this repository three ways: uncached (parse everything, no
-//! persistence), cold-cache (parse everything, persist facts), and
-//! warm-cache (all facts served from disk; only the cross-file passes
-//! recompute). The determinism contract under test: all three runs
-//! must render byte-identical JSON reports, the warm run must hit the
-//! cache for every file, and the tree itself must be deny-clean.
-//! Throughput (files/sec) and the warm/cold ratio land in
-//! `BENCH_detlint.json` so future PRs can track the trajectory.
+//! lints this repository several times end to end (walk, parse, the
+//! file-local rules, then the cross-file D11/P1 passes). The
+//! determinism contract under test: every run must render a
+//! byte-identical JSON report, and the tree itself must be deny-clean.
+//! Throughput (files/sec) lands in `BENCH_detlint.json` so future PRs
+//! can track the trajectory.
 
 use bench::{banner, check};
-use detlint::{lint_workspace, lint_workspace_cached, render_json_lines, tally};
+use detlint::engine::workspace_files;
+use detlint::{lint_workspace, render_json_lines, tally};
 use std::path::Path;
 use std::time::Instant;
 
@@ -22,94 +21,45 @@ const TIMING_RUNS: usize = 3;
 fn main() {
     banner(
         "Supp. detlint",
-        "Static-analysis pipeline: token + dataflow + call-graph rules, incremental cache",
+        "Static-analysis pipeline: token + dataflow + call-graph rules",
     );
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let cache_dir = std::env::temp_dir().join(format!(
-        "detlint_bench_cache_{}",
-        std::process::id()
-    ));
+    let files = workspace_files(&root)
+        .expect("walk workspace")
+        .iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        .count();
 
-    // Uncached: the full pipeline with no persistence at all.
-    let mut best_uncached = f64::INFINITY;
-    let mut uncached = None;
+    let mut best = f64::INFINITY;
+    let mut reports = Vec::new();
+    let mut findings = Vec::new();
     for _ in 0..TIMING_RUNS {
         let t0 = Instant::now();
-        let findings = lint_workspace(&root).expect("uncached lint");
-        best_uncached = best_uncached.min(t0.elapsed().as_secs_f64());
-        uncached = Some(findings);
+        findings = lint_workspace(&root).expect("lint workspace");
+        best = best.min(t0.elapsed().as_secs_f64());
+        reports.push(render_json_lines(&findings));
     }
-    let uncached = uncached.expect("at least one uncached run");
-
-    // Cold cache: parse everything and persist the facts file.
-    let mut best_cold = f64::INFINITY;
-    let mut cold = None;
-    for _ in 0..TIMING_RUNS {
-        let _ = std::fs::remove_dir_all(&cache_dir);
-        let t0 = Instant::now();
-        let analysis = lint_workspace_cached(&root, &cache_dir).expect("cold lint");
-        best_cold = best_cold.min(t0.elapsed().as_secs_f64());
-        cold = Some(analysis);
-    }
-    let cold = cold.expect("at least one cold run");
-
-    // Warm cache: every file served from disk facts.
-    let mut best_warm = f64::INFINITY;
-    let mut warm = None;
-    for _ in 0..TIMING_RUNS {
-        let t0 = Instant::now();
-        let analysis = lint_workspace_cached(&root, &cache_dir).expect("warm lint");
-        best_warm = best_warm.min(t0.elapsed().as_secs_f64());
-        warm = Some(analysis);
-    }
-    let warm = warm.expect("at least one warm run");
-
-    let files = cold.stats.files;
-    let fps_cold = files as f64 / best_cold;
-    let fps_warm = files as f64 / best_warm;
-    let hit_rate = warm.stats.hits as f64 / warm.stats.files.max(1) as f64;
-    let t = tally(&warm.findings);
+    let byte_identical = reports.windows(2).all(|w| w[0] == w[1]);
+    let fps = files as f64 / best;
+    let t = tally(&findings);
     println!("  workspace: {files} Rust files");
     println!(
-        "  uncached: {:.1} ms wall (best of {TIMING_RUNS})",
-        best_uncached * 1e3
-    );
-    println!(
-        "  cold:     {:.1} ms wall (best of {TIMING_RUNS}), {} parsed, {fps_cold:.0} files/s",
-        best_cold * 1e3,
-        cold.stats.parsed
-    );
-    println!(
-        "  warm:     {:.1} ms wall (best of {TIMING_RUNS}), {}/{} cache hits ({:.1}%), {fps_warm:.0} files/s",
-        best_warm * 1e3,
-        warm.stats.hits,
-        warm.stats.files,
-        hit_rate * 100.0
+        "  lint:     {:.1} ms wall (best of {TIMING_RUNS}), {fps:.0} files/s",
+        best * 1e3
     );
     println!("  report:   {} deny, {} warn", t.deny, t.warn);
 
-    let json_uncached = render_json_lines(&uncached);
-    let json_cold = render_json_lines(&cold.findings);
-    let json_warm = render_json_lines(&warm.findings);
-    let byte_identical = json_uncached == json_cold && json_cold == json_warm;
-
     let json = format!(
-        "{{\n  \"bench\": \"supp_detlint\",\n  \"workload\": \"self_lint_full_workspace\",\n  \"rust_files\": {files},\n  \"wall_s_uncached\": {best_uncached:.4},\n  \"wall_s_cold\": {best_cold:.4},\n  \"wall_s_warm\": {best_warm:.4},\n  \"files_per_sec_cold\": {fps_cold:.1},\n  \"files_per_sec_warm\": {fps_warm:.1},\n  \"warm_cache_hit_rate\": {hit_rate:.4},\n  \"deny_findings\": {},\n  \"warn_findings\": {},\n  \"reports_byte_identical\": {byte_identical}\n}}\n",
+        "{{\n  \"bench\": \"supp_detlint\",\n  \"workload\": \"self_lint_full_workspace\",\n  \"rust_files\": {files},\n  \"wall_s\": {best:.4},\n  \"files_per_sec\": {fps:.1},\n  \"deny_findings\": {},\n  \"warn_findings\": {},\n  \"reports_byte_identical\": {byte_identical}\n}}\n",
         t.deny, t.warn,
     );
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_detlint.json");
     std::fs::write(&out, &json).expect("write BENCH_detlint.json");
     println!("  wrote {}", out.display());
 
-    let _ = std::fs::remove_dir_all(&cache_dir);
-
     check(
-        "uncached, cold-cache, and warm-cache reports are byte-identical",
+        "repeated runs render byte-identical reports",
         byte_identical,
-    );
-    check(
-        "warm run hits the cache for every file",
-        warm.stats.hits == warm.stats.files && warm.stats.parsed == 0,
     );
     check("workspace is deny-clean under D1-D11 + P0", t.deny == 0);
 }

@@ -2,26 +2,17 @@
 //! hermeticity linter.
 //!
 //! ```text
-//! detlint [--root DIR] [--json] [--rule D9,D10] [--stats]
-//!         [--no-cache | --cache-dir DIR]
+//! detlint [--root DIR] [--json] [--rule D9,D10]
 //! detlint --explain D11
 //! ```
 //!
 //! Exit codes: `0` clean (warn-tier findings allowed), `1` deny-tier
 //! findings present, `2` usage or I/O error. The JSON-lines output is
-//! sorted and byte-stable across runs — warm-cache and cold-cache runs
-//! included, which `scripts/verify.sh` enforces with a byte diff.
-//!
-//! By default the incremental facts cache lives at
-//! `<root>/target/detlint-cache`; `--no-cache` analyzes from scratch
-//! without reading or writing it. `--stats` reports cache
-//! effectiveness on stderr so it never perturbs the diffable report.
+//! sorted and byte-stable across runs, which `scripts/verify.sh`
+//! enforces with a byte diff of two runs.
 
 use detlint::rules::ALL_RULES;
-use detlint::{
-    lint_workspace, lint_workspace_cached, render_human, render_json_lines, tally, CacheStats,
-    Finding, RuleId,
-};
+use detlint::{lint_workspace, render_human, render_json_lines, tally, RuleId};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -29,9 +20,6 @@ struct Options {
     root: PathBuf,
     json: bool,
     rules: Option<Vec<RuleId>>,
-    stats: bool,
-    no_cache: bool,
-    cache_dir: Option<PathBuf>,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -39,9 +27,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         root: PathBuf::from("."),
         json: false,
         rules: None,
-        stats: false,
-        no_cache: false,
-        cache_dir: None,
     };
     let mut i = 0;
     while i < args.len() {
@@ -72,27 +57,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.rules = Some(rules);
                 i += 2;
             }
-            "--stats" => {
-                opts.stats = true;
-                i += 1;
-            }
-            "--no-cache" => {
-                opts.no_cache = true;
-                i += 1;
-            }
-            "--cache-dir" => {
-                let Some(dir) = args.get(i + 1) else {
-                    return Err("--cache-dir wants a directory".to_string());
-                };
-                opts.cache_dir = Some(PathBuf::from(dir));
-                i += 2;
-            }
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown argument {other:?}\n{}", usage())),
         }
-    }
-    if opts.no_cache && opts.cache_dir.is_some() {
-        return Err("--no-cache and --cache-dir are mutually exclusive".to_string());
     }
     Ok(opts)
 }
@@ -117,26 +84,12 @@ fn usage() -> String {
         rules.push_str(r.as_str());
     }
     format!(
-        "usage: detlint [--root DIR] [--json] [--rule D9,D10] [--stats]\n\
-         \x20              [--no-cache | --cache-dir DIR]\n\
+        "usage: detlint [--root DIR] [--json] [--rule D9,D10]\n\
          \x20      detlint --explain RULE\n\
          lints the workspace at DIR (default .) against the determinism &\n\
          hermeticity contract; exits 1 on deny-tier findings.\n\
-         rules: {rules}\n\
-         incremental facts cache: <root>/target/detlint-cache (--no-cache to skip)"
+         rules: {rules}"
     )
-}
-
-fn run(opts: &Options) -> Result<(Vec<Finding>, Option<CacheStats>), detlint::LintError> {
-    if opts.no_cache {
-        return Ok((lint_workspace(&opts.root)?, None));
-    }
-    let cache_dir = opts
-        .cache_dir
-        .clone()
-        .unwrap_or_else(|| opts.root.join("target").join("detlint-cache"));
-    let analysis = lint_workspace_cached(&opts.root, &cache_dir)?;
-    Ok((analysis.findings, Some(analysis.stats)))
 }
 
 fn main() -> ExitCode {
@@ -161,8 +114,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let (mut findings, stats) = match run(&opts) {
-        Ok(r) => r,
+    let mut findings = match lint_workspace(&opts.root) {
+        Ok(f) => f,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::from(2);
@@ -175,16 +128,6 @@ fn main() -> ExitCode {
         print!("{}", render_json_lines(&findings));
     } else {
         print!("{}", render_human(&findings));
-    }
-    if opts.stats {
-        if let Some(s) = stats {
-            eprintln!(
-                "detlint: {} files, {} cache hits, {} parsed",
-                s.files, s.hits, s.parsed
-            );
-        } else {
-            eprintln!("detlint: cache disabled");
-        }
     }
     if tally(&findings).deny > 0 {
         ExitCode::from(1)

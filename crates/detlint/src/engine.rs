@@ -9,22 +9,18 @@
 //! in a deterministic order and adds the *cross-file* passes on top:
 //! D11 panic reachability over the whole-workspace call graph, and P1
 //! dead-pragma hygiene (which must see D11's results to know whether
-//! an allow(D11) pragma is live). [`lint_workspace_cached`] is the
-//! same analysis with per-file facts served from the incremental cache
-//! — cross-file passes always recompute, so its report is byte-equal
-//! to the uncached one by construction. All ordering is explicit
+//! an allow(D11) pragma is live). All ordering is explicit
 //! (sorted paths, sorted findings), so two runs over the same tree
 //! produce byte-identical reports — the linter holds itself to the
 //! contract it enforces.
 
-use crate::cache::{fnv64, Cache, CacheStats, FileFacts, PragmaFact};
 use crate::flow;
-use crate::graph::{fn_facts, panic_reachability, GraphFile};
+use crate::graph::{fn_facts, panic_reachability, FnFact, GraphFile};
 use crate::lexer::{pragmas, scan};
 use crate::manifest;
 use crate::parser::parse;
 use crate::rules::{RuleId, Severity, TOKEN_RULES};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -75,10 +71,39 @@ impl fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// Derive every cacheable per-file fact from one Rust source: raw
+/// A suppression pragma with the context the hygiene passes need.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PragmaFact {
+    /// 1-based line of the pragma comment.
+    pub line: usize,
+    /// Rule names as written.
+    pub rules: Vec<String>,
+    /// Whether a `-- reason` clause is present.
+    pub has_reason: bool,
+    /// Whether the pragma sits inside a `#[cfg(test)]` region (P1
+    /// skips those: test-only pragmas guard code the linter ignores).
+    pub in_test: bool,
+}
+
+/// Everything the engine derives from one Rust file's bytes — a pure
+/// function of the source. The cross-file passes consume these.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FileFacts {
+    /// Raw file-local findings (token rules + D9/D10), *before*
+    /// suppression.
+    pub raw: Vec<Finding>,
+    /// Suppression pragmas in the file.
+    pub pragmas: Vec<PragmaFact>,
+    /// Call-graph facts for every fn in the file.
+    pub fns: Vec<FnFact>,
+    /// `use` aliases for call resolution.
+    pub imports: Vec<(String, String)>,
+}
+
+/// Derive every per-file fact from one Rust source: raw
 /// (pre-suppression) findings from the token rules and the D9/D10
 /// dataflow rules, the suppression pragmas, and the call-graph facts.
-/// A pure function of `(rel_path, source)` — the cache contract.
+/// A pure function of `(rel_path, source)`.
 pub fn compute_facts(rel_path: &str, source: &str) -> FileFacts {
     let scanned = scan(source);
     let mut raw = Vec::new();
@@ -146,7 +171,6 @@ pub fn compute_facts(rel_path: &str, source: &str) -> FileFacts {
         .collect();
 
     FileFacts {
-        fingerprint: fnv64(source.as_bytes()),
         raw,
         pragmas: pragma_facts,
         fns: fn_facts(&parsed),
@@ -283,37 +307,11 @@ pub fn workspace_files(root: &Path) -> Result<Vec<PathBuf>, LintError> {
     Ok(files)
 }
 
-/// Result of a workspace analysis: the findings plus cache counters.
-#[derive(Debug, Clone)]
-pub struct Analysis {
-    /// All findings, sorted and deduplicated.
-    pub findings: Vec<Finding>,
-    /// Cache effectiveness for the run (all-parsed when uncached).
-    pub stats: CacheStats,
-}
-
 /// Lint the whole workspace rooted at `root` — file-local rules plus
 /// the cross-file passes (D11 panic reachability, P1 dead-pragma
 /// hygiene). Findings come back fully sorted and deduplicated.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, LintError> {
-    Ok(analyze(root, None)?.findings)
-}
-
-/// [`lint_workspace`] with the incremental facts cache under
-/// `cache_dir`: unchanged files (by content fingerprint) are served
-/// from the cache, changed ones re-parsed, and the refreshed cache is
-/// persisted atomically. The report is byte-identical to the uncached
-/// analysis — only [`CacheStats`] differ.
-pub fn lint_workspace_cached(root: &Path, cache_dir: &Path) -> Result<Analysis, LintError> {
-    analyze(root, Some(cache_dir))
-}
-
-fn analyze(root: &Path, cache_dir: Option<&Path>) -> Result<Analysis, LintError> {
-    let old_cache = cache_dir
-        .map(|d| Cache::load(&Cache::file_in(d)))
-        .unwrap_or_default();
-    let mut new_cache = Cache::default();
-    let mut stats = CacheStats::default();
+    let mut files: BTreeMap<String, FileFacts> = BTreeMap::new();
     let mut findings = Vec::new();
 
     for path in workspace_files(root)? {
@@ -326,26 +324,13 @@ fn analyze(root: &Path, cache_dir: Option<&Path>) -> Result<Analysis, LintError>
             findings.extend(lint_manifest_source(&rel, &source));
             continue;
         }
-        stats.files += 1;
-        let fingerprint = fnv64(source.as_bytes());
-        let facts = match old_cache.get(&rel, fingerprint) {
-            Some(hit) => {
-                stats.hits += 1;
-                hit.clone()
-            }
-            None => {
-                stats.parsed += 1;
-                compute_facts(&rel, &source)
-            }
-        };
-        new_cache.files.insert(rel, facts);
+        let facts = compute_facts(&rel, &source);
+        files.insert(rel, facts);
     }
 
     // Cross-file pass 1: D11 panic reachability over the workspace
-    // call graph. Recomputed from facts every run — never cached — so
-    // an edit to the measure crate re-judges reachability everywhere.
-    let graph_files: Vec<GraphFile<'_>> = new_cache
-        .files
+    // call graph.
+    let graph_files: Vec<GraphFile<'_>> = files
         .iter()
         .map(|(rel, f)| GraphFile {
             path: rel,
@@ -358,7 +343,7 @@ fn analyze(root: &Path, cache_dir: Option<&Path>) -> Result<Analysis, LintError>
     // Cross-file pass 2: per-file suppression + pragma hygiene, with
     // D11 findings folded into each file's raw set so `allow(D11)`
     // pragmas both suppress and count as live for P1.
-    for (rel, facts) in &new_cache.files {
+    for (rel, facts) in &files {
         let mut file_findings = facts.raw.clone();
         for hit in d11.iter().filter(|h| h.file == *rel) {
             file_findings.push(Finding {
@@ -378,14 +363,7 @@ fn analyze(root: &Path, cache_dir: Option<&Path>) -> Result<Analysis, LintError>
         findings.extend(file_findings);
     }
     sort_dedup(&mut findings);
-
-    if let Some(dir) = cache_dir {
-        new_cache.save(dir).map_err(|cause| LintError {
-            path: dir.to_path_buf(),
-            cause,
-        })?;
-    }
-    Ok(Analysis { findings, stats })
+    Ok(findings)
 }
 
 /// Workspace-relative `/`-separated path for reports.

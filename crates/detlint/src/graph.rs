@@ -21,7 +21,7 @@
 use crate::parser::{body_facts, CallSite, PanicSite, ParsedFile};
 
 /// Per-function facts needed by the call graph. Pure function of the
-/// file's bytes, so the incremental cache persists these verbatim.
+/// file's bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnFact {
     /// Fully qualified name (`measure::campaign::run_campaign`).
@@ -39,7 +39,7 @@ pub struct FnFact {
 }
 
 /// Extract [`FnFact`]s from a parsed file (drops the token trees,
-/// keeping only what the graph and cache need).
+/// keeping only what the graph needs).
 pub fn fn_facts(parsed: &ParsedFile) -> Vec<FnFact> {
     parsed
         .fns

@@ -50,11 +50,22 @@ const HEADER_LEN: usize = 16;
 /// Fixed part of a record body: shard + seed + fingerprint + payload len.
 const BODY_FIXED_LEN: usize = 28;
 
+/// FNV-1a 64 offset basis: the digest of zero bytes.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a 64-bit digest — the workspace's standard content fingerprint
 /// (matches the corpus fingerprint idiom; deterministic across
 /// platforms and runs).
 pub fn fingerprint64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv_fold(FNV_BASIS, bytes)
+}
+
+/// Continue an FNV-1a 64 digest `h` over more bytes.
+/// `fnv_fold(FNV_BASIS, b) == fingerprint64(b)`, and chaining from any
+/// intermediate state digests the concatenation — what makes a
+/// campaign digest resumable.
+#[inline]
+pub fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

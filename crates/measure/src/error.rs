@@ -126,6 +126,19 @@ impl fmt::Display for MeasureError {
 
 impl std::error::Error for MeasureError {}
 
+impl From<journal::JournalError> for MeasureError {
+    /// A journal written under another configuration is a resume
+    /// mismatch; every other journal failure is reported verbatim.
+    fn from(e: journal::JournalError) -> Self {
+        match e {
+            journal::JournalError::ConfigMismatch { expected, found } => {
+                MeasureError::ResumeConfigMismatch { expected, found }
+            }
+            other => MeasureError::JournalFailed { detail: other.to_string() },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

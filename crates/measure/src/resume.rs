@@ -35,12 +35,12 @@
 //! downstream decision replays identically. First attempts are still
 //! sharded across workers; only the (rare) retries run serially.
 
-use crate::campaign::{assemble_fleet, simulate_pair_seeded, FleetResult, PairSim};
+use crate::campaign::{assemble_fleet, simulate_pair_capped, FleetResult, PairSim};
 use crate::error::MeasureError;
 use crate::wire::{decode_outcome, encode_outcome, ShardOutcome, ShardSim};
 use clouds::CloudProfile;
 use exec::{RetryAccountant, StepBudget};
-use journal::{fingerprint64, Journal, JournalError, JournalRecord};
+use journal::{fingerprint64, Journal, JournalRecord};
 use netsim::pattern::TrafficPattern;
 use netsim::rng::{derive_seed, SimRng};
 use std::collections::BTreeMap;
@@ -267,10 +267,10 @@ pub fn run_fleet_journaled_grouped(
     let group = checkpoint_every.max(1);
     let config_fp = spec.config_fingerprint();
     let (mut jnl, resumed, truncated_bytes) = if resume && journal_path.exists() {
-        let (j, rep) = Journal::open(journal_path, config_fp).map_err(map_journal_err)?;
+        let (j, rep) = Journal::open(journal_path, config_fp)?;
         (j, true, rep.truncated_bytes)
     } else {
-        (Journal::create(journal_path, config_fp).map_err(map_journal_err)?, false, 0)
+        (Journal::create(journal_path, config_fp)?, false, 0)
     };
 
     // Decode what the journal already holds (last record per shard
@@ -318,7 +318,7 @@ pub fn run_fleet_journaled_grouped(
             let seed = final_attempt_seed(spec, shard, out.retries);
             jnl.append_deferred(JournalRecord { shard: shard as u64, seed, fingerprint, payload });
             if jnl.pending() >= group {
-                jnl.flush().map_err(map_journal_err)?;
+                jnl.flush()?;
                 on_journaled(jnl.len() as u64);
             }
             Ok(())
@@ -327,7 +327,7 @@ pub fn run_fleet_journaled_grouped(
     // Final group (possibly short): make everything durable before
     // assembling the report from the journal.
     if jnl.pending() > 0 {
-        jnl.flush().map_err(map_journal_err)?;
+        jnl.flush()?;
         on_journaled(jnl.len() as u64);
     }
 
@@ -378,15 +378,6 @@ pub fn run_fleet_journaled_grouped(
 /// retries — the seed of the attempt that was accepted.
 fn final_attempt_seed(spec: &FleetSpec, shard: usize, retries: u32) -> u64 {
     spec.attempt_seed(shard, retries)
-}
-
-fn map_journal_err(e: JournalError) -> MeasureError {
-    match e {
-        JournalError::ConfigMismatch { expected, found } => {
-            MeasureError::ResumeConfigMismatch { expected, found }
-        }
-        other => MeasureError::JournalFailed { detail: other.to_string() },
-    }
 }
 
 /// Recompute `verify_sample` journaled shards and require their encoded
@@ -465,7 +456,7 @@ fn supervised_attempt(
     attempt_seed: u64,
 ) -> Result<PairSim, exec::TaskPanic> {
     let mut out = exec::try_par_map(1, &[attempt_seed], |&s| {
-        simulate_pair_seeded(&spec.profile, spec.pattern, spec.duration_s, s, shard)
+        simulate_pair_capped(&spec.profile, spec.pattern, spec.duration_s, s, shard, None)
     });
     match out.pop() {
         Some(res) => res.map_err(|p| exec::TaskPanic { task: shard, payload: p.payload }),
@@ -500,7 +491,7 @@ fn run_batch(
     }
     let mut first: BTreeMap<usize, Result<PairSim, exec::TaskPanic>> =
         exec::try_par_map(jobs, &affordable, |&(shard, seed)| {
-            simulate_pair_seeded(&spec.profile, spec.pattern, spec.duration_s, seed, shard)
+            simulate_pair_capped(&spec.profile, spec.pattern, spec.duration_s, seed, shard, None)
         })
         .into_iter()
         .zip(&affordable)

@@ -22,7 +22,7 @@
 //! worker count or completion order — so the report is byte-identical
 //! at any `--jobs`. A chained FNV-1a fingerprint (per-tenant record
 //! bytes → pane digest → campaign digest) witnesses this: verify.sh
-//! diffs it across worker counts and engines.
+//! diffs it across worker counts and kill/resume.
 //!
 //! ## Topology composition
 //!
@@ -49,7 +49,7 @@ use crate::campaign::{simulate_pair_capped, PairSim};
 use crate::error::MeasureError;
 use crate::wire::Reader;
 use clouds::CloudProfile;
-use journal::{fingerprint64, Journal, JournalError, JournalRecord};
+use journal::{fingerprint64, fnv_fold, Journal, JournalRecord, FNV_BASIS};
 use netsim::pattern::TrafficPattern;
 use netsim::rng::{derive_seed, SimRng};
 use std::fmt::Write as _;
@@ -78,20 +78,6 @@ const LABEL_TENANT_PLACE: u64 = 0xF1ACE;
 
 /// Checkpoint payload format version.
 const CHECKPOINT_VERSION: u8 = 1;
-
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Continue an FNV-1a 64 digest over more bytes. `fnv_fold(FNV_BASIS,
-/// b)` equals [`journal::fingerprint64`]`(b)`; chaining from any
-/// intermediate state is what makes the campaign digest resumable.
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Everything that defines a streaming campaign. Two specs with the
 /// same [`config_fingerprint`](StreamSpec::config_fingerprint) produce
@@ -438,7 +424,7 @@ pub struct StreamSummary {
     /// Total bits moved across all tenants.
     pub total_bits: f64,
     /// Chained FNV-1a digest of every tenant record in tenant order —
-    /// the jobs/engine-invariance witness.
+    /// the jobs-invariance witness.
     pub fingerprint: u64,
     /// Exact per-tenant means (self-check mode only; empty otherwise).
     check_means: Vec<f64>,
@@ -521,7 +507,7 @@ impl StreamSummary {
 
     /// Render the deterministic report the CLI prints — every value a
     /// pure function of the campaign inputs, so byte-diffing reports
-    /// across worker counts, engines, and kill/resume is meaningful.
+    /// across worker counts and kill/resume is meaningful.
     pub fn render(&self, spec: &StreamSpec) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "== streaming campaign ==");
@@ -743,10 +729,10 @@ pub fn run_fleet_stream_journaled(
     }
     let config_fp = spec.config_fingerprint();
     let (mut jnl, resumed, truncated_bytes) = if resume && journal_path.exists() {
-        let (j, rep) = Journal::open(journal_path, config_fp).map_err(map_journal_err)?;
+        let (j, rep) = Journal::open(journal_path, config_fp)?;
         (j, true, rep.truncated_bytes)
     } else {
-        (Journal::create(journal_path, config_fp).map_err(map_journal_err)?, false, 0)
+        (Journal::create(journal_path, config_fp)?, false, 0)
     };
 
     let placement = resolve_placement(spec)?;
@@ -800,8 +786,7 @@ pub fn run_fleet_stream_journaled(
                 seed: spec.seed,
                 fingerprint,
                 payload,
-            })
-            .map_err(map_journal_err)?;
+            })?;
             last_ckpt = s.tenants_done;
             checkpoints_written += 1;
             on_checkpoint(s.tenants_done);
@@ -825,15 +810,6 @@ pub fn run_fleet_stream_journaled(
             checkpoints_written,
         },
     })
-}
-
-fn map_journal_err(e: JournalError) -> MeasureError {
-    match e {
-        JournalError::ConfigMismatch { expected, found } => {
-            MeasureError::ResumeConfigMismatch { expected, found }
-        }
-        other => MeasureError::JournalFailed { detail: other.to_string() },
-    }
 }
 
 /// Decoded checkpoint state.

@@ -10,47 +10,46 @@
 //! slows exactly the flows that cross it, which is how the paper's
 //! stragglers arise (Figure 18).
 //!
-//! ## The stepping engines
+//! ## The stepping engine and its oracle
 //!
 //! Long campaigns (Figure 19's 600 s depletion sequences, multi-day
-//! fleet sweeps) spend nearly all their time in [`Fabric::step`], so the
-//! fabric keeps **three** engines with bit-identical observable
-//! behavior, selected by [`StepPath`]:
+//! fleet sweeps) spend nearly all their time stepping, so the fabric
+//! runs one **event-driven engine**, with the original loops kept
+//! beside it as a bit-identical test oracle ([`StepPath`]):
 //!
-//! * the **reference path** — the original loop that re-runs
-//!   water-filling from scratch every step, selected with
-//!   [`Fabric::force_reference_path`] or by setting the
-//!   `FABRIC_SLOW_PATH` environment variable;
-//! * the **fast path** (PR 5) — hoists every per-step buffer into
-//!   per-fabric scratch storage (zero steady-state heap allocations),
-//!   maintains per-node active-flow counts incrementally instead of
-//!   rebuilding them every water-filling round, and caches the rate
-//!   allocation keyed by its exact inputs: the flow-set epoch, each
-//!   node's `rate_hint` × fault factor, each node's effective ingress
-//!   cap, and the core capacity. Water-filling is a pure function of
-//!   that signature (it never reads `remaining_bits`), so a bitwise
-//!   unchanged signature means the previous allocation can be reused
-//!   verbatim. Token-bucket hints are piecewise-constant, which
-//!   collapses long full-speed and depleted phases to O(nodes) per tick.
-//!   Selected with `FABRIC_EVENT_PATH=0` (or [`Fabric::force_path`]);
-//! * the **event-driven path** (default) — generalizes the signature
-//!   cache from "check every step" to "prove a horizon": batched
-//!   callers go through [`Fabric::advance`], which min-reduces a
-//!   [`NextEvent`] over per-node state (closed-form
+//! * the **general step** ([`Fabric::step`]) keeps every per-step
+//!   buffer in per-fabric scratch storage (zero steady-state heap
+//!   allocations), maintains per-node active-flow counts incrementally
+//!   instead of rebuilding them every water-filling round, and caches
+//!   the rate allocation keyed by its exact inputs: the flow-set epoch,
+//!   each node's `rate_hint` × fault factor, each node's effective
+//!   ingress cap, the per-link capacities, and the core capacity.
+//!   Water-filling is a pure function of that signature (it never reads
+//!   `remaining_bits`), so a bitwise unchanged signature means the
+//!   previous allocation can be reused verbatim;
+//! * **event windows** ([`Fabric::advance`]) generalize that signature
+//!   cache from "check every step" to "prove a horizon": they
+//!   min-reduce a [`NextEvent`] over per-node state (closed-form
 //!   [`Shaper::hint_stable_steps`] crossings, the fault schedule's next
 //!   transition, the flow-completion epoch, the caller's budget) and
-//!   runs the intervening steps in a struct-of-arrays kernel that skips
-//!   the per-step signature gathers and flow-map walks entirely.
-//!   Idle stretches batch through [`Shaper::rest`]. The kernel executes
-//!   the *identical* per-step floating-point recurrences (demand,
-//!   transmit, scale, deliver, clock) on mirrored state, so it is
-//!   bit-identical by construction — events only bound how long the
-//!   pure *reads* may be skipped, they never replace arithmetic.
+//!   run the intervening steps in a struct-of-arrays kernel that skips
+//!   the per-step signature gathers and flow-map walks entirely. Idle
+//!   stretches batch through [`Shaper::rest`], and a window that cannot
+//!   open falls back to one general step. The kernel executes the
+//!   *identical* per-step floating-point recurrences (demand, transmit,
+//!   scale, deliver, clock) on mirrored state, so it is bit-identical
+//!   by construction — events only bound how long the pure *reads* may
+//!   be skipped, they never replace arithmetic;
+//! * the **reference loops** re-run water-filling from scratch with
+//!   fresh buffers every step. No campaign runs them by default; they
+//!   are the equivalence oracle, selected with
+//!   [`Fabric::force_path`]`(StepPath::Reference)` or by setting the
+//!   `FABRIC_SLOW_PATH` environment variable.
 //!
 //! The equivalence contract is pinned by `tests/prop_fabric_fast.rs`
-//! (fast vs reference) and `tests/prop_event_driven.rs` (event-jumped
-//! vs reference, including adversarial event alignments), and
-//! documented in DESIGN.md §9–10.
+//! (general step vs reference), `tests/prop_event_driven.rs` (event
+//! windows vs reference, including adversarial event alignments) and
+//! topo's routed-fabric property, and documented in DESIGN.md §9–10.
 
 use crate::faults::FaultSchedule;
 use crate::rng::SimRng;
@@ -59,20 +58,17 @@ use crate::shaper::Shaper;
 /// Index of a node in the fabric.
 pub type NodeId = usize;
 
-/// Which stepping engine the fabric runs (see the module docs). All
-/// three are bit-identical in every observable; they differ only in
+/// Which stepping engine the fabric runs (see the module docs). Both
+/// are bit-identical in every observable; they differ only in
 /// wall-clock cost, which is what `benches/supp_fabric_speedup` and
 /// `scripts/verify.sh` measure and cross-check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepPath {
     /// Event-driven engine (default): [`Fabric::advance`] jumps between
-    /// provable events instead of re-validating the rate cache per step.
+    /// provable events, falling back to the cached general step.
     Event,
-    /// The PR-5 scratch-buffer fast path: per-step signature checks,
-    /// zero steady-state allocations. `FABRIC_EVENT_PATH=0`.
-    Fast,
     /// The original allocating loops, kept verbatim as the equivalence
-    /// baseline. `FABRIC_SLOW_PATH=1` or [`Fabric::force_reference_path`].
+    /// oracle. `FABRIC_SLOW_PATH=1` at construction.
     Reference,
 }
 
@@ -311,14 +307,14 @@ struct Node<S> {
     total_tx_bits: f64,
 }
 
-/// Counters for the stepping fast path: how often water-filling ran,
-/// how often the cached allocation was reused, and how many `Vec`
-/// allocations the reference path would have performed. Read them with
+/// Counters for the stepping engine: how often water-filling ran, how
+/// often the cached allocation was reused, and how many `Vec`
+/// allocations the reference loops performed. Read them with
 /// [`Fabric::perf`]; they are instrumentation only and never feed back
 /// into the simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FabricPerf {
-    /// Total [`Fabric::step`] calls (both paths).
+    /// Total steps taken (both engines, batched steps included).
     pub steps: u64,
     /// Steps whose input signature changed, forcing water-filling.
     pub rate_recomputes: u64,
@@ -327,10 +323,10 @@ pub struct FabricPerf {
     /// Steps taken with no flows at all (water-filling skipped outright).
     pub empty_steps: u64,
     /// Exact count of per-step `Vec` allocations performed by the
-    /// reference path (the fast path's steady state performs none; see
-    /// `tests/alloc_free.rs`). Incremented only while the reference
+    /// reference loops (the event engine's steady state performs none;
+    /// see `tests/alloc_free.rs`). Incremented only while the reference
     /// path is forced, so a reference run reports how many allocations
-    /// the fast path avoids.
+    /// the event engine avoids.
     pub ref_vec_allocs: u64,
     /// Event windows opened by [`Fabric::advance`] (kernel runs of ≥1
     /// step, plus batched idle jumps).
@@ -388,7 +384,7 @@ impl FabricPerf {
     }
 }
 
-/// Scratch buffers for the allocation-free stepping fast path. Every
+/// Scratch buffers for the allocation-free general step. Every
 /// buffer is cleared and refilled in place, so in steady state (constant
 /// flow set, constant node count) no buffer ever reallocates.
 #[derive(Debug, Default)]
@@ -489,10 +485,6 @@ pub struct Fabric<S> {
     perf: FabricPerf,
     /// The active stepping engine (see [`StepPath`]).
     path: StepPath,
-    /// The non-reference engine this fabric gates back to when
-    /// [`Fabric::force_reference_path`] releases the reference loops
-    /// (`Event` by default, `Fast` under `FABRIC_EVENT_PATH=0`).
-    gated_path: StepPath,
 }
 
 impl<S: Shaper> Default for Fabric<S> {
@@ -502,19 +494,12 @@ impl<S: Shaper> Default for Fabric<S> {
 }
 
 impl<S: Shaper> Fabric<S> {
-    /// An empty fabric at t=0. The event-driven engine is on by
-    /// default; `FABRIC_EVENT_PATH=0` gates back to the PR-5 fast path,
-    /// and `FABRIC_SLOW_PATH` (set to anything but `0`) forces the
-    /// reference loops for A/B verification. The three are
-    /// bit-identical in every observable.
+    /// An empty fabric at t=0 running the event-driven engine.
+    /// `FABRIC_SLOW_PATH` (set to anything but `0`) forces the
+    /// reference loops for A/B verification; the two are bit-identical
+    /// in every observable.
     pub fn new() -> Self {
         let slow = std::env::var_os("FABRIC_SLOW_PATH").is_some_and(|v| v != "0");
-        let no_event = std::env::var_os("FABRIC_EVENT_PATH").is_some_and(|v| v == "0");
-        let gated = if no_event {
-            StepPath::Fast
-        } else {
-            StepPath::Event
-        };
         Fabric {
             nodes: Vec::new(),
             flows: FlowMap::default(),
@@ -531,25 +516,19 @@ impl<S: Shaper> Fabric<S> {
             active_link: Vec::new(),
             scratch: StepScratch::default(),
             perf: FabricPerf::default(),
-            path: if slow { StepPath::Reference } else { gated },
-            gated_path: gated,
+            path: if slow {
+                StepPath::Reference
+            } else {
+                StepPath::Event
+            },
         }
     }
 
-    /// Force (or release) the original allocating stepping loops. The
-    /// paths are bit-identical — this exists so tests, benches, and
-    /// `verify.sh` can prove it. Releasing returns to the environment's
-    /// non-reference engine (event-driven unless `FABRIC_EVENT_PATH=0`).
-    pub fn force_reference_path(&mut self, on: bool) {
-        self.path = if on { StepPath::Reference } else { self.gated_path };
-    }
-
-    /// Select a stepping engine explicitly (the three-way gate).
+    /// Select a stepping engine explicitly. The engines are
+    /// bit-identical — this exists so tests, benches, and `verify.sh`
+    /// can prove it.
     pub fn force_path(&mut self, path: StepPath) {
         self.path = path;
-        if path != StepPath::Reference {
-            self.gated_path = path;
-        }
     }
 
     /// The active stepping engine.
@@ -557,12 +536,7 @@ impl<S: Shaper> Fabric<S> {
         self.path
     }
 
-    /// Whether the reference (slow) stepping path is active.
-    pub fn reference_path(&self) -> bool {
-        self.path == StepPath::Reference
-    }
-
-    /// Fast-path instrumentation counters.
+    /// Stepping instrumentation counters.
     pub fn perf(&self) -> FabricPerf {
         self.perf
     }
@@ -765,8 +739,9 @@ impl<S: Shaper> Fabric<S> {
     /// egress hints, per-node ingress caps, and per-flow caps.
     ///
     /// This is the **reference** implementation: fresh buffers every
-    /// call, counts rebuilt every water-filling round. The fast path
-    /// ([`Fabric::refresh_rates`]) must stay bit-identical to it. Also
+    /// call, counts rebuilt every water-filling round. The production
+    /// fixpoint ([`Fabric::refresh_rates`]) must stay bit-identical to
+    /// it. Also
     /// returns the number of water-filling rounds so the caller can
     /// account the per-round allocations.
     fn compute_rates_reference(&self) -> (Vec<(FlowId, f64)>, u64) {
@@ -1134,6 +1109,12 @@ impl<S: Shaper> Fabric<S> {
 
     /// Advance the fabric by `dt` seconds. Returns the flows that
     /// completed during the step, in id order.
+    ///
+    /// On the event engine this is the general step: the cached
+    /// allocation from [`Fabric::refresh_rates`] and one pass each of
+    /// demand, transmit and deliver over scratch buffers.
+    /// [`Fabric::advance`] falls back to it whenever an event window
+    /// cannot open.
     pub fn step(&mut self, dt: f64) -> Vec<FlowId> {
         assert!(dt > 0.0, "step must be positive");
         self.perf.steps += 1;
@@ -1292,31 +1273,18 @@ impl<S: Shaper> Fabric<S> {
     /// ticks. Callers that need more steps after a drain simply call
     /// again — the remainder batches as an idle jump.
     ///
-    /// On the event-driven path (the default) this is where stepping
-    /// cost collapses: idle stretches batch through [`Shaper::rest`],
-    /// and busy stretches run the event kernel ([`Fabric::next_event`]
-    /// horizon + struct-of-arrays stepping). On the fast and reference
-    /// paths it is the literal per-step loop, so the three-way
-    /// equivalence gate covers batched callers identically.
+    /// On the event engine this is where stepping cost collapses: idle
+    /// stretches batch through [`Shaper::rest`], and busy stretches run
+    /// the event kernel ([`Fabric::next_event`] horizon +
+    /// struct-of-arrays stepping). On the reference path it is the
+    /// literal per-step loop, so the equivalence gate covers batched
+    /// callers identically.
     pub fn advance(&mut self, dt: f64, max_steps: u64, completed: &mut Vec<FlowId>) -> u64 {
         assert!(dt > 0.0, "step must be positive");
+        let event = self.path == StepPath::Event;
         let mut taken = 0u64;
-        if self.path != StepPath::Event {
-            while taken < max_steps {
-                let done = self.step(dt);
-                taken += 1;
-                if !done.is_empty() {
-                    completed.extend_from_slice(&done);
-                    if self.flows.is_empty() {
-                        break;
-                    }
-                }
-            }
-            return taken;
-        }
-
         while taken < max_steps {
-            if self.flows.is_empty() {
+            if event && self.flows.is_empty() {
                 // Idle jump: batch every remaining tick through the
                 // shapers' closed-form rests. Grants of an idle step
                 // are exactly 0.0 on every shaper, so `last_tx_bits`
@@ -1336,24 +1304,26 @@ impl<S: Shaper> Fabric<S> {
                 taken += k;
                 break;
             }
-            // (Re)establish the rate cache for the current signature,
-            // then run the kernel as far as the event horizon proves
-            // the cache must keep hitting; the window's first step
-            // plays the general step's role.
-            self.refresh_rates();
-            let k = self.event_window(dt, max_steps - taken, completed);
-            if k > 0 {
-                taken += k;
-                if self.flows.is_empty() {
-                    // The kernel's final step completed the last flow.
-                    break;
+            if event {
+                // (Re)establish the rate cache for the current
+                // signature, then run the kernel as far as the event
+                // horizon proves the cache must keep hitting; the
+                // window's first step plays the general step's role.
+                self.refresh_rates();
+                let k = self.event_window(dt, max_steps - taken, completed);
+                if k > 0 {
+                    taken += k;
+                    if self.flows.is_empty() {
+                        // The kernel's final step completed the last flow.
+                        break;
+                    }
+                    continue;
                 }
-                continue;
             }
-            // Stalled window: an event is due within the guard slack
-            // (e.g. a flow is a few ticks from completing) or a shaper
-            // offers no closed-form bound. One honest general step
-            // guarantees progress.
+            // Reference loop, or a stalled window: an event is due
+            // within the guard slack (e.g. a flow is a few ticks from
+            // completing) or a shaper offers no closed-form bound. One
+            // honest step guarantees progress.
             let done = self.step(dt);
             taken += 1;
             if !done.is_empty() {
@@ -1481,13 +1451,13 @@ impl<S: Shaper> Fabric<S> {
     }
 
     /// Run the event kernel for up to `budget` steps. Preconditions:
-    /// event path, flows present, and a general step *just* ran (so the
+    /// event engine, flows present, and a general step *just* ran (so the
     /// scratch cache mirrors the live flow set). Returns steps taken
     /// (0 when the live signature no longer matches the cache — the
     /// caller's next general step recomputes honestly).
     ///
     /// Every kernel step executes the identical floating-point
-    /// recurrences of the fast path's busy step — per-node `transmit`
+    /// recurrences of the general step — per-node `transmit`
     /// (shaper state, including RNGs, advances every tick exactly as
     /// stepped), scale division, delivery subtraction, `now += dt` — on
     /// struct-of-arrays mirrors. What it skips, the
@@ -1568,7 +1538,7 @@ impl<S: Shaper> Fabric<S> {
         // The horizon bounds how far the cache may be reused *without
         // re-validation*; the window's first step needs no horizon at
         // all — the refresh and entry validation just proved its
-        // signature live, which is exactly the fast path's per-step
+        // signature live, which is exactly the general step's signature
         // check. So the window is always at least one step, and an
         // imminent event (a flow a few ticks from completing, a fault
         // edge inside the guard slack) degrades to single-step windows
@@ -1693,7 +1663,7 @@ impl<S: Shaper> Fabric<S> {
 
     /// Advance with **no** flows for `duration` (resting: token refill).
     ///
-    /// The fast path delegates to [`Shaper::rest`], which replaces the
+    /// The event engine delegates to [`Shaper::rest`], which replaces the
     /// per-step virtual idle `transmit` calls with each shaper's (often
     /// closed-form or early-exiting) equivalent; the clock still
     /// advances by the same repeated `+= dt` so `now` stays bitwise
@@ -2130,7 +2100,7 @@ mod tests {
     }
 
     #[test]
-    fn linked_fabric_is_bit_identical_across_all_three_paths() {
+    fn linked_fabric_is_bit_identical_across_both_engines() {
         let run = |path: StepPath| {
             let mut f: Fabric<TokenBucket> = Fabric::new();
             for _ in 0..6 {
@@ -2169,10 +2139,8 @@ mod tests {
             (sig, f.active_flows())
         };
         let ev = run(StepPath::Event);
-        let fast = run(StepPath::Fast);
         let slow = run(StepPath::Reference);
-        assert_eq!(ev, fast, "event vs fast diverged on a linked fabric");
-        assert_eq!(fast, slow, "fast vs reference diverged on a linked fabric");
+        assert_eq!(ev, slow, "event vs reference diverged on a linked fabric");
     }
 
     #[test]

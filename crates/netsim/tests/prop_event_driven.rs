@@ -6,8 +6,8 @@
 //! be **bit-identical** to the reference loops in every observable —
 //! not merely close. These properties drive randomized campaigns
 //! (mixed shaper kinds, fault schedules, core capacities, flow churn)
-//! through an event-path fabric and a `force_reference_path` twin via
-//! [`Fabric::advance`], stopping the event fabric at every event
+//! through an event-path fabric and a `force_path(StepPath::Reference)`
+//! twin via [`Fabric::advance`], stopping the event fabric at every event
 //! boundary [`Fabric::next_event`] reports and comparing rates, queue
 //! depths (token budgets), flow state, and an accumulated golden trace
 //! hash bitwise at each boundary. RNG-bearing shapers (PerCoreQos,
@@ -88,7 +88,7 @@ fn build_pair(
     let mut event = build();
     event.force_path(StepPath::Event);
     let mut reference = build();
-    reference.force_reference_path(true);
+    reference.force_path(StepPath::Reference);
     (event, reference)
 }
 
@@ -315,7 +315,7 @@ prop_cases! {
         let mut event = build();
         event.force_path(StepPath::Event);
         let mut reference = build();
-        reference.force_reference_path(true);
+        reference.force_path(StepPath::Reference);
 
         let ev = event.next_event(0.25, 1000);
         prop_assert!(ev.steps <= 1, "expected dense horizon, got {:?}", ev);
@@ -409,7 +409,7 @@ prop_cases! {
         let mut event = build();
         event.force_path(StepPath::Event);
         let mut reference = build();
-        reference.force_reference_path(true);
+        reference.force_path(StepPath::Reference);
         let mut flows = Vec::new();
         for (s, d) in [(0usize, 1usize), (1, 2), (2, 0)] {
             let spec = FlowSpec::new(s, d, 1e12 + (seed % 100) as f64 * 1e9);

@@ -1,16 +1,17 @@
-//! Fast-path equivalence suite (DESIGN.md §9).
+//! General-step equivalence suite (DESIGN.md §9).
 //!
-//! The fabric's stepping fast path (scratch buffers, incremental
-//! active-flow counts, signature-keyed rate cache, closed-form shaper
-//! rests) must be **bit-identical** to the reference loops — not merely
-//! close. These properties drive randomized scripts (mixed shaper
-//! kinds, random flow sets, fault schedules, core capacities, drain and
-//! rest windows) through a fast fabric and a `force_reference_path`
-//! twin, comparing every observable with `f64::to_bits` after every
-//! step; plus exact closed-form-`rest`-vs-idle-loop tests for every
-//! shaper implementation.
+//! The event engine's general step, [`Fabric::step`] (scratch buffers,
+//! incremental active-flow counts, signature-keyed rate cache,
+//! closed-form shaper rests), must be **bit-identical** to the
+//! reference loops — not merely close. These properties drive
+//! randomized scripts (mixed shaper kinds, random flow sets, fault
+//! schedules, core capacities, drain and rest windows) through a
+//! default fabric and a `force_path(StepPath::Reference)` twin,
+//! comparing every observable with `f64::to_bits` after every step;
+//! plus exact closed-form-`rest`-vs-idle-loop tests for every shaper
+//! implementation.
 
-use netsim::fabric::{Fabric, FlowId, FlowSpec};
+use netsim::fabric::{Fabric, FlowId, FlowSpec, StepPath};
 use netsim::faults::{FaultConfig, FaultInjector, FaultSchedule};
 use netsim::rng::SimRng;
 use netsim::shaper::{
@@ -77,7 +78,7 @@ fn build_pair(
     };
     let fast = build();
     let mut reference = build();
-    reference.force_reference_path(true);
+    reference.force_path(StepPath::Reference);
     (fast, reference)
 }
 

@@ -23,9 +23,6 @@
 //! * [`ecmp`] — every equal-cost shortest path per host pair,
 //!   enumerated in sorted order; flows spread by a seed-derived hash
 //!   ([`EcmpRouter`]).
-//! * [`alloc`] — standalone per-link max-min water-filling: a
-//!   brute-force reference and a scratch-reusing, signature-cached
-//!   [`WaterFill`], bit-identical to each other and to the fabric.
 //! * [`wiring`] — [`Wiring`] binds a topology to a fabric: seeded
 //!   host placement, capacity installation, routed admission.
 //!
@@ -34,8 +31,8 @@
 //! `flat` is not "a cheap topology" — it is *the absence of one*, and
 //! the contract (DESIGN.md §12) is bitwise: a campaign run through a
 //! flat [`Wiring`] produces byte-identical artifacts to the same
-//! campaign run with no topology code in the loop, under all three
-//! fabric stepping paths and any shard count. `verify.sh` gates on it.
+//! campaign run with no topology code in the loop, under both fabric
+//! stepping engines and any shard count. `verify.sh` gates on it.
 //!
 //! ## Example
 //!
@@ -62,14 +59,12 @@
 //! assert!((fab.node_last_tx_bits(1) / 0.01 - gbps(10.0) / 7.0).abs() < 1.0);
 //! ```
 
-pub mod alloc;
 pub mod ecmp;
 pub mod json;
 pub mod model;
 pub mod wiring;
 pub mod zoo;
 
-pub use alloc::{allocate_reference, AllocFlow, AllocProblem, WaterFill};
 pub use ecmp::{EcmpRouter, MAX_ECMP_PATHS};
 pub use json::{from_cluster_json, to_cluster_json};
 pub use model::{Link, NodeKind, TopoError, Topology, TopologyBuilder};

@@ -2,9 +2,9 @@
 //!
 //! Four contracts, each driven with randomized inputs:
 //!
-//! * the optimized water-filling allocator ([`WaterFill`]) is
-//!   **bit-identical** to the brute-force reference on arbitrary
-//!   problems, and its signature cache serves bitwise-equal rates;
+//! * the fabric's per-link max-min water-filling is **bit-identical**
+//!   between the event engine and the reference loops on arbitrary
+//!   routed problems;
 //! * ECMP routing is a pure function of `(topology, seed)`: rebuilt
 //!   routers replay the same paths and per-label choices, and every
 //!   choice stays within the equal-cost shortest-path set;
@@ -15,18 +15,19 @@
 //!   reproduces every node kind and link bit-for-bit, and serializing
 //!   again is byte-stable.
 
-use netsim::fabric::{Fabric, FlowId, FlowSpec};
+use netsim::fabric::{Fabric, FlowId, FlowSpec, StepPath};
 use netsim::rng::SimRng;
 use netsim::shaper::StaticShaper;
+use netsim::LinkRoute;
 use proplite::prelude::*;
-use topo::{
-    allocate_reference, from_cluster_json, to_cluster_json, AllocFlow, AllocProblem, EcmpRouter,
-    Topology, WaterFill, Wiring,
-};
+use topo::{from_cluster_json, to_cluster_json, EcmpRouter, Topology, Wiring};
 
-/// A random allocation problem: mixed finite/infinite node and link
-/// capacities, optional core cap, flows with random (valid) routes.
-fn random_problem(seed: u64) -> (AllocProblem, Vec<AllocFlow>) {
+/// A random routed fabric problem: mixed finite/infinite node egress,
+/// node ingress and directed link capacities, an optional core cap,
+/// and a flow script with per-flow rate caps and random routes of up to
+/// four links. Returns the event-engine fabric, its reference twin and
+/// the script's random stream.
+fn random_routed_pair(seed: u64) -> (Fabric<StaticShaper>, Fabric<StaticShaper>, SimRng) {
     let mut rng = SimRng::new(seed);
     let n_nodes = 2 + rng.index(6);
     let n_links = rng.index(5);
@@ -37,38 +38,66 @@ fn random_problem(seed: u64) -> (AllocProblem, Vec<AllocFlow>) {
             rng.uniform_in(1e8, 2e10)
         }
     };
-    let p = AllocProblem {
-        egress_bps: (0..n_nodes).map(|_| cap(&mut rng)).collect(),
-        ingress_bps: (0..n_nodes).map(|_| cap(&mut rng)).collect(),
-        link_bps: (0..2 * n_links).map(|_| cap(&mut rng)).collect(),
-        core_bps: if rng.chance(0.4) {
-            Some(rng.uniform_in(1e9, 5e10))
-        } else {
-            None
-        },
+    let egress: Vec<f64> = (0..n_nodes).map(|_| cap(&mut rng)).collect();
+    let ingress: Vec<f64> = (0..n_nodes).map(|_| cap(&mut rng)).collect();
+    let links: Vec<f64> = (0..2 * n_links).map(|_| cap(&mut rng)).collect();
+    let core = if rng.chance(0.4) {
+        Some(rng.uniform_in(1e9, 5e10))
+    } else {
+        None
     };
-    let n_flows = 1 + rng.index(10);
-    let flows = (0..n_flows)
-        .map(|_| {
-            let src = rng.index(n_nodes);
-            let dst = rng.index(n_nodes);
-            let hops = if n_links == 0 { 0 } else { rng.index(4) };
-            let slots: Vec<u32> = (0..hops)
-                .map(|_| rng.index(2 * n_links) as u32)
-                .collect();
-            AllocFlow {
-                src,
-                dst,
-                route: netsim::LinkRoute::new(&slots),
-                cap_bps: if rng.chance(0.3) {
-                    rng.uniform_in(1e8, 5e9)
-                } else {
-                    f64::INFINITY
-                },
-            }
-        })
-        .collect();
-    (p, flows)
+    let build = |path: StepPath| {
+        let mut f = Fabric::new();
+        for (&eg, &ing) in egress.iter().zip(&ingress) {
+            f.add_node(StaticShaper::new(eg), ing);
+        }
+        f.set_link_caps(links.clone());
+        if let Some(c) = core {
+            f.set_core_capacity(c);
+        }
+        f.force_path(path);
+        f
+    };
+    (build(StepPath::Event), build(StepPath::Reference), rng)
+}
+
+/// Assert the event fabric and its reference twin agree bitwise on the
+/// clock, every node's tx totals, and every flow's rate and remainder.
+fn assert_twins_bit_equal(
+    event: &Fabric<StaticShaper>,
+    reference: &Fabric<StaticShaper>,
+    flows: &[FlowId],
+    ctx: &str,
+) {
+    assert_eq!(
+        event.now().to_bits(),
+        reference.now().to_bits(),
+        "clock diverged ({ctx})"
+    );
+    for v in 0..event.node_count() {
+        assert_eq!(
+            event.node_total_tx_bits(v).to_bits(),
+            reference.node_total_tx_bits(v).to_bits(),
+            "node {v} total tx ({ctx})"
+        );
+        assert_eq!(
+            event.node_last_tx_bits(v).to_bits(),
+            reference.node_last_tx_bits(v).to_bits(),
+            "node {v} last tx ({ctx})"
+        );
+    }
+    for &id in flows {
+        assert_eq!(
+            event.flow_last_rate(id).map(f64::to_bits),
+            reference.flow_last_rate(id).map(f64::to_bits),
+            "flow {id:?} last rate ({ctx})"
+        );
+        assert_eq!(
+            event.flow_remaining_bits(id).map(f64::to_bits),
+            reference.flow_remaining_bits(id).map(f64::to_bits),
+            "flow {id:?} remaining ({ctx})"
+        );
+    }
 }
 
 /// A random multi-tier topology from the zoo, varied in family and
@@ -82,26 +111,51 @@ fn random_tiered_topology(seed: u64) -> Topology {
     }
 }
 
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
 prop_cases! {
     #![config(Config::with_cases(48))]
 
-    /// Optimized allocator vs brute-force reference, bitwise, plus a
-    /// cache-hit replay of the same inputs.
+    /// Routed water-filling: the event engine and the reference loops
+    /// stay bitwise equal on random routed problems under flow churn,
+    /// after every `advance`.
     #[test]
-    fn waterfill_matches_the_brute_force_reference_bitwise(seed in 0u64..1_000_000) {
-        let (p, flows) = random_problem(seed);
-        let want = allocate_reference(&p, &flows).unwrap();
-        let mut wf = WaterFill::new();
-        let got = wf.allocate(&p, &flows).unwrap().to_vec();
-        prop_assert_eq!(bits(&want), bits(&got), "fixpoint diverged (seed {seed})");
-        // Bitwise-identical inputs must be a cache hit with the same rates.
-        let again = wf.allocate(&p, &flows).unwrap().to_vec();
-        prop_assert_eq!(bits(&got), bits(&again), "cached rates diverged");
-        prop_assert_eq!((wf.recomputes, wf.cache_hits), (1, 1), "cache did not engage");
+    fn routed_fabric_matches_the_reference_bitwise(seed in 0u64..1_000_000) {
+        let (mut event, mut reference, mut rng) = random_routed_pair(seed);
+        let n_nodes = event.node_count();
+        let n_slots = event.link_count();
+        let dt = 0.01 * (1 + rng.index(20)) as f64;
+        let mut flows: Vec<FlowId> = Vec::new();
+        for epoch in 0..24 {
+            if rng.chance(0.6) || event.active_flows() == 0 {
+                for _ in 0..1 + rng.index(3) {
+                    let src = rng.index(n_nodes);
+                    let dst = (src + 1 + rng.index(n_nodes - 1)) % n_nodes;
+                    let mut spec = FlowSpec::new(src, dst, rng.uniform_in(1e7, 5e9));
+                    if rng.chance(0.3) {
+                        spec.max_rate_bps = rng.uniform_in(1e8, 5e9);
+                    }
+                    let hops = if n_slots == 0 { 0 } else { rng.index(5) };
+                    let slots: Vec<u32> = (0..hops).map(|_| rng.index(n_slots) as u32).collect();
+                    let route = LinkRoute::new(&slots);
+                    let a = event.start_flow_routed(spec, route);
+                    let b = reference.start_flow_routed(spec, route);
+                    prop_assert_eq!(a, b, "flow ids diverged");
+                    flows.push(a);
+                }
+            }
+            let budget = 1 + rng.index(64) as u64;
+            let (mut done_e, mut done_r) = (Vec::new(), Vec::new());
+            let te = event.advance(dt, budget, &mut done_e);
+            let tr = reference.advance(dt, budget, &mut done_r);
+            prop_assert_eq!(te, tr, "steps taken diverged at epoch {}", epoch);
+            prop_assert_eq!(done_e, done_r, "completions diverged at epoch {}", epoch);
+            assert_twins_bit_equal(&event, &reference, &flows, &format!("epoch {epoch}"));
+        }
+        let (mut done_e, mut done_r) = (Vec::new(), Vec::new());
+        let te = event.advance(dt, 5_000, &mut done_e);
+        let tr = reference.advance(dt, 5_000, &mut done_r);
+        prop_assert_eq!(te, tr, "drain steps diverged");
+        prop_assert_eq!(done_e, done_r, "drain completions diverged");
+        assert_twins_bit_equal(&event, &reference, &flows, "drain");
     }
 
     /// ECMP: a rebuilt router replays identical paths and identical

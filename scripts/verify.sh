@@ -50,9 +50,8 @@ echo "== detlint: determinism & hermeticity contract =="
 # D11). Exceptions live in the source as scoped pragmas with mandatory
 # reasons (P0), and a pragma whose rule no longer fires is flagged as
 # dead (P1, warn-tier; see DESIGN.md §13). Deny-tier findings exit 1
-# and fail tier-1. `--no-cache` here so the gate itself never depends
-# on cache state; the cache paths get their own gate below.
-cargo run -q --release --offline -p detlint --bin detlint -- --root . --no-cache
+# and fail tier-1.
+cargo run -q --release --offline -p detlint --bin detlint -- --root .
 echo "OK: workspace lints deny-clean"
 
 echo "== detlint: every suppression pragma carries a reason =="
@@ -70,38 +69,25 @@ if [ -n "$pragma_bad" ]; then
 fi
 echo "OK: all pragmas are reasoned"
 
-echo "== detlint: JSON report is byte-stable, cold cache vs warm cache =="
+echo "== detlint: JSON report is byte-stable across runs =="
 # CI diffs the JSON-lines report across runs; the ordering contract
-# (sorted by file, line, rule) must hold bit-for-bit. The runs are
-# staged to also prove the incremental-cache contract: a cold-cache
-# run (facts parsed from scratch and persisted), a warm-cache run
-# (every file served from target/detlint-cache), and a cache-free run
-# must all render the same bytes — the cache may change how fast the
-# answer arrives, never what it is.
+# (sorted by file, line, rule) must hold bit-for-bit.
 lint_a=$(mktemp)
 lint_b=$(mktemp)
-lint_c=$(mktemp)
-rm -rf target/detlint-cache
 cargo run -q --release --offline -p detlint --bin detlint -- --root . --json > "$lint_a"
 cargo run -q --release --offline -p detlint --bin detlint -- --root . --json > "$lint_b"
-cargo run -q --release --offline -p detlint --bin detlint -- --root . --json --no-cache > "$lint_c"
 if ! diff -u "$lint_a" "$lint_b" > /dev/null; then
-  echo "FAIL: detlint --json differs between cold-cache and warm-cache runs:" >&2
+  echo "FAIL: detlint --json differs between two runs:" >&2
   diff -u "$lint_a" "$lint_b" >&2 | head -20
   exit 1
 fi
-if ! diff -u "$lint_a" "$lint_c" > /dev/null; then
-  echo "FAIL: detlint --json differs between cached and cache-free runs:" >&2
-  diff -u "$lint_a" "$lint_c" >&2 | head -20
-  exit 1
-fi
-rm -f "$lint_a" "$lint_b" "$lint_c"
-echo "OK: detlint --json is byte-identical cold-cache, warm-cache, and uncached"
+rm -f "$lint_a" "$lint_b"
+echo "OK: detlint --json is byte-identical across runs"
 
 echo "== detlint: pipeline benchmark =="
-# Times the analysis uncached / cold-cache / warm-cache over this
-# workspace, re-checks byte-identity and deny-cleanliness from inside
-# the bench, and writes the files/sec trajectory to BENCH_detlint.json.
+# Times the analysis over this workspace, re-checks byte-identity and
+# deny-cleanliness from inside the bench, and writes the files/sec
+# trajectory to BENCH_detlint.json.
 cargo bench -q --offline -p bench --bench supp_detlint
 
 echo "== deterministic replay: faulty campaign =="
@@ -144,43 +130,34 @@ if ! diff -u "$replay_a" "$par_a" > /dev/null; then
 fi
 echo "OK: campaign output is invariant to the worker count"
 
-echo "== fabric engines: fig19 campaign three ways, bit-identical =="
-# The three stepping engines (event — the default, fast via
-# FABRIC_EVENT_PATH=0, reference via FABRIC_SLOW_PATH=1) must never
-# change results. Gates:
-#   1. The full faulty campaign runs three ways; all outputs (golden
-#      hashes included) must match byte for byte. The REPRO_JOBS gates
-#      above already ran the default (event) engine on 1 and 4
-#      workers, so jobs-invariance of the event path is covered too.
-#   2. The property suites drive randomized fabrics through the fast
-#      and event paths against a reference twin and compare every
-#      observable with f64::to_bits — the event suite at every event
-#      boundary, with adversarial zero-length/simultaneous/fault-edge
-#      cases.
+echo "== fabric engines: faulty campaign on event and reference, bit-identical =="
+# The event engine (the default) and the reference loops (the test
+# oracle, via FABRIC_SLOW_PATH=1) must never disagree. Gates:
+#   1. The full faulty campaign runs on both engines; the outputs
+#      (golden hashes included) must match byte for byte. The
+#      REPRO_JOBS gates above already ran the event engine on 1 and 4
+#      workers, so its jobs-invariance is covered too.
+#   2. The property suites drive randomized fabrics through the
+#      general step and through event windows against a reference twin
+#      and compare every observable with f64::to_bits — the event suite
+#      at every event boundary, with adversarial
+#      zero-length/simultaneous/fault-edge cases.
 #   3. The counting-allocator probe asserts steady-state stepping and
-#      event jumps perform zero heap allocations, each path measured
-#      in its own counter epoch.
+#      event jumps perform zero heap allocations.
 # (detlint deny-cleanliness of the event engine is enforced by the
 # detlint stage above, which lints the whole workspace.)
 slow_a=$(mktemp)
-fast_a=$(mktemp)
-trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a" "$fast_a"' EXIT
+trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"' EXIT
 FABRIC_SLOW_PATH=1 cargo run -q --release --offline --example faulty_campaign > "$slow_a"
 if ! diff -u "$replay_a" "$slow_a" > /dev/null; then
-  echo "FAIL: FABRIC_SLOW_PATH=1 output differs from the event path's:" >&2
+  echo "FAIL: FABRIC_SLOW_PATH=1 output differs from the event engine's:" >&2
   diff -u "$replay_a" "$slow_a" >&2 | head -40
-  exit 1
-fi
-FABRIC_EVENT_PATH=0 cargo run -q --release --offline --example faulty_campaign > "$fast_a"
-if ! diff -u "$replay_a" "$fast_a" > /dev/null; then
-  echo "FAIL: FABRIC_EVENT_PATH=0 output differs from the event path's:" >&2
-  diff -u "$replay_a" "$fast_a" >&2 | head -40
   exit 1
 fi
 cargo test -q --release --offline -p netsim --test prop_fabric_fast
 cargo test -q --release --offline -p netsim --test prop_event_driven
 cargo test -q --release --offline -p netsim --test alloc_free
-echo "OK: event, fast, and reference engines are bit-identical; jumps are allocation-free"
+echo "OK: event and reference engines are bit-identical; jumps are allocation-free"
 
 echo "== campaign kill/resume: crash at a pinned shard, resume, byte-identical report =="
 # The crash-safety contract (DESIGN.md §11): a fleet campaign killed
@@ -199,7 +176,7 @@ echo "== campaign kill/resume: crash at a pinned shard, resume, byte-identical r
 #   4. Resuming under a different seed must fail loudly with the typed
 #      config-fingerprint mismatch, not blend incompatible results.
 wal=$(mktemp -d)
-trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a" "$fast_a"; rm -rf "$wal"' EXIT
+trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal"' EXIT
 fleet="cargo run -q --release --offline --bin cloud-repro -- fleet \
   --cloud hpc-8 --pairs 6 --hours 2 --seed 7"
 $fleet --journal "$wal/full.wal"  > "$wal/full.out"  2>/dev/null
@@ -259,18 +236,18 @@ echo "OK: killed campaign resumes to a byte-identical report; bad resumes fail l
 echo "== topology: flat campaign byte-identical to the topology-less path =="
 # The flat-equivalence contract (DESIGN.md §12): wiring a fabric with
 # the flat (linkless) topology must be invisible. `run --topology flat`
-# and a plain `run` must print byte-identical reports — on each of the
-# three stepping engines and at 1 and 4 workers. A fat-tree run on the
-# same seed must engage the per-link water-filling allocator (its
-# report footer shows a live link cache instead of the flat marker),
-# and the randomized property suite pits the standalone allocator,
-# ECMP replay, flat wiring, and the JSON codec against their reference
-# contracts.
+# and a plain `run` must print byte-identical reports — on both
+# stepping engines and at 1 and 4 workers. A fat-tree run on the same
+# seed must engage the per-link water-filling allocator (its report
+# footer shows a live link cache instead of the flat marker), and the
+# randomized property suite pits routed water-filling (event engine vs
+# reference), ECMP replay, flat wiring, and the JSON codec against
+# their reference contracts.
 topo_dir=$(mktemp -d)
-trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a" "$fast_a"; rm -rf "$wal" "$topo_dir"' EXIT
+trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir"' EXIT
 topo_run="cargo run -q --release --offline --bin cloud-repro -- run \
   --cloud gce-8 --workload q65 --reps 5 --nodes 16 --seed 11"
-for path in event fast reference; do
+for path in event reference; do
   $topo_run --fabric-path "$path" > "$topo_dir/plain_$path.out"
   $topo_run --fabric-path "$path" --topology flat > "$topo_dir/flat_$path.out"
   if ! diff -u "$topo_dir/plain_$path.out" "$topo_dir/flat_$path.out" > /dev/null; then
@@ -309,10 +286,11 @@ echo "== streaming scale: campaign --tenants, O(1) aggregation, byte-identical e
 # The streaming-aggregation contract (DESIGN.md §14): a campaign over N
 # seed-derived tenants folds into fixed-size sketch state, and its
 # report bytes are a pure function of the spec — invariant to worker
-# count, stepping engine, and kill/resume. Gates:
+# count and kill/resume. (Streaming never builds a fabric: a topology
+# only contributes per-tenant path ceilings, so the stepping engine is
+# not an axis here.) Gates:
 #   1. `campaign --tenants 2000` (reference faults, 16-host star with
-#      per-tenant path ceilings) byte-diffed across REPRO_JOBS=1/4 and
-#      across the event/fast/reference engines.
+#      per-tenant path ceilings) byte-diffed across REPRO_JOBS=1/4.
 #   2. `--self-check` cross-checks sketch quantiles against the exact
 #      estimator: bit-pinned below the exact-buffer cap (N=600),
 #      bounded-error above it (N=2000); both must report PASS.
@@ -320,10 +298,10 @@ echo "== streaming scale: campaign --tenants, O(1) aggregation, byte-identical e
 #      a checkpoint, SIGKILL-style) must leave a journal that is a
 #      byte-prefix of the uninterrupted run's; resuming it must
 #      reproduce the uninterrupted report and journal byte-for-byte.
-#   4. The sketch property suite and the engine-invariance integration
+#   4. The sketch property suite and the worker-invariance integration
 #      test run under the gate.
 scale_dir=$(mktemp -d)
-trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a" "$fast_a"; rm -rf "$wal" "$topo_dir" "$scale_dir"' EXIT
+trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$scale_dir"' EXIT
 stream="cargo run -q --release --offline --bin cloud-repro -- campaign \
   --cloud hpc-8 --tenants 2000 --hours 0.05 --seed 13 --faults \
   --topology star --hosts 16"
@@ -334,15 +312,6 @@ if ! diff -u "$scale_dir/j1.out" "$scale_dir/j4.out" > /dev/null; then
   diff -u "$scale_dir/j1.out" "$scale_dir/j4.out" >&2 | head -20
   exit 1
 fi
-FABRIC_SLOW_PATH=1 $stream > "$scale_dir/ref.out" 2>/dev/null
-FABRIC_EVENT_PATH=0 $stream > "$scale_dir/fast.out" 2>/dev/null
-for eng in ref fast; do
-  if ! diff -u "$scale_dir/j1.out" "$scale_dir/$eng.out" > /dev/null; then
-    echo "FAIL: streaming campaign differs on the $eng engine:" >&2
-    diff -u "$scale_dir/j1.out" "$scale_dir/$eng.out" >&2 | head -20
-    exit 1
-  fi
-done
 stream_check="cargo run -q --release --offline --bin cloud-repro -- campaign \
   --cloud hpc-8 --hours 0.05 --seed 13 --faults --self-check"
 $stream_check --tenants 600 > "$scale_dir/check600.out" 2>/dev/null
@@ -388,6 +357,6 @@ if ! cmp -s "$scale_dir/full.jnl" "$scale_dir/kill.jnl"; then
 fi
 cargo test -q --release --offline -p vstats --test prop_sketch
 cargo test -q --release --offline -p measure --test stream_campaign
-echo "OK: streaming campaign is byte-identical across workers, engines, and kill/resume"
+echo "OK: streaming campaign is byte-identical across workers and kill/resume"
 
 echo "== verify.sh: all gates passed =="

@@ -74,10 +74,10 @@ fn cmd_campaign(flags: &BTreeMap<String, String>) -> Result<(), String> {
 
 /// Streaming campaign: shard `--tenants N` seed-derived pairs into
 /// fixed panes, fold each into O(1) sketch state, and print a report
-/// whose bytes are invariant to worker count, stepping engine, and
-/// kill/resume. The deterministic report goes to **stdout**; progress,
-/// checkpoints, and resume accounting go to stderr, so `verify.sh`
-/// can diff reports across all those axes byte-for-byte.
+/// whose bytes are invariant to worker count and kill/resume. The
+/// deterministic report goes to **stdout**; progress, checkpoints, and
+/// resume accounting go to stderr, so `verify.sh` can diff reports
+/// across both axes byte-for-byte.
 fn cmd_campaign_stream(
     flags: &BTreeMap<String, String>,
     cloud: clouds::CloudProfile,
@@ -372,17 +372,11 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let reps = get_u64(flags, "reps", 10)? as usize;
     let nodes = get_u64(flags, "nodes", 12)? as usize;
     let seed = get_u64(flags, "seed", 1)?;
-    // A/B escape hatch: pick the fabric's stepping engine explicitly.
-    // All three paths are bit-identical; output must not change.
-    // `--reference-fabric` is kept as a shorthand for
-    // `--fabric-path reference`.
-    let path = if flags.contains_key("reference-fabric") {
-        netsim::StepPath::Reference
-    } else {
-        match flags.get("fabric-path") {
-            Some(name) => fabric_path_by_name(name)?,
-            None => netsim::StepPath::Event,
-        }
+    // A/B escape hatch: run the reference loops instead of the event
+    // engine. The two are bit-identical; output must not change.
+    let path = match flags.get("fabric-path") {
+        Some(name) => fabric_path_by_name(name)?,
+        None => netsim::StepPath::Event,
     };
     // A flat topology is byte-identical to passing no `--topology` at
     // all (the flat-equivalence contract, DESIGN.md §12); verify.sh
@@ -399,7 +393,6 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> Result<(), String> {
         cloud.instance_type,
         match path {
             netsim::StepPath::Event => "",
-            netsim::StepPath::Fast => " [fast fabric path]",
             netsim::StepPath::Reference => " [reference fabric path]",
         },
         match &topology {
@@ -463,21 +456,13 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `cloud-repro detlint [--root DIR] [--json] [--no-cache]` — run the
-/// determinism & hermeticity linter (token, dataflow, and call-graph
-/// rules) over the workspace. Uses the incremental facts cache at
-/// `<root>/target/detlint-cache` unless `--no-cache`. Returns
-/// `Ok(true)` when the gate is clean (no deny-tier findings).
+/// `cloud-repro detlint [--root DIR] [--json]` — run the determinism &
+/// hermeticity linter (token, dataflow, and call-graph rules) over the
+/// workspace. Returns `Ok(true)` when the gate is clean (no deny-tier
+/// findings).
 fn cmd_detlint(flags: &BTreeMap<String, String>) -> Result<bool, String> {
     let root = std::path::Path::new(flags.get("root").map(|s| s.as_str()).unwrap_or("."));
-    let findings = if flags.contains_key("no-cache") {
-        detlint::lint_workspace(root).map_err(|e| e.to_string())?
-    } else {
-        let cache_dir = root.join("target").join("detlint-cache");
-        detlint::lint_workspace_cached(root, &cache_dir)
-            .map_err(|e| e.to_string())?
-            .findings
-    };
+    let findings = detlint::lint_workspace(root).map_err(|e| e.to_string())?;
     if flags.contains_key("json") {
         print!("{}", detlint::render_json_lines(&findings));
     } else {
@@ -514,7 +499,7 @@ fn usage() {
     println!("  list                               clouds, workloads, patterns");
     println!("  campaign --cloud C [--pattern P] [--hours H] [--seed S]");
     println!("        [--tenants N]   streaming campaign: N seed-derived tenant pairs folded");
-    println!("        into O(1) sketch state; report bytes invariant to workers and engine;");
+    println!("        into O(1) sketch state; report bytes invariant to worker count;");
     println!("        [--faults] reference faults; [--topology T] [--hosts N]");
     println!("        [--placement-seed S] per-tenant path ceilings; [--self-check] cross-");
     println!("        check sketch vs exact quantiles; [--journal PATH] [--resume]");
@@ -528,12 +513,12 @@ fn usage() {
     println!("        [--checkpoint-every K] group-commit one journal write per K shards");
     println!("  probe --cloud C [--probes N] [--max-seconds T]");
     println!("  fingerprint --cloud C [--bucket]");
-    println!("  run --cloud C --workload W [--reps N] [--nodes N] [--fabric-path event|fast|reference]");
+    println!("  run --cloud C --workload W [--reps N] [--nodes N] [--fabric-path event|reference]");
     println!("      [--topology T] [--placement-seed S]   place nodes on a datacenter");
     println!("      topology with ECMP spreading; re-placed per repetition");
     println!("  plan --cloud C --workload W [--pilot N] [--target FRAC]");
     println!("  survey");
-    println!("  detlint [--root DIR] [--json] [--no-cache]  lint against the determinism contract");
+    println!("  detlint [--root DIR] [--json]   lint against the determinism contract");
     println!();
     println!("global flags:");
     println!("  --jobs N    parallel workers (default: REPRO_JOBS env, then all");

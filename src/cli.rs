@@ -103,19 +103,14 @@ pub fn topology_by_name(name: &str, nodes: usize) -> Result<topo::Topology, Stri
 }
 
 /// Resolve a fabric stepping-engine name (the `--fabric-path` flag):
-/// `event` (default engine), `fast` (the per-step cached path), or
-/// `reference` (the original unbatched loops). All three are
-/// bit-identical; the choice trades wall-clock time only.
+/// `event` (the runtime engine, default) or `reference` (the
+/// unbatched test-oracle loops). The two are bit-identical; the choice
+/// trades wall-clock time only.
 pub fn fabric_path_by_name(name: &str) -> Result<StepPath, String> {
     Ok(match name {
         "event" => StepPath::Event,
-        "fast" => StepPath::Fast,
         "reference" | "ref" => StepPath::Reference,
-        other => {
-            return Err(format!(
-                "unknown fabric path {other:?} (event, fast, reference)"
-            ))
-        }
+        other => return Err(format!("unknown fabric path {other:?} (event, reference)")),
     })
 }
 
@@ -250,13 +245,13 @@ mod tests {
     #[test]
     fn resolves_fabric_paths() {
         assert_eq!(fabric_path_by_name("event").unwrap(), StepPath::Event);
-        assert_eq!(fabric_path_by_name("fast").unwrap(), StepPath::Fast);
         assert_eq!(fabric_path_by_name("ref").unwrap(), StepPath::Reference);
         assert_eq!(
             fabric_path_by_name("reference").unwrap(),
             StepPath::Reference
         );
         assert!(fabric_path_by_name("turbo").is_err());
+        assert!(fabric_path_by_name("fast").is_err());
     }
 
     #[test]
