@@ -8,9 +8,11 @@
 //! engines (event, reference) on both the fat-tree and the flat
 //! topology; the runs must agree bit-for-bit per topology, and a
 //! sharded fleet of eight campaigns must hash identically on
-//! REPRO_JOBS=1 and 4. Wall-clock numbers (steps/sec) and the per-link
-//! water-filling cache hit rate land in machine-readable
-//! `BENCH_topo.json` so future PRs can track the trajectory.
+//! REPRO_JOBS=1 and 4. Wall-clock numbers (steps/sec, and the
+//! `Wiring::new` build time of a 64-endpoint `fattree8` and a 1024-host
+//! `fattree16`) and the per-link water-filling cache hit rate land in
+//! machine-readable `BENCH_topo.json` so future PRs can track the
+//! trajectory.
 
 use bench::{banner, check, rss};
 use repro_core::exec;
@@ -25,6 +27,8 @@ const HOSTS: usize = 32;
 const ROUNDS: usize = 24;
 const DT: f64 = 0.01;
 const SEED: u64 = 2020;
+/// `Wiring::new` builds timed per topology; the median is reported.
+const WIRING_BUILDS: usize = 5;
 
 /// One incast campaign on a named zoo topology: `ROUNDS` fan-ins, each
 /// fully drained before the next starts. Returns (golden hash, perf).
@@ -66,6 +70,25 @@ fn incast_campaign(topo_name: &str, path: StepPath, seed: u64) -> (u64, FabricPe
         eat(fab.node_total_tx_bits(v).to_bits());
     }
     (h, fab.perf())
+}
+
+/// Median wall time of [`WIRING_BUILDS`] `Wiring::new` calls placing
+/// `endpoints` fabric nodes on the named zoo topology.
+fn wiring_new_s(topo_name: &str, endpoints: usize) -> f64 {
+    let topo = zoo::by_name(topo_name, endpoints).expect("zoo topology");
+    let mut times: Vec<f64> = (0..WIRING_BUILDS)
+        .map(|_| {
+            let t = topo.clone();
+            let t0 = Instant::now();
+            let wiring =
+                Wiring::new(t, endpoints, SEED, SEED).expect("topology holds the endpoints");
+            let wall = t0.elapsed().as_secs_f64();
+            drop(wiring);
+            wall
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[WIRING_BUILDS / 2]
 }
 
 fn main() {
@@ -135,13 +158,22 @@ fn main() {
     let fleet_1 = fleet(1);
     let fleet_4 = fleet(4);
     println!("  fleet goldens: jobs=1 {fleet_1:016x}, jobs=4 {fleet_4:016x}");
+
+    // ECMP wiring build cost: one BFS per host, counts not paths.
+    let wiring_ft8 = wiring_new_s("fattree8", 64);
+    let wiring_ft16 = wiring_new_s("fattree16", 1024);
+    println!(
+        "  wiring:    Wiring::new fattree8@64 {:.2} ms, fattree16@1024 {:.1} ms (median of {WIRING_BUILDS})",
+        wiring_ft8 * 1e3,
+        wiring_ft16 * 1e3
+    );
     println!("  memory:    {}", rss::footer(rss::sample()));
 
     // Machine-readable perf trajectory.
     let tree_ok = tree_event == tree_ref;
     let flat_ok = flat_event == flat_ref;
     let json = format!(
-        "{{\n  \"bench\": \"supp_topo_incast\",\n  \"workload\": \"fattree4_32host_incast_{ROUNDS}rounds\",\n  \"wall_s_reference\": {t_ref:.4},\n  \"wall_s_event\": {t_event:.4},\n  \"steps_per_sec_event\": {steps_per_sec_event:.1},\n  \"fabric_steps\": {},\n  \"link_recomputes\": {},\n  \"link_cache_hits\": {},\n  \"link_cache_hit_rate\": {link_hit:.4},\n  \"golden_hash_fattree\": \"{tree_event:016x}\",\n  \"golden_hash_flat\": \"{flat_event:016x}\",\n  \"goldens_match_reference\": {},\n  \"jobs_invariant\": {}\n}}\n",
+        "{{\n  \"bench\": \"supp_topo_incast\",\n  \"workload\": \"fattree4_32host_incast_{ROUNDS}rounds\",\n  \"wall_s_reference\": {t_ref:.4},\n  \"wall_s_event\": {t_event:.4},\n  \"steps_per_sec_event\": {steps_per_sec_event:.1},\n  \"fabric_steps\": {},\n  \"link_recomputes\": {},\n  \"link_cache_hits\": {},\n  \"link_cache_hit_rate\": {link_hit:.4},\n  \"wiring_new_s_fattree8_64\": {wiring_ft8:.6},\n  \"wiring_new_s_fattree16_1024\": {wiring_ft16:.6},\n  \"golden_hash_fattree\": \"{tree_event:016x}\",\n  \"golden_hash_flat\": \"{flat_event:016x}\",\n  \"goldens_match_reference\": {},\n  \"jobs_invariant\": {}\n}}\n",
         perf_event.steps,
         perf_event.link_recomputes,
         perf_event.link_cache_hits,

@@ -73,8 +73,9 @@ pub enum MeasureError {
         /// Human-readable cause (the underlying `journal` error).
         detail: String,
     },
-    /// The campaign's topology could not be wired (host shortage, ECMP
-    /// enumeration failure). Surfaces before any tenant simulates.
+    /// The campaign's topology could not be wired (host shortage, a
+    /// disconnected or too-long ECMP host pair). Surfaces before any
+    /// tenant simulates.
     TopologyFailed {
         /// Human-readable cause (the underlying `topo` error).
         detail: String,

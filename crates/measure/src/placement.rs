@@ -34,8 +34,8 @@ pub struct PlacementFleetResult {
 /// are `derive_seed(seed, rep)` — the same stream a topology-less
 /// `run` uses, so a `flat` topology reproduces it byte-for-byte.
 ///
-/// ECMP path hashing is seeded by `seed`; paths are enumerated once
-/// and shared across repetitions (only the placement reshuffles).
+/// ECMP path hashing is seeded by `seed`; the path counts are built
+/// once and shared across repetitions (only the placement reshuffles).
 #[allow(clippy::too_many_arguments)]
 pub fn run_placement_fleet(
     profile: &CloudProfile,
@@ -49,7 +49,7 @@ pub fn run_placement_fleet(
     path: StepPath,
 ) -> Result<PlacementFleetResult, TopoError> {
     // Resolve the wiring once up front: host shortages and ECMP
-    // enumeration errors surface here, not inside a worker shard.
+    // reachability errors surface here, not inside a worker shard.
     let base = match topology {
         Some(t) => Some(Wiring::new(t.clone(), nodes, seed, placement_seed)?),
         None => None,

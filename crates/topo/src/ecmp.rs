@@ -1,49 +1,86 @@
-//! Deterministic ECMP path resolution: all equal-cost shortest paths
-//! between every host pair, enumerated in sorted-adjacency order, with
-//! a seed-derived flow→path hash. Real switches hash the five-tuple;
-//! here the "five-tuple" is `(src, dst, flow_label)` folded through the
-//! simulator's [`derive_seed`] stream so path spreading replays exactly
-//! under seed replay and never consults global state.
+//! Deterministic ECMP path resolution over a counted shortest-path DAG.
+//!
+//! The equal-cost shortest paths between two hosts are ordered by a
+//! depth-first walk from the source in sorted-adjacency order (neighbor
+//! id, then link id), so parallel links are distinct paths. Nothing is
+//! enumerated up front: [`EcmpRouter::new`] runs one BFS per host and
+//! keeps, for every node, its hop distance to that host and the number
+//! of shortest paths from it to that host (capped at
+//! [`MAX_ECMP_PATHS`]) — `hosts × nodes × 2` bytes. A route is the
+//! `k`-th path in that order, unranked on demand by walking the DAG
+//! and skipping whole subtrees by their counts.
+//!
+//! Real switches hash the five-tuple; here the "five-tuple" is
+//! `(src, dst, flow_label)` folded through the simulator's
+//! [`derive_seed`] stream, so path spreading replays exactly under seed
+//! replay and never consults global state.
 
 use crate::model::{TopoError, Topology};
 use netsim::rng::derive_seed;
 use netsim::{LinkRoute, SimRng, MAX_ROUTE_LINKS};
-use std::collections::BTreeMap;
 
-/// Cap on enumerated equal-cost paths per host pair. A `k`-ary fat
-/// tree has `(k/2)²` inter-pod shortest paths — 64 covers `k = 16`
-/// (1024 hosts); beyond the cap the lexicographically smallest paths
-/// (by sorted-adjacency DFS order) are kept, which is itself
-/// deterministic.
+/// Cap on the equal-cost paths a flow is spread over per host pair. A
+/// `k`-ary fat tree has `(k/2)²` inter-pod shortest paths — 64 covers
+/// `k = 16` (1024 hosts); beyond the cap a flow draws among the first
+/// 64 paths in sorted-adjacency DFS order, which is itself
+/// deterministic. The cap bounds only the draw: the router stores
+/// counts, not paths, so its memory never grows with the path count.
 pub const MAX_ECMP_PATHS: usize = 64;
 
-/// Precomputed equal-cost shortest paths for every ordered host pair,
-/// plus the seeded hash that spreads flows across them.
+/// [`MAX_ECMP_PATHS`] as a per-node count entry (sums of two capped
+/// counts stay below `u8::MAX`).
+const COUNT_CAP: u8 = MAX_ECMP_PATHS as u8;
+
+/// Stored distance of a node the BFS never reached (or reached further
+/// out than any route can go).
+const FAR: u8 = u8::MAX;
+
+/// The counted shortest-path DAG towards every host, plus the seeded
+/// hash that spreads flows across each pair's paths.
 #[derive(Debug, Clone)]
 pub struct EcmpRouter {
     seed: u64,
-    paths: BTreeMap<(usize, usize), Vec<LinkRoute>>,
+    topo: Topology,
+    /// Host node ids, ascending; a host's position is its table row.
+    hosts: Vec<usize>,
+    /// `dist[row * nodes + v]`: hops from `v` to host `hosts[row]`.
+    dist: Vec<u8>,
+    /// `count[row * nodes + v]`: shortest paths from `v` to host
+    /// `hosts[row]`, capped at [`MAX_ECMP_PATHS`].
+    count: Vec<u8>,
 }
 
 impl EcmpRouter {
-    /// Enumerate the equal-cost shortest paths between every ordered
-    /// pair of hosts in `topo`. Flat (linkless) topologies yield a
-    /// router whose every route is [`LinkRoute::EMPTY`]; a tiered
-    /// topology with a disconnected host pair is an error, as is a
-    /// shortest path longer than [`MAX_ROUTE_LINKS`] hops.
+    /// Count the equal-cost shortest paths between every ordered pair
+    /// of hosts in `topo`. Flat (linkless) topologies yield a router
+    /// whose every route is [`LinkRoute::EMPTY`]; a tiered topology
+    /// with a disconnected host pair is an error, as is a shortest path
+    /// longer than [`MAX_ROUTE_LINKS`] hops.
     pub fn new(topo: &Topology, seed: u64) -> Result<Self, TopoError> {
-        let mut paths = BTreeMap::new();
+        let mut router = EcmpRouter {
+            seed,
+            topo: topo.clone(),
+            hosts: Vec::new(),
+            dist: Vec::new(),
+            count: Vec::new(),
+        };
         if topo.is_flat() {
-            return Ok(EcmpRouter { seed, paths });
+            return Ok(router);
         }
         let hosts = topo.hosts();
         let n = topo.node_count();
-        let mut dist = vec![usize::MAX; n];
+        router.dist = vec![FAR; hosts.len() * n];
+        router.count = vec![0; hosts.len() * n];
+        let mut hops = vec![usize::MAX; n];
         let mut queue: Vec<usize> = Vec::with_capacity(n);
-        for &src in &hosts {
-            // BFS hop distances from src.
-            dist.iter_mut().for_each(|d| *d = usize::MAX);
-            dist[src] = 0;
+        for (row, &src) in hosts.iter().enumerate() {
+            // BFS hop distances from src; path counts accumulate along
+            // the level edges in pop order, so a node's count is final
+            // before any node one hop further out reads it.
+            let count = &mut router.count[row * n..(row + 1) * n];
+            hops.fill(usize::MAX);
+            hops[src] = 0;
+            count[src] = 1;
             queue.clear();
             queue.push(src);
             let mut head = 0;
@@ -51,9 +88,14 @@ impl EcmpRouter {
                 let v = queue[head];
                 head += 1;
                 for &(w, _) in topo.neighbors(v) {
-                    if dist[w] == usize::MAX {
-                        dist[w] = dist[v] + 1;
+                    if hops[w] == usize::MAX {
+                        hops[w] = hops[v] + 1;
                         queue.push(w);
+                    }
+                    if hops[w] == hops[v] + 1 {
+                        // min(Σ min(aᵢ, cap), cap) == min(Σ aᵢ, cap):
+                        // capping every partial sum keeps the count exact.
+                        count[w] = (count[w] + count[v]).min(COUNT_CAP);
                     }
                 }
             }
@@ -61,78 +103,114 @@ impl EcmpRouter {
                 if dst == src {
                     continue;
                 }
-                if dist[dst] == usize::MAX {
+                if hops[dst] == usize::MAX {
                     return Err(TopoError::Schema(format!(
                         "hosts {src} and {dst} are disconnected"
                     )));
                 }
-                if dist[dst] > MAX_ROUTE_LINKS {
+                if hops[dst] > MAX_ROUTE_LINKS {
                     return Err(TopoError::Schema(format!(
                         "shortest path {src} -> {dst} crosses {} links, max {MAX_ROUTE_LINKS}",
-                        dist[dst]
+                        hops[dst]
                     )));
                 }
-                let mut found = Vec::new();
-                let mut hops: Vec<u32> = Vec::with_capacity(dist[dst]);
-                dfs_paths(topo, &dist, src, dst, &mut hops, &mut found);
-                paths.insert((src, dst), found);
+            }
+            let dist = &mut router.dist[row * n..(row + 1) * n];
+            for (d, &h) in dist.iter_mut().zip(&hops) {
+                *d = u8::try_from(h).unwrap_or(FAR);
             }
         }
-        Ok(EcmpRouter { seed, paths })
+        router.hosts = hosts;
+        Ok(router)
     }
 
-    /// The equal-cost path set for `src → dst`, in enumeration order.
-    /// Empty only on a flat topology (or `src == dst`).
-    pub fn paths(&self, src: usize, dst: usize) -> &[LinkRoute] {
-        self.paths.get(&(src, dst)).map(Vec::as_slice).unwrap_or(&[])
+    /// `dst`'s table row and the pair's capped path count, when
+    /// `src → dst` is a routed host pair.
+    fn pair(&self, src: usize, dst: usize) -> Option<(usize, usize)> {
+        if src == dst || self.hosts.binary_search(&src).is_err() {
+            return None;
+        }
+        let row = self.hosts.binary_search(&dst).ok()?;
+        let n = usize::from(self.count[row * self.topo.node_count() + src]);
+        Some((row, n))
     }
 
-    /// Pick the path a flow with the given label takes. The label is
-    /// the fabric's flow id (see `Fabric::next_flow_id_hint`) so the
-    /// choice is a pure function of `(seed, src, dst, label)` —
-    /// independent of arrival interleaving across shards.
+    /// How many equal-cost paths `src → dst` spreads over: the number
+    /// of shortest paths, capped at [`MAX_ECMP_PATHS`]. Zero only on a
+    /// flat topology (or `src == dst`).
+    pub fn path_count(&self, src: usize, dst: usize) -> usize {
+        self.pair(src, dst).map_or(0, |(_, n)| n)
+    }
+
+    /// The `k`-th shortest `src → dst` path in sorted-adjacency DFS
+    /// order (`k < path_count`): at each node, step to the first
+    /// neighbor one hop closer to `dst` whose path count exceeds `k`,
+    /// less the counts of the closer neighbors skipped.
+    fn unrank(&self, row: usize, src: usize, mut k: usize) -> LinkRoute {
+        let n = self.topo.node_count();
+        let dist = &self.dist[row * n..(row + 1) * n];
+        let count = &self.count[row * n..(row + 1) * n];
+        let len = usize::from(dist[src]);
+        let mut slots = [0u32; MAX_ROUTE_LINKS];
+        let mut v = src;
+        for (hop, slot) in slots[..len].iter_mut().enumerate() {
+            let left = len - hop - 1;
+            for &(w, link) in self.topo.neighbors(v) {
+                if usize::from(dist[w]) != left {
+                    continue;
+                }
+                let c = usize::from(count[w]);
+                if k < c {
+                    *slot = self.topo.directed_slot(link, v);
+                    v = w;
+                    break;
+                }
+                k -= c;
+            }
+        }
+        debug_assert_eq!(dist[v], 0, "unranking left the shortest-path DAG");
+        LinkRoute::new(&slots[..len])
+    }
+
+    /// The equal-cost path set for `src → dst`, in DFS order. Empty
+    /// only on a flat topology (or `src == dst`). Built on demand —
+    /// for tests and diagnostics; routing never materializes it.
+    pub fn paths(&self, src: usize, dst: usize) -> Vec<LinkRoute> {
+        match self.pair(src, dst) {
+            Some((row, n)) => (0..n).map(|k| self.unrank(row, src, k)).collect(),
+            None => Vec::new(),
+        }
+    }
+
+    /// Pick the path a flow with the given label takes: entry
+    /// `index(path_count)` of [`paths`](Self::paths) under the pair's
+    /// seeded stream. The label is the fabric's flow id (see
+    /// `Fabric::next_flow_id_hint`) so the choice is a pure function of
+    /// `(seed, src, dst, label)` — independent of arrival interleaving
+    /// across shards.
     pub fn route(&self, src: usize, dst: usize, flow_label: u64) -> LinkRoute {
-        let set = self.paths(src, dst);
-        match set.len() {
-            0 => LinkRoute::EMPTY,
-            1 => set[0],
+        let Some((row, n)) = self.pair(src, dst) else {
+            return LinkRoute::EMPTY;
+        };
+        let k = match n {
+            1 => 0,
             n => {
                 let pair = ((src as u64) << 32) | dst as u64;
                 let mut rng = SimRng::new(derive_seed(derive_seed(self.seed, pair), flow_label));
-                set[rng.index(n)]
+                rng.index(n)
             }
-        }
+        };
+        self.unrank(row, src, k)
     }
 
     /// The hash seed this router spreads with.
     pub fn seed(&self) -> u64 {
         self.seed
     }
-}
 
-/// DFS over the shortest-path DAG (`dist[w] == dist[v] + 1` edges) in
-/// sorted-adjacency order, emitting each path as directed link slots.
-fn dfs_paths(
-    topo: &Topology,
-    dist: &[usize],
-    v: usize,
-    dst: usize,
-    hops: &mut Vec<u32>,
-    found: &mut Vec<LinkRoute>,
-) {
-    if found.len() >= MAX_ECMP_PATHS {
-        return;
-    }
-    if v == dst {
-        found.push(LinkRoute::new(hops));
-        return;
-    }
-    for &(w, link) in topo.neighbors(v) {
-        if dist[w] == dist[v] + 1 {
-            hops.push(topo.directed_slot(link, v));
-            dfs_paths(topo, dist, w, dst, hops, found);
-            hops.pop();
-        }
+    /// The topology this router routes over.
+    pub fn topology(&self) -> &Topology {
+        &self.topo
     }
 }
 
@@ -167,7 +245,8 @@ mod tests {
         let (a, b) = (hosts[0], hosts[4]);
         let set = r.paths(a, b);
         assert_eq!(set.len(), 4);
-        for p in set {
+        assert_eq!(r.path_count(a, b), 4);
+        for p in &set {
             assert_eq!(p.links().len(), 6);
         }
         // Same-rack pair: single 2-hop path through the shared ToR.
@@ -200,5 +279,17 @@ mod tests {
         let r = EcmpRouter::new(&t, 9).unwrap();
         assert!(r.route(0, 3, 5).is_empty());
         assert!(r.paths(0, 3).is_empty());
+        assert_eq!(r.path_count(0, 3), 0);
+    }
+
+    #[test]
+    fn switches_and_self_pairs_are_unrouted() {
+        let t = zoo::star(3).unwrap();
+        let r = EcmpRouter::new(&t, 1).unwrap();
+        // Node 3 is the star's ToR.
+        assert!(r.route(3, 0, 1).is_empty());
+        assert!(r.route(0, 3, 1).is_empty());
+        assert!(r.route(1, 1, 1).is_empty());
+        assert_eq!(r.path_count(1, 1), 0);
     }
 }

@@ -20,9 +20,9 @@
 //! * [`json`] — a hand-rolled parser/serializer for the
 //!   parsimon-style cluster schema (`fab2spine` / `planes` / `pods`),
 //!   no serde: the workspace builds hermetically.
-//! * [`ecmp`] — every equal-cost shortest path per host pair,
-//!   enumerated in sorted order; flows spread by a seed-derived hash
-//!   ([`EcmpRouter`]).
+//! * [`ecmp`] — equal-cost shortest paths per host pair as a counted
+//!   shortest-path DAG, unranked on demand in sorted-adjacency DFS
+//!   order; flows spread by a seed-derived hash ([`EcmpRouter`]).
 //! * [`wiring`] — [`Wiring`] binds a topology to a fabric: seeded
 //!   host placement, capacity installation, routed admission.
 //!

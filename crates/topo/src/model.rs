@@ -2,8 +2,6 @@
 //! builder that freezes them into an adjacency structure with a
 //! deterministic, sorted iteration order.
 
-use std::collections::BTreeMap;
-
 /// What a topology node is. The tiers mirror the paper's datacenter
 /// model (and parsimon-eval's cluster schema): hosts at the leaves,
 /// top-of-rack switches above them, pod-local fabric (aggregation)
@@ -49,15 +47,15 @@ pub struct Link {
 }
 
 /// An immutable multi-tier topology: typed nodes, undirected links,
-/// and adjacency in deterministic sorted order (`BTreeMap` keyed by
-/// node id, neighbor lists sorted by neighbor id then link id — no
-/// iteration ever depends on insertion order).
+/// and adjacency in deterministic sorted order (one neighbor list per
+/// node, indexed by the dense node id, each sorted by neighbor id then
+/// link id — no iteration ever depends on insertion order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     name: String,
     kinds: Vec<NodeKind>,
     links: Vec<Link>,
-    adj: BTreeMap<usize, Vec<(usize, usize)>>,
+    adj: Vec<Vec<(usize, usize)>>,
 }
 
 impl Topology {
@@ -101,7 +99,7 @@ impl Topology {
     /// Neighbors of `v` as `(neighbor, link id)`, sorted by neighbor
     /// id then link id.
     pub fn neighbors(&self, v: usize) -> &[(usize, usize)] {
-        self.adj.get(&v).map(Vec::as_slice).unwrap_or(&[])
+        &self.adj[v]
     }
 
     /// The directed capacity slot for crossing link `i` *out of* node
@@ -243,7 +241,7 @@ impl TopologyBuilder {
     /// and sorts every adjacency list.
     pub fn build(self) -> Result<Topology, TopoError> {
         let n = self.kinds.len();
-        let mut adj: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
+        let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
         for (i, l) in self.links.iter().enumerate() {
             if l.a >= n {
                 return Err(TopoError::UnknownNode(l.a));
@@ -251,10 +249,10 @@ impl TopologyBuilder {
             if l.b >= n {
                 return Err(TopoError::UnknownNode(l.b));
             }
-            adj.entry(l.a).or_default().push((l.b, i));
-            adj.entry(l.b).or_default().push((l.a, i));
+            adj[l.a].push((l.b, i));
+            adj[l.b].push((l.a, i));
         }
-        for list in adj.values_mut() {
+        for list in &mut adj {
             list.sort_unstable();
         }
         Ok(Topology {

@@ -13,24 +13,26 @@ use netsim::fabric::Fabric;
 use netsim::rng::derive_seed;
 use netsim::shaper::Shaper;
 use netsim::{FlowId, FlowSpec, LinkRoute, SimRng};
+use std::sync::Arc;
 
 /// Stable label mixing the placement seed away from other consumers of
 /// the same campaign seed (ASCII `"placemnt"`).
 const PLACEMENT_LABEL: u64 = 0x706c_6163_656d_6e74;
 
 /// A topology bound to a fabric's endpoint space: which host each
-/// fabric node occupies, and how its flows are routed and spread.
+/// fabric node occupies, and how its flows are routed and spread. The
+/// router (which owns the topology) is shared, so clones and reseats
+/// copy only the placement.
 #[derive(Debug, Clone)]
 pub struct Wiring {
-    topo: Topology,
-    router: EcmpRouter,
+    router: Arc<EcmpRouter>,
     placement: Vec<usize>,
 }
 
 impl Wiring {
     /// Place `n_endpoints` fabric nodes onto `topo`'s hosts — a
     /// Fisher–Yates shuffle of the host list under `placement_seed`,
-    /// truncated to `n_endpoints` — and precompute ECMP paths hashed
+    /// truncated to `n_endpoints` — and count the ECMP paths hashed
     /// under `ecmp_seed`. Errors if the topology has fewer hosts than
     /// endpoints.
     pub fn new(
@@ -50,10 +52,8 @@ impl Wiring {
         let mut rng = SimRng::new(derive_seed(placement_seed, PLACEMENT_LABEL));
         rng.shuffle(&mut hosts);
         hosts.truncate(n_endpoints);
-        let router = EcmpRouter::new(&topo, ecmp_seed)?;
         Ok(Wiring {
-            topo,
-            router,
+            router: Arc::new(EcmpRouter::new(&topo, ecmp_seed)?),
             placement: hosts,
         })
     }
@@ -71,27 +71,24 @@ impl Wiring {
             )));
         }
         hosts.truncate(n_endpoints);
-        let router = EcmpRouter::new(&topo, ecmp_seed)?;
         Ok(Wiring {
-            topo,
-            router,
+            router: Arc::new(EcmpRouter::new(&topo, ecmp_seed)?),
             placement: hosts,
         })
     }
 
     /// This wiring with a fresh placement shuffle under
-    /// `placement_seed`, reusing the precomputed ECMP paths —
-    /// placement fleets reshuffle per repetition without
-    /// re-enumerating every host-pair path set. `reseat(s)` equals
-    /// `Wiring::new(topo, n, ecmp_seed, s)` placement-for-placement.
+    /// `placement_seed`, sharing the ECMP router — placement fleets
+    /// reshuffle per repetition at the cost of one host shuffle.
+    /// `reseat(s)` equals `Wiring::new(topo, n, ecmp_seed, s)`
+    /// placement-for-placement.
     pub fn reseat(&self, placement_seed: u64) -> Wiring {
-        let mut hosts = self.topo.hosts();
+        let mut hosts = self.topology().hosts();
         let mut rng = SimRng::new(derive_seed(placement_seed, PLACEMENT_LABEL));
         rng.shuffle(&mut hosts);
         hosts.truncate(self.placement.len());
         Wiring {
-            topo: self.topo.clone(),
-            router: self.router.clone(),
+            router: Arc::clone(&self.router),
             placement: hosts,
         }
     }
@@ -101,10 +98,10 @@ impl Wiring {
     /// bitwise the flat fabric (no capacity vector, no epoch bump, no
     /// perf counters).
     pub fn install<S: Shaper>(&self, fabric: &mut Fabric<S>) {
-        if self.topo.is_flat() {
+        if self.is_flat() {
             return;
         }
-        fabric.set_link_caps(self.topo.directed_caps());
+        fabric.set_link_caps(self.topology().directed_caps());
     }
 
     /// Admit a flow through the wiring: resolve the endpoint hosts,
@@ -135,18 +132,19 @@ impl Wiring {
 
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        self.router.topology()
     }
 
     /// Whether this wiring constrains nothing (flat contract active).
     pub fn is_flat(&self) -> bool {
-        self.topo.is_flat()
+        self.topology().is_flat()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::NodeKind;
     use crate::zoo;
     use netsim::shaper::StaticShaper;
     use netsim::units::gbps;
@@ -214,5 +212,49 @@ mod tests {
     #[test]
     fn too_small_a_topology_is_rejected() {
         assert!(Wiring::new(zoo::star(4).unwrap(), 8, 1, 2).is_err());
+    }
+
+    #[test]
+    fn fattree16_wires_1024_hosts_with_valid_six_hop_routes() {
+        let w = Wiring::new(zoo::by_name("fattree16", 1024).unwrap(), 1024, 3, 5).unwrap();
+        let t = w.topology();
+        // A host's pod is named by the first fabric switch above its ToR.
+        let pod_of = |h: usize| {
+            let tor = t.neighbors(h)[0].0;
+            t.neighbors(tor)
+                .iter()
+                .find(|&&(v, _)| t.kind(v) == NodeKind::Fabric)
+                .unwrap()
+                .0
+        };
+        let hosts = t.hosts();
+        let (a, b) = (hosts[0], hosts[hosts.len() - 1]);
+        assert_ne!(pod_of(a), pod_of(b));
+        assert_eq!(w.router.path_count(a, b), 64, "(k/2)^2 spine paths");
+
+        let mut rng = SimRng::new(11);
+        let mut checked = 0;
+        while checked < 200 {
+            let (src, dst) = (rng.index(1024), rng.index(1024));
+            let (hs, hd) = (w.host_of(src), w.host_of(dst));
+            if pod_of(hs) == pod_of(hd) {
+                continue;
+            }
+            let route = w.route_for(src, dst, rng.next_u64());
+            assert_eq!(route.links().len(), 6, "inter-pod route {hs} -> {hd}");
+            let mut at = hs;
+            for &slot in route.links() {
+                let l = t.link(slot as usize / 2);
+                let (from, to) = if slot % 2 == 0 {
+                    (l.a, l.b)
+                } else {
+                    (l.b, l.a)
+                };
+                assert_eq!(from, at, "hop does not start where the last ended");
+                at = to;
+            }
+            assert_eq!(at, hd, "route does not end at the destination host");
+            checked += 1;
+        }
     }
 }

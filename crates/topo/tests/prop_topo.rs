@@ -8,6 +8,11 @@
 //! * ECMP routing is a pure function of `(topology, seed)`: rebuilt
 //!   routers replay the same paths and per-label choices, and every
 //!   choice stays within the equal-cost shortest-path set;
+//! * the router's counted-DAG unranking reproduces a plain BFS + DFS
+//!   enumeration of the shortest paths path-for-path — order and cap
+//!   included — on fat trees, oversubscribed trees, stars and layered
+//!   graphs with parallel links, dead ends and more than
+//!   [`MAX_ECMP_PATHS`] paths per pair;
 //! * a fabric wired with a **flat** topology is bitwise
 //!   indistinguishable from a plain fabric under a random flow script
 //!   (the flat-equivalence contract);
@@ -16,11 +21,14 @@
 //!   again is byte-stable.
 
 use netsim::fabric::{Fabric, FlowId, FlowSpec, StepPath};
-use netsim::rng::SimRng;
+use netsim::rng::{derive_seed, SimRng};
 use netsim::shaper::StaticShaper;
 use netsim::LinkRoute;
 use proplite::prelude::*;
-use topo::{from_cluster_json, to_cluster_json, EcmpRouter, Topology, Wiring};
+use topo::{
+    from_cluster_json, to_cluster_json, EcmpRouter, NodeKind, Topology, TopologyBuilder, Wiring,
+    MAX_ECMP_PATHS,
+};
 
 /// A random routed fabric problem: mixed finite/infinite node egress,
 /// node ingress and directed link capacities, an optional core cap,
@@ -105,10 +113,131 @@ fn assert_twins_bit_equal(
 fn random_tiered_topology(seed: u64) -> Topology {
     let mut rng = SimRng::new(seed);
     match rng.index(3) {
-        0 => topo::zoo::fattree_with(4, 1 + rng.index(3)).unwrap(),
+        0 => topo::zoo::fattree_with([4, 6, 8][rng.index(3)], 1 + rng.index(3)).unwrap(),
         1 => topo::zoo::oversub(4 + rng.index(13), [2.0, 4.0][rng.index(2)]).unwrap(),
         _ => topo::zoo::star(2 + rng.index(8)).unwrap(),
     }
+}
+
+/// A two-pod layered graph outside the zoo's shapes: racks of hosts
+/// under ToRs, every ToR wired to every aggregation switch of its pod
+/// and every aggregation switch to every spine, each with 1–3 parallel
+/// links, plus dead-end switch chains hanging off random switches.
+/// Links are declared in shuffled order so link ids carry no structure.
+/// Inter-pod pairs range from one shortest path to thousands.
+fn layered_topology(seed: u64) -> Topology {
+    let mut rng = SimRng::new(seed);
+    let mut b = TopologyBuilder::new("layered");
+    let mut links: Vec<(usize, usize)> = Vec::new();
+    let spines = b.nodes(NodeKind::Spine, 1 + rng.index(3));
+    let mut switches = spines.clone();
+    for _pod in 0..2 {
+        let aggs = b.nodes(NodeKind::Fabric, 1 + rng.index(3));
+        for &agg in &aggs {
+            for &spine in &spines {
+                links.extend(std::iter::repeat_n((agg, spine), 1 + rng.index(3)));
+            }
+        }
+        for _rack in 0..1 + rng.index(2) {
+            let tor = b.node(NodeKind::Tor);
+            for &agg in &aggs {
+                links.extend(std::iter::repeat_n((tor, agg), 1 + rng.index(3)));
+            }
+            for host in b.nodes(NodeKind::Host, 1 + rng.index(3)) {
+                links.push((host, tor));
+            }
+            switches.push(tor);
+        }
+        switches.extend(aggs);
+    }
+    for _ in 0..1 + rng.index(3) {
+        let mut at = switches[rng.index(switches.len())];
+        for _ in 0..1 + rng.index(2) {
+            let next = b.node(NodeKind::Fabric);
+            links.push((at, next));
+            at = next;
+        }
+    }
+    rng.shuffle(&mut links);
+    for (x, y) in links {
+        b.link(x, y, 1e9, 1e-6).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// A random routed topology: a zoo shape, or (one time in three) a
+/// layered graph.
+fn random_ecmp_topology(seed: u64) -> Topology {
+    if SimRng::new(seed ^ 0x1a7e).chance(1.0 / 3.0) {
+        layered_topology(seed)
+    } else {
+        random_tiered_topology(seed)
+    }
+}
+
+/// The reference enumeration: BFS hop distances from `src`, then a DFS
+/// over the shortest-path DAG (`dist[w] == dist[v] + 1` edges) in
+/// sorted-adjacency order, keeping the first `limit` paths as directed
+/// link slots. The router's unranking must reproduce it exactly.
+fn oracle_paths(t: &Topology, src: usize, dst: usize, limit: usize) -> Vec<LinkRoute> {
+    let mut dist = vec![usize::MAX; t.node_count()];
+    dist[src] = 0;
+    let mut queue = vec![src];
+    let mut head = 0;
+    while head < queue.len() {
+        let v = queue[head];
+        head += 1;
+        for &(w, _) in t.neighbors(v) {
+            if dist[w] == usize::MAX {
+                dist[w] = dist[v] + 1;
+                queue.push(w);
+            }
+        }
+    }
+    fn dfs(
+        t: &Topology,
+        dist: &[usize],
+        v: usize,
+        dst: usize,
+        limit: usize,
+        hops: &mut Vec<u32>,
+        found: &mut Vec<LinkRoute>,
+    ) {
+        if found.len() >= limit {
+            return;
+        }
+        if v == dst {
+            found.push(LinkRoute::new(hops));
+            return;
+        }
+        for &(w, link) in t.neighbors(v) {
+            if dist[w] == dist[v] + 1 {
+                hops.push(t.directed_slot(link, v));
+                dfs(t, dist, w, dst, limit, hops, found);
+                hops.pop();
+            }
+        }
+    }
+    let mut found = Vec::new();
+    dfs(t, &dist, src, dst, limit, &mut Vec::new(), &mut found);
+    found
+}
+
+#[test]
+fn layered_graphs_exceed_the_path_cap() {
+    // The generator must reach past the cap, or the oracle property
+    // below never exercises count saturation.
+    let saturated = (0..64u64).any(|seed| {
+        let t = layered_topology(seed);
+        let hosts = t.hosts();
+        let (src, dst) = (hosts[0], hosts[hosts.len() - 1]);
+        oracle_paths(&t, src, dst, usize::MAX).len() > MAX_ECMP_PATHS
+            && EcmpRouter::new(&t, 1).unwrap().path_count(src, dst) == MAX_ECMP_PATHS
+    });
+    assert!(
+        saturated,
+        "no layered graph has more than MAX_ECMP_PATHS paths"
+    );
 }
 
 prop_cases! {
@@ -176,14 +305,39 @@ prop_cases! {
             if src == dst {
                 continue;
             }
-            prop_assert_eq!(a.paths(src, dst), b.paths(src, dst), "path sets diverged");
+            let set = a.paths(src, dst);
+            prop_assert_eq!(&set, &b.paths(src, dst), "path sets diverged");
             let label = rng.next_u64();
             let ra = a.route(src, dst, label);
             prop_assert_eq!(ra, b.route(src, dst, label), "route choice diverged");
-            prop_assert!(
-                a.paths(src, dst).contains(&ra),
-                "choice left the equal-cost set"
-            );
+            prop_assert!(set.contains(&ra), "choice left the equal-cost set");
+        }
+    }
+
+    /// ECMP unranking: the path set is the DFS oracle's list, and a
+    /// flow's route is the oracle's entry at the seeded draw.
+    #[test]
+    fn ecmp_unranking_matches_the_dfs_oracle(
+        seed in 0u64..1_000_000,
+        ecmp_seed in 0u64..10_000,
+    ) {
+        let t = random_ecmp_topology(seed);
+        let router = EcmpRouter::new(&t, ecmp_seed).unwrap();
+        let hosts = t.hosts();
+        let mut rng = SimRng::new(seed ^ 0x0dfc);
+        for _ in 0..24 {
+            let src = hosts[rng.index(hosts.len())];
+            let dst = hosts[rng.index(hosts.len())];
+            if src == dst {
+                continue;
+            }
+            let want = oracle_paths(&t, src, dst, MAX_ECMP_PATHS);
+            prop_assert_eq!(router.paths(src, dst), want.clone(), "{} -> {} path list", src, dst);
+            prop_assert_eq!(router.path_count(src, dst), want.len(), "{} -> {} count", src, dst);
+            let label = rng.next_u64();
+            let pair = ((src as u64) << 32) | dst as u64;
+            let k = SimRng::new(derive_seed(derive_seed(ecmp_seed, pair), label)).index(want.len());
+            prop_assert_eq!(router.route(src, dst, label), want[k], "{} -> {} route", src, dst);
         }
     }
 

@@ -241,8 +241,9 @@ echo "== topology: flat campaign byte-identical to the topology-less path =="
 # seed must engage the per-link water-filling allocator (its report
 # footer shows a live link cache instead of the flat marker), and the
 # randomized property suite pits routed water-filling (event engine vs
-# reference), ECMP replay, flat wiring, and the JSON codec against
-# their reference contracts.
+# reference), ECMP replay and unranking (against a BFS + DFS path
+# enumeration oracle), flat wiring, and the JSON codec against their
+# reference contracts.
 topo_dir=$(mktemp -d)
 trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir"' EXIT
 topo_run="cargo run -q --release --offline --bin cloud-repro -- run \
@@ -290,7 +291,9 @@ echo "== streaming scale: campaign --tenants, O(1) aggregation, byte-identical e
 # only contributes per-tenant path ceilings, so the stepping engine is
 # not an axis here.) Gates:
 #   1. `campaign --tenants 2000` (reference faults, 16-host star with
-#      per-tenant path ceilings) byte-diffed across REPRO_JOBS=1/4.
+#      per-tenant path ceilings) byte-diffed across REPRO_JOBS=1/4; the
+#      same campaign on a 1024-host `fattree16` (one ECMP wiring over
+#      every host, 64 equal-cost paths per inter-pod pair) likewise.
 #   2. `--self-check` cross-checks sketch quantiles against the exact
 #      estimator: bit-pinned below the exact-buffer cap (N=600),
 #      bounded-error above it (N=2000); both must report PASS.
@@ -310,6 +313,16 @@ REPRO_JOBS=4 $stream > "$scale_dir/j4.out" 2>/dev/null
 if ! diff -u "$scale_dir/j1.out" "$scale_dir/j4.out" > /dev/null; then
   echo "FAIL: streaming campaign differs between 1 and 4 workers:" >&2
   diff -u "$scale_dir/j1.out" "$scale_dir/j4.out" >&2 | head -20
+  exit 1
+fi
+stream_tree="cargo run -q --release --offline --bin cloud-repro -- campaign \
+  --cloud hpc-8 --tenants 2000 --hours 0.05 --seed 13 --faults \
+  --topology fattree16 --hosts 1024"
+REPRO_JOBS=1 $stream_tree > "$scale_dir/tree_j1.out" 2>/dev/null
+REPRO_JOBS=4 $stream_tree > "$scale_dir/tree_j4.out" 2>/dev/null
+if ! diff -u "$scale_dir/tree_j1.out" "$scale_dir/tree_j4.out" > /dev/null; then
+  echo "FAIL: 1024-host fattree16 campaign differs between 1 and 4 workers:" >&2
+  diff -u "$scale_dir/tree_j1.out" "$scale_dir/tree_j4.out" >&2 | head -20
   exit 1
 fi
 stream_check="cargo run -q --release --offline --bin cloud-repro -- campaign \
