@@ -25,7 +25,7 @@
 //! | D5 | deny | `.unwrap()`/`.expect()`/`panic!`/`unreachable!` in library code |
 //! | D6 | warn | `.partial_cmp()` where `total_cmp` is mandated |
 //! | D7 | deny | non-workspace dependencies in any `Cargo.toml` |
-//! | D8 | deny | crash-unsafe persistence outside `crates/journal` |
+//! | D8 | deny | `fs::write`/`File::create`/`OpenOptions` outside `crates/journal`, the one append + `sync_data` writer with torn-tail cut |
 //! | D9 | deny | one RNG stream captured by multiple parallel tasks |
 //! | D10 | deny | float reduction over a source not proven order-stable |
 //! | D11 | deny | panic reachable from a campaign entry point (call graph) |

@@ -125,7 +125,7 @@ impl RuleId {
             RuleId::D5 => "panicking call in library code: return a typed error (MeasureError et al.) per the graceful-degradation policy",
             RuleId::D6 => "NaN-unsafe float comparison: total_cmp is mandated for ordering floats",
             RuleId::D7 => "non-workspace dependency: the build must succeed offline with the registry unreachable",
-            RuleId::D8 => "crash-unsafe persistence outside crates/journal: direct writes tear on SIGKILL; persist through the write-ahead journal (tmp + atomic rename)",
+            RuleId::D8 => "crash-unsafe persistence outside crates/journal: direct writes tear on SIGKILL; persist through the write-ahead journal (append + sync_data, torn tail cut on the next write)",
             RuleId::D9 => "RNG stream aliased across parallel tasks: derive a fresh SimRng per task (derive_seed) instead of capturing a shared one",
             RuleId::D10 => "float reduction over a source not proven order-stable: float addition is non-associative, so iteration order becomes part of the result",
             RuleId::D11 => "panicking call reachable from a campaign entry point: a panic here kills a fleet shard; return a typed error or justify the invariant for the whole call path",
@@ -145,7 +145,7 @@ impl RuleId {
             RuleId::D5 => "A panic in library code crashes the whole process instead of degrading\nthe campaign. Return typed errors (MeasureError et al.); a reasoned\npragma is acceptable where an invariant genuinely guarantees the call\ncannot fail.",
             RuleId::D6 => "partial_cmp returns None on NaN and silently inverts sort contracts.\ntotal_cmp is the mandated float ordering. Warn-tier: some call sites\nhandle the None deliberately.",
             RuleId::D7 => "A registry or git dependency breaks the offline build and imports code\nthat can change under the build. Every dependency must be a workspace\npath dependency. No pragma exists for D7 on purpose.",
-            RuleId::D8 => "Direct fs writes tear on SIGKILL, corrupting campaign state. All\npersistence goes through crates/journal (write-to-temp + atomic rename\n+ checksummed records), which is the only exemption.",
+            RuleId::D8 => "Direct fs writes tear on SIGKILL, corrupting campaign state. All\npersistence goes through crates/journal, which is the only exemption:\nit appends length-prefixed, checksummed records and calls sync_data, its\nopen keeps the longest valid record prefix, and its next write cuts the\ntorn tail with set_len.",
             RuleId::D9 => "Two parallel tasks drawing from one RNG stream make the draw sequence\ndepend on task interleaving — the exact defect that breaks REPRO_JOBS\ninvariance, and it survives every golden-hash gate that happens to run\non one worker. detlint flags an rng-like value (named `rng`/`*_rng`)\ncaptured by a closure passed to the exec par_map family, unless the\nvalue is bound inside the closure itself. Fix: derive a per-task seed\n(derive_seed(seed, task_index)) and build the SimRng inside the task.",
             RuleId::D10 => "Float addition is not associative: reordering a sum changes low-order\nbits, and bit-identical gates treat that as divergence. A reduction\n(.sum::<f64>(), float-seeded .fold) is accepted only when its source\nchain is provably order-stable: a named place (variable, field, index,\nrange) iterated through order-preserving adapters (iter/map/filter/\nzip/enumerate/...). A chain rooted at a function call — including the\nresult of a par_map merge — is not proven and must be rewritten over a\nnamed, ordered buffer or carry a reasoned pragma.",
             RuleId::D11 => "Rule D5 is lexical; D11 is its call-graph escalation. A panic site in\nany function reachable from the measurement entry points (measure::\nrun_fleet*, run_campaign, run_all_patterns*, run_placement_fleet)\nkills a fleet shard at run time, so a local allow(D5) pragma's\njustification is not enough — the invariant must hold along every\npath from the entry point. Reachability is a conservative (class-\nhierarchy-less) over-approximation: method calls resolve to every\nimpl of that name; a pragma naming D11 documents the whole-path\nargument.",
@@ -349,8 +349,9 @@ pub const TOKEN_RULES: [TokenRule; 7] = [
             Pattern::Ident("OpenOptions"),
         ],
         // The journal crate is the workspace's one persistence layer:
-        // it writes to a temp file and atomically renames, so a SIGKILL
-        // can never tear a record in place.
+        // it appends checksummed records and calls sync_data, so a
+        // SIGKILL can tear at most the last record, which its open
+        // discards and its next write cuts with set_len.
         exempt_prefixes: &["crates/journal/"],
     },
 ];

@@ -12,14 +12,26 @@
 //!
 //! ## Durability model
 //!
-//! Every append rewrites the whole journal image to `<path>.tmp` and
-//! atomically renames it over `<path>`. A crash during the write leaves
-//! the previous image intact; a crash during the rename is resolved by
-//! the filesystem to either the old or the new image, never a mix.
-//! Records are additionally length-prefixed and checksummed, so even a
-//! journal produced by a non-atomic writer (or a corrupted disk) opens
-//! safely: the longest valid record prefix is kept and the torn tail is
-//! discarded — [`OpenReport::truncated_bytes`] says how much.
+//! The journal is an append-only log written in place:
+//!
+//! * [`Journal::create`] writes the 16-byte header to `<path>.tmp`,
+//!   calls `sync_data` on it, renames it over `<path>` and then fsyncs
+//!   the parent directory. A crash during `create` leaves either no
+//!   journal or a complete header, never a partial one.
+//! * [`Journal::append`] and [`Journal::flush`] issue one `write_all`
+//!   of the framed pending records to an `O_APPEND` handle, then one
+//!   `sync_data`. When `flush` returns, the records survive power loss.
+//!   Group commit is fsync batching: deferred records share one write
+//!   and one `sync_data`.
+//! * A crash mid-write can leave a torn record at the end of the file.
+//!   Records are length-prefixed and checksummed, so [`Journal::open`]
+//!   keeps the longest valid record prefix and reports the rest in
+//!   [`OpenReport::truncated_bytes`]. `open` only reads; the first
+//!   `flush` after it cuts the torn tail with `set_len` before writing.
+//!
+//! Neither the file image nor the appended records stay in memory:
+//! `open` parses through a bounded buffered reader, and a writer holds
+//! only the records it has not flushed yet.
 //!
 //! ## Binary format
 //!
@@ -38,7 +50,8 @@
 //! resume-verification to re-check journaled shards bit for bit.
 
 use std::fmt;
-use std::fs;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every journal file (name + format version).
@@ -49,6 +62,10 @@ const HEADER_LEN: usize = 16;
 
 /// Fixed part of a record body: shard + seed + fingerprint + payload len.
 const BODY_FIXED_LEN: usize = 28;
+
+/// Read buffer of `open`: the parser holds this plus the one record it
+/// is decoding, whatever the journal's size.
+const READ_BUF: usize = 64 * 1024;
 
 /// FNV-1a 64 offset basis: the digest of zero bytes.
 pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -91,7 +108,8 @@ pub struct JournalRecord {
 /// Why a journal could not be opened or written.
 #[derive(Debug)]
 pub enum JournalError {
-    /// Filesystem trouble (read, write, or rename).
+    /// Filesystem trouble (open, read, write, `sync_data`, `set_len`,
+    /// rename, or the directory fsync).
     Io {
         /// Path the operation touched.
         path: PathBuf,
@@ -155,9 +173,9 @@ impl std::error::Error for JournalError {
 pub struct OpenReport {
     /// Records recovered.
     pub records: usize,
-    /// Bytes of torn/corrupt tail discarded (0 for a clean file). The
-    /// discarded bytes are gone from the in-memory image; the next
-    /// append rewrites the file without them.
+    /// Bytes of torn/corrupt tail past the last valid record (0 for a
+    /// clean file). `open` leaves them on disk; the first `flush` that
+    /// writes cuts them before appending.
     pub truncated_bytes: usize,
 }
 
@@ -166,48 +184,74 @@ pub struct OpenReport {
 pub struct Journal {
     path: PathBuf,
     config_fingerprint: u64,
-    records: Vec<JournalRecord>,
-    /// The serialized on-disk image (header + all valid records).
-    image: Vec<u8>,
-    /// Records appended to the in-memory image but not yet persisted
+    /// Records recovered by [`Journal::open`]; appended records are
+    /// written out, not kept.
+    recovered: Vec<JournalRecord>,
+    /// Records in the journal: recovered at open plus appended since.
+    len: usize,
+    /// Bytes of valid journal on disk: the header and every record
+    /// flushed so far.
+    valid_len: u64,
+    /// Whether the file may hold bytes past `valid_len` (a torn tail
+    /// found by `open`, or a failed write); the next flush cuts them.
+    dirty: bool,
+    /// Framed records appended but not yet written
     /// (see [`Journal::append_deferred`] / [`Journal::flush`]).
-    pending: usize,
+    pending: Vec<u8>,
+    /// Number of records in `pending`.
+    pending_records: usize,
+    /// `O_APPEND` handle, opened by the first flush.
+    file: Option<File>,
 }
 
 impl Journal {
     /// Create a fresh journal at `path` for the given campaign config.
     /// Refuses to overwrite an existing file ([`JournalError::AlreadyExists`]).
+    /// The header is written to `<path>.tmp`, synced, renamed into place
+    /// and the parent directory is fsynced, so a crash leaves either no
+    /// journal or a complete header.
     pub fn create(path: &Path, config_fingerprint: u64) -> Result<Journal, JournalError> {
         if path.exists() {
             return Err(JournalError::AlreadyExists { path: path.to_path_buf() });
         }
-        let mut image = Vec::with_capacity(HEADER_LEN);
-        image.extend_from_slice(&MAGIC);
-        image.extend_from_slice(&config_fingerprint.to_le_bytes());
-        let j = Journal {
-            path: path.to_path_buf(),
-            config_fingerprint,
-            records: Vec::new(),
-            image,
-            pending: 0,
-        };
-        j.persist()?;
-        Ok(j)
+        let mut header = [0u8; HEADER_LEN];
+        header[..8].copy_from_slice(&MAGIC);
+        header[8..].copy_from_slice(&config_fingerprint.to_le_bytes());
+        let tmp = tmp_path(path);
+        File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(&header)?;
+                f.sync_data()
+            })
+            .map_err(io_err(&tmp))?;
+        fs::rename(&tmp, path).map_err(io_err(path))?;
+        sync_parent_dir(path).map_err(io_err(path))?;
+        Ok(Journal::at(path, config_fingerprint, 0, HEADER_LEN as u64, false))
     }
 
     /// Open an existing journal, requiring its config fingerprint to
-    /// match `expected_config`. A torn final write is detected by the
-    /// length prefix / checksum and truncated; how much was dropped is
-    /// reported in [`OpenReport`].
+    /// match `expected_config`, and keep every recovered record (see
+    /// [`Journal::records`]). A torn final write is detected by the
+    /// length prefix / checksum; how much lies past the last valid
+    /// record is reported in [`OpenReport`]. The file is not modified.
     pub fn open(path: &Path, expected_config: u64) -> Result<(Journal, OpenReport), JournalError> {
-        let (j, report) = Journal::open_unchecked(path)?;
-        if j.config_fingerprint != expected_config {
-            return Err(JournalError::ConfigMismatch {
-                expected: expected_config,
-                found: j.config_fingerprint,
-            });
-        }
+        let mut recovered = Vec::new();
+        let (mut j, report) = Journal::open_with(path, expected_config, |r| recovered.push(r))?;
+        j.recovered = recovered;
         Ok((j, report))
+    }
+
+    /// [`Journal::open`] that hands each recovered record, in order, to
+    /// `visit` instead of keeping it: a reader that needs only part of
+    /// the log (say, its last record) holds only that part in memory.
+    /// The returned journal's [`Journal::records`] is empty;
+    /// [`Journal::len`] still counts every recovered record.
+    pub fn open_with(
+        path: &Path,
+        expected_config: u64,
+        visit: impl FnMut(JournalRecord),
+    ) -> Result<(Journal, OpenReport), JournalError> {
+        Journal::scan(path, Some(expected_config), visit)
     }
 
     /// Open a journal without checking its config fingerprint — for
@@ -215,125 +259,162 @@ impl Journal {
     ///
     /// [`open`]: Journal::open
     pub fn open_unchecked(path: &Path) -> Result<(Journal, OpenReport), JournalError> {
-        let bytes = fs::read(path).map_err(|cause| JournalError::Io {
-            path: path.to_path_buf(),
-            cause,
-        })?;
-        if bytes.len() < HEADER_LEN || bytes[..8] != MAGIC {
+        let mut recovered = Vec::new();
+        let (mut j, report) = Journal::scan(path, None, |r| recovered.push(r))?;
+        j.recovered = recovered;
+        Ok((j, report))
+    }
+
+    /// The one parse loop behind every open: header, config check, then
+    /// records until the bytes run out or stop making sense. Anything
+    /// from the first unparseable position onward is a torn or corrupt
+    /// tail. Records are never resynchronized past a bad one — the
+    /// journal is a *prefix* log.
+    fn scan(
+        path: &Path,
+        expected_config: Option<u64>,
+        mut visit: impl FnMut(JournalRecord),
+    ) -> Result<(Journal, OpenReport), JournalError> {
+        let file = File::open(path).map_err(io_err(path))?;
+        let file_len = file.metadata().map_err(io_err(path))?.len();
+        if file_len < HEADER_LEN as u64 {
             return Err(JournalError::BadHeader { path: path.to_path_buf() });
         }
-        let config_fingerprint = read_u64(&bytes, 8);
-        let mut records = Vec::new();
-        let mut at = HEADER_LEN;
-        // Parse records until the bytes run out or stop making sense.
-        // Anything from the first unparseable position onward is a torn
-        // or corrupt tail: drop it. Records are never resynchronized
-        // past a bad one — the journal is a *prefix* log.
-        loop {
-            match parse_record(&bytes, at) {
-                Some((rec, next)) => {
-                    records.push(rec);
-                    at = next;
-                }
-                None => break,
-            }
+        let mut reader = BufReader::with_capacity(READ_BUF, file);
+        let mut header = [0u8; HEADER_LEN];
+        reader.read_exact(&mut header).map_err(io_err(path))?;
+        if header[..8] != MAGIC {
+            return Err(JournalError::BadHeader { path: path.to_path_buf() });
         }
-        let truncated_bytes = bytes.len() - at;
-        let image = bytes[..at].to_vec();
-        let n_records = records.len();
+        let config_fingerprint = read_u64(&header, 8);
+        if let Some(expected) = expected_config.filter(|&e| e != config_fingerprint) {
+            return Err(JournalError::ConfigMismatch { expected, found: config_fingerprint });
+        }
+        let mut at = HEADER_LEN as u64;
+        let mut records = 0;
+        while let Some((rec, next)) =
+            read_record(&mut reader, at, file_len).map_err(io_err(path))?
+        {
+            visit(rec);
+            records += 1;
+            at = next;
+        }
+        let truncated_bytes = (file_len - at) as usize;
         Ok((
-            Journal {
-                path: path.to_path_buf(),
-                config_fingerprint,
-                records,
-                image,
-                pending: 0,
-            },
-            OpenReport { records: n_records, truncated_bytes },
+            Journal::at(path, config_fingerprint, records, at, truncated_bytes > 0),
+            OpenReport { records, truncated_bytes },
         ))
     }
 
-    /// Append one completed work unit and persist it durably before
-    /// returning: the new image is written to `<path>.tmp` and renamed
-    /// over `<path>`, so a crash at any instant leaves a valid journal
-    /// holding either `n` or `n+1` records.
+    /// A journal handle whose file holds `len` valid records in its
+    /// first `valid_len` bytes.
+    fn at(
+        path: &Path,
+        config_fingerprint: u64,
+        len: usize,
+        valid_len: u64,
+        dirty: bool,
+    ) -> Journal {
+        Journal {
+            path: path.to_path_buf(),
+            config_fingerprint,
+            recovered: Vec::new(),
+            len,
+            valid_len,
+            dirty,
+            pending: Vec::new(),
+            pending_records: 0,
+            file: None,
+        }
+    }
+
+    /// Append one completed work unit and make it durable before
+    /// returning: one write to the end of the file and one `sync_data`.
+    /// A crash at any instant leaves `n` valid records, possibly
+    /// followed by a torn `n+1`-th that the next open discards.
     pub fn append(&mut self, record: JournalRecord) -> Result<(), JournalError> {
         self.append_deferred(record);
         self.flush()
     }
 
-    /// Append one record to the in-memory image **without** persisting
-    /// it — the group-commit half of [`Journal::append`]. Deferred
-    /// records are durable only after the next [`Journal::flush`] (or
-    /// durable `append`); a crash before then loses exactly the
-    /// deferred suffix and nothing else, because the on-disk file still
-    /// holds the last flushed image. Batching k appends per flush turns
-    /// the O(N) tmp+rename writes of a journaled campaign into O(N/k)
-    /// with unchanged torn-tail semantics.
+    /// Frame one record into the pending buffer **without** writing it
+    /// — the group-commit half of [`Journal::append`]. Deferred records
+    /// are durable only after the next [`Journal::flush`] (or durable
+    /// `append`); a crash before then loses exactly the deferred suffix
+    /// and nothing else. Batching k appends per flush turns the N
+    /// `sync_data` calls of a journaled campaign into N/k, with the
+    /// same file bytes.
     pub fn append_deferred(&mut self, record: JournalRecord) {
-        let mut body = Vec::with_capacity(BODY_FIXED_LEN + record.payload.len());
-        body.extend_from_slice(&record.shard.to_le_bytes());
-        body.extend_from_slice(&record.seed.to_le_bytes());
-        body.extend_from_slice(&record.fingerprint.to_le_bytes());
-        body.extend_from_slice(&(record.payload.len() as u32).to_le_bytes());
-        body.extend_from_slice(&record.payload);
-        self.image.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        let crc = fingerprint64(&body);
-        self.image.extend_from_slice(&body);
-        self.image.extend_from_slice(&crc.to_le_bytes());
-        self.records.push(record);
-        self.pending += 1;
+        let fixed = encode_fixed(&record);
+        let body_len = (BODY_FIXED_LEN + record.payload.len()) as u32;
+        let crc = fnv_fold(fingerprint64(&fixed), &record.payload);
+        self.pending.extend_from_slice(&body_len.to_le_bytes());
+        self.pending.extend_from_slice(&fixed);
+        self.pending.extend_from_slice(&record.payload);
+        self.pending.extend_from_slice(&crc.to_le_bytes());
+        self.pending_records += 1;
+        self.len += 1;
     }
 
     /// Number of records appended but not yet persisted.
     pub fn pending(&self) -> usize {
-        self.pending
+        self.pending_records
     }
 
-    /// Persist all deferred records in one tmp+rename write. A no-op
-    /// when nothing is pending, so callers can flush defensively at
-    /// group boundaries and on completion.
+    /// Persist all deferred records: cut any torn tail with `set_len`,
+    /// then one `write_all` to the `O_APPEND` handle and one
+    /// `sync_data`. A no-op when nothing is pending, so callers can
+    /// flush defensively at group boundaries and on completion. On
+    /// error the records stay pending and the next flush rewrites them
+    /// from the last durable length.
     pub fn flush(&mut self) -> Result<(), JournalError> {
-        if self.pending == 0 {
+        if self.pending_records == 0 {
             return Ok(());
         }
-        self.persist()?;
-        self.pending = 0;
+        let file = match &mut self.file {
+            Some(f) => f,
+            None => {
+                let opened = OpenOptions::new().append(true).open(&self.path);
+                self.file.insert(opened.map_err(io_err(&self.path))?)
+            }
+        };
+        if self.dirty {
+            file.set_len(self.valid_len).map_err(io_err(&self.path))?;
+        }
+        self.dirty = true;
+        file.write_all(&self.pending)
+            .and_then(|()| file.sync_data())
+            .map_err(io_err(&self.path))?;
+        self.dirty = false;
+        self.valid_len += self.pending.len() as u64;
+        self.pending.clear();
+        self.pending_records = 0;
         Ok(())
     }
 
-    /// Write the current image via temp file + atomic rename.
-    fn persist(&self) -> Result<(), JournalError> {
-        let tmp = tmp_path(&self.path);
-        fs::write(&tmp, &self.image).map_err(|cause| JournalError::Io {
-            path: tmp.clone(),
-            cause,
-        })?;
-        fs::rename(&tmp, &self.path).map_err(|cause| JournalError::Io {
-            path: self.path.clone(),
-            cause,
-        })
-    }
-
-    /// All recovered/appended records, in append order.
+    /// The records recovered by [`Journal::open`] (or
+    /// [`Journal::open_unchecked`]), in append order. Records appended
+    /// through this handle are not kept, and a created or
+    /// [`Journal::open_with`] journal has none here.
     pub fn records(&self) -> &[JournalRecord] {
-        &self.records
+        &self.recovered
     }
 
-    /// The most recent record for `shard`, if any (later appends for
-    /// the same shard supersede earlier ones).
+    /// The most recent recovered record for `shard`, if any (later
+    /// records for the same shard supersede earlier ones).
     pub fn lookup(&self, shard: u64) -> Option<&JournalRecord> {
-        self.records.iter().rev().find(|r| r.shard == shard)
+        self.recovered.iter().rev().find(|r| r.shard == shard)
     }
 
-    /// Number of records.
+    /// Number of records: recovered at open plus appended since
+    /// (flushed or pending).
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// Whether the journal holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
     /// The campaign configuration fingerprint this journal is bound to.
@@ -347,11 +428,45 @@ impl Journal {
     }
 }
 
-/// `<path>.tmp` sibling used for the atomic-rename dance.
+/// Map an I/O error on `path` into [`JournalError::Io`].
+fn io_err(path: &Path) -> impl FnOnce(io::Error) -> JournalError + '_ {
+    move |cause| JournalError::Io { path: path.to_path_buf(), cause }
+}
+
+/// `<path>.tmp` sibling the header is written to before its rename.
 fn tmp_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(".tmp");
     PathBuf::from(os)
+}
+
+/// Fsync the directory holding `path`, so its new directory entry
+/// survives power loss.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
+/// Directories cannot be opened for fsync off Unix; the rename is
+/// as durable as the platform makes it.
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> io::Result<()> {
+    Ok(())
+}
+
+/// The fixed part of a record body: shard, seed, fingerprint, payload
+/// length.
+fn encode_fixed(record: &JournalRecord) -> [u8; BODY_FIXED_LEN] {
+    let mut fixed = [0u8; BODY_FIXED_LEN];
+    fixed[..8].copy_from_slice(&record.shard.to_le_bytes());
+    fixed[8..16].copy_from_slice(&record.seed.to_le_bytes());
+    fixed[16..24].copy_from_slice(&record.fingerprint.to_le_bytes());
+    fixed[24..].copy_from_slice(&(record.payload.len() as u32).to_le_bytes());
+    fixed
 }
 
 /// Little-endian u64 at `at` (caller guarantees bounds).
@@ -368,35 +483,48 @@ fn read_u32(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(b)
 }
 
-/// Parse one record starting at `at`. `None` when the bytes from `at`
-/// do not form a complete, checksum-valid record (EOF or torn tail).
-fn parse_record(bytes: &[u8], at: usize) -> Option<(JournalRecord, usize)> {
-    if bytes.len() < at + 4 {
-        return None;
+/// Read the record starting at file offset `at` from `reader`, which
+/// is positioned there. `Ok(None)` when the bytes from `at` to
+/// `file_len` do not form a complete, checksum-valid record (EOF or
+/// torn tail). The declared length is checked against `file_len`
+/// before anything is allocated.
+fn read_record(
+    reader: &mut impl Read,
+    at: u64,
+    file_len: u64,
+) -> io::Result<Option<(JournalRecord, u64)>> {
+    let rest = file_len - at;
+    if rest < 4 {
+        return Ok(None);
     }
-    let body_len = read_u32(bytes, at) as usize;
-    if body_len < BODY_FIXED_LEN {
-        return None; // nonsense length: corrupt prefix byte(s)
+    let mut prefix = [0u8; 4];
+    reader.read_exact(&mut prefix)?;
+    let body_len = u64::from(u32::from_le_bytes(prefix));
+    if body_len < BODY_FIXED_LEN as u64 {
+        return Ok(None); // nonsense length: corrupt prefix byte(s)
     }
-    let body_start = at + 4;
-    let crc_start = body_start.checked_add(body_len)?;
-    let end = crc_start.checked_add(8)?;
-    if bytes.len() < end {
-        return None; // torn mid-record
+    if rest < 4 + body_len + 8 {
+        return Ok(None); // torn mid-record
     }
-    let body = &bytes[body_start..crc_start];
-    if fingerprint64(body) != read_u64(bytes, crc_start) {
-        return None; // checksum mismatch: corrupt record
+    let mut fixed = [0u8; BODY_FIXED_LEN];
+    reader.read_exact(&mut fixed)?;
+    let mut payload = vec![0u8; body_len as usize - BODY_FIXED_LEN];
+    reader.read_exact(&mut payload)?;
+    let mut crc = [0u8; 8];
+    reader.read_exact(&mut crc)?;
+    if fnv_fold(fingerprint64(&fixed), &payload) != u64::from_le_bytes(crc) {
+        return Ok(None); // checksum mismatch: corrupt record
     }
-    let shard = read_u64(body, 0);
-    let seed = read_u64(body, 8);
-    let fingerprint = read_u64(body, 16);
-    let payload_len = read_u32(body, 24) as usize;
-    if body.len() != BODY_FIXED_LEN + payload_len {
-        return None; // inner/outer length disagreement
+    if read_u32(&fixed, 24) as usize != payload.len() {
+        return Ok(None); // inner/outer length disagreement
     }
-    let payload = body[BODY_FIXED_LEN..].to_vec();
-    Some((JournalRecord { shard, seed, fingerprint, payload }, end))
+    let record = JournalRecord {
+        shard: read_u64(&fixed, 0),
+        seed: read_u64(&fixed, 8),
+        fingerprint: read_u64(&fixed, 16),
+        payload,
+    };
+    Ok(Some((record, at + 4 + body_len + 8)))
 }
 
 #[cfg(test)]
@@ -422,12 +550,17 @@ mod tests {
         let path = temp_file("roundtrip");
         let _ = fs::remove_file(&path);
         let mut j = Journal::create(&path, 0xABCD).unwrap();
-        for i in 0..5u64 {
-            j.append(rec(i, &vec![i as u8; (i * 7) as usize])).unwrap();
+        let written: Vec<JournalRecord> =
+            (0..5u64).map(|i| rec(i, &vec![i as u8; (i * 7) as usize])).collect();
+        for r in &written {
+            j.append(r.clone()).unwrap();
         }
+        assert_eq!(j.len(), 5);
+        assert!(j.records().is_empty(), "a writer keeps no appended records");
         let (re, report) = Journal::open(&path, 0xABCD).unwrap();
         assert_eq!(report, OpenReport { records: 5, truncated_bytes: 0 });
-        assert_eq!(re.records(), j.records());
+        assert_eq!(re.records(), written.as_slice());
+        assert_eq!(re.len(), 5);
         assert_eq!(re.config_fingerprint(), 0xABCD);
         fs::remove_file(&path).unwrap();
     }
@@ -468,14 +601,17 @@ mod tests {
         j.append(rec(1, b"beta")).unwrap();
         let full = fs::read(&path).unwrap();
         // Tear 5 bytes off the final record.
-        fs::write(&path, &full[..full.len() - 5]).unwrap();
+        let torn = &full[..full.len() - 5];
+        fs::write(&path, torn).unwrap();
         let (re, report) = Journal::open(&path, 3).unwrap();
         assert_eq!(re.len(), 1);
         assert_eq!(re.records()[0], rec(0, b"alpha"));
         assert!(report.truncated_bytes > 0);
-        // Appending after recovery heals the file.
+        assert_eq!(fs::read(&path).unwrap(), torn, "open must not modify the file");
+        // Appending after recovery cuts the tail and heals the file.
         let mut re = re;
-        re.append(rec(1, b"beta2")).unwrap();
+        re.append(rec(1, b"beta")).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), full);
         let (again, rep2) = Journal::open(&path, 3).unwrap();
         assert_eq!(again.len(), 2);
         assert_eq!(rep2.truncated_bytes, 0);
@@ -507,8 +643,10 @@ mod tests {
         let mut j = Journal::create(&path, 1).unwrap();
         j.append(rec(4, b"first")).unwrap();
         j.append(rec(4, b"second")).unwrap();
-        assert_eq!(j.lookup(4).map(|r| r.payload.as_slice()), Some(b"second".as_slice()));
-        assert_eq!(j.lookup(9), None);
+        assert_eq!(j.lookup(4), None, "lookup sees recovered records only");
+        let (re, _) = Journal::open(&path, 1).unwrap();
+        assert_eq!(re.lookup(4).map(|r| r.payload.as_slice()), Some(b"second".as_slice()));
+        assert_eq!(re.lookup(9), None);
         fs::remove_file(&path).unwrap();
     }
 
@@ -533,20 +671,55 @@ mod tests {
         let path = temp_file("deferred");
         let _ = fs::remove_file(&path);
         let mut j = Journal::create(&path, 5).unwrap();
-        j.append(rec(0, b"durable")).unwrap();
-        j.append_deferred(rec(1, b"in flight"));
-        j.append_deferred(rec(2, b"also in flight"));
+        let written = [rec(0, b"durable"), rec(1, b"in flight"), rec(2, b"also in flight")];
+        j.append(written[0].clone()).unwrap();
+        j.append_deferred(written[1].clone());
+        j.append_deferred(written[2].clone());
         assert_eq!(j.pending(), 2);
-        assert_eq!(j.len(), 3, "deferred records are visible in memory");
+        assert_eq!(j.len(), 3, "deferred records are counted");
         // A reader (or a crash) at this instant sees only the flushed
         // prefix — exactly the group-commit durability contract.
         let (snap, _) = Journal::open(&path, 5).unwrap();
-        assert_eq!(snap.len(), 1);
+        assert_eq!(snap.records(), &written[..1]);
         j.flush().unwrap();
         assert_eq!(j.pending(), 0);
         let (re, report) = Journal::open(&path, 5).unwrap();
         assert_eq!(report.truncated_bytes, 0);
-        assert_eq!(re.records(), j.records());
+        assert_eq!(re.records(), written.as_slice());
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn open_with_visits_every_record_and_keeps_none() {
+        let path = temp_file("visit");
+        let _ = fs::remove_file(&path);
+        let mut j = Journal::create(&path, 6).unwrap();
+        let written = [rec(0, b"one"), rec(1, b"two"), rec(2, b"three")];
+        for r in &written {
+            j.append(r.clone()).unwrap();
+        }
+        let mut seen = Vec::new();
+        let (re, report) = Journal::open_with(&path, 6, |r| seen.push(r)).unwrap();
+        assert_eq!(seen, written);
+        assert_eq!(report, OpenReport { records: 3, truncated_bytes: 0 });
+        assert!(re.records().is_empty());
+        assert_eq!(re.len(), 3);
+        assert!(matches!(
+            Journal::open_with(&path, 7, |_| panic!("visited under a config mismatch")),
+            Err(JournalError::ConfigMismatch { expected: 7, found: 6 })
+        ));
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn create_leaves_a_synced_header_and_no_tmp_file() {
+        let path = temp_file("create");
+        let _ = fs::remove_file(&path);
+        let _j = Journal::create(&path, 0x1234).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), HEADER_LEN);
+        assert_eq!(&bytes[..8], &MAGIC);
+        assert!(!tmp_path(&path).exists());
         fs::remove_file(&path).unwrap();
     }
 

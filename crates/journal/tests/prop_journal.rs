@@ -4,6 +4,9 @@
 //! corrupt or invented record. A single flipped byte likewise costs at
 //! most the suffix from the damaged record onward, or turns into a
 //! typed header error; the surviving prefix is always bit-exact.
+//! Opening never modifies the file: the torn tail is cut by the first
+//! flush, after which re-appending the lost records reproduces the
+//! uninterrupted journal byte for byte.
 
 use journal::{fingerprint64, Journal, JournalError, JournalRecord};
 use proplite::prelude::*;
@@ -126,6 +129,40 @@ prop_cases! {
         prop_assert_eq!(again.len(), survivors + 1);
         prop_assert_eq!(&again.records()[..survivors], &originals[..survivors]);
         prop_assert_eq!(again.records()[survivors].clone(), extra);
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// `open` is read-only and the first flush after it cuts the torn
+    /// tail: at every cut offset past the header, two opens report the
+    /// same `OpenReport` and leave the file length as cut, and
+    /// re-appending the lost records (one durable append each at even
+    /// cuts, one deferred group at odd cuts) restores the uninterrupted
+    /// file byte for byte.
+    #[test]
+    fn reopen_is_read_only_and_reappending_restores_the_file(
+        case in 1u64..u64::MAX,
+        payload_lens in vec_of(0usize..40, 1..6),
+    ) {
+        let path = temp_file("reappend", case);
+        let config = mix(case ^ 0x2EA9);
+        let (originals, _) = build(&path, config, case, &payload_lens);
+        let full = fs::read(&path).unwrap();
+        for cut in 16..=full.len() {
+            fs::write(&path, &full[..cut]).unwrap();
+            let (_, first) = Journal::open(&path, config).unwrap();
+            let (mut re, second) = Journal::open(&path, config).unwrap();
+            prop_assert_eq!(first, second, "cut {cut}");
+            prop_assert_eq!(fs::metadata(&path).unwrap().len(), cut as u64, "cut {cut}");
+            for r in &originals[first.records..] {
+                if cut % 2 == 0 {
+                    re.append(r.clone()).unwrap();
+                } else {
+                    re.append_deferred(r.clone());
+                }
+            }
+            re.flush().unwrap();
+            prop_assert!(fs::read(&path).unwrap() == full, "cut {cut}: re-appended file differs");
+        }
         fs::remove_file(&path).unwrap();
     }
 

@@ -237,16 +237,16 @@ pub fn run_fleet_journaled_with(
 }
 
 /// [`run_fleet_journaled_with`] with **group commit**: settled shards
-/// are appended to the in-memory journal image immediately, but the
-/// tmp+rename persist runs once per `checkpoint_every` shards (and once
-/// at the end) instead of once per shard. At 10⁵+ shards the per-record
-/// rename is the campaign's bottleneck — group commit makes journaling
-/// O(N/k) writes while keeping every other invariant:
+/// are framed into the journal's pending buffer immediately, but the
+/// write + `sync_data` runs once per `checkpoint_every` shards (and once
+/// at the end) instead of once per shard. Group commit is fsync
+/// batching: at 10⁵+ shards the per-record `sync_data` dominates, and
+/// grouping makes it O(N/k) while keeping every other invariant:
 ///
-/// * **Torn-tail semantics unchanged** — each flush writes a fully
-///   valid image atomically; a kill between flushes loses at most the
-///   current group (the disk always holds the last full group, and
-///   resume recomputes exactly the lost shards).
+/// * **Torn-tail semantics unchanged** — a kill mid-flush leaves the
+///   previous groups intact plus at most a torn record, which the next
+///   open discards; a kill between flushes loses at most the current
+///   group (resume recomputes exactly the lost shards).
 /// * **Record sequence unchanged** — the journal bytes are identical to
 ///   a `checkpoint_every = 1` run's once both complete; only the number
 ///   of intermediate durable states differs.
@@ -331,7 +331,7 @@ pub fn run_fleet_journaled_grouped(
         on_journaled(jnl.len() as u64);
     }
 
-    // Assemble the fleet from the now-complete journal image.
+    // Assemble the fleet from the decoded outcomes, now all durable.
     let mut outcomes: Vec<Result<PairSim, exec::TaskPanic>> = Vec::with_capacity(spec.n_pairs);
     let mut budget_denied = Vec::new();
     let mut first_denial = None;

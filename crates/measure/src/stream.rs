@@ -38,7 +38,8 @@
 //! [`run_fleet_stream_journaled`] appends a checkpoint record — the
 //! full accumulator state plus the last pane's digest — to a
 //! [`journal`] every `checkpoint_every` tenants (pane-aligned). A
-//! killed campaign resumes from the last checkpoint after re-simulating
+//! killed campaign resumes from the last checkpoint (the one record
+//! resume keeps in memory while it scans the journal) after re-simulating
 //! the checkpointed pane and comparing digests bit-for-bit; checkpoint
 //! positions depend only on absolute tenant counts, so a resumed run's
 //! journal and report are byte-identical to an uninterrupted run's.
@@ -728,8 +729,11 @@ pub fn run_fleet_stream_journaled(
         });
     }
     let config_fp = spec.config_fingerprint();
+    // Resume needs only the final checkpoint: keep the last record the
+    // open visits, never the whole log.
+    let mut last_record = None;
     let (mut jnl, resumed, truncated_bytes) = if resume && journal_path.exists() {
-        let (j, rep) = Journal::open(journal_path, config_fp)?;
+        let (j, rep) = Journal::open_with(journal_path, config_fp, |rec| last_record = Some(rec))?;
         (j, true, rep.truncated_bytes)
     } else {
         (Journal::create(journal_path, config_fp)?, false, 0)
@@ -743,7 +747,7 @@ pub fn run_fleet_stream_journaled(
 
     // Restore the last checkpoint, verifying its pane digest against a
     // fresh recomputation before trusting — or extending — the log.
-    if let Some(rec) = jnl.records().last() {
+    if let Some(rec) = last_record {
         let Some(ckpt) = decode_checkpoint(&rec.payload, spec) else {
             return Err(MeasureError::JournalFailed {
                 detail: "checkpoint record failed to decode".to_string(),

@@ -372,4 +372,68 @@ cargo test -q --release --offline -p vstats --test prop_sketch
 cargo test -q --release --offline -p measure --test stream_campaign
 echo "OK: streaming campaign is byte-identical across workers and kill/resume"
 
+echo "== streaming kill -9: real SIGKILL at seeded instants, byte-identical resume =="
+# Journal appends write records in place, so a SIGKILL that lands
+# inside an append leaves a torn record on disk, a state the
+# cooperative --kill-after-tenants hook above never produces. Gates:
+#   1. An uninterrupted journaled campaign is timed; three kill instants
+#      are drawn from a fixed seed as fractions of its wall, one in each
+#      of 5-34%, 35-64% and 65-94%.
+#   2. At each instant a fresh run is SIGKILLed (`kill -9`). Whatever
+#      survives is accepted (no journal, a header only, or records
+#      ending in a torn one), but it must be a byte-prefix of the
+#      uninterrupted journal.
+#   3. Resuming a copy of that state at REPRO_JOBS=1 and another at
+#      REPRO_JOBS=4 must reproduce the uninterrupted report and journal
+#      byte for byte.
+sigkill_dir=$(mktemp -d)
+trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$scale_dir" "$sigkill_dir"' EXIT
+cargo build -q --release --offline --bin cloud-repro
+sigkill_run="${CARGO_TARGET_DIR:-target}/release/cloud-repro campaign --cloud hpc-8 \
+  --tenants 20000 --hours 0.05 --seed 29 --faults --checkpoint-every 256 --journal"
+t0=$(date +%s%N)
+$sigkill_run "$sigkill_dir/full.jnl" > "$sigkill_dir/full.out" 2>/dev/null
+wall_ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+full_bytes=$(wc -c < "$sigkill_dir/full.jnl")
+RANDOM=2020
+for i in 1 2 3; do
+  pct=$(( 30 * (i - 1) + 5 + RANDOM % 30 ))
+  kill_ms=$(( wall_ms * pct / 100 ))
+  jnl="$sigkill_dir/kill$i.jnl"
+  $sigkill_run "$jnl" > /dev/null 2>&1 &
+  pid=$!
+  sleep "$(printf '%d.%03d' $((kill_ms / 1000)) $((kill_ms % 1000)))"
+  # The group's stderr swallows the shell's "Killed" job notice.
+  { kill -9 "$pid"; wait "$pid"; } 2>/dev/null || true
+  if [ -e "$jnl" ]; then
+    size=$(wc -c < "$jnl")
+    if ! head -c "$size" "$sigkill_dir/full.jnl" | cmp -s - "$jnl"; then
+      echo "FAIL: journal left by kill -9 at ${pct}% is not a byte-prefix of the full one" >&2
+      exit 1
+    fi
+    state="$size of $full_bytes journal bytes"
+  else
+    state="no journal"
+  fi
+  echo "  kill -9 at ${pct}% of ${wall_ms} ms: $state survived"
+  for jobs in 1 4; do
+    resumed="$sigkill_dir/resume$jobs.jnl"
+    rm -f "$resumed"
+    if [ -e "$jnl" ]; then
+      cp "$jnl" "$resumed"
+    fi
+    REPRO_JOBS=$jobs $sigkill_run "$resumed" --resume > "$sigkill_dir/resume$jobs.out" 2>/dev/null
+    if ! diff -u "$sigkill_dir/full.out" "$sigkill_dir/resume$jobs.out" > /dev/null; then
+      echo "FAIL: resume after kill -9 at ${pct}% (REPRO_JOBS=$jobs) changed the report:" >&2
+      diff -u "$sigkill_dir/full.out" "$sigkill_dir/resume$jobs.out" >&2 | head -20
+      exit 1
+    fi
+    if ! cmp -s "$sigkill_dir/full.jnl" "$resumed"; then
+      echo "FAIL: resume after kill -9 at ${pct}% (REPRO_JOBS=$jobs) left a different journal" >&2
+      exit 1
+    fi
+  done
+done
+echo "OK: SIGKILLed journaled campaigns resume to byte-identical reports and journals"
+
 echo "== verify.sh: all gates passed =="
