@@ -14,7 +14,7 @@
 use bench::{banner, check, mmss};
 use repro_core::clouds::hpccloud;
 use repro_core::exec;
-use repro_core::measure::{run_campaign, run_fleet_jobs, FleetResult};
+use repro_core::measure::{run_campaign, run_fleet, FleetResult, FleetSpec};
 use repro_core::netsim::units::{days, hours};
 use repro_core::netsim::TrafficPattern;
 use repro_core::vstats::{bootstrap_ci_jobs, mean};
@@ -63,12 +63,14 @@ fn main() {
         profile.instance_type
     );
 
+    // One attempt per pair: every pair's plain derived-seed campaign.
+    let mut spec = FleetSpec::new(profile, TrafficPattern::FullSpeed, duration, PAIRS, SEED);
+    spec.supervise.max_shard_attempts = 1;
     let mut hashes = Vec::new();
     let mut times = Vec::new();
     for jobs in [1usize, 2, 4] {
         let t0 = Instant::now();
-        let fleet = run_fleet_jobs(&profile, TrafficPattern::FullSpeed, duration, PAIRS, SEED, jobs)
-            .expect("fleet campaign returns data");
+        let fleet = run_fleet(&spec, jobs).expect("fleet campaign returns data");
         let dt = t0.elapsed().as_secs_f64();
         println!(
             "  jobs={jobs}: {} wall, {} pairs, across-CoV {:.4}, hash {:016x}",

@@ -148,7 +148,7 @@ impl RuleId {
             RuleId::D8 => "Direct fs writes tear on SIGKILL, corrupting campaign state. All\npersistence goes through crates/journal, which is the only exemption:\nit appends length-prefixed, checksummed records and calls sync_data, its\nopen keeps the longest valid record prefix, and its next write cuts the\ntorn tail with set_len.",
             RuleId::D9 => "Two parallel tasks drawing from one RNG stream make the draw sequence\ndepend on task interleaving — the exact defect that breaks REPRO_JOBS\ninvariance, and it survives every golden-hash gate that happens to run\non one worker. detlint flags an rng-like value (named `rng`/`*_rng`)\ncaptured by a closure passed to the exec par_map family, unless the\nvalue is bound inside the closure itself. Fix: derive a per-task seed\n(derive_seed(seed, task_index)) and build the SimRng inside the task.",
             RuleId::D10 => "Float addition is not associative: reordering a sum changes low-order\nbits, and bit-identical gates treat that as divergence. A reduction\n(.sum::<f64>(), float-seeded .fold) is accepted only when its source\nchain is provably order-stable: a named place (variable, field, index,\nrange) iterated through order-preserving adapters (iter/map/filter/\nzip/enumerate/...). A chain rooted at a function call — including the\nresult of a par_map merge — is not proven and must be rewritten over a\nnamed, ordered buffer or carry a reasoned pragma.",
-            RuleId::D11 => "Rule D5 is lexical; D11 is its call-graph escalation. A panic site in\nany function reachable from the measurement entry points (measure::\nrun_fleet*, run_campaign, run_all_patterns*, run_placement_fleet)\nkills a fleet shard at run time, so a local allow(D5) pragma's\njustification is not enough — the invariant must hold along every\npath from the entry point. Reachability is a conservative (class-\nhierarchy-less) over-approximation: method calls resolve to every\nimpl of that name; a pragma naming D11 documents the whole-path\nargument.",
+            RuleId::D11 => "Rule D5 is lexical; D11 is its call-graph escalation. A panic site in\nany function reachable from the measurement entry points (measure::\nrun_fleet, run_fleet_journaled, run_fleet_stream,\nrun_fleet_stream_journaled — every run_fleet* name is an entry —\nrun_campaign, run_all_patterns*, run_placement_fleet) kills a fleet\nshard at run time, and in a journaled run stops the campaign between\ncheckpoints the way only the deliberate `--kill-after N` crash test\nshould. A local allow(D5) pragma's justification is not enough — the\ninvariant must hold along every path from the entry point.\nReachability is a conservative (class-hierarchy-less)\nover-approximation: method calls resolve to every impl of that name;\na pragma naming D11 documents the whole-path argument.",
             RuleId::P0 => "The suppression mechanism is part of the contract: a pragma with no\nreason or naming an unknown rule silently weakens the gate, so it is\nitself a deny-tier finding.",
             RuleId::P1 => "A pragma whose rule no longer fires in its scope (the pragma line and\nthe line below) is a stale exception: it documents a hazard that no\nlonger exists and would silently re-arm if the hazard returned\nelsewhere. Warn-tier hygiene; verify.sh keeps the tree at zero.",
         }

@@ -7,13 +7,17 @@
 //! simulated cloud profile.
 
 use crate::error::MeasureError;
+use crate::resume::SupervisionStats;
+use crate::wire::{ShardOutcome, ShardSim};
 use clouds::CloudProfile;
+use exec::{RetryAccountant, TaskPanic};
 use netsim::faults::{FaultInjector, FaultSchedule};
 use netsim::pattern::TrafficPattern;
 use netsim::rng::{derive_seed, SimRng};
 use netsim::shaper::{MinShaper, Shaper, StaticShaper};
 use netsim::tcp::{StreamConfig, StreamSim};
 use netsim::trace::BandwidthTrace;
+use std::collections::BTreeMap;
 use vstats::describe::{GapAwareSummary, Summary};
 
 /// Seed-derivation labels: fault timeline, per-sample probe loss, and
@@ -406,6 +410,8 @@ pub struct FleetResult {
     /// Mean of the per-pair coefficients of variation (temporal
     /// variability within a pair).
     pub mean_within_pair_cov: f64,
+    /// What supervision (retries, step budgets) the campaign consumed.
+    pub supervision: SupervisionStats,
 }
 
 impl FleetResult {
@@ -422,62 +428,20 @@ impl FleetResult {
     }
 }
 
-/// Measure `n_pairs` independent VM pairs of the same instance type
-/// (each with its own incarnation seed) — the paper's campaigns measure
-/// per-pair, and the Ballani data (Figure 2) shows how much *pairs*
-/// differ within a cloud. Separating within-pair (temporal) from
-/// across-pair (spatial) variability tells an experimenter whether more
-/// time or more allocations reduce their error.
-pub fn run_fleet(
-    profile: &CloudProfile,
-    pattern: TrafficPattern,
-    duration_s: f64,
-    n_pairs: usize,
-    seed: u64,
-) -> Result<FleetResult, MeasureError> {
-    run_fleet_jobs(profile, pattern, duration_s, n_pairs, seed, exec::current_jobs())
-}
-
-/// [`run_fleet`] with an explicit worker count. Pairs are sharded
-/// across workers; each pair's simulation is a pure function of its
-/// derived `(seed, pair)` stream and results assemble in pair order,
-/// so the fleet is bit-identical at any `jobs` — parallelism buys
-/// wall-clock time only.
-pub fn run_fleet_jobs(
-    profile: &CloudProfile,
-    pattern: TrafficPattern,
-    duration_s: f64,
-    n_pairs: usize,
-    seed: u64,
-    jobs: usize,
-) -> Result<FleetResult, MeasureError> {
-    assert!(n_pairs >= 1, "fleet needs at least one pair");
-    let outcomes = exec::try_par_map_indexed(jobs, n_pairs, |i| {
-        simulate_pair(profile, pattern, duration_s, seed, i)
-    });
-    assemble_fleet(outcomes, n_pairs)
-}
-
-/// One pair's slice of a fleet campaign — a pure function of the
-/// derived pair seed, safe to run on any worker in any order.
-pub(crate) fn simulate_pair(
-    profile: &CloudProfile,
-    pattern: TrafficPattern,
-    duration_s: f64,
-    seed: u64,
-    i: usize,
-) -> PairSim {
-    simulate_pair_capped(profile, pattern, duration_s, derive_seed(seed, i as u64), i, None)
-}
-
-/// [`simulate_pair`] with the derived pair seed supplied directly and
-/// an optional per-tenant path ceiling. The journaled driver supplies
-/// the seed because a retried shard runs under a re-derived seed and
-/// resume-verification must be able to replay exactly the attempt that
-/// was accepted; the streaming driver adds the ceiling. The death draw
-/// comes from the pair seed alone, so a tenant's lifetime is unchanged
-/// by its placement; only its bandwidth ceiling is. `None` runs the
-/// exact uncapped [`run_campaign`] arithmetic.
+/// One pair's slice of a fleet campaign: the campaign under the
+/// derived pair seed `pair_seed`, with an optional per-tenant path
+/// ceiling — a pure function of its arguments, safe to run on any
+/// worker in any order. The fleet driver supplies the seed because a
+/// retried shard runs under a re-derived seed and resume verification
+/// must replay exactly the attempt that was accepted; the streaming
+/// driver adds the ceiling. The death draw comes from the pair seed
+/// alone, so a tenant's lifetime is unchanged by its placement; only
+/// its bandwidth ceiling is. `None` runs the exact uncapped
+/// [`run_campaign`] arithmetic.
+///
+/// A pair that dies before producing a sample is [`PairSim::Dead`];
+/// any other campaign error is returned, and every driver aborts on
+/// the first one in pair order.
 pub(crate) fn simulate_pair_capped(
     profile: &CloudProfile,
     pattern: TrafficPattern,
@@ -485,7 +449,7 @@ pub(crate) fn simulate_pair_capped(
     pair_seed: u64,
     i: usize,
     path_cap_bps: Option<f64>,
-) -> PairSim {
+) -> Result<PairSim, MeasureError> {
     let death_rate_per_s = profile.faults.pair_death_rate_per_hour / 3600.0;
     // A pair's death time comes from its own derived stream so the
     // surviving pairs' traces are unchanged by the death of others.
@@ -495,10 +459,8 @@ pub(crate) fn simulate_pair_capped(
         f64::INFINITY
     };
     if death_s >= duration_s {
-        return match run_campaign_capped(profile, pattern, duration_s, pair_seed, path_cap_bps) {
-            Ok(r) => PairSim::Alive(r),
-            Err(e) => PairSim::Fatal(e),
-        };
+        return run_campaign_capped(profile, pattern, duration_s, pair_seed, path_cap_bps)
+            .map(PairSim::Alive);
     }
     // The pair dies mid-campaign: run the truncated stretch, then
     // re-annotate the result against the *requested* duration.
@@ -516,12 +478,12 @@ pub(crate) fn simulate_pair_capped(
             r.gaps = merge_gaps(std::mem::take(&mut r.gaps));
             r.gap_summary =
                 GapAwareSummary::from_samples(&r.trace.bandwidths(), expected_n, r.gaps.len());
-            PairSim::Partial(r, PairFailure { pair: i, death_s, partial_data: true })
+            Ok(PairSim::Partial(r, PairFailure { pair: i, death_s, partial_data: true }))
         }
         Err(MeasureError::EmptyTrace) => {
-            PairSim::Dead(PairFailure { pair: i, death_s, partial_data: false })
+            Ok(PairSim::Dead(PairFailure { pair: i, death_s, partial_data: false }))
         }
-        Err(e) => PairSim::Fatal(e),
+        Err(e) => Err(e),
     }
 }
 
@@ -534,38 +496,51 @@ pub(crate) enum PairSim {
     Partial(CampaignResult, PairFailure),
     /// Died before producing anything.
     Dead(PairFailure),
-    /// A non-degradable error (serial semantics: abort the fleet).
-    Fatal(MeasureError),
 }
 
-/// Fold per-pair outcomes, **in pair order**, into a fleet result —
-/// reproducing the serial loop's observable behaviour exactly: a fatal
-/// error at pair `i` wins over anything at pairs `> i`, and a panicked
-/// pair degrades the fleet instead of crashing it.
+/// Fold every settled shard, **in pair order**, into a fleet result: a
+/// panicked pair degrades the fleet instead of crashing it, and a fleet
+/// without data is a typed error — the first step-budget denial when
+/// every shard was denied (denial is all-or-nothing: every shard gets
+/// the same budget), else the first contained panic, else
+/// [`MeasureError::AllPairsFailed`].
 pub(crate) fn assemble_fleet(
-    outcomes: Vec<Result<PairSim, exec::TaskPanic>>,
-    n_pairs: usize,
+    settled: BTreeMap<usize, ShardOutcome>,
+    accountant: &RetryAccountant,
 ) -> Result<FleetResult, MeasureError> {
+    let n_pairs = settled.len();
     let mut pairs = Vec::with_capacity(n_pairs);
     let mut failed_pairs = Vec::new();
     let mut panicked = Vec::new();
-    for outcome in outcomes {
-        match outcome {
-            Ok(PairSim::Alive(r)) => pairs.push(r),
-            Ok(PairSim::Partial(r, f)) => {
+    let mut budget_denied = Vec::new();
+    let mut first_denial = None;
+    let mut retry_exhausted = accountant.exhausted();
+    for (shard, out) in settled {
+        retry_exhausted |= out.starved;
+        match out.sim {
+            ShardSim::Sim(PairSim::Alive(r)) => pairs.push(r),
+            ShardSim::Sim(PairSim::Partial(r, f)) => {
                 failed_pairs.push(f);
                 pairs.push(r);
             }
-            Ok(PairSim::Dead(f)) => failed_pairs.push(f),
-            Ok(PairSim::Fatal(e)) => return Err(e),
-            Err(p) => panicked.push(p),
+            ShardSim::Sim(PairSim::Dead(f)) => failed_pairs.push(f),
+            ShardSim::Panicked(payload) => panicked.push(TaskPanic { task: shard, payload }),
+            ShardSim::Denied { needed_steps, remaining_steps } => {
+                budget_denied.push(shard);
+                first_denial.get_or_insert(MeasureError::BudgetExhausted {
+                    shard,
+                    needed_steps,
+                    remaining_steps,
+                });
+            }
         }
     }
     if pairs.is_empty() {
-        return match panicked.into_iter().next() {
-            Some(p) => Err(MeasureError::TaskPanicked { task: p.task, payload: p.payload }),
-            None => Err(MeasureError::AllPairsFailed { n_pairs }),
-        };
+        return Err(match (first_denial, panicked.into_iter().next()) {
+            (Some(denial), _) => denial,
+            (None, Some(p)) => MeasureError::TaskPanicked { task: p.task, payload: p.payload },
+            (None, None) => MeasureError::AllPairsFailed { n_pairs },
+        });
     }
     let means: Vec<f64> = pairs.iter().map(|p| p.mean_bandwidth_bps()).collect();
     let mean_within = pairs.iter().map(|p| p.summary.cov).sum::<f64>() / pairs.len() as f64;
@@ -575,13 +550,34 @@ pub(crate) fn assemble_fleet(
         pairs,
         failed_pairs,
         panicked,
+        supervision: SupervisionStats {
+            retries_used: accountant.used(),
+            retry_budget: accountant.budget(),
+            retry_exhausted,
+            budget_denied,
+        },
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resume::{run_fleet, FleetSpec};
     use netsim::units::{gbps, hours};
+
+    /// A full-speed fleet with one attempt per pair: every pair's
+    /// campaign under its plain `derive_seed(seed, pair)` stream.
+    fn fleet_jobs(
+        p: &CloudProfile,
+        duration_s: f64,
+        n_pairs: usize,
+        seed: u64,
+        jobs: usize,
+    ) -> Result<FleetResult, MeasureError> {
+        let mut spec = FleetSpec::new(*p, TrafficPattern::FullSpeed, duration_s, n_pairs, seed);
+        spec.supervise.max_shard_attempts = 1;
+        run_fleet(&spec, jobs)
+    }
 
     #[test]
     fn hpccloud_campaign_matches_figure4_range() {
@@ -671,7 +667,7 @@ mod tests {
         // HPCCloud pairs differ through contention episodes; within-
         // pair CoV should be non-trivial and across-pair means spread.
         let p = clouds::hpccloud::n_core(8);
-        let fleet = run_fleet(&p, TrafficPattern::FullSpeed, hours(3.0), 6, 11).unwrap();
+        let fleet = fleet_jobs(&p, hours(3.0), 6, 11, 2).unwrap();
         assert_eq!(fleet.pairs.len(), 6);
         assert!(fleet.mean_within_pair_cov > 0.002, "{}", fleet.mean_within_pair_cov);
         assert!(fleet.across_pair_cov() >= 0.0);
@@ -684,7 +680,7 @@ mod tests {
     #[test]
     fn fleet_pairs_use_distinct_incarnations() {
         let p = clouds::ec2::c5_xlarge();
-        let fleet = run_fleet(&p, TrafficPattern::FullSpeed, 1800.0, 4, 3).unwrap();
+        let fleet = fleet_jobs(&p, 1800.0, 4, 3, 2).unwrap();
         // Bucket budgets differ per pair, so depletion times differ, so
         // mean bandwidths over 30 min differ.
         let means: Vec<f64> = fleet.pairs.iter().map(|r| r.mean_bandwidth_bps()).collect();
@@ -746,7 +742,7 @@ mod tests {
     fn fleet_with_pair_deaths_returns_partial_results() {
         let mut p = clouds::hpccloud::n_core(8).with_reference_faults();
         p.faults.pair_death_rate_per_hour = 0.5; // mean pair life: 2 h
-        let fleet = run_fleet(&p, TrafficPattern::FullSpeed, hours(6.0), 8, 5).unwrap();
+        let fleet = fleet_jobs(&p, hours(6.0), 8, 5, 2).unwrap();
         assert!(!fleet.failed_pairs.is_empty(), "no pair died in 6 h at rate 0.5/h");
         assert!(fleet.is_degraded());
         for f in &fleet.failed_pairs {
@@ -763,7 +759,7 @@ mod tests {
             }
         }
         // Reproducible end to end.
-        let again = run_fleet(&p, TrafficPattern::FullSpeed, hours(6.0), 8, 5).unwrap();
+        let again = fleet_jobs(&p, hours(6.0), 8, 5, 2).unwrap();
         assert_eq!(fleet.failed_pairs, again.failed_pairs);
         assert_eq!(fleet.across_pairs, again.across_pairs);
     }
@@ -803,10 +799,9 @@ mod tests {
         // byte-identical fleet results — faults, deaths, and all.
         let mut p = clouds::hpccloud::n_core(8).with_reference_faults();
         p.faults.pair_death_rate_per_hour = 0.2;
-        let one = run_fleet_jobs(&p, TrafficPattern::FullSpeed, hours(3.0), 6, 17, 1).unwrap();
+        let one = fleet_jobs(&p, hours(3.0), 6, 17, 1).unwrap();
         for jobs in [2usize, 8] {
-            let wide =
-                run_fleet_jobs(&p, TrafficPattern::FullSpeed, hours(3.0), 6, 17, jobs).unwrap();
+            let wide = fleet_jobs(&p, hours(3.0), 6, 17, jobs).unwrap();
             assert_eq!(fleet_fingerprint(&wide), fleet_fingerprint(&one), "jobs={jobs}");
         }
     }
@@ -830,32 +825,38 @@ mod tests {
         // Assemble a fleet where pair 1's task panicked: the fleet
         // keeps the surviving pairs and reports DEGRADED.
         let p = clouds::hpccloud::n_core(8);
+        let settled = |sim| ShardOutcome { retries: 0, starved: false, sim };
         let good = |i: usize| {
-            simulate_pair(&p, TrafficPattern::FullSpeed, 1800.0, 99, i)
+            let pair_seed = derive_seed(99, i as u64);
+            let sim = simulate_pair_capped(&p, TrafficPattern::FullSpeed, 1800.0, pair_seed, i, None);
+            settled(ShardSim::Sim(sim.unwrap()))
         };
-        let outcomes = vec![
-            Ok(good(0)),
-            Err(exec::TaskPanic { task: 1, payload: "simulated worker bug".into() }),
-            Ok(good(2)),
-        ];
-        let fleet = assemble_fleet(outcomes, 3).unwrap();
+        let outcomes = BTreeMap::from([
+            (0, good(0)),
+            (1, settled(ShardSim::Panicked("simulated worker bug".into()))),
+            (2, good(2)),
+        ]);
+        let fleet = assemble_fleet(outcomes, &RetryAccountant::new(0)).unwrap();
         assert_eq!(fleet.pairs.len(), 2);
         assert_eq!(fleet.panicked.len(), 1);
         assert_eq!(fleet.panicked[0].task, 1);
         assert!(fleet.is_degraded(), "a contained panic must mark the fleet degraded");
         // Survivors are exactly what a fleet without the panic computes
         // for those pair indices (per-pair seed streams are decoupled).
-        let clean = run_fleet_jobs(&p, TrafficPattern::FullSpeed, 1800.0, 3, 99, 1).unwrap();
+        let clean = fleet_jobs(&p, 1800.0, 3, 99, 1).unwrap();
         assert_eq!(fleet.pairs[0].summary, clean.pairs[0].summary);
         assert_eq!(fleet.pairs[1].summary, clean.pairs[2].summary);
     }
 
     #[test]
     fn all_pairs_panicked_is_a_typed_error() {
-        let outcomes: Vec<Result<PairSim, exec::TaskPanic>> = (0..2)
-            .map(|i| Err(exec::TaskPanic { task: i, payload: format!("boom {i}") }))
+        let outcomes = (0..2)
+            .map(|i| {
+                let sim = ShardSim::Panicked(format!("boom {i}"));
+                (i, ShardOutcome { retries: 0, starved: false, sim })
+            })
             .collect();
-        match assemble_fleet(outcomes, 2) {
+        match assemble_fleet(outcomes, &RetryAccountant::new(0)) {
             Err(MeasureError::TaskPanicked { task: 0, payload }) => {
                 assert!(payload.contains("boom 0"));
             }

@@ -26,11 +26,21 @@
 //! * [`placement`] — placement fleets: big-data repetitions re-placed
 //!   on a datacenter topology per run, exposing rack- and
 //!   uplink-induced variance that flat endpoint shaping cannot show.
-//! * [`resume`] — crash-safe campaigns: every settled shard is written
-//!   to a [`journal`] write-ahead log, a SIGKILLed campaign resumes
-//!   from it (with bit-for-bit re-verification of a journaled sample),
-//!   and supervised execution bounds each shard by a simulated-step
-//!   budget and the campaign by a retry budget.
+//! * [`resume`] — pair fleets, one [`FleetSpec`] and two drivers over
+//!   one supervised settle loop: [`run_fleet`] keeps every pair in
+//!   memory, and [`run_fleet_journaled`] also writes every settled
+//!   shard to a [`journal`] write-ahead log that a SIGKILLed campaign
+//!   resumes from (with bit-for-bit re-verification of a journaled
+//!   sample). Both return the same bits; supervision bounds each shard
+//!   by a simulated-step budget and the campaign by a retry budget.
+//! * [`stream`] — million-tenant campaigns folded into fixed-size
+//!   sketch state, with the same two-driver shape: [`run_fleet_stream`]
+//!   and [`run_fleet_stream_journaled`].
+//!
+//! Both journaled drivers report each durable checkpoint to a callback
+//! with the pairs or tenants it covers; the CLI's one crash-test flag,
+//! `--kill-after N`, aborts the process at the first checkpoint that
+//! covers at least `N`.
 
 pub mod campaign;
 pub mod error;
@@ -46,8 +56,8 @@ pub mod stream;
 mod wire;
 
 pub use campaign::{
-    run_all_patterns, run_all_patterns_jobs, run_campaign, run_fleet, run_fleet_jobs,
-    CampaignResult, FleetResult, GapCause, PairFailure, TraceGap,
+    run_all_patterns, run_all_patterns_jobs, run_campaign, CampaignResult, FleetResult, GapCause,
+    PairFailure, TraceGap,
 };
 pub use error::MeasureError;
 pub use experiment::{ExperimentPlan, ExperimentReport};
@@ -59,8 +69,8 @@ pub use probe::{
 };
 pub use rest::RestPlanner;
 pub use resume::{
-    run_fleet_journaled, run_fleet_journaled_grouped, run_fleet_journaled_with, FleetSpec,
-    JournaledFleet, ResumeStats, SupervisePolicy, SupervisionStats,
+    run_fleet, run_fleet_journaled, FleetSpec, JournaledFleet, ResumeStats, SupervisePolicy,
+    SupervisionStats,
 };
 pub use stream::{
     run_fleet_stream, run_fleet_stream_journaled, JournaledStream, SelfCheckReport,

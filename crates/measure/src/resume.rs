@@ -1,15 +1,23 @@
-//! Crash-safe, resumable fleet campaigns with supervised execution.
+//! Fleet campaigns: supervised, and optionally crash-safe and resumable.
 //!
-//! The paper's campaigns run for days; the ROADMAP's million-tenant
-//! campaigns will run for hours of wall-clock even simulated. A process
-//! death must not lose completed work, and a wedged or repeatedly dying
-//! shard must not hang or starve the rest of the campaign. This module
-//! drives a fleet campaign through a [`journal`] write-ahead log and a
-//! supervision layer built on [`exec`]'s deterministic budgets:
+//! A fleet measures `n_pairs` independent VM pairs of one instance type
+//! (each with its own incarnation seed) — the paper's campaigns measure
+//! per-pair, and the Ballani data (Figure 2) shows how much *pairs*
+//! differ within a cloud. Separating within-pair (temporal) from
+//! across-pair (spatial) variability tells an experimenter whether more
+//! time or more allocations reduce their error.
+//!
+//! The paper's campaigns run for days. A process death must not lose
+//! completed work, and a wedged or repeatedly dying shard must not hang
+//! or starve the rest of the campaign. Two drivers share one supervised
+//! settle loop: [`run_fleet`] keeps everything in memory, and
+//! [`run_fleet_journaled`] also writes each settled shard to a
+//! [`journal`] write-ahead log. For the same [`FleetSpec`] both return
+//! bit-identical fleets.
 //!
 //! * **Checkpointing** — every settled shard (VM pair) is appended to
-//!   the journal before the next shard settles, so a SIGKILL at any
-//!   instant loses at most the shard in flight.
+//!   the journal, durable every [`FleetSpec::checkpoint_every`] shards,
+//!   so a SIGKILL at any instant loses at most the open group.
 //! * **Resume** — `resume: true` re-opens the journal, *verifies* a
 //!   deterministic sample of journaled shards bit-for-bit against fresh
 //!   recomputation (divergence is a hard [`MeasureError::ResumeDivergence`],
@@ -24,6 +32,9 @@
 //!   instead of hanging the run, and retries of dead or panicked shards
 //!   draw from a campaign-wide [`exec::RetryAccountant`] whose
 //!   exhaustion is surfaced in the DEGRADED report.
+//! * **Errors** — a simulation error other than a pair dying without
+//!   data aborts the campaign: the first one in shard order wins, so the
+//!   error, like the result, is independent of the worker count.
 //!
 //! ## Determinism of supervision
 //!
@@ -39,7 +50,7 @@ use crate::campaign::{assemble_fleet, simulate_pair_capped, FleetResult, PairSim
 use crate::error::MeasureError;
 use crate::wire::{decode_outcome, encode_outcome, ShardOutcome, ShardSim};
 use clouds::CloudProfile;
-use exec::{RetryAccountant, StepBudget};
+use exec::{RetryAccountant, StepBudget, TaskPanic};
 use journal::{fingerprint64, Journal, JournalRecord};
 use netsim::pattern::TrafficPattern;
 use netsim::rng::{derive_seed, SimRng};
@@ -56,12 +67,13 @@ const LABEL_VERIFY: u64 = 0x7E81;
 /// [`netsim::tcp::StreamConfig`]); step budgets are denominated in it.
 const FLUID_STEP_S: f64 = 0.1;
 
-/// How many first attempts are simulated per parallel wave before the
-/// driver settles and journals them. Purely a throughput/durability
-/// trade-off: results are invariant to it (and to the worker count).
+/// Minimum first attempts simulated per parallel wave before the driver
+/// settles (and journals) them; a wave holds at least `jobs` shards.
+/// Purely a throughput/durability trade-off: results are invariant to
+/// it (and to the worker count).
 const SHARD_BATCH: usize = 8;
 
-/// Supervision limits for a journaled campaign.
+/// Supervision limits for a fleet campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisePolicy {
     /// Attempts a single shard may consume (first attempt included).
@@ -86,10 +98,10 @@ impl Default for SupervisePolicy {
     }
 }
 
-/// Everything that defines a journaled fleet campaign. Two specs with
-/// the same [`config_fingerprint`](FleetSpec::config_fingerprint)
-/// produce bit-identical campaigns; the journal header binds a log to
-/// one fingerprint so resuming under a changed config fails loudly.
+/// Everything that defines a fleet campaign. Two specs with the same
+/// [`config_fingerprint`](FleetSpec::config_fingerprint) produce
+/// bit-identical campaigns; the journal header binds a log to one
+/// fingerprint so resuming under a changed config fails loudly.
 #[derive(Debug, Clone)]
 pub struct FleetSpec {
     /// The cloud under measurement.
@@ -102,15 +114,51 @@ pub struct FleetSpec {
     pub n_pairs: usize,
     /// Campaign seed; per-shard streams derive from it.
     pub seed: u64,
-    /// Supervision limits.
+    /// Supervision limits. `max_shard_attempts: 1` gives every pair
+    /// exactly one attempt under its plain `derive_seed(seed, pair)`
+    /// stream.
     pub supervise: SupervisePolicy,
+    /// Journaled shards a resume recomputes and compares bit-for-bit
+    /// before trusting the log (chosen by a seed-derived stream). Not
+    /// part of the config fingerprint: it changes what is checked,
+    /// never what is computed.
+    pub verify_sample: usize,
+    /// Group commit for the journaled driver: settled shards are framed
+    /// into the journal immediately, but written and synced once per
+    /// `checkpoint_every` shards (and once at the end); 0 means every
+    /// shard. Not part of the config fingerprint: it changes how often
+    /// durability happens, never what is computed or the final journal
+    /// bytes.
+    pub checkpoint_every: usize,
 }
 
 impl FleetSpec {
+    /// A spec with default supervision, no resume verification and a
+    /// durable journal write per shard.
+    pub fn new(
+        profile: CloudProfile,
+        pattern: TrafficPattern,
+        duration_s: f64,
+        n_pairs: usize,
+        seed: u64,
+    ) -> FleetSpec {
+        FleetSpec {
+            profile,
+            pattern,
+            duration_s,
+            n_pairs,
+            seed,
+            supervise: SupervisePolicy::default(),
+            verify_sample: 0,
+            checkpoint_every: 0,
+        }
+    }
+
     /// 64-bit fingerprint of the campaign configuration. Covers every
     /// input that influences results (profile, pattern, duration bits,
     /// pair count, seed, supervision policy) and nothing that does not
-    /// (worker count, journal path, verification sample size).
+    /// (worker count, journal path, verification sample size,
+    /// checkpoint cadence).
     pub fn config_fingerprint(&self) -> u64 {
         let rendered = format!(
             "{:?}|{}|{:x}|{}|{:x}|{:?}",
@@ -138,12 +186,10 @@ impl FleetSpec {
     }
 
     /// Seed for a shard's `attempt`-th try. Attempt 0 is the plain
-    /// fleet derivation (`derive_seed(seed, shard)`), so an
-    /// unsupervised journaled run is bit-identical to [`run_fleet`];
-    /// retries re-derive through [`LABEL_RETRY`] — a fresh incarnation
-    /// whose stream never overlaps any other shard's.
-    ///
-    /// [`run_fleet`]: crate::campaign::run_fleet
+    /// fleet derivation (`derive_seed(seed, shard)`), the same stream a
+    /// streaming campaign gives tenant `shard`; retries re-derive
+    /// through [`LABEL_RETRY`] — a fresh incarnation whose stream never
+    /// overlaps any other shard's.
     fn attempt_seed(&self, shard: usize, attempt: u32) -> u64 {
         let base = derive_seed(self.seed, shard as u64);
         match attempt {
@@ -188,27 +234,21 @@ pub struct SupervisionStats {
 /// A journaled campaign's complete result.
 #[derive(Debug, Clone)]
 pub struct JournaledFleet {
-    /// The fleet result, assembled from the journal (both fresh and
-    /// resumed runs decode the log, so the two are byte-identical by
-    /// construction once the records are).
+    /// The fleet result — bit-identical to [`run_fleet`] of the same
+    /// spec, whether this run was fresh or resumed.
     pub fleet: FleetResult,
-    /// The campaign config fingerprint the journal is bound to.
-    pub config_fingerprint: u64,
     /// Resume accounting.
     pub resume: ResumeStats,
-    /// Supervision accounting.
-    pub supervision: SupervisionStats,
 }
 
-/// [`run_fleet_journaled_with`] without a progress callback.
-pub fn run_fleet_journaled(
-    spec: &FleetSpec,
-    journal_path: &Path,
-    resume: bool,
-    verify_sample: usize,
-    jobs: usize,
-) -> Result<JournaledFleet, MeasureError> {
-    run_fleet_journaled_with(spec, journal_path, resume, verify_sample, jobs, |_| {})
+/// Run a fleet campaign with `jobs` workers under the spec's
+/// supervision. The fleet is bit-identical at any `jobs` — parallelism
+/// buys wall-clock time only — and to [`run_fleet_journaled`]'s.
+pub fn run_fleet(spec: &FleetSpec, jobs: usize) -> Result<FleetResult, MeasureError> {
+    let mut accountant = RetryAccountant::new(spec.supervise.retry_budget);
+    let mut done = BTreeMap::new();
+    settle(spec, jobs, &mut accountant, &mut done, |_, _| Ok(()))?;
+    assemble_fleet(done, &accountant)
 }
 
 /// Run (or resume) a crash-safe fleet campaign.
@@ -217,68 +257,38 @@ pub fn run_fleet_journaled(
 ///   journal must be deleted explicitly, never silently clobbered).
 /// * `resume: true` opens an existing journal — failing loudly on a
 ///   config mismatch — or starts fresh when none exists.
-/// * `verify_sample` journaled shards (chosen by a seed-derived stream)
-///   are recomputed and compared bit-for-bit before any new work runs.
-/// * `on_journaled(n)` fires after each append with the journal's new
-///   record count — the CLI's crash-testing hook.
+/// * [`FleetSpec::verify_sample`] journaled shards are recomputed and
+///   compared bit-for-bit before any new work runs.
+/// * `on_checkpoint(n)` fires after each durable journal write with the
+///   journal's record count — the pairs it now covers (the CLI's
+///   crash-testing hook).
 ///
-/// The returned fleet is assembled by decoding the (now complete)
-/// journal, so an interrupted-then-resumed campaign and an
-/// uninterrupted one produce byte-identical reports.
-pub fn run_fleet_journaled_with(
+/// A kill mid-write leaves the previous groups intact plus at most a
+/// torn record, which the next open discards; a kill between writes
+/// loses at most the open group. Either way resume recomputes exactly
+/// the lost shards, and the record sequence — hence the final journal
+/// bytes — does not depend on the cadence, the worker count or any
+/// interruption.
+pub fn run_fleet_journaled(
     spec: &FleetSpec,
     journal_path: &Path,
     resume: bool,
-    verify_sample: usize,
     jobs: usize,
-    on_journaled: impl FnMut(u64),
+    mut on_checkpoint: impl FnMut(u64),
 ) -> Result<JournaledFleet, MeasureError> {
-    run_fleet_journaled_grouped(spec, journal_path, resume, verify_sample, jobs, 1, on_journaled)
-}
+    // The last record per shard wins.
+    let mut recovered: BTreeMap<u64, JournalRecord> = BTreeMap::new();
+    let (mut jnl, resumed, truncated_bytes) =
+        open_or_create(journal_path, spec.config_fingerprint(), resume, |rec| {
+            recovered.insert(rec.shard, rec);
+        })?;
 
-/// [`run_fleet_journaled_with`] with **group commit**: settled shards
-/// are framed into the journal's pending buffer immediately, but the
-/// write + `sync_data` runs once per `checkpoint_every` shards (and once
-/// at the end) instead of once per shard. Group commit is fsync
-/// batching: at 10⁵+ shards the per-record `sync_data` dominates, and
-/// grouping makes it O(N/k) while keeping every other invariant:
-///
-/// * **Torn-tail semantics unchanged** — a kill mid-flush leaves the
-///   previous groups intact plus at most a torn record, which the next
-///   open discards; a kill between flushes loses at most the current
-///   group (resume recomputes exactly the lost shards).
-/// * **Record sequence unchanged** — the journal bytes are identical to
-///   a `checkpoint_every = 1` run's once both complete; only the number
-///   of intermediate durable states differs.
-/// * `on_journaled(n)` now fires per *flush* with the durable record
-///   count (with `checkpoint_every = 1` that is per append, exactly the
-///   old contract).
-///
-/// `checkpoint_every = 0` is treated as 1 (every shard durable).
-pub fn run_fleet_journaled_grouped(
-    spec: &FleetSpec,
-    journal_path: &Path,
-    resume: bool,
-    verify_sample: usize,
-    jobs: usize,
-    checkpoint_every: usize,
-    mut on_journaled: impl FnMut(u64),
-) -> Result<JournaledFleet, MeasureError> {
-    let group = checkpoint_every.max(1);
-    let config_fp = spec.config_fingerprint();
-    let (mut jnl, resumed, truncated_bytes) = if resume && journal_path.exists() {
-        let (j, rep) = Journal::open(journal_path, config_fp)?;
-        (j, true, rep.truncated_bytes)
-    } else {
-        (Journal::create(journal_path, config_fp)?, false, 0)
-    };
-
-    // Decode what the journal already holds (last record per shard
-    // wins; a record for a shard outside the spec can only appear if
-    // the config fingerprint was defeated, so treat it as corruption).
+    // Decode what the journal already holds. A record for a shard
+    // outside the spec can only appear if the config fingerprint was
+    // defeated, so treat it as corruption.
     let mut done: BTreeMap<usize, ShardOutcome> = BTreeMap::new();
-    for rec in jnl.records() {
-        let shard = rec.shard as usize;
+    for (&shard, rec) in &recovered {
+        let shard = shard as usize;
         if shard >= spec.n_pairs {
             return Err(MeasureError::JournalFailed {
                 detail: format!("record for shard {shard} outside 0..{}", spec.n_pairs),
@@ -297,107 +307,84 @@ pub fn run_fleet_journaled_grouped(
     // prefixes, in shard order — the exact state the interrupted run
     // had after settling these shards.
     let mut accountant = RetryAccountant::new(spec.supervise.retry_budget);
-    let mut any_starved = false;
     for out in done.values() {
         accountant.replay(out.retries);
-        any_starved |= out.starved;
     }
 
     // Verify a deterministic sample of journaled shards bit-for-bit
     // before trusting — or extending — the log.
-    let verified = verify_resumed_shards(spec, &jnl, &done, verify_sample)?;
+    let verified = verify_resumed_shards(spec, &recovered, &done)?;
+    drop(recovered);
 
-    // Compute the missing shards, batching first attempts across
-    // workers but settling + journaling strictly in shard order.
-    let missing: Vec<usize> = (0..spec.n_pairs).filter(|i| !done.contains_key(i)).collect();
-    let computed = missing.len();
-    for batch in missing.chunks(SHARD_BATCH) {
-        run_batch(spec, batch, jobs, &mut accountant, &mut done, |shard, out| {
-            let payload = encode_outcome(out);
-            let fingerprint = fingerprint64(&payload);
-            let seed = final_attempt_seed(spec, shard, out.retries);
-            jnl.append_deferred(JournalRecord { shard: shard as u64, seed, fingerprint, payload });
-            if jnl.pending() >= group {
-                jnl.flush()?;
-                on_journaled(jnl.len() as u64);
-            }
-            Ok(())
-        })?;
-    }
-    // Final group (possibly short): make everything durable before
-    // assembling the report from the journal.
+    let group = spec.checkpoint_every.max(1);
+    settle(spec, jobs, &mut accountant, &mut done, |shard, out| {
+        let payload = encode_outcome(out);
+        jnl.append_deferred(JournalRecord {
+            shard: shard as u64,
+            seed: spec.attempt_seed(shard, out.retries),
+            fingerprint: fingerprint64(&payload),
+            payload,
+        });
+        if jnl.pending() >= group {
+            jnl.flush()?;
+            on_checkpoint(jnl.len() as u64);
+        }
+        Ok(())
+    })?;
+    // Final group (possibly short): everything is durable before the
+    // report is assembled.
     if jnl.pending() > 0 {
         jnl.flush()?;
-        on_journaled(jnl.len() as u64);
+        on_checkpoint(jnl.len() as u64);
     }
-
-    // Assemble the fleet from the decoded outcomes, now all durable.
-    let mut outcomes: Vec<Result<PairSim, exec::TaskPanic>> = Vec::with_capacity(spec.n_pairs);
-    let mut budget_denied = Vec::new();
-    let mut first_denial = None;
-    for (shard, out) in &done {
-        any_starved |= out.starved;
-        match &out.sim {
-            ShardSim::Alive(r) => outcomes.push(Ok(PairSim::Alive(r.clone()))),
-            ShardSim::Partial(r, f) => outcomes.push(Ok(PairSim::Partial(r.clone(), *f))),
-            ShardSim::Dead(f) => outcomes.push(Ok(PairSim::Dead(*f))),
-            ShardSim::Panicked(payload) => {
-                outcomes.push(Err(exec::TaskPanic { task: *shard, payload: payload.clone() }))
-            }
-            ShardSim::Denied { needed_steps, remaining_steps } => {
-                budget_denied.push(*shard);
-                first_denial.get_or_insert(MeasureError::BudgetExhausted {
-                    shard: *shard,
-                    needed_steps: *needed_steps,
-                    remaining_steps: *remaining_steps,
-                });
-            }
-        }
-    }
-    if outcomes.is_empty() {
-        if let Some(denial) = first_denial {
-            return Err(denial);
-        }
-    }
-    let fleet = assemble_fleet(outcomes, spec.n_pairs)?;
 
     Ok(JournaledFleet {
-        fleet,
-        config_fingerprint: config_fp,
-        resume: ResumeStats { resumed, skipped, computed, verified, truncated_bytes },
-        supervision: SupervisionStats {
-            retries_used: accountant.used(),
-            retry_budget: accountant.budget(),
-            retry_exhausted: accountant.exhausted() || any_starved,
-            budget_denied,
+        fleet: assemble_fleet(done, &accountant)?,
+        resume: ResumeStats {
+            resumed,
+            skipped,
+            computed: spec.n_pairs - skipped,
+            verified,
+            truncated_bytes,
         },
     })
 }
 
-/// The seed the journal records for a shard settled after `retries`
-/// retries — the seed of the attempt that was accepted.
-fn final_attempt_seed(spec: &FleetSpec, shard: usize, retries: u32) -> u64 {
-    spec.attempt_seed(shard, retries)
+/// The open-or-create handshake of every journaled driver: with
+/// `resume` and a journal on disk, open it — failing loudly on a config
+/// mismatch — and hand each recovered record, in order, to `visit`;
+/// otherwise create it fresh, refusing to clobber an existing file.
+/// Returns the journal, whether it was resumed, and the bytes of torn
+/// tail the open found.
+pub(crate) fn open_or_create(
+    path: &Path,
+    config_fp: u64,
+    resume: bool,
+    visit: impl FnMut(JournalRecord),
+) -> Result<(Journal, bool, usize), MeasureError> {
+    if resume && path.exists() {
+        let (jnl, report) = Journal::open_with(path, config_fp, visit)?;
+        Ok((jnl, true, report.truncated_bytes))
+    } else {
+        Ok((Journal::create(path, config_fp)?, false, 0))
+    }
 }
 
-/// Recompute `verify_sample` journaled shards and require their encoded
-/// bytes to match the journal exactly. The sample is chosen by a
-/// dedicated derived stream over the *simulatable* records (panicked
-/// and budget-denied shards have nothing to recompute).
+/// Recompute [`FleetSpec::verify_sample`] journaled shards and require
+/// their encoded bytes to match the journal exactly. The sample is
+/// chosen by a dedicated derived stream over the *simulated* records
+/// (panicked and budget-denied shards have nothing to recompute).
 fn verify_resumed_shards(
     spec: &FleetSpec,
-    jnl: &Journal,
+    recovered: &BTreeMap<u64, JournalRecord>,
     done: &BTreeMap<usize, ShardOutcome>,
-    verify_sample: usize,
 ) -> Result<usize, MeasureError> {
     let mut candidates: Vec<usize> = done
         .iter()
-        .filter(|(_, out)| {
-            matches!(out.sim, ShardSim::Alive(_) | ShardSim::Partial(..) | ShardSim::Dead(_))
-        })
+        .filter(|(_, out)| matches!(out.sim, ShardSim::Sim(_)))
         .map(|(shard, _)| *shard)
         .collect();
-    let k = verify_sample.min(candidates.len());
+    let k = spec.verify_sample.min(candidates.len());
     if k == 0 {
         return Ok(0);
     }
@@ -406,29 +393,20 @@ fn verify_resumed_shards(
     candidates.truncate(k);
     candidates.sort_unstable();
     for shard in candidates {
-        let Some(rec) = jnl.lookup(shard as u64) else {
+        let (Some(rec), Some(out)) = (recovered.get(&(shard as u64)), done.get(&shard)) else {
             return Err(MeasureError::JournalFailed {
                 detail: format!("shard {shard} vanished from the journal"),
             });
         };
-        let Some(out) = done.get(&shard) else {
-            return Err(MeasureError::JournalFailed {
-                detail: format!("shard {shard} missing from the decoded set"),
-            });
-        };
         // Re-run the accepted attempt under its journaled seed, with
         // the panic containment the original run had.
-        let recomputed = supervised_attempt(spec, shard, rec.seed);
-        let recomputed_fp = match recomputed {
+        let recomputed_fp = match attempt(spec, shard, rec.seed)? {
             Ok(sim) => {
-                let sim = match sim {
-                    PairSim::Alive(r) => ShardSim::Alive(r),
-                    PairSim::Partial(r, f) => ShardSim::Partial(r, f),
-                    PairSim::Dead(f) => ShardSim::Dead(f),
-                    PairSim::Fatal(e) => return Err(e),
-                };
-                let bytes =
-                    encode_outcome(&ShardOutcome { retries: out.retries, starved: out.starved, sim });
+                let bytes = encode_outcome(&ShardOutcome {
+                    retries: out.retries,
+                    starved: out.starved,
+                    sim: ShardSim::Sim(sim),
+                });
                 let fp = fingerprint64(&bytes);
                 if bytes == rec.payload && fp == rec.fingerprint {
                     continue;
@@ -448,100 +426,109 @@ fn verify_resumed_shards(
     Ok(k)
 }
 
-/// Run one shard attempt with contained panics (a single-task pass
-/// through the exec pool reuses its `catch_unwind` machinery).
-fn supervised_attempt(
-    spec: &FleetSpec,
-    shard: usize,
-    attempt_seed: u64,
-) -> Result<PairSim, exec::TaskPanic> {
-    let mut out = exec::try_par_map(1, &[attempt_seed], |&s| {
-        simulate_pair_capped(&spec.profile, spec.pattern, spec.duration_s, s, shard, None)
-    });
-    match out.pop() {
-        Some(res) => res.map_err(|p| exec::TaskPanic { task: shard, payload: p.payload }),
-        None => Err(exec::TaskPanic { task: shard, payload: "empty pool result".into() }),
+/// One attempt's result: a simulation error is the outer `Err` (it
+/// aborts the campaign), a contained worker panic the inner one (it is
+/// retriable).
+type Attempt = Result<Result<PairSim, TaskPanic>, MeasureError>;
+
+/// Simulate `(shard, seed)` attempts across `jobs` workers, results in
+/// input order, panics contained per task.
+fn attempts(spec: &FleetSpec, jobs: usize, tasks: &[(usize, u64)]) -> Vec<Attempt> {
+    exec::try_par_map(jobs, tasks, |&(shard, seed)| {
+        simulate_pair_capped(&spec.profile, spec.pattern, spec.duration_s, seed, shard, None)
+    })
+    .into_iter()
+    .zip(tasks)
+    .map(|(res, &(shard, _))| match res {
+        Ok(sim) => sim.map(Ok),
+        Err(p) => Ok(Err(TaskPanic { task: shard, payload: p.payload })),
+    })
+    .collect()
+}
+
+/// One serial attempt (a single-task pass through the exec pool reuses
+/// its `catch_unwind` machinery).
+fn attempt(spec: &FleetSpec, shard: usize, seed: u64) -> Attempt {
+    match attempts(spec, 1, &[(shard, seed)]).pop() {
+        Some(res) => res,
+        None => Ok(Err(TaskPanic { task: shard, payload: "empty pool result".into() })),
     }
 }
 
-/// Simulate a batch of shards: first attempts fan out across workers,
-/// then each shard settles (retries, budget accounting) and is
-/// journaled **in shard-index order**, so every supervision decision is
-/// a pure function of lower-indexed outcomes and the journal's record
-/// sequence is worker-count invariant.
-fn run_batch(
+/// The one supervised settle loop behind both drivers. The shards not
+/// yet in `done` run in waves of at least `jobs` (and
+/// [`SHARD_BATCH`]): first attempts fan out across workers, then each
+/// shard settles — retries, step-budget accounting — **in shard-index
+/// order** and is handed to `on_settled` (the journaled driver's
+/// append). Every supervision decision is a pure function of
+/// lower-indexed outcomes, so results and the journal's record sequence
+/// are invariant to worker count and wave size. The first simulation
+/// error in shard order aborts the campaign.
+fn settle(
     spec: &FleetSpec,
-    batch: &[usize],
     jobs: usize,
     accountant: &mut RetryAccountant,
     done: &mut BTreeMap<usize, ShardOutcome>,
-    mut settle: impl FnMut(usize, &ShardOutcome) -> Result<(), MeasureError>,
+    mut on_settled: impl FnMut(usize, &ShardOutcome) -> Result<(), MeasureError>,
 ) -> Result<(), MeasureError> {
     let attempt_steps = spec.attempt_steps();
-    // Charge attempt 0 for each shard; shards that cannot afford it
-    // are denied up front and skip simulation entirely.
-    let mut budgets: Vec<StepBudget> = Vec::with_capacity(batch.len());
-    let mut affordable: Vec<(usize, u64)> = Vec::new();
-    for &shard in batch {
-        let mut budget = StepBudget::new(spec.shard_budget());
-        if budget.try_charge(attempt_steps) {
-            affordable.push((shard, spec.attempt_seed(shard, 0)));
-        }
-        budgets.push(budget);
-    }
-    let mut first: BTreeMap<usize, Result<PairSim, exec::TaskPanic>> =
-        exec::try_par_map(jobs, &affordable, |&(shard, seed)| {
-            simulate_pair_capped(&spec.profile, spec.pattern, spec.duration_s, seed, shard, None)
-        })
-        .into_iter()
-        .zip(&affordable)
-        .map(|(res, &(shard, _))| (shard, res))
-        .collect();
-
-    for (slot, &shard) in batch.iter().enumerate() {
-        let budget = &mut budgets[slot];
-        let outcome = match first.remove(&shard) {
-            None => ShardOutcome {
-                retries: 0,
-                starved: false,
-                sim: ShardSim::Denied {
-                    needed_steps: attempt_steps,
-                    remaining_steps: budget.remaining(),
-                },
-            },
-            Some(mut attempt_result) => {
-                let mut attempt: u32 = 0;
-                let mut starved = false;
-                loop {
-                    let retriable = match &attempt_result {
-                        Ok(PairSim::Fatal(e)) => return Err(e.clone()),
-                        Ok(PairSim::Alive(_)) | Ok(PairSim::Partial(..)) => false,
-                        Ok(PairSim::Dead(_)) | Err(_) => true,
-                    };
-                    if !retriable || attempt + 1 >= spec.supervise.max_shard_attempts {
-                        break;
-                    }
-                    if budget.remaining() < attempt_steps || !accountant.try_grant() {
-                        starved = true;
-                        break;
-                    }
-                    budget.try_charge(attempt_steps);
-                    attempt += 1;
-                    attempt_result =
-                        supervised_attempt(spec, shard, spec.attempt_seed(shard, attempt));
-                }
-                let sim = match attempt_result {
-                    Ok(PairSim::Alive(r)) => ShardSim::Alive(r),
-                    Ok(PairSim::Partial(r, f)) => ShardSim::Partial(r, f),
-                    Ok(PairSim::Dead(f)) => ShardSim::Dead(f),
-                    Ok(PairSim::Fatal(e)) => return Err(e),
-                    Err(p) => ShardSim::Panicked(p.payload),
-                };
-                ShardOutcome { retries: attempt, starved, sim }
-            }
+    // Every shard starts from the same budget, so either every shard
+    // can afford its first attempt or none can (and none is simulated).
+    let budget_steps = spec.shard_budget();
+    let missing: Vec<usize> = (0..spec.n_pairs).filter(|i| !done.contains_key(i)).collect();
+    for wave in missing.chunks(SHARD_BATCH.max(jobs)) {
+        let firsts: Vec<(usize, u64)> = match budget_steps >= attempt_steps {
+            true => wave.iter().map(|&shard| (shard, spec.attempt_seed(shard, 0))).collect(),
+            false => Vec::new(),
         };
-        settle(shard, &outcome)?;
-        done.insert(shard, outcome);
+        let mut firsts = attempts(spec, jobs, &firsts).into_iter();
+        for &shard in wave {
+            let outcome = match firsts.next() {
+                None => ShardOutcome {
+                    retries: 0,
+                    starved: false,
+                    sim: ShardSim::Denied {
+                        needed_steps: attempt_steps,
+                        remaining_steps: budget_steps,
+                    },
+                },
+                Some(first) => supervise(spec, shard, first?, accountant)?,
+            };
+            on_settled(shard, &outcome)?;
+            done.insert(shard, outcome);
+        }
     }
     Ok(())
+}
+
+/// Settle one shard from its first attempt: retry a dead or panicked
+/// attempt under re-derived seeds while `max_shard_attempts`, the
+/// shard's step budget and the campaign's retry accountant allow.
+fn supervise(
+    spec: &FleetSpec,
+    shard: usize,
+    mut result: Result<PairSim, TaskPanic>,
+    accountant: &mut RetryAccountant,
+) -> Result<ShardOutcome, MeasureError> {
+    let attempt_steps = spec.attempt_steps();
+    let mut budget = StepBudget::new(spec.shard_budget());
+    budget.try_charge(attempt_steps); // the first attempt, already run
+    let mut retries: u32 = 0;
+    let mut starved = false;
+    while matches!(result, Ok(PairSim::Dead(_)) | Err(_))
+        && retries + 1 < spec.supervise.max_shard_attempts
+    {
+        if budget.remaining() < attempt_steps || !accountant.try_grant() {
+            starved = true;
+            break;
+        }
+        budget.try_charge(attempt_steps);
+        retries += 1;
+        result = attempt(spec, shard, spec.attempt_seed(shard, retries))?;
+    }
+    let sim = match result {
+        Ok(sim) => ShardSim::Sim(sim),
+        Err(p) => ShardSim::Panicked(p.payload),
+    };
+    Ok(ShardOutcome { retries, starved, sim })
 }

@@ -1,6 +1,6 @@
 //! Million-tenant streaming campaigns with memory-bounded aggregation.
 //!
-//! [`run_fleet`](crate::campaign::run_fleet) retains one
+//! [`run_fleet`](crate::resume::run_fleet) retains one
 //! [`CampaignResult`](crate::campaign::CampaignResult) — trace
 //! included — per pair, which caps fleets at a few hundred pairs. The
 //! ROADMAP's north star is *millions* of tenants. This module is the
@@ -48,9 +48,10 @@
 
 use crate::campaign::{simulate_pair_capped, PairSim};
 use crate::error::MeasureError;
+use crate::resume::open_or_create;
 use crate::wire::Reader;
 use clouds::CloudProfile;
-use journal::{fingerprint64, fnv_fold, Journal, JournalRecord, FNV_BASIS};
+use journal::{fingerprint64, fnv_fold, JournalRecord, FNV_BASIS};
 use netsim::pattern::TrafficPattern;
 use netsim::rng::{derive_seed, SimRng};
 use std::fmt::Write as _;
@@ -97,7 +98,7 @@ pub struct StreamSpec {
     /// `derive_seed(seed, i)` streams a [`run_fleet`] of the first
     /// `tenants` pairs would use).
     ///
-    /// [`run_fleet`]: crate::campaign::run_fleet
+    /// [`run_fleet`]: crate::resume::run_fleet
     pub seed: u64,
     /// Datacenter topology for per-tenant path ceilings; `None` (or a
     /// flat topology) runs the exact topology-free path.
@@ -250,9 +251,6 @@ struct PaneAccum {
     total_bits: f64,
     /// FNV-1a digest of this pane's tenant records, from the basis.
     fp: u64,
-    /// First fatal error hit in the pane (aborts the campaign when the
-    /// pane merges — earliest pane wins, matching serial semantics).
-    fatal: Option<MeasureError>,
     /// Exact per-tenant means (self-check mode only).
     check_means: Vec<f64>,
 }
@@ -271,7 +269,6 @@ impl PaneAccum {
             total_retransmissions: 0,
             total_bits: 0.0,
             fp: FNV_BASIS,
-            fatal: None,
             check_means: Vec::new(),
         }
     }
@@ -308,11 +305,6 @@ impl PaneAccum {
                     self.fp,
                     &tenant_record(2, tenant, 0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0, 0.0, f.death_s),
                 );
-            }
-            PairSim::Fatal(e) => {
-                if self.fatal.is_none() {
-                    self.fatal = Some(e);
-                }
             }
         }
     }
@@ -450,12 +442,8 @@ impl StreamSummary {
         }
     }
 
-    /// Merge one pane, in pane order. A fatal error recorded in the
-    /// pane aborts the campaign here (earliest pane wins).
-    fn absorb(&mut self, pane: PaneAccum) -> Result<u64, MeasureError> {
-        if let Some(e) = pane.fatal {
-            return Err(e);
-        }
+    /// Merge one pane, in pane order; returns the pane's digest.
+    fn absorb(&mut self, pane: PaneAccum) -> u64 {
         self.tenants_done += pane.tenants;
         self.alive += pane.alive;
         self.partial += pane.partial;
@@ -470,7 +458,7 @@ impl StreamSummary {
         self.total_bits += pane.total_bits;
         self.fingerprint = fnv_fold(self.fingerprint, &pane.fp.to_le_bytes());
         self.check_means.extend_from_slice(&pane.check_means);
-        Ok(pane.fp)
+        pane.fp
     }
 
     /// Cross-check the sketch against the exact `describe` path over
@@ -612,8 +600,13 @@ pub struct SelfCheckReport {
 }
 
 /// Simulate one pane serially in tenant order — a pure function of the
-/// spec, the placement, and the pane index.
-fn simulate_pane(spec: &StreamSpec, placement: Option<&Placement>, pane: u64) -> PaneAccum {
+/// spec, the placement, and the pane index. The first simulation error
+/// in tenant order is the pane's result.
+fn simulate_pane(
+    spec: &StreamSpec,
+    placement: Option<&Placement>,
+    pane: u64,
+) -> Result<PaneAccum, MeasureError> {
     let (start, end) = spec.pane_bounds(pane);
     let mut acc = PaneAccum::new();
     for t in start..end {
@@ -626,13 +619,10 @@ fn simulate_pane(spec: &StreamSpec, placement: Option<&Placement>, pane: u64) ->
             pair_seed,
             t as usize,
             cap,
-        );
+        )?;
         acc.fold(t, sim, spec.self_check);
-        if acc.fatal.is_some() {
-            break;
-        }
     }
-    acc
+    Ok(acc)
 }
 
 /// Run a streaming campaign with `jobs` workers. Memory is bounded by
@@ -647,7 +637,8 @@ pub fn run_fleet_stream(spec: &StreamSpec, jobs: usize) -> Result<StreamSummary,
 /// The pane pump shared by the plain and journaled drivers: simulate
 /// panes `start_pane..` in waves of [`CHUNK_PANES`], absorb each pane
 /// in pane order, and hand `(summary, pane, pane_fp)` to `after_pane`
-/// after each merge (the journaled driver's checkpoint hook).
+/// after each merge (the journaled driver's checkpoint hook). The first
+/// simulation error in pane order aborts the campaign.
 fn drive_panes(
     spec: &StreamSpec,
     placement: Option<&Placement>,
@@ -664,7 +655,7 @@ fn drive_panes(
         let results = exec::try_par_map(jobs, &idxs, |&p| simulate_pane(spec, placement, p));
         for (res, &p) in results.into_iter().zip(&idxs) {
             let acc = match res {
-                Ok(acc) => acc,
+                Ok(acc) => acc?,
                 // A pane-task panic is contained: the pane's tenants
                 // are counted panicked and the campaign continues.
                 Err(_panic) => {
@@ -672,7 +663,7 @@ fn drive_panes(
                     PaneAccum::panicked_pane(p, e - s)
                 }
             };
-            let pane_fp = summary.absorb(acc)?;
+            let pane_fp = summary.absorb(acc);
             after_pane(summary, p, pane_fp)?;
         }
         pane = chunk_end;
@@ -732,12 +723,8 @@ pub fn run_fleet_stream_journaled(
     // Resume needs only the final checkpoint: keep the last record the
     // open visits, never the whole log.
     let mut last_record = None;
-    let (mut jnl, resumed, truncated_bytes) = if resume && journal_path.exists() {
-        let (j, rep) = Journal::open_with(journal_path, config_fp, |rec| last_record = Some(rec))?;
-        (j, true, rep.truncated_bytes)
-    } else {
-        (Journal::create(journal_path, config_fp)?, false, 0)
-    };
+    let (mut jnl, resumed, truncated_bytes) =
+        open_or_create(journal_path, config_fp, resume, |rec| last_record = Some(rec))?;
 
     let placement = resolve_placement(spec)?;
     let mut summary = StreamSummary::empty(spec);
@@ -753,10 +740,7 @@ pub fn run_fleet_stream_journaled(
                 detail: "checkpoint record failed to decode".to_string(),
             });
         };
-        let fresh = simulate_pane(spec, placement.as_ref(), ckpt.last_pane);
-        if let Some(e) = fresh.fatal {
-            return Err(e);
-        }
+        let fresh = simulate_pane(spec, placement.as_ref(), ckpt.last_pane)?;
         if fresh.fp != ckpt.last_pane_fp {
             return Err(MeasureError::ResumeDivergence {
                 shard: ckpt.last_pane,
@@ -799,11 +783,7 @@ pub fn run_fleet_stream_journaled(
     })?;
 
     Ok(JournaledStream {
-        summary: {
-            let mut s = summary;
-            s.tenants = spec.tenants;
-            s
-        },
+        summary,
         config_fingerprint: config_fp,
         resume: StreamResumeStats {
             resumed,

@@ -11,24 +11,20 @@
 //! byte-identical to one assembled from the in-memory results — the
 //! property the crash/resume verify gate checks end to end.
 
-use crate::campaign::{CampaignResult, GapCause, PairFailure, TraceGap};
+use crate::campaign::{CampaignResult, GapCause, PairFailure, PairSim, TraceGap};
 use clouds::CloudProfile;
 use netsim::pattern::TrafficPattern;
 use netsim::trace::{BandwidthTrace, BwSample};
 use vstats::describe::{GapAwareSummary, Summary};
 
-/// A shard's final, journal-worthy outcome. Mirrors the fleet driver's
-/// pair outcomes, plus the two supervision-only terminal states
-/// (contained panic, step-budget denial). Fatal errors abort the
+/// A shard's final, journal-worthy outcome: the simulated pair's
+/// outcome, or one of the two supervision-only terminal states
+/// (contained panic, step-budget denial). Simulation errors abort the
 /// campaign before anything is journaled, so they have no encoding.
 #[derive(Debug, Clone)]
 pub(crate) enum ShardSim {
-    /// Survived the whole campaign.
-    Alive(CampaignResult),
-    /// Died mid-campaign with partial data.
-    Partial(CampaignResult, PairFailure),
-    /// Died before producing anything.
-    Dead(PairFailure),
+    /// The accepted attempt simulated to an outcome.
+    Sim(PairSim),
     /// Every granted attempt panicked; the last payload is kept.
     Panicked(String),
     /// The shard's step budget could not afford even one attempt.
@@ -64,16 +60,16 @@ pub(crate) fn encode_outcome(out: &ShardOutcome) -> Vec<u8> {
     buf.extend_from_slice(&out.retries.to_le_bytes());
     buf.push(out.starved as u8);
     match &out.sim {
-        ShardSim::Alive(r) => {
+        ShardSim::Sim(PairSim::Alive(r)) => {
             buf.push(TAG_ALIVE);
             encode_campaign(&mut buf, r);
         }
-        ShardSim::Partial(r, f) => {
+        ShardSim::Sim(PairSim::Partial(r, f)) => {
             buf.push(TAG_PARTIAL);
             encode_failure(&mut buf, f);
             encode_campaign(&mut buf, r);
         }
-        ShardSim::Dead(f) => {
+        ShardSim::Sim(PairSim::Dead(f)) => {
             buf.push(TAG_DEAD);
             encode_failure(&mut buf, f);
         }
@@ -107,12 +103,13 @@ pub(crate) fn decode_outcome(
     let starved = r.u8()? != 0;
     let tag = r.u8()?;
     let sim = match tag {
-        TAG_ALIVE => ShardSim::Alive(decode_campaign(&mut r, profile, pattern, None)?),
+        TAG_ALIVE => ShardSim::Sim(PairSim::Alive(decode_campaign(&mut r, profile, pattern, None)?)),
         TAG_PARTIAL => {
             let f = decode_failure(&mut r, shard)?;
-            ShardSim::Partial(decode_campaign(&mut r, profile, pattern, Some(f.death_s))?, f)
+            let res = decode_campaign(&mut r, profile, pattern, Some(f.death_s))?;
+            ShardSim::Sim(PairSim::Partial(res, f))
         }
-        TAG_DEAD => ShardSim::Dead(decode_failure(&mut r, shard)?),
+        TAG_DEAD => ShardSim::Sim(PairSim::Dead(decode_failure(&mut r, shard)?)),
         TAG_PANICKED => {
             let len = r.u32()? as usize;
             let raw = r.take(len)?;
@@ -289,19 +286,17 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{simulate_pair, PairSim};
+    use crate::campaign::simulate_pair_capped;
+    use netsim::rng::derive_seed;
     use netsim::units::hours;
 
     fn outcome_for(seed: u64, i: usize) -> ShardOutcome {
         let mut p = clouds::hpccloud::n_core(8).with_reference_faults();
         p.faults.pair_death_rate_per_hour = 0.5;
-        let sim = match simulate_pair(&p, TrafficPattern::FullSpeed, hours(3.0), seed, i) {
-            PairSim::Alive(r) => ShardSim::Alive(r),
-            PairSim::Partial(r, f) => ShardSim::Partial(r, f),
-            PairSim::Dead(f) => ShardSim::Dead(f),
-            PairSim::Fatal(e) => panic!("unexpected fatal outcome: {e}"),
-        };
-        ShardOutcome { retries: i as u32, starved: i % 2 == 1, sim }
+        let pair_seed = derive_seed(seed, i as u64);
+        let sim = simulate_pair_capped(&p, TrafficPattern::FullSpeed, hours(3.0), pair_seed, i, None)
+            .unwrap_or_else(|e| panic!("unexpected simulation error: {e}"));
+        ShardOutcome { retries: i as u32, starved: i % 2 == 1, sim: ShardSim::Sim(sim) }
     }
 
     fn campaign_bits(r: &CampaignResult) -> String {
@@ -330,8 +325,8 @@ mod tests {
         for i in 0..12 {
             let out = outcome_for(5, i);
             match out.sim {
-                ShardSim::Alive(_) => seen[0] = true,
-                ShardSim::Partial(..) => seen[1] = true,
+                ShardSim::Sim(PairSim::Alive(_)) => seen[0] = true,
+                ShardSim::Sim(PairSim::Partial(..)) => seen[1] = true,
                 _ => {}
             }
             let bytes = encode_outcome(&out);
@@ -340,14 +335,19 @@ mod tests {
             assert_eq!(back.retries, out.retries);
             assert_eq!(back.starved, out.starved);
             match (&out.sim, &back.sim) {
-                (ShardSim::Alive(a), ShardSim::Alive(b)) => {
+                (ShardSim::Sim(PairSim::Alive(a)), ShardSim::Sim(PairSim::Alive(b))) => {
                     assert_eq!(campaign_bits(a), campaign_bits(b));
                 }
-                (ShardSim::Partial(a, fa), ShardSim::Partial(b, fb)) => {
+                (
+                    ShardSim::Sim(PairSim::Partial(a, fa)),
+                    ShardSim::Sim(PairSim::Partial(b, fb)),
+                ) => {
                     assert_eq!(campaign_bits(a), campaign_bits(b));
                     assert_eq!(fa, fb);
                 }
-                (ShardSim::Dead(fa), ShardSim::Dead(fb)) => assert_eq!(fa, fb),
+                (ShardSim::Sim(PairSim::Dead(fa)), ShardSim::Sim(PairSim::Dead(fb))) => {
+                    assert_eq!(fa, fb)
+                }
                 (a, b) => panic!("variant changed in roundtrip: {a:?} vs {b:?}"),
             }
             // Re-encoding the decoded outcome reproduces the bytes.
@@ -360,12 +360,16 @@ mod tests {
         let dead = ShardOutcome {
             retries: 1,
             starved: false,
-            sim: ShardSim::Dead(PairFailure { pair: 4, death_s: 3.25, partial_data: false }),
+            sim: ShardSim::Sim(PairSim::Dead(PairFailure {
+                pair: 4,
+                death_s: 3.25,
+                partial_data: false,
+            })),
         };
         let bytes = encode_outcome(&dead);
         let back = decode_outcome(&bytes, &p, TrafficPattern::FullSpeed, 4).expect("dead decodes");
         match &back.sim {
-            ShardSim::Dead(f) => {
+            ShardSim::Sim(PairSim::Dead(f)) => {
                 assert_eq!(*f, PairFailure { pair: 4, death_s: 3.25, partial_data: false });
             }
             other => panic!("variant changed: {other:?}"),

@@ -13,7 +13,8 @@
 
 use bigdata::{run_job_speculative, token_bucket_straggler_cure, Cluster, SpeculationConfig};
 use bigdata::workloads::tpcds;
-use measure::{probe_with_retry, run_campaign, run_fleet, RetryPolicy};
+use cloud_repro::prelude::exec;
+use measure::{probe_with_retry, run_campaign, run_fleet, FleetSpec, RetryPolicy};
 use netsim::faults::{FaultConfig, FaultSchedule};
 use netsim::units::{as_gbps, hours};
 use netsim::TrafficPattern;
@@ -52,11 +53,12 @@ fn main() {
 
     // 2. A fleet of 6 pairs where pairs can die (preemption): dead
     //    pairs yield partial, gap-annotated traces; survivors are
-    //    untouched.
+    //    untouched. One attempt per pair: nothing is retried.
     let mut fleet_profile = profile.clone();
     fleet_profile.faults.pair_death_rate_per_hour = 0.1;
-    let fleet = run_fleet(&fleet_profile, TrafficPattern::FullSpeed, hours(12.0), 6, SEED)
-        .expect("fleet degrades gracefully");
+    let mut fleet_spec = FleetSpec::new(fleet_profile, TrafficPattern::FullSpeed, hours(12.0), 6, SEED);
+    fleet_spec.supervise.max_shard_attempts = 1;
+    let fleet = run_fleet(&fleet_spec, exec::current_jobs()).expect("fleet degrades gracefully");
     println!(
         "\nfleet: {}/{} pairs produced data, {} died",
         fleet.pairs.len(),

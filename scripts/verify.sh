@@ -163,9 +163,12 @@ echo "== campaign kill/resume: crash at a pinned shard, resume, byte-identical r
 # The crash-safety contract (DESIGN.md §11): a fleet campaign killed
 # mid-run and resumed from its journal must produce a final report
 # byte-identical to an uninterrupted run. Gates:
-#   1. `--kill-after 3` makes the process abort() the instant the 3rd
-#      shard is journaled — as sudden as a SIGKILL: no unwinding, no
-#      flushing — and the run must NOT exit cleanly.
+#   0. The plain (journal-less) fleet report is byte-identical at
+#      REPRO_JOBS=1 and 4, and byte-identical to the journaled report:
+#      both drivers run one supervised settle loop and one renderer.
+#   1. `--kill-after 3` makes the process abort() at the first durable
+#      checkpoint covering 3 pairs — as sudden as a SIGKILL: no
+#      unwinding, no flushing — and the run must NOT exit cleanly.
 #   2. The killed journal must be a byte-prefix of the uninterrupted
 #      run's journal (the WAL is append-only and deterministic), and
 #      two kills at the same pinned count must leave identical files.
@@ -180,6 +183,18 @@ trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal"' 
 fleet="cargo run -q --release --offline --bin cloud-repro -- fleet \
   --cloud hpc-8 --pairs 6 --hours 2 --seed 7"
 $fleet --journal "$wal/full.wal"  > "$wal/full.out"  2>/dev/null
+REPRO_JOBS=1 $fleet > "$wal/plain1.out" 2>/dev/null
+REPRO_JOBS=4 $fleet > "$wal/plain4.out" 2>/dev/null
+if ! diff -u "$wal/plain1.out" "$wal/plain4.out" > /dev/null; then
+  echo "FAIL: plain fleet report differs between 1 and 4 workers:" >&2
+  diff -u "$wal/plain1.out" "$wal/plain4.out" >&2 | head -20
+  exit 1
+fi
+if ! diff -u "$wal/full.out" "$wal/plain1.out" > /dev/null; then
+  echo "FAIL: plain fleet report differs from the journaled one:" >&2
+  diff -u "$wal/full.out" "$wal/plain1.out" >&2 | head -20
+  exit 1
+fi
 for k in 1 2; do
   # The inner bash keeps the "Aborted (core dumped)" job notice out of
   # the gate log; the run must die (exit != 0).
@@ -297,8 +312,9 @@ echo "== streaming scale: campaign --tenants, O(1) aggregation, byte-identical e
 #   2. `--self-check` cross-checks sketch quantiles against the exact
 #      estimator: bit-pinned below the exact-buffer cap (N=600),
 #      bounded-error above it (N=2000); both must report PASS.
-#   3. A run killed mid-campaign (`--kill-after-tenants 1200` aborts at
-#      a checkpoint, SIGKILL-style) must leave a journal that is a
+#   3. A run killed mid-campaign (`--kill-after 1200` aborts at the
+#      first checkpoint covering 1200 tenants, SIGKILL-style) must leave
+#      a journal that is a
 #      byte-prefix of the uninterrupted run's; resuming it must
 #      reproduce the uninterrupted report and journal byte-for-byte.
 #   4. The sketch property suite and the worker-invariance integration
@@ -345,8 +361,8 @@ if ! diff -u "$scale_dir/j1.out" "$scale_dir/full_jnl.out" > /dev/null; then
   echo "FAIL: journaled streaming report differs from the plain one" >&2
   exit 1
 fi
-if bash -c "$stream_wal '$scale_dir/kill.jnl' --kill-after-tenants 1200" > /dev/null 2>&1; then
-  echo "FAIL: --kill-after-tenants 1200 run exited cleanly instead of dying" >&2
+if bash -c "$stream_wal '$scale_dir/kill.jnl' --kill-after 1200" > /dev/null 2>&1; then
+  echo "FAIL: --kill-after 1200 run exited cleanly instead of dying" >&2
   exit 1
 fi
 if [ "$(wc -c < "$scale_dir/kill.jnl")" -ge "$(wc -c < "$scale_dir/full.jnl")" ]; then
@@ -372,13 +388,15 @@ cargo test -q --release --offline -p vstats --test prop_sketch
 cargo test -q --release --offline -p measure --test stream_campaign
 echo "OK: streaming campaign is byte-identical across workers and kill/resume"
 
-echo "== streaming kill -9: real SIGKILL at seeded instants, byte-identical resume =="
+echo "== kill -9: real SIGKILL at seeded instants, byte-identical resume =="
 # Journal appends write records in place, so a SIGKILL that lands
 # inside an append leaves a torn record on disk, a state the
-# cooperative --kill-after-tenants hook above never produces. Gates:
-#   1. An uninterrupted journaled campaign is timed; three kill instants
-#      are drawn from a fixed seed as fractions of its wall, one in each
-#      of 5-34%, 35-64% and 65-94%.
+# cooperative --kill-after hook above never produces. `sigkill_gate`
+# runs on a journaled streaming campaign and on a journaled fleet that
+# makes every shard durable. Gates, per run:
+#   1. An uninterrupted journaled run is timed; three kill instants are
+#      drawn from a fixed seed as fractions of its wall, one in each of
+#      5-34%, 35-64% and 65-94%.
 #   2. At each instant a fresh run is SIGKILLed (`kill -9`). Whatever
 #      survives is accepted (no journal, a header only, or records
 #      ending in a torn one), but it must be a byte-prefix of the
@@ -389,51 +407,64 @@ echo "== streaming kill -9: real SIGKILL at seeded instants, byte-identical resu
 sigkill_dir=$(mktemp -d)
 trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$scale_dir" "$sigkill_dir"' EXIT
 cargo build -q --release --offline --bin cloud-repro
-sigkill_run="${CARGO_TARGET_DIR:-target}/release/cloud-repro campaign --cloud hpc-8 \
-  --tenants 20000 --hours 0.05 --seed 29 --faults --checkpoint-every 256 --journal"
-t0=$(date +%s%N)
-$sigkill_run "$sigkill_dir/full.jnl" > "$sigkill_dir/full.out" 2>/dev/null
-wall_ms=$(( ($(date +%s%N) - t0) / 1000000 ))
-full_bytes=$(wc -c < "$sigkill_dir/full.jnl")
-RANDOM=2020
-for i in 1 2 3; do
-  pct=$(( 30 * (i - 1) + 5 + RANDOM % 30 ))
-  kill_ms=$(( wall_ms * pct / 100 ))
-  jnl="$sigkill_dir/kill$i.jnl"
-  $sigkill_run "$jnl" > /dev/null 2>&1 &
-  pid=$!
-  sleep "$(printf '%d.%03d' $((kill_ms / 1000)) $((kill_ms % 1000)))"
-  # The group's stderr swallows the shell's "Killed" job notice.
-  { kill -9 "$pid"; wait "$pid"; } 2>/dev/null || true
-  if [ -e "$jnl" ]; then
-    size=$(wc -c < "$jnl")
-    if ! head -c "$size" "$sigkill_dir/full.jnl" | cmp -s - "$jnl"; then
-      echo "FAIL: journal left by kill -9 at ${pct}% is not a byte-prefix of the full one" >&2
-      exit 1
-    fi
-    state="$size of $full_bytes journal bytes"
-  else
-    state="no journal"
-  fi
-  echo "  kill -9 at ${pct}% of ${wall_ms} ms: $state survived"
-  for jobs in 1 4; do
-    resumed="$sigkill_dir/resume$jobs.jnl"
-    rm -f "$resumed"
+repro="${CARGO_TARGET_DIR:-target}/release/cloud-repro"
+
+# sigkill_gate NAME RUN: RUN is a command that takes the journal path
+# as its last argument (and accepts a trailing --resume).
+sigkill_gate() {
+  local name=$1 run=$2
+  local dir="$sigkill_dir/$name"
+  mkdir -p "$dir"
+  local t0 wall_ms full_bytes i pct kill_ms jnl pid size state jobs resumed
+  t0=$(date +%s%N)
+  $run "$dir/full.jnl" > "$dir/full.out" 2>/dev/null
+  wall_ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+  full_bytes=$(wc -c < "$dir/full.jnl")
+  RANDOM=2020
+  for i in 1 2 3; do
+    pct=$(( 30 * (i - 1) + 5 + RANDOM % 30 ))
+    kill_ms=$(( wall_ms * pct / 100 ))
+    jnl="$dir/kill$i.jnl"
+    $run "$jnl" > /dev/null 2>&1 &
+    pid=$!
+    sleep "$(printf '%d.%03d' $((kill_ms / 1000)) $((kill_ms % 1000)))"
+    # The group's stderr swallows the shell's "Killed" job notice.
+    { kill -9 "$pid"; wait "$pid"; } 2>/dev/null || true
     if [ -e "$jnl" ]; then
-      cp "$jnl" "$resumed"
+      size=$(wc -c < "$jnl")
+      if ! head -c "$size" "$dir/full.jnl" | cmp -s - "$jnl"; then
+        echo "FAIL: $name journal left by kill -9 at ${pct}% is not a byte-prefix of the full one" >&2
+        exit 1
+      fi
+      state="$size of $full_bytes journal bytes"
+    else
+      state="no journal"
     fi
-    REPRO_JOBS=$jobs $sigkill_run "$resumed" --resume > "$sigkill_dir/resume$jobs.out" 2>/dev/null
-    if ! diff -u "$sigkill_dir/full.out" "$sigkill_dir/resume$jobs.out" > /dev/null; then
-      echo "FAIL: resume after kill -9 at ${pct}% (REPRO_JOBS=$jobs) changed the report:" >&2
-      diff -u "$sigkill_dir/full.out" "$sigkill_dir/resume$jobs.out" >&2 | head -20
-      exit 1
-    fi
-    if ! cmp -s "$sigkill_dir/full.jnl" "$resumed"; then
-      echo "FAIL: resume after kill -9 at ${pct}% (REPRO_JOBS=$jobs) left a different journal" >&2
-      exit 1
-    fi
+    echo "  $name: kill -9 at ${pct}% of ${wall_ms} ms: $state survived"
+    for jobs in 1 4; do
+      resumed="$dir/resume$jobs.jnl"
+      rm -f "$resumed"
+      if [ -e "$jnl" ]; then
+        cp "$jnl" "$resumed"
+      fi
+      REPRO_JOBS=$jobs $run "$resumed" --resume > "$dir/resume$jobs.out" 2>/dev/null
+      if ! diff -u "$dir/full.out" "$dir/resume$jobs.out" > /dev/null; then
+        echo "FAIL: $name resume after kill -9 at ${pct}% (REPRO_JOBS=$jobs) changed the report:" >&2
+        diff -u "$dir/full.out" "$dir/resume$jobs.out" >&2 | head -20
+        exit 1
+      fi
+      if ! cmp -s "$dir/full.jnl" "$resumed"; then
+        echo "FAIL: $name resume after kill -9 at ${pct}% (REPRO_JOBS=$jobs) left a different journal" >&2
+        exit 1
+      fi
+    done
   done
-done
-echo "OK: SIGKILLed journaled campaigns resume to byte-identical reports and journals"
+}
+
+sigkill_gate campaign "$repro campaign --cloud hpc-8 --tenants 20000 --hours 0.05 --seed 29 \
+  --faults --checkpoint-every 256 --journal"
+sigkill_gate fleet "$repro fleet --cloud hpc-8 --pairs 128 --hours 12 --seed 31 \
+  --checkpoint-every 1 --journal"
+echo "OK: SIGKILLed journaled campaigns and fleets resume to byte-identical reports and journals"
 
 echo "== verify.sh: all gates passed =="

@@ -107,7 +107,7 @@ fn cmd_campaign_stream(
     };
 
     let resume = flags.contains_key("resume");
-    let kill_after = get_u64(flags, "kill-after-tenants", 0)?;
+    let on_checkpoint = checkpoint_hook(flags, tenants, "tenants")?;
     eprintln!(
         "campaign[journaled]: journal {jpath}, resume={resume}, checkpoint-every={}, \
          {jobs} worker{}",
@@ -119,15 +119,7 @@ fn cmd_campaign_stream(
         std::path::Path::new(jpath),
         resume,
         jobs,
-        |n| {
-            eprintln!("  checkpointed {n}/{tenants} tenants");
-            if kill_after > 0 && n >= kill_after {
-                // Crash-testing hook: die as abruptly as a SIGKILL
-                // would — no unwinding, no flushing, mid-campaign.
-                eprintln!("  --kill-after-tenants {kill_after}: aborting now");
-                std::process::abort();
-            }
-        },
+        on_checkpoint,
     )
     .map_err(|e| e.to_string())?;
     eprintln!(
@@ -204,128 +196,99 @@ fn cmd_fingerprint(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// The crash-test hook of every journaled subcommand: log each durable
+/// checkpoint to stderr and, with `--kill-after N`, die at the first
+/// one covering at least `N` of the `total` pairs or tenants — as
+/// abruptly as a SIGKILL would: no unwinding, no flushing, mid-campaign.
+fn checkpoint_hook(
+    flags: &BTreeMap<String, String>,
+    total: u64,
+    unit: &'static str,
+) -> Result<impl FnMut(u64), String> {
+    let kill_after = get_u64(flags, "kill-after", 0)?;
+    Ok(move |n: u64| {
+        eprintln!("  checkpointed {n}/{total} {unit}");
+        if kill_after > 0 && n >= kill_after {
+            eprintln!("  --kill-after {kill_after}: aborting now");
+            std::process::abort();
+        }
+    })
+}
+
+/// Fleet campaign: `--pairs N` VM pairs under supervision budgets. With
+/// `--journal PATH` every settled shard is journaled and `--resume`
+/// picks an interrupted campaign back up. The deterministic report goes
+/// to **stdout** and is the same with or without a journal; everything
+/// that may differ between runs (worker count, progress, resume
+/// accounting) goes to stderr, so `verify.sh` can diff reports across
+/// worker counts, journaling and kill/resume byte-for-byte.
 fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let cloud = cloud_by_name(flags.get("cloud").ok_or("--cloud required")?)?;
     let pattern = pattern_by_name(flags.get("pattern").map(|s| s.as_str()).unwrap_or("full-speed"))?;
     let h = get_f64(flags, "hours", 1.0)?;
     let n_pairs = get_u64(flags, "pairs", 6)? as usize;
     let seed = get_u64(flags, "seed", 1)?;
+    let mut spec = measure::FleetSpec::new(cloud, pattern, hours(h), n_pairs, seed);
+    spec.supervise = measure::SupervisePolicy {
+        max_shard_attempts: get_u64(flags, "max-attempts", 3)? as u32,
+        retry_budget: get_u64(flags, "retry-budget", 8)? as u32,
+        shard_step_budget: get_u64(flags, "step-budget", 0)?,
+    };
+    spec.verify_sample = get_u64(flags, "verify-resume", 2)? as usize;
+    spec.checkpoint_every = get_u64(flags, "checkpoint-every", 1)? as usize;
     let jobs = exec::current_jobs();
-    if let Some(jpath) = flags.get("journal") {
-        return cmd_fleet_journaled(flags, cloud, pattern, h, n_pairs, seed, jobs, jpath);
-    }
-    println!(
-        "fleet: {n_pairs} pairs of {} {} / {} for {h} h (seed {seed}, {jobs} worker{})",
-        cloud.provider.name(),
-        cloud.instance_type,
-        pattern.label(),
-        if jobs == 1 { "" } else { "s" },
-    );
-    let fleet = measure::run_fleet(&cloud, pattern, hours(h), n_pairs, seed)
-        .map_err(|e| e.to_string())?;
-    for (i, p) in fleet.pairs.iter().enumerate() {
-        println!(
-            "  pair {i:>2}: mean {:>6.2} Gbps  CoV {:>6.3}  coverage {:>5.1}%",
-            p.mean_bandwidth_bps() / 1e9,
-            p.summary.cov,
-            p.coverage() * 100.0
-        );
-    }
-    for f in &fleet.failed_pairs {
-        println!("  pair {:>2}: died at {:.0} s (partial data: {})", f.pair, f.death_s, f.partial_data);
-    }
-    for p in &fleet.panicked {
-        println!("  pair {:>2}: worker task panicked (contained): {}", p.task, p.payload);
-    }
-    println!(
-        "across-pair CoV {:.4} (spatial), mean within-pair CoV {:.4} (temporal){}",
-        fleet.across_pair_cov(),
-        fleet.mean_within_pair_cov,
-        if fleet.is_degraded() { "  [DEGRADED]" } else { "" }
-    );
+    let fleet = match flags.get("journal") {
+        None => measure::run_fleet(&spec, jobs).map_err(|e| e.to_string())?,
+        Some(jpath) => {
+            let resume = flags.contains_key("resume");
+            eprintln!(
+                "fleet[journaled]: journal {jpath}, resume={resume}, verify-resume={}, \
+                 {jobs} worker{}",
+                spec.verify_sample,
+                if jobs == 1 { "" } else { "s" }
+            );
+            let on_checkpoint = checkpoint_hook(flags, n_pairs as u64, "pairs")?;
+            let out = measure::run_fleet_journaled(
+                &spec,
+                std::path::Path::new(jpath),
+                resume,
+                jobs,
+                on_checkpoint,
+            )
+            .map_err(|e| e.to_string())?;
+            eprintln!(
+                "resume: resumed={} skipped={} verified={} computed={} truncated={}B",
+                out.resume.resumed,
+                out.resume.skipped,
+                out.resume.verified,
+                out.resume.computed,
+                out.resume.truncated_bytes
+            );
+            out.fleet
+        }
+    };
+    print!("{}", render_fleet(&spec, h, &fleet));
     Ok(())
 }
 
-/// Crash-safe fleet: every settled shard is journaled, `--resume` picks
-/// an interrupted campaign back up, and supervision budgets bound the
-/// work. The deterministic report goes to **stdout**; everything that
-/// may differ between an interrupted run and its resumption (worker
-/// count, progress, resume accounting) goes to stderr, so
-/// `verify.sh` can diff resumed against uninterrupted output
-/// byte-for-byte.
-#[allow(clippy::too_many_arguments)]
-fn cmd_fleet_journaled(
-    flags: &BTreeMap<String, String>,
-    cloud: clouds::CloudProfile,
-    pattern: netsim::TrafficPattern,
-    h: f64,
-    n_pairs: usize,
-    seed: u64,
-    jobs: usize,
-    jpath: &str,
-) -> Result<(), String> {
-    let resume = flags.contains_key("resume");
-    let verify = get_u64(flags, "verify-resume", 2)? as usize;
-    let kill_after = get_u64(flags, "kill-after", 0)?;
-    // Group commit: one durable journal write per k settled shards.
-    // Contents are unchanged; a crash loses at most the open group.
-    let group = get_u64(flags, "checkpoint-every", 1)?.max(1) as usize;
-    let spec = measure::FleetSpec {
-        profile: cloud,
-        pattern,
-        duration_s: hours(h),
-        n_pairs,
-        seed,
-        supervise: measure::SupervisePolicy {
-            max_shard_attempts: get_u64(flags, "max-attempts", 3)? as u32,
-            retry_budget: get_u64(flags, "retry-budget", 8)? as u32,
-            shard_step_budget: get_u64(flags, "step-budget", 0)?,
-        },
-    };
-    eprintln!(
-        "fleet[journaled]: journal {jpath}, resume={resume}, verify-resume={verify}, \
-         {jobs} worker{}",
-        if jobs == 1 { "" } else { "s" }
-    );
-    let out = measure::run_fleet_journaled_grouped(
-        &spec,
-        std::path::Path::new(jpath),
-        resume,
-        verify,
-        jobs,
-        group,
-        |n| {
-            eprintln!("  journaled {n}/{n_pairs} shards");
-            if kill_after > 0 && n >= kill_after {
-                // Crash-testing hook: die as abruptly as a SIGKILL
-                // would — no unwinding, no flushing, mid-campaign.
-                eprintln!("  --kill-after {kill_after}: aborting now");
-                std::process::abort();
-            }
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    eprintln!(
-        "resume: resumed={} skipped={} verified={} computed={} truncated={}B",
-        out.resume.resumed,
-        out.resume.skipped,
-        out.resume.verified,
-        out.resume.computed,
-        out.resume.truncated_bytes
-    );
-
-    // Everything below is a pure function of (spec, journal contents)
-    // and must be byte-identical across interruption and worker count.
-    println!(
-        "fleet campaign: {n_pairs} pairs of {} {} / {} for {h} h (seed {seed}, config {:#018x})",
+/// The fleet report: a pure function of the spec and the fleet, so it
+/// is byte-identical across worker counts, journaling and kill/resume.
+fn render_fleet(spec: &measure::FleetSpec, h: f64, fleet: &measure::FleetResult) -> String {
+    use std::fmt::Write as _;
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "fleet campaign: {} pairs of {} {} / {} for {h} h (seed {}, config {:#018x})",
+        spec.n_pairs,
         spec.profile.provider.name(),
         spec.profile.instance_type,
         spec.pattern.label(),
-        out.config_fingerprint
+        spec.seed,
+        spec.config_fingerprint()
     );
-    let fleet = &out.fleet;
     for (i, p) in fleet.pairs.iter().enumerate() {
-        println!(
+        let _ = writeln!(
+            s,
             "  pair {i:>2}: mean {:>6.2} Gbps  CoV {:>6.3}  coverage {:>5.1}%",
             p.mean_bandwidth_bps() / 1e9,
             p.summary.cov,
@@ -333,15 +296,21 @@ fn cmd_fleet_journaled(
         );
     }
     for f in &fleet.failed_pairs {
-        println!("  pair {:>2}: died at {:.0} s (partial data: {})", f.pair, f.death_s, f.partial_data);
+        let _ = writeln!(
+            s,
+            "  pair {:>2}: died at {:.0} s (partial data: {})",
+            f.pair, f.death_s, f.partial_data
+        );
     }
     for p in &fleet.panicked {
-        println!("  pair {:>2}: worker task panicked (contained): {}", p.task, p.payload);
+        let _ = writeln!(s, "  pair {:>2}: worker task panicked (contained): {}", p.task, p.payload);
     }
-    for shard in &out.supervision.budget_denied {
-        println!("  pair {shard:>2}: denied by step budget (no attempt ran)");
+    let supervision = &fleet.supervision;
+    for shard in &supervision.budget_denied {
+        let _ = writeln!(s, "  pair {shard:>2}: denied by step budget (no attempt ran)");
     }
-    println!(
+    let _ = writeln!(
+        s,
         "across-pair CoV {:.4} (spatial), mean within-pair CoV {:.4} (temporal){}",
         fleet.across_pair_cov(),
         fleet.mean_within_pair_cov,
@@ -356,14 +325,14 @@ fn cmd_fleet_journaled(
         let report = MeasurementReport::new("pair mean bandwidth [bps]", &means)
             .with_coverage(coverage.min(1.0))
             .with_exhaustion(ExhaustionNote {
-                retries_used: out.supervision.retries_used,
-                retry_budget: out.supervision.retry_budget,
-                retry_exhausted: out.supervision.retry_exhausted,
-                budget_denied_shards: out.supervision.budget_denied.len(),
+                retries_used: supervision.retries_used,
+                retry_budget: supervision.retry_budget,
+                retry_exhausted: supervision.retry_exhausted,
+                budget_denied_shards: supervision.budget_denied.len(),
             });
-        print!("{}", report.render());
+        s.push_str(&report.render());
     }
-    Ok(())
+    s
 }
 
 fn cmd_run(flags: &BTreeMap<String, String>) -> Result<(), String> {
@@ -503,14 +472,15 @@ fn usage() {
     println!("        [--faults] reference faults; [--topology T] [--hosts N]");
     println!("        [--placement-seed S] per-tenant path ceilings; [--self-check] cross-");
     println!("        check sketch vs exact quantiles; [--journal PATH] [--resume]");
-    println!("        [--checkpoint-every K] crash-safe checkpoints every K tenants;");
-    println!("        [--kill-after-tenants N] crash-test hook");
+    println!("        [--checkpoint-every K] crash-safe checkpoints every K tenants");
     println!("  fleet --cloud C [--pairs N] [--pattern P] [--hours H] [--seed S]");
-    println!("        [--journal PATH] [--resume] [--verify-resume N]   crash-safe campaign:");
-    println!("        journal every settled shard, resume after a crash, re-verify N");
-    println!("        journaled shards bit-for-bit; [--max-attempts N] [--retry-budget N]");
-    println!("        [--step-budget STEPS] bound repairs; [--kill-after N] crash-test hook;");
-    println!("        [--checkpoint-every K] group-commit one journal write per K shards");
+    println!("        [--max-attempts N] [--retry-budget N] [--step-budget STEPS] bound");
+    println!("        repairs; [--journal PATH] [--resume] [--verify-resume N] crash-safe");
+    println!("        campaign: journal every settled shard, resume after a crash, re-verify");
+    println!("        N journaled shards bit-for-bit; [--checkpoint-every K] group-commit one");
+    println!("        journal write per K shards; same report with or without a journal");
+    println!("  (campaign --journal, fleet --journal) [--kill-after N]   crash-test hook:");
+    println!("        abort at the first checkpoint covering >= N tenants or pairs");
     println!("  probe --cloud C [--probes N] [--max-seconds T]");
     println!("  fingerprint --cloud C [--bucket]");
     println!("  run --cloud C --workload W [--reps N] [--nodes N] [--fabric-path event|reference]");

@@ -7,7 +7,7 @@
 //! assembly), and `crates/stats` (resample streams).
 
 use cloud_repro::prelude::*;
-use measure::{run_all_patterns_jobs, run_fleet_jobs, FleetResult};
+use measure::{run_all_patterns_jobs, run_fleet, FleetResult, FleetSpec};
 use netsim::units::hours;
 use netsim::TrafficPattern;
 use vstats::{bootstrap_ci_jobs, block_bootstrap_ci_jobs, mean};
@@ -38,12 +38,11 @@ fn fingerprint(fleet: &FleetResult) -> String {
 fn faulty_fleet_is_worker_count_invariant_end_to_end() {
     let mut profile = clouds::hpccloud::n_core(8).with_reference_faults();
     profile.faults.pair_death_rate_per_hour = 0.1;
-    let serial = run_fleet_jobs(&profile, TrafficPattern::FullSpeed, hours(6.0), 6, 42, 1)
-        .expect("fleet survives");
+    let spec = FleetSpec::new(profile, TrafficPattern::FullSpeed, hours(6.0), 6, 42);
+    let serial = run_fleet(&spec, 1).expect("fleet survives");
     assert!(serial.is_degraded(), "reference faults over 6 h should cost something");
     for jobs in [2usize, 8] {
-        let wide = run_fleet_jobs(&profile, TrafficPattern::FullSpeed, hours(6.0), 6, 42, jobs)
-            .expect("fleet survives");
+        let wide = run_fleet(&spec, jobs).expect("fleet survives");
         assert_eq!(fingerprint(&wide), fingerprint(&serial), "jobs={jobs}");
     }
 }
