@@ -280,21 +280,29 @@ fn execute<S: Shaper>(
                 .collect();
             let wsum: f64 = weights.iter().sum();
             let start = cluster.fabric().now();
-            // Flow ids are handed out in increasing order, so the
-            // pending set is a sorted Vec: O(log n) membership via
-            // binary search, no per-insert allocation.
-            let mut pending: Vec<FlowId> = Vec::with_capacity(n * (n - 1));
+            // Flow ids come from a monotone counter and nothing else
+            // starts a flow in between, so the shuffle's flows take the
+            // contiguous id range `first..=last` and waiting on them is
+            // a count: every completed id inside the range retires one.
+            // The count does not depend on completion order (one
+            // batched `advance` concatenates several windows, so its
+            // `done` list is not globally id-sorted); ids outside the
+            // range are cross traffic.
+            let mut pending = n * (n - 1);
+            cluster.fabric_mut().reserve_flows(pending);
+            let mut span: Option<(FlowId, FlowId)> = None;
             for src in 0..n {
                 let src_bits = stage.shuffle_bits * weights[src] / wsum;
                 let per_dst = src_bits / (n - 1) as f64;
                 for dst in 0..n {
                     if dst != src {
                         let id = cluster.start_flow(FlowSpec::new(src, dst, per_dst));
-                        pending.push(id);
+                        span = Some((span.map_or(id, |(first, _)| first), id));
                     }
                 }
             }
-            debug_assert!(pending.windows(2).all(|w| w[0] < w[1]));
+            let shuffle_flow =
+                |id: &FlowId| span.is_some_and(|(first, last)| (first..=last).contains(id));
             // Hard cap to guarantee termination even on a zero-rate link.
             let max_steps = (86_400.0 / cfg.shuffle_step_s) as u64;
             let mut steps = 0u64;
@@ -304,35 +312,27 @@ fn execute<S: Shaper>(
                 // steps the per-tick loop would, so the clock, shaper
                 // state, and completion order are bitwise identical.
                 let mut done: Vec<FlowId> = Vec::new();
-                while !pending.is_empty() && steps < max_steps {
+                while pending > 0 && steps < max_steps {
                     done.clear();
                     let taken = cluster.advance(cfg.shuffle_step_s, max_steps - steps, &mut done);
-                    for id in &done {
-                        if let Ok(i) = pending.binary_search(id) {
-                            pending.remove(i);
-                        }
-                    }
+                    pending -= done.iter().filter(|id| shuffle_flow(id)).count();
                     steps += taken;
                     if taken == 0 {
                         break;
                     }
                 }
             } else {
-                while !pending.is_empty() && steps < max_steps {
+                while pending > 0 && steps < max_steps {
                     let done = cluster.step(cfg.shuffle_step_s);
                     if let Some(rec) = recorder.as_deref_mut() {
                         rec.observe(cluster, cfg.shuffle_step_s);
                     }
-                    for id in done {
-                        if let Ok(i) = pending.binary_search(&id) {
-                            pending.remove(i);
-                        }
-                    }
+                    pending -= done.iter().filter(|id| shuffle_flow(id)).count();
                     steps += 1;
                 }
             }
             assert!(
-                pending.is_empty(),
+                pending == 0,
                 "shuffle did not complete within 24 simulated hours"
             );
             shuffle_s = cluster.fabric().now() - start;

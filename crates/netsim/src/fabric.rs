@@ -213,12 +213,13 @@ struct ActiveFlow {
     route: LinkRoute,
 }
 
-/// Ordered flow map backed by a sorted `Vec`. Flow ids are handed out
-/// by a monotone counter, so inserts are almost always appends and the
-/// vector stays sorted by id — iteration order (and therefore every
-/// floating-point accumulation order downstream) is identical to the
-/// `BTreeMap` this replaces, at a fraction of the per-insert and
-/// per-walk cost on the hot churn path.
+/// Flow map backed by a `Vec` sorted by flow id. Ids come from a
+/// monotone counter, so every insert is an append, lookups are binary
+/// searches, and iteration runs in id order — the order every
+/// floating-point accumulation downstream relies on. Completions leave
+/// in one [`Fabric::retire`] pass per step or event window; the per-id
+/// [`FlowMap::remove`] (one `Vec::remove` shift each) is kept for the
+/// reference loops only.
 #[derive(Debug, Default)]
 struct FlowMap(Vec<(FlowId, ActiveFlow)>);
 
@@ -662,6 +663,13 @@ impl<S: Shaper> Fabric<S> {
     /// Number of in-flight flows.
     pub fn active_flows(&self) -> usize {
         self.flows.len()
+    }
+
+    /// Make room for `additional` more in-flight flows in one
+    /// allocation, so a burst of starts (a shuffle's all-to-all) does
+    /// not regrow the flow map by doubling.
+    pub fn reserve_flows(&mut self, additional: usize) {
+        self.flows.0.reserve(additional);
     }
 
     /// Start a transfer; completion is reported by [`Fabric::step`].
@@ -1182,21 +1190,48 @@ impl<S: Shaper> Fabric<S> {
                 completed.push(*id);
             }
         }
-        for id in &completed {
-            if let Some(f) = self.flows.remove(id) {
-                self.active_eg[f.spec.src] -= 1;
-                self.active_in[f.spec.dst] -= 1;
-                for &l in f.route.links() {
-                    self.active_link[l as usize] -= 1;
-                }
-            }
-        }
-        if !completed.is_empty() {
-            self.flow_epoch += 1;
-        }
+        self.retire(&completed);
 
         self.now_s += dt;
         completed
+    }
+
+    /// Remove the completions of one step or one event window from the
+    /// flow map in one `Vec::retain` pass that merges against `done`,
+    /// releasing their per-node and per-link active counts on the way.
+    /// `done` is id-sorted (completions are pushed while walking the
+    /// flows in id order) and names only mapped flows. The counts are
+    /// integers, so the order of the decrements cannot change any bit
+    /// downstream.
+    fn retire(&mut self, done: &[FlowId]) {
+        if done.is_empty() {
+            return;
+        }
+        debug_assert!(
+            done.windows(2).all(|w| w[0] < w[1]),
+            "completions must be id-sorted"
+        );
+        let Fabric {
+            flows,
+            active_eg,
+            active_in,
+            active_link,
+            ..
+        } = self;
+        let mut next = done.iter().peekable();
+        flows.0.retain(|(id, f)| {
+            if next.next_if_eq(&id).is_none() {
+                return true;
+            }
+            active_eg[f.spec.src] -= 1;
+            active_in[f.spec.dst] -= 1;
+            for &l in f.route.links() {
+                active_link[l as usize] -= 1;
+            }
+            false
+        });
+        debug_assert!(next.peek().is_none(), "completed an unmapped flow");
+        self.flow_epoch += 1;
     }
 
     /// The original stepping loop, kept verbatim as the equivalence
@@ -1646,18 +1681,7 @@ impl<S: Shaper> Fabric<S> {
                 f.last_rate_bps = sc.want[i] * sc.node_scale[sc.ev_src[i] as usize] / dt;
             }
         }
-        if completed.len() > first_new {
-            for id in &completed[first_new..] {
-                if let Some(f) = self.flows.remove(id) {
-                    self.active_eg[f.spec.src] -= 1;
-                    self.active_in[f.spec.dst] -= 1;
-                    for &l in f.route.links() {
-                        self.active_link[l as usize] -= 1;
-                    }
-                }
-            }
-            self.flow_epoch += 1;
-        }
+        self.retire(&completed[first_new..]);
         taken
     }
 

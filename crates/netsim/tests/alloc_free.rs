@@ -4,8 +4,9 @@
 //! A thread-local counter wrapped around the system allocator counts
 //! every `alloc`/`realloc`/`alloc_zeroed` on this thread. After a
 //! warm-up that grows the scratch buffers to their high-water mark,
-//! stepping — on cache hits, on forced recomputes, and through rest
-//! windows — must not touch the heap at all.
+//! stepping — on cache hits, on forced recomputes, through rest
+//! windows, and while retiring completed flows — must not touch the
+//! heap at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -177,5 +178,53 @@ fn event_jump_steady_state_is_allocation_free() {
     assert_eq!(
         event_allocs, 0,
         "event jumps allocated {event_allocs} times ({perf:?})"
+    );
+}
+
+/// Completions are allocation-free too: a batch of flows finishing
+/// inside an event window is pushed into the caller's pre-reserved
+/// completion buffer and retired from the flow map in place. The
+/// warm-up runs the identical batch once, so the flow map and the
+/// scratch mirrors already hold their high-water capacity.
+#[test]
+fn event_window_completions_are_allocation_free() {
+    const BATCH: usize = 8;
+    let mut fabric: Fabric<Box<dyn Shaper + Send>> = Fabric::new();
+    for _ in 0..8 {
+        fabric.add_node(Box::new(StaticShaper::new(8e9)), 10e9);
+    }
+    // Survivors: long-lived flows that stay in flight throughout.
+    for s in 0..8usize {
+        fabric.start_flow(FlowSpec::new(s, (s + 3) % 8, 1e18));
+    }
+    let mut done = Vec::with_capacity(4 * BATCH);
+    // Symmetric equal-size batch: every member gets the same rate.
+    let start_batch = |fabric: &mut Fabric<Box<dyn Shaper + Send>>| {
+        for s in 0..BATCH {
+            fabric.start_flow(FlowSpec::new(s, (s + 1) % 8, 4e9));
+        }
+    };
+    let drain_batch = |fabric: &mut Fabric<Box<dyn Shaper + Send>>, done: &mut Vec<_>| {
+        done.clear();
+        while done.len() < BATCH {
+            assert!(fabric.advance(0.1, 64, done) > 0, "no progress");
+        }
+    };
+
+    start_batch(&mut fabric);
+    drain_batch(&mut fabric, &mut done);
+    start_batch(&mut fabric);
+    fabric.reset_perf();
+    let completion_allocs = measured(|| drain_batch(&mut fabric, &mut done));
+    let perf = fabric.perf();
+    assert_eq!(done.len(), BATCH, "only the batch completes");
+    assert_eq!(fabric.active_flows(), 8, "survivors stay in flight");
+    assert_eq!(
+        perf.event_steps, perf.steps,
+        "every step, the completing one included, ran in an event window: {perf:?}"
+    );
+    assert_eq!(
+        completion_allocs, 0,
+        "completing a batch allocated {completion_allocs} times ({perf:?})"
     );
 }

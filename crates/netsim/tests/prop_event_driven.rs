@@ -17,8 +17,9 @@
 //!
 //! Adversarial cases cover zero-length events (horizon 0 at entry),
 //! simultaneous crossings (identical twins depleting on the same
-//! step + equal-size flows completing together), and a fault edge
-//! landing exactly on a token-bucket refill crossing.
+//! step + equal-size flows completing together), bursts of 32-256
+//! equal-size flows completing in the same windows between survivors,
+//! and a fault edge landing exactly on a token-bucket refill crossing.
 
 use netsim::fabric::{EventCause, Fabric, FlowId, FlowSpec, StepPath};
 use netsim::faults::{FaultConfig, FaultEpisode, FaultKind, FaultSchedule};
@@ -195,6 +196,24 @@ fn run_event_script(
                 if rng.chance(0.3) {
                     spec.max_rate_bps = rng.uniform_in(5e8, 6e9);
                 }
+                let a = event.start_flow(spec);
+                let b = reference.start_flow(spec);
+                assert_eq!(a, b, "flow ids diverged");
+                all_flows.push(a);
+            }
+        }
+        // Now and then a src-major burst of equal-size flows (a
+        // shuffle's shape) starts beside the survivors: many of them
+        // finish in the same window, interleaved in id order with
+        // flows that do not, so one-pass retirement must drop exactly
+        // the completed entries.
+        if rng.chance(0.03) {
+            let count = 32 + rng.index(225);
+            let bits = rng.uniform_in(5e8, 2e9);
+            for i in 0..count {
+                let src = i * n / count;
+                let dst = (src + 1 + i % (n - 1)) % n;
+                let spec = FlowSpec::new(src, dst, bits);
                 let a = event.start_flow(spec);
                 let b = reference.start_flow(spec);
                 assert_eq!(a, b, "flow ids diverged");

@@ -244,8 +244,8 @@ prop_cases! {
     #![config(Config::with_cases(48))]
 
     /// Routed water-filling: the event engine and the reference loops
-    /// stay bitwise equal on random routed problems under flow churn,
-    /// after every `advance`.
+    /// stay bitwise equal on random routed problems under flow churn
+    /// (bursts of equal-size flows included), after every `advance`.
     #[test]
     fn routed_fabric_matches_the_reference_bitwise(seed in 0u64..1_000_000) {
         let (mut event, mut reference, mut rng) = random_routed_pair(seed);
@@ -267,6 +267,31 @@ prop_cases! {
                     let route = LinkRoute::new(&slots);
                     let a = event.start_flow_routed(spec, route);
                     let b = reference.start_flow_routed(spec, route);
+                    prop_assert_eq!(a, b, "flow ids diverged");
+                    flows.push(a);
+                }
+            }
+            // Now and then a src-major burst of 32-256 equal-size flows,
+            // one shared route per source: many complete in the same
+            // window between survivors, and each retirement must
+            // release exactly its own links' active counts.
+            if rng.chance(0.1) {
+                let count = 32 + rng.index(225);
+                let bits = rng.uniform_in(1e6, 1e8);
+                let routes: Vec<LinkRoute> = (0..n_nodes)
+                    .map(|_| {
+                        let hops = if n_slots == 0 { 0 } else { 1 + rng.index(4) };
+                        let slots: Vec<u32> =
+                            (0..hops).map(|_| rng.index(n_slots) as u32).collect();
+                        LinkRoute::new(&slots)
+                    })
+                    .collect();
+                for i in 0..count {
+                    let src = i * n_nodes / count;
+                    let dst = (src + 1 + i % (n_nodes - 1)) % n_nodes;
+                    let spec = FlowSpec::new(src, dst, bits);
+                    let a = event.start_flow_routed(spec, routes[src]);
+                    let b = reference.start_flow_routed(spec, routes[src]);
                     prop_assert_eq!(a, b, "flow ids diverged");
                     flows.push(a);
                 }

@@ -298,6 +298,43 @@ fi
 cargo test -q --release --offline -p topo --test prop_topo
 echo "OK: flat topology is byte-invisible; fat-tree engages the link allocator"
 
+echo "== flow churn: 64-node terasort shuffles, event vs reference, byte-identical =="
+# A 64-node terasort shuffle starts and retires 4032 routed flows, many
+# of them in the same event window; the topology gate above only runs
+# q65 on 16 flat nodes. Gates:
+#   1. Each engine's report is byte-identical at REPRO_JOBS=1 and 4.
+#   2. The two engines' reports are byte-identical apart from the
+#      header's `[reference fabric path]` marker and the `fabric:`
+#      footer, whose cache counters differ between engines by design.
+churn_dir=$(mktemp -d)
+trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$churn_dir"' EXIT
+churn="cargo run -q --release --offline --bin cloud-repro -- run \
+  --cloud ec2-c5.xlarge --workload terasort --nodes 64 --topology fattree8 \
+  --reps 4 --seed 11"
+for path in event reference; do
+  for jobs in 1 4; do
+    REPRO_JOBS=$jobs $churn --fabric-path "$path" > "$churn_dir/${path}_j$jobs.out"
+  done
+  if ! diff -u "$churn_dir/${path}_j1.out" "$churn_dir/${path}_j4.out" > /dev/null; then
+    echo "FAIL: terasort churn run differs between 1 and 4 workers ($path engine):" >&2
+    diff -u "$churn_dir/${path}_j1.out" "$churn_dir/${path}_j4.out" >&2 | head -20
+    exit 1
+  fi
+  sed -e 's/ \[reference fabric path\]//' -e '/^  fabric: /d' \
+    "$churn_dir/${path}_j1.out" > "$churn_dir/$path.cmp"
+done
+if ! grep -q "^TS runtime" "$churn_dir/event.cmp"; then
+  echo "FAIL: terasort churn run printed no runtime summary:" >&2
+  cat "$churn_dir/event_j1.out" >&2
+  exit 1
+fi
+if ! diff -u "$churn_dir/event.cmp" "$churn_dir/reference.cmp" > /dev/null; then
+  echo "FAIL: terasort churn run differs between the event and reference engines:" >&2
+  diff -u "$churn_dir/event.cmp" "$churn_dir/reference.cmp" >&2 | head -20
+  exit 1
+fi
+echo "OK: 4032-flow shuffles retire identically on both engines and any worker count"
+
 echo "== streaming scale: campaign --tenants, O(1) aggregation, byte-identical everywhere =="
 # The streaming-aggregation contract (DESIGN.md §14): a campaign over N
 # seed-derived tenants folds into fixed-size sketch state, and its
@@ -320,7 +357,7 @@ echo "== streaming scale: campaign --tenants, O(1) aggregation, byte-identical e
 #   4. The sketch property suite and the worker-invariance integration
 #      test run under the gate.
 scale_dir=$(mktemp -d)
-trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$scale_dir"' EXIT
+trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$churn_dir" "$scale_dir"' EXIT
 stream="cargo run -q --release --offline --bin cloud-repro -- campaign \
   --cloud hpc-8 --tenants 2000 --hours 0.05 --seed 13 --faults \
   --topology star --hosts 16"
@@ -405,7 +442,7 @@ echo "== kill -9: real SIGKILL at seeded instants, byte-identical resume =="
 #      REPRO_JOBS=4 must reproduce the uninterrupted report and journal
 #      byte for byte.
 sigkill_dir=$(mktemp -d)
-trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$scale_dir" "$sigkill_dir"' EXIT
+trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$churn_dir" "$scale_dir" "$sigkill_dir"' EXIT
 cargo build -q --release --offline --bin cloud-repro
 repro="${CARGO_TARGET_DIR:-target}/release/cloud-repro"
 
