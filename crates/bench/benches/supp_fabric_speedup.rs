@@ -10,12 +10,13 @@
 //! contractually bit-identical. This bench runs the same 600
 //! s-of-simulated-time depletion campaign through each engine, CHECKs
 //! the golden trace hashes match exactly (and stay invariant across
-//! REPRO_JOBS=1/4 on the event engine), reports the speedups and the
+//! REPRO_JOBS=1/4 on the event engine), reports the wall times and the
+//! speedup as medians over repeated runs with bootstrap CIs next to the
 //! cache/event counters, and emits machine-readable `BENCH_fabric.json`
 //! so future PRs can track the perf trajectory.
 
 use bench::timer::bench;
-use bench::{banner, check, mmss, rss};
+use bench::{banner, check, mmss, rss, MedianCi};
 use repro_core::bigdata::engine::{run_job_cfg, EngineConfig};
 use repro_core::bigdata::workloads::tpcds;
 use repro_core::bigdata::Cluster;
@@ -86,37 +87,47 @@ fn main() {
         mmss(HORIZON_S)
     );
 
-    // Reference path first (its counters tell us what the event engine
-    // gets to skip), then the event engine. Each path runs the
-    // identical campaign several times; the best run is the least-noisy
-    // estimate of its cost on this machine.
-    const TIMING_RUNS: usize = 5;
-    let time_path = |path: StepPath| {
-        let mut best = f64::INFINITY;
-        let mut out = None;
-        for _ in 0..TIMING_RUNS {
-            let t0 = Instant::now();
-            let r = depletion_campaign(path, SEED);
-            best = best.min(t0.elapsed().as_secs_f64());
-            out = Some(r);
-        }
-        let (hash, reps, perf) = out.expect("at least one timing run");
-        (hash, reps, perf, best)
+    // The two engines run the identical campaign in alternating pairs
+    // (after one untimed warm-up each), so slow drift on a shared
+    // machine hits both alike. Each wall and each pair's speedup is
+    // reported as a median with a bootstrap CI; the reference counters
+    // tell us what the event engine gets to skip.
+    const TIMING_PAIRS: usize = 15;
+    let timed = |path: StepPath| {
+        let t0 = Instant::now();
+        let r = depletion_campaign(path, SEED);
+        (r, t0.elapsed().as_secs_f64())
     };
-
-    let (hash_ref, reps_ref, perf_ref, t_ref) = time_path(StepPath::Reference);
+    let ((hash_ref, reps_ref, perf_ref), _) = timed(StepPath::Reference);
+    let ((hash_event, reps_event, perf_event), _) = timed(StepPath::Event);
+    let (mut walls_ref, mut walls_event, mut speedups) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..TIMING_PAIRS {
+        let (_, r) = timed(StepPath::Reference);
+        let (_, e) = timed(StepPath::Event);
+        walls_ref.push(r);
+        walls_event.push(e);
+        speedups.push(r / e);
+    }
+    let (t_ref, t_event, speedup) = (
+        MedianCi::of(&walls_ref),
+        MedianCi::of(&walls_event),
+        MedianCi::of(&speedups),
+    );
     println!(
-        "  reference: {:.1} ms wall (best of {TIMING_RUNS}), {reps_ref} reps, {} steps, {} vec allocs, hash {hash_ref:016x}",
-        t_ref * 1e3,
+        "  reference: {:.2} ms wall (median of {TIMING_PAIRS}, 95% CI {:.2}..{:.2}), {reps_ref} reps, {} steps, {} vec allocs, hash {hash_ref:016x}",
+        t_ref.median * 1e3,
+        t_ref.ci_lo * 1e3,
+        t_ref.ci_hi * 1e3,
         perf_ref.steps,
         perf_ref.ref_vec_allocs
     );
 
-    let (hash_event, reps_event, perf_event, t_event) = time_path(StepPath::Event);
     let hit_rate = perf_event.cache_hit_rate();
     println!(
-        "  event:     {:.1} ms wall (best of {TIMING_RUNS}), {reps_event} reps, {} steps, {} jumps covering {} steps ({:.1} steps/jump), {} recomputes / {} cache hits ({:.1}% hit), hash {hash_event:016x}",
-        t_event * 1e3,
+        "  event:     {:.3} ms wall (median of {TIMING_PAIRS}, 95% CI {:.3}..{:.3}), {reps_event} reps, {} steps, {} jumps covering {} steps ({:.1} steps/jump), {} recomputes / {} cache hits ({:.1}% hit), hash {hash_event:016x}",
+        t_event.median * 1e3,
+        t_event.ci_lo * 1e3,
+        t_event.ci_hi * 1e3,
         perf_event.steps,
         perf_event.event_jumps,
         perf_event.event_steps,
@@ -126,10 +137,10 @@ fn main() {
         hit_rate * 100.0
     );
 
-    let speedup = t_ref / t_event;
-    let steps_per_sec_event = perf_event.steps as f64 / t_event;
+    let steps_per_sec_event = perf_event.steps as f64 / t_event.median;
     println!(
-        "  speedup: event {speedup:.2}x   event engine: {steps_per_sec_event:.0} fabric steps/s"
+        "  speedup: event {:.2}x (median of {TIMING_PAIRS} pairs, 95% CI {:.2}..{:.2})   event engine: {steps_per_sec_event:.0} fabric steps/s",
+        speedup.median, speedup.ci_lo, speedup.ci_hi
     );
 
     // REPRO_JOBS invariance through the event engine: shard 8 campaign
@@ -196,7 +207,10 @@ fn main() {
     // Machine-readable perf trajectory.
     let goldens_ok = hash_event == hash_ref;
     let json = format!(
-        "{{\n  \"bench\": \"supp_fabric_speedup\",\n  \"workload\": \"fig19_depletion_600s_q65\",\n  \"speedup\": {speedup:.3},\n  \"wall_s_reference\": {t_ref:.3},\n  \"wall_s_event\": {t_event:.4},\n  \"steps_per_sec_event\": {steps_per_sec_event:.1},\n  \"fabric_steps\": {},\n  \"rate_recomputes\": {},\n  \"rate_cache_hits\": {},\n  \"cache_hit_rate\": {hit_rate:.4},\n  \"event_jumps\": {},\n  \"event_steps\": {},\n  \"allocations_avoided\": {},\n  \"micro_step_general_ns\": {:.1},\n  \"micro_step_event_ns\": {:.1},\n  \"micro_step_reference_ns\": {:.1},\n  \"golden_hash\": \"{hash_event:016x}\",\n  \"goldens_match_reference\": {},\n  \"jobs_invariant\": {}\n}}\n",
+        "{{\n  \"bench\": \"supp_fabric_speedup\",\n  \"workload\": \"fig19_depletion_600s_q65\",\n  \"speedup\": {},\n  \"wall_s_reference\": {},\n  \"wall_s_event\": {},\n  \"steps_per_sec_event\": {steps_per_sec_event:.1},\n  \"fabric_steps\": {},\n  \"rate_recomputes\": {},\n  \"rate_cache_hits\": {},\n  \"cache_hit_rate\": {hit_rate:.4},\n  \"event_jumps\": {},\n  \"event_steps\": {},\n  \"allocations_avoided\": {},\n  \"micro_step_general_ns\": {:.1},\n  \"micro_step_event_ns\": {:.1},\n  \"micro_step_reference_ns\": {:.1},\n  \"golden_hash\": \"{hash_event:016x}\",\n  \"goldens_match_reference\": {},\n  \"jobs_invariant\": {}\n}}\n",
+        speedup.json("x", 3),
+        t_ref.json("s", 5),
+        t_event.json("s", 6),
         perf_event.steps,
         perf_event.rate_recomputes,
         perf_event.rate_cache_hits,
@@ -227,8 +241,8 @@ fn main() {
         hit_rate > 0.9,
     );
     check(
-        ">=10x wall-clock speedup on the event engine (600 s campaign)",
-        speedup >= 10.0,
+        ">=10x wall-clock speedup on the event engine (600 s campaign, median pair)",
+        speedup.median >= 10.0,
     );
     println!();
 }

@@ -8,18 +8,20 @@
 //! engines (event, reference) on both the fat-tree and the flat
 //! topology; the runs must agree bit-for-bit per topology, and a
 //! sharded fleet of eight campaigns must hash identically on
-//! REPRO_JOBS=1 and 4. Wall-clock numbers (steps/sec, and the
+//! REPRO_JOBS=1 and 4. Wall-clock numbers (steps/sec, the
 //! `Wiring::new` build time of a 64-endpoint `fattree8` and a 1024-host
-//! `fattree16`) and the per-link water-filling cache hit rate land in
-//! machine-readable `BENCH_topo.json` so future PRs can track the
-//! trajectory.
+//! `fattree16`, and the per-flow cost of routing a 64-node terasort's
+//! shuffles on `fattree8` as a median with a bootstrap CI) and the
+//! per-link water-filling cache hit rate land in machine-readable
+//! `BENCH_topo.json` so future PRs can track the trajectory.
 
-use bench::{banner, check, rss};
+use bench::{banner, check, rss, MedianCi};
 use repro_core::exec;
 use repro_core::netsim::fabric::{Fabric, FabricPerf, FlowSpec, StepPath};
 use repro_core::netsim::rng::{derive_seed, SimRng};
 use repro_core::netsim::shaper::StaticShaper;
 use repro_core::topo::{zoo, Wiring};
+use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
 
@@ -29,6 +31,8 @@ const DT: f64 = 0.01;
 const SEED: u64 = 2020;
 /// `Wiring::new` builds timed per topology; the median is reported.
 const WIRING_BUILDS: usize = 5;
+/// Timed passes over a terasort job's routes (after one warm-up pass).
+const ROUTE_REPEATS: usize = 21;
 
 /// One incast campaign on a named zoo topology: `ROUNDS` fan-ins, each
 /// fully drained before the next starts. Returns (golden hash, perf).
@@ -89,6 +93,36 @@ fn wiring_new_s(topo_name: &str, endpoints: usize) -> f64 {
         .collect();
     times.sort_by(f64::total_cmp);
     times[WIRING_BUILDS / 2]
+}
+
+/// Per-flow `Wiring::route_for` cost, one sample per pass, on a
+/// 64-endpoint `fattree8`: each pass routes the three all-to-all
+/// shuffles of one terasort job (3 × 4032 flows) in the engine's
+/// src-major start order, labelled by flow id.
+fn route_ns_per_flow() -> Vec<f64> {
+    const NODES: usize = 64;
+    let topo = zoo::by_name("fattree8", NODES).expect("zoo topology");
+    let wiring = Wiring::new(topo, NODES, SEED, SEED).expect("topology holds the endpoints");
+    let pass = || {
+        let mut label = 0u64;
+        for _shuffle in 0..3 {
+            for src in 0..NODES {
+                for dst in (0..NODES).filter(|&d| d != src) {
+                    black_box(wiring.route_for(src, dst, label));
+                    label += 1;
+                }
+            }
+        }
+        label
+    };
+    pass();
+    (0..ROUTE_REPEATS)
+        .map(|_| {
+            let t0 = Instant::now();
+            let flows = pass();
+            t0.elapsed().as_secs_f64() * 1e9 / flows as f64
+        })
+        .collect()
 }
 
 fn main() {
@@ -167,16 +201,22 @@ fn main() {
         wiring_ft8 * 1e3,
         wiring_ft16 * 1e3
     );
+    let route_ns = MedianCi::of(&route_ns_per_flow());
+    println!(
+        "  routing:   fattree8@64 terasort shuffles {:.1} ns/flow (median of {}, 95% CI {:.1}..{:.1})",
+        route_ns.median, route_ns.n, route_ns.ci_lo, route_ns.ci_hi
+    );
     println!("  memory:    {}", rss::footer(rss::sample()));
 
     // Machine-readable perf trajectory.
     let tree_ok = tree_event == tree_ref;
     let flat_ok = flat_event == flat_ref;
     let json = format!(
-        "{{\n  \"bench\": \"supp_topo_incast\",\n  \"workload\": \"fattree4_32host_incast_{ROUNDS}rounds\",\n  \"wall_s_reference\": {t_ref:.4},\n  \"wall_s_event\": {t_event:.4},\n  \"steps_per_sec_event\": {steps_per_sec_event:.1},\n  \"fabric_steps\": {},\n  \"link_recomputes\": {},\n  \"link_cache_hits\": {},\n  \"link_cache_hit_rate\": {link_hit:.4},\n  \"wiring_new_s_fattree8_64\": {wiring_ft8:.6},\n  \"wiring_new_s_fattree16_1024\": {wiring_ft16:.6},\n  \"golden_hash_fattree\": \"{tree_event:016x}\",\n  \"golden_hash_flat\": \"{flat_event:016x}\",\n  \"goldens_match_reference\": {},\n  \"jobs_invariant\": {}\n}}\n",
+        "{{\n  \"bench\": \"supp_topo_incast\",\n  \"workload\": \"fattree4_32host_incast_{ROUNDS}rounds\",\n  \"wall_s_reference\": {t_ref:.4},\n  \"wall_s_event\": {t_event:.4},\n  \"steps_per_sec_event\": {steps_per_sec_event:.1},\n  \"fabric_steps\": {},\n  \"link_recomputes\": {},\n  \"link_cache_hits\": {},\n  \"link_cache_hit_rate\": {link_hit:.4},\n  \"wiring_new_s_fattree8_64\": {wiring_ft8:.6},\n  \"wiring_new_s_fattree16_1024\": {wiring_ft16:.6},\n  \"route_ns_per_flow_fattree8_64\": {},\n  \"golden_hash_fattree\": \"{tree_event:016x}\",\n  \"golden_hash_flat\": \"{flat_event:016x}\",\n  \"goldens_match_reference\": {},\n  \"jobs_invariant\": {}\n}}\n",
         perf_event.steps,
         perf_event.link_recomputes,
         perf_event.link_cache_hits,
+        route_ns.json("ns", 1),
         tree_ok && flat_ok,
         fleet_1 == fleet_4,
     );

@@ -11,6 +11,7 @@ pub mod rss;
 pub mod timer;
 
 use repro_core::vstats::describe::BoxSummary;
+use repro_core::vstats::{bootstrap_ci, median};
 
 /// Print a figure/table banner.
 pub fn banner(id: &str, caption: &str) {
@@ -76,6 +77,42 @@ pub fn check(what: &str, ok: bool) {
     assert!(ok, "reproduction check failed: {what}");
 }
 
+/// A repeated wall-clock measurement reduced to its median with a 95%
+/// percentile-bootstrap CI (2000 resamples, fixed seed) — the bench
+/// schema `{median, ci_lo, ci_hi, n, unit}`.
+#[derive(Debug, Clone, Copy)]
+pub struct MedianCi {
+    /// Median of the samples.
+    pub median: f64,
+    /// Lower CI bound.
+    pub ci_lo: f64,
+    /// Upper CI bound.
+    pub ci_hi: f64,
+    /// Sample count.
+    pub n: usize,
+}
+
+impl MedianCi {
+    /// Summarize `samples` (at least one).
+    pub fn of(samples: &[f64]) -> MedianCi {
+        let ci = bootstrap_ci(samples, median, 2000, 0.95, 0x6d65_6469_616e);
+        MedianCi {
+            median: ci.estimate,
+            ci_lo: ci.lower,
+            ci_hi: ci.upper,
+            n: samples.len(),
+        }
+    }
+
+    /// The JSON object for one metric, printed with `digits` decimals.
+    pub fn json(&self, unit: &str, digits: usize) -> String {
+        format!(
+            "{{\"median\": {:.digits$}, \"ci_lo\": {:.digits$}, \"ci_hi\": {:.digits$}, \"n\": {}, \"unit\": \"{unit}\"}}",
+            self.median, self.ci_lo, self.ci_hi, self.n
+        )
+    }
+}
+
 /// Format seconds as `mm:ss`.
 pub fn mmss(s: f64) -> String {
     format!("{:02}:{:04.1}", (s / 60.0) as u64, s % 60.0)
@@ -121,6 +158,18 @@ mod tests {
         assert_eq!(s.chars().count(), 3);
         assert!(s.contains('▁') && s.contains('█'));
         assert_eq!(sparkline(&[]), "");
+    }
+
+    #[test]
+    fn median_ci_brackets_the_median() {
+        let m = MedianCi::of(&[3.0, 1.0, 2.0, 5.0, 4.0]);
+        assert_eq!(m.median, 3.0);
+        assert!(m.ci_lo <= m.median && m.median <= m.ci_hi);
+        assert_eq!(m.n, 5);
+        assert_eq!(
+            MedianCi::of(&[2.0]).json("s", 1),
+            "{\"median\": 2.0, \"ci_lo\": 2.0, \"ci_hi\": 2.0, \"n\": 1, \"unit\": \"s\"}"
+        );
     }
 
     #[test]

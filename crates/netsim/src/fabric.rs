@@ -32,12 +32,13 @@
 //!   min-reduce a [`NextEvent`] over per-node state (closed-form
 //!   [`Shaper::hint_stable_steps`] crossings, the fault schedule's next
 //!   transition, the flow-completion epoch, the caller's budget) and
-//!   run the intervening steps in a struct-of-arrays kernel that skips
-//!   the per-step signature gathers and flow-map walks entirely. Idle
-//!   stretches batch through [`Shaper::rest`], and a window that cannot
-//!   open falls back to one general step. The kernel executes the
-//!   *identical* per-step floating-point recurrences (demand, transmit,
-//!   scale, deliver, clock) on mirrored state, so it is bit-identical
+//!   run the intervening steps in a kernel over the flow table's
+//!   struct-of-arrays columns that skips the per-step signature gathers
+//!   and demand passes entirely. Idle stretches batch through
+//!   [`Shaper::rest`], and a window that cannot open falls back to one
+//!   general step. The kernel executes the *identical* per-step
+//!   floating-point recurrences (demand, transmit, scale, deliver,
+//!   clock) on the same columns the general step uses, so it is bit-identical
 //!   by construction — events only bound how long the pure *reads* may
 //!   be skipped, they never replace arithmetic;
 //! * the **reference loops** re-run water-filling from scratch with
@@ -205,97 +206,118 @@ impl LinkRoute {
     }
 }
 
-#[derive(Debug)]
-struct ActiveFlow {
-    spec: FlowSpec,
-    remaining_bits: f64,
-    last_rate_bps: f64,
-    route: LinkRoute,
-}
-
-/// Flow map backed by a `Vec` sorted by flow id. Ids come from a
-/// monotone counter, so every insert is an append, lookups are binary
-/// searches, and iteration runs in id order — the order every
-/// floating-point accumulation downstream relies on. Completions leave
-/// in one [`Fabric::retire`] pass per step or event window; the per-id
-/// [`FlowMap::remove`] (one `Vec::remove` shift each) is kept for the
-/// reference loops only.
+/// The in-flight flows as struct-of-arrays columns sorted by flow id:
+/// index `i` of every column is the same flow. Ids come from a monotone
+/// counter, so every insert is an append, lookups are binary searches
+/// over `ids`, and every pass walks the columns in id order — the order
+/// every floating-point accumulation downstream relies on. Water-filling,
+/// the general step and the event kernel all run on the columns in
+/// place. Completions leave in one [`Fabric::retire`] pass per step or
+/// event window; the per-index [`FlowMap::remove_at`] (one shift per
+/// column) is kept for the reference loops only.
 #[derive(Debug, Default)]
-struct FlowMap(Vec<(FlowId, ActiveFlow)>);
+struct FlowMap {
+    ids: Vec<FlowId>,
+    specs: Vec<FlowSpec>,
+    /// Source node per flow: the `specs[i].src` lane at a quarter of
+    /// the stride, for the per-flow demand and scale lookups.
+    src: Vec<u32>,
+    routes: Vec<LinkRoute>,
+    /// Bits still to deliver.
+    remaining: Vec<f64>,
+    /// Rate delivered in the last step, bits/s.
+    last_rate: Vec<f64>,
+}
 
 impl FlowMap {
     fn len(&self) -> usize {
-        self.0.len()
+        self.ids.len()
     }
 
     fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.ids.is_empty()
     }
 
     fn clear(&mut self) {
-        self.0.clear();
+        self.truncate(0);
     }
 
-    fn insert(&mut self, id: FlowId, f: ActiveFlow) {
-        match self.0.last() {
-            Some((last, _)) if *last >= id => {
-                // Out-of-order insert (never happens with the monotone
-                // counter, but keep the map honest).
-                match self.0.binary_search_by_key(&id, |kv| kv.0) {
-                    Ok(i) => self.0[i] = (id, f),
-                    Err(i) => self.0.insert(i, (id, f)),
+    fn truncate(&mut self, len: usize) {
+        self.ids.truncate(len);
+        self.specs.truncate(len);
+        self.src.truncate(len);
+        self.routes.truncate(len);
+        self.remaining.truncate(len);
+        self.last_rate.truncate(len);
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        self.ids.reserve(additional);
+        self.specs.reserve(additional);
+        self.src.reserve(additional);
+        self.routes.reserve(additional);
+        self.remaining.reserve(additional);
+        self.last_rate.reserve(additional);
+    }
+
+    /// Add a fresh flow (full payload remaining, no rate yet).
+    fn insert(&mut self, id: FlowId, spec: FlowSpec, route: LinkRoute) {
+        let i = match self.ids.last() {
+            // Out-of-order insert (never happens with the monotone
+            // counter, but keep the map honest).
+            Some(last) if *last >= id => match self.ids.binary_search(&id) {
+                Ok(i) => {
+                    self.remove_at(i);
+                    i
                 }
+                Err(i) => i,
+            },
+            _ => self.ids.len(),
+        };
+        self.ids.insert(i, id);
+        self.specs.insert(i, spec);
+        self.src.insert(i, spec.src as u32);
+        self.routes.insert(i, route);
+        self.remaining.insert(i, spec.bits);
+        self.last_rate.insert(i, 0.0);
+    }
+
+    fn index_of(&self, id: FlowId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
+    }
+
+    /// Drop the flows named by the id-sorted `done` in one compaction
+    /// pass over every column, handing each dropped flow's spec and
+    /// route to `release`. Survivors keep their relative (id) order.
+    fn remove_sorted(&mut self, done: &[FlowId], mut release: impl FnMut(&FlowSpec, &LinkRoute)) {
+        let mut next = done.iter().peekable();
+        let mut kept = 0;
+        for i in 0..self.len() {
+            if next.next_if_eq(&&self.ids[i]).is_some() {
+                release(&self.specs[i], &self.routes[i]);
+                continue;
             }
-            _ => self.0.push((id, f)),
+            if kept != i {
+                self.ids[kept] = self.ids[i];
+                self.specs[kept] = self.specs[i];
+                self.src[kept] = self.src[i];
+                self.routes[kept] = self.routes[i];
+                self.remaining[kept] = self.remaining[i];
+                self.last_rate[kept] = self.last_rate[i];
+            }
+            kept += 1;
         }
+        debug_assert!(next.peek().is_none(), "completed an unmapped flow");
+        self.truncate(kept);
     }
 
-    fn index_of(&self, id: &FlowId) -> Option<usize> {
-        self.0.binary_search_by_key(id, |kv| kv.0).ok()
-    }
-
-    fn get(&self, id: &FlowId) -> Option<&ActiveFlow> {
-        self.index_of(id).map(|i| &self.0[i].1)
-    }
-
-    fn get_mut(&mut self, id: &FlowId) -> Option<&mut ActiveFlow> {
-        match self.0.binary_search_by_key(id, |kv| kv.0) {
-            Ok(i) => Some(&mut self.0[i].1),
-            Err(_) => None,
-        }
-    }
-
-    fn remove(&mut self, id: &FlowId) -> Option<ActiveFlow> {
-        self.index_of(id).map(|i| self.0.remove(i).1)
-    }
-
-    fn keys(&self) -> impl Iterator<Item = &FlowId> + '_ {
-        self.0.iter().map(|kv| &kv.0)
-    }
-
-    fn values(&self) -> impl Iterator<Item = &ActiveFlow> + '_ {
-        self.0.iter().map(|kv| &kv.1)
-    }
-
-    fn values_mut(&mut self) -> impl Iterator<Item = &mut ActiveFlow> + '_ {
-        self.0.iter_mut().map(|kv| &mut kv.1)
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (&FlowId, &ActiveFlow)> + '_ {
-        self.0.iter().map(|kv| (&kv.0, &kv.1))
-    }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = (&FlowId, &mut ActiveFlow)> + '_ {
-        self.0.iter_mut().map(|kv| (&kv.0, &mut kv.1))
-    }
-}
-
-impl std::ops::Index<&FlowId> for FlowMap {
-    type Output = ActiveFlow;
-
-    fn index(&self, id: &FlowId) -> &ActiveFlow {
-        // detlint:allow(D5, D11) -- invariant: callers only index ids collected from this map in the same step; a miss is engine corruption where aborting the shard beats silently continuing
-        self.get(id).expect("unknown flow id")
+    fn remove_at(&mut self, i: usize) {
+        self.ids.remove(i);
+        self.specs.remove(i);
+        self.src.remove(i);
+        self.routes.remove(i);
+        self.remaining.remove(i);
+        self.last_rate.remove(i);
     }
 }
 
@@ -385,17 +407,23 @@ impl FabricPerf {
     }
 }
 
+/// One resource's binding verdict within a water-filling round. A
+/// verdict only moves `Stale → Free | Binds` (evaluated when read) and
+/// `Free → Stale` (a freeze lowered the residual); `Binds` is final for
+/// the round, because a residual only falls while the counts hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Stale,
+    Free,
+    Binds,
+}
+
 /// Scratch buffers for the allocation-free general step. Every
 /// buffer is cleared and refilled in place, so in steady state (constant
 /// flow set, constant node count) no buffer ever reallocates.
 #[derive(Debug, Default)]
 struct StepScratch {
-    /// Flow ids in [`FlowMap`] key order (== iteration order); valid for
-    /// `sig_epoch`.
-    ids: Vec<FlowId>,
-    /// Flow specs aligned with `ids` (avoids per-flow map lookups).
-    specs: Vec<FlowSpec>,
-    /// The cached max-min allocation, aligned with `ids`.
+    /// The cached max-min allocation, aligned with the flow columns.
     rate: Vec<f64>,
     frozen: Vec<bool>,
     /// Residual egress/ingress capacity during water-filling; start as
@@ -405,6 +433,14 @@ struct StepScratch {
     /// Unfrozen-flow counts per node for the current round.
     eg_count: Vec<usize>,
     in_count: Vec<usize>,
+    /// Per-resource binding verdicts of the current water-filling
+    /// round — `residual / count <= share + eps` for each node's egress
+    /// and ingress and each directed link — evaluated when first read
+    /// and again only when read after a freeze lowered that resource
+    /// (see [`Fabric::refresh_rates`]).
+    eg_bind: Vec<Verdict>,
+    in_bind: Vec<Verdict>,
+    link_bind: Vec<Verdict>,
     /// Flow indexes frozen in the current round; their count decrements
     /// are applied only after the round's freeze sweep, matching the
     /// reference path's rebuild-at-round-start reads.
@@ -414,9 +450,6 @@ struct StepScratch {
     /// Per-flow `(rate*dt).min(remaining)` computed in the demand pass
     /// and reused verbatim in the deliver pass.
     want: Vec<f64>,
-    /// Per-flow routes aligned with `ids` (rebuilt with the spec mirror
-    /// on every flow-set epoch change).
-    routes: Vec<LinkRoute>,
     /// Residual per-link capacity during water-filling.
     link_res: Vec<f64>,
     /// Unfrozen-flow counts per directed link for the current round.
@@ -432,22 +465,15 @@ struct StepScratch {
     sig_egress: Vec<u64>,
     /// Effective ingress (cap × fault factor) bit patterns per node.
     sig_ingress: Vec<u64>,
-    /// Event-kernel struct-of-arrays mirrors of per-flow hot state,
-    /// aligned with `ids`. The kernel touches exactly one f64 lane per
-    /// flow per pass instead of walking the flow map; values are
-    /// gathered at window entry and scattered back at window exit.
-    /// Source-node index per flow (u32 lane: half the stride of the
-    /// full `FlowSpec`).
-    ev_src: Vec<u32>,
-    /// Remaining bits per flow.
-    ev_rem: Vec<f64>,
-    /// Contiguous same-source runs `(start, end)` over `ev_src`, built
-    /// at window entry when the flow order happens to be src-sorted
-    /// (the engine starts shuffles src-major, so it usually is). The
-    /// deliver pass then walks each run with its node's scale as a
-    /// loop-constant scalar — branch-free, gather-free, and
+    /// Contiguous same-source runs `(start, end)` over the flow table's
+    /// `src` column, or empty when that column is not src-sorted (the
+    /// engine starts shuffles src-major, so it usually is). The event
+    /// kernel's deliver pass then walks each run with its node's scale
+    /// as a loop-constant scalar — branch-free, gather-free, and
     /// vectorizable — instead of indexing `node_scale` per flow.
     ev_runs: Vec<(u32, u32)>,
+    /// Flow-set epoch `ev_runs` was built for.
+    runs_epoch: u64,
 }
 
 /// The fabric. Generic over the shaper type so callers that need to
@@ -509,7 +535,7 @@ impl<S: Shaper> Fabric<S> {
             core_capacity_bps: None,
             faults: None,
             // Start at 1 so a fresh scratch (sig_epoch 0) never matches
-            // before its ids/specs mirror has been built.
+            // before its first water-fill.
             flow_epoch: 1,
             active_eg: Vec::new(),
             active_in: Vec::new(),
@@ -616,7 +642,7 @@ impl<S: Shaper> Fabric<S> {
         self.active_link.clear();
         self.active_link.resize(caps.len(), 0);
         self.link_caps = caps;
-        // The cached allocation (and its route mirror) is stale now.
+        // The cached allocation is stale now.
         self.flow_epoch += 1;
     }
 
@@ -666,10 +692,10 @@ impl<S: Shaper> Fabric<S> {
     }
 
     /// Make room for `additional` more in-flight flows in one
-    /// allocation, so a burst of starts (a shuffle's all-to-all) does
-    /// not regrow the flow map by doubling.
+    /// allocation per flow-table column, so a burst of starts (a
+    /// shuffle's all-to-all) does not regrow the table by doubling.
     pub fn reserve_flows(&mut self, additional: usize) {
-        self.flows.0.reserve(additional);
+        self.flows.reserve(additional);
     }
 
     /// Start a transfer; completion is reported by [`Fabric::step`].
@@ -695,15 +721,7 @@ impl<S: Shaper> Fabric<S> {
         }
         let id = FlowId(self.next_flow);
         self.next_flow += 1;
-        self.flows.insert(
-            id,
-            ActiveFlow {
-                spec,
-                remaining_bits: spec.bits,
-                last_rate_bps: 0.0,
-                route,
-            },
-        );
+        self.flows.insert(id, spec, route);
         self.active_eg[spec.src] += 1;
         self.active_in[spec.dst] += 1;
         for &l in route.links() {
@@ -715,12 +733,12 @@ impl<S: Shaper> Fabric<S> {
 
     /// Remaining bits of a flow (`None` once completed/unknown).
     pub fn flow_remaining_bits(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.remaining_bits)
+        self.flows.index_of(id).map(|i| self.flows.remaining[i])
     }
 
     /// Rate granted to a flow in the last step, bits/s.
     pub fn flow_last_rate(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.last_rate_bps)
+        self.flows.index_of(id).map(|i| self.flows.last_rate[i])
     }
 
     /// Egress bits node `n` sent in the last step.
@@ -755,7 +773,8 @@ impl<S: Shaper> Fabric<S> {
     fn compute_rates_reference(&self) -> (Vec<(FlowId, f64)>, u64) {
         let mut rounds = 0u64;
         let n_nodes = self.nodes.len();
-        let ids: Vec<FlowId> = self.flows.keys().copied().collect();
+        let flows = &self.flows;
+        let ids: Vec<FlowId> = flows.ids.clone();
         let mut rate = vec![0.0f64; ids.len()];
         let mut frozen = vec![false; ids.len()];
 
@@ -800,15 +819,14 @@ impl<S: Shaper> Fabric<S> {
             let mut in_count = vec![0usize; n_nodes];
             let mut link_count = vec![0usize; n_links];
             let mut unfrozen = 0usize;
-            for (k, id) in ids.iter().enumerate() {
-                if frozen[k] {
+            for ((&fz, s), route) in frozen.iter().zip(&flows.specs).zip(&flows.routes) {
+                if fz {
                     continue;
                 }
                 unfrozen += 1;
-                let f = &self.flows[id];
-                eg_count[f.spec.src] += 1;
-                in_count[f.spec.dst] += 1;
-                for &l in f.route.links() {
+                eg_count[s.src] += 1;
+                in_count[s.dst] += 1;
+                for &l in route.links() {
                     link_count[l as usize] += 1;
                 }
             }
@@ -835,9 +853,9 @@ impl<S: Shaper> Fabric<S> {
                 share = share.min(c / unfrozen as f64);
             }
             // Per-flow caps can be tighter than any shared resource.
-            for (k, id) in ids.iter().enumerate() {
-                if !frozen[k] {
-                    share = share.min(self.flows[id].spec.max_rate_bps);
+            for (&fz, s) in frozen.iter().zip(&flows.specs) {
+                if !fz {
+                    share = share.min(s.max_rate_bps);
                 }
             }
             if !share.is_finite() {
@@ -859,16 +877,16 @@ impl<S: Shaper> Fabric<S> {
                 .map(|c| c / unfrozen as f64 <= share + eps)
                 .unwrap_or(false);
             let mut froze_any = false;
-            for (k, id) in ids.iter().enumerate() {
+            for k in 0..ids.len() {
                 if frozen[k] {
                     continue;
                 }
-                let f = &self.flows[id];
-                let s = f.spec;
+                let s = flows.specs[k];
+                let route = flows.routes[k];
                 let src_share = egress[s.src] / eg_count[s.src] as f64;
                 let dst_share = ingress[s.dst] / in_count[s.dst] as f64;
                 let mut link_binding = false;
-                for &l in f.route.links() {
+                for &l in route.links() {
                     if link_res[l as usize] / link_count[l as usize] as f64 <= share + eps {
                         link_binding = true;
                     }
@@ -884,7 +902,7 @@ impl<S: Shaper> Fabric<S> {
                     rate[k] = share;
                     egress[s.src] = (egress[s.src] - share).max(0.0);
                     ingress[s.dst] = (ingress[s.dst] - share).max(0.0);
-                    for &l in f.route.links() {
+                    for &l in route.links() {
                         link_res[l as usize] = (link_res[l as usize] - share).max(0.0);
                     }
                     if let Some(c) = core.as_mut() {
@@ -908,27 +926,33 @@ impl<S: Shaper> Fabric<S> {
     /// core capacity) changed bitwise since the last step.
     ///
     /// Bit-identity with [`Fabric::compute_rates_reference`]: the
-    /// gathered capacities and cached specs are the exact values the
-    /// reference reads, the freeze sweep mutates residuals in the same
-    /// order, and per-node counts — initialized from the incrementally
-    /// maintained totals — are decremented only *after* each round's
-    /// sweep, matching the reference's rebuild-at-round-start reads.
+    /// gathered capacities and the flow table's specs are the exact
+    /// values the reference reads, the freeze sweep mutates residuals in
+    /// the same order, and per-node counts — initialized from the
+    /// incrementally maintained totals — are decremented only *after*
+    /// each round's sweep, matching the reference's rebuild-at-round-start
+    /// reads.
+    ///
+    /// The reference tests every unfrozen flow against
+    /// `residual / count <= share + eps` for its egress, ingress and
+    /// each link it crosses. Here each resource carries a [`Verdict`]:
+    /// evaluated with that expression when a flow first reads it in a
+    /// round, marked stale when a freeze lowers the residual of a
+    /// resource not yet binding, and evaluated again only if read while
+    /// stale. Within a round the counts are fixed and a residual only
+    /// falls (`(r - share).max(0.0) <= r` for `share >= 0`), so a
+    /// binding resource stays binding, and every verdict read equals the
+    /// division the reference makes at that point of the sweep. The
+    /// freeze decision is an `||` of those predicates, so the ones a
+    /// flow never reads (its source already binds) cannot change it.
     fn refresh_rates(&mut self) {
         let n_nodes = self.nodes.len();
         let sc = &mut self.scratch;
+        let flows = &self.flows;
         let mut dirty = false;
 
-        // 1. Flow set: rebuild the id/spec/route mirror when the epoch
-        // moved.
+        // 1. Flow set: any start, completion or reset bumped the epoch.
         if sc.sig_epoch != self.flow_epoch {
-            sc.ids.clear();
-            sc.specs.clear();
-            sc.routes.clear();
-            for (id, f) in self.flows.iter() {
-                sc.ids.push(*id);
-                sc.specs.push(f.spec);
-                sc.routes.push(f.route);
-            }
             sc.sig_epoch = self.flow_epoch;
             dirty = true;
         }
@@ -997,7 +1021,7 @@ impl<S: Shaper> Fabric<S> {
         }
 
         // 3. Water-filling into the scratch buffers.
-        let k_flows = sc.ids.len();
+        let k_flows = flows.len();
         sc.rate.clear();
         sc.rate.resize(k_flows, 0.0);
         sc.frozen.clear();
@@ -1010,6 +1034,9 @@ impl<S: Shaper> Fabric<S> {
         sc.link_count.extend_from_slice(&self.active_link);
         sc.link_res.clear();
         sc.link_res.extend_from_slice(&self.link_caps);
+        sc.eg_bind.resize(n_nodes, Verdict::Stale);
+        sc.in_bind.resize(n_nodes, Verdict::Stale);
+        sc.link_bind.resize(n_links, Verdict::Stale);
         let mut unfrozen = k_flows;
         let mut core = self.core_capacity_bps;
 
@@ -1039,7 +1066,7 @@ impl<S: Shaper> Fabric<S> {
             // Per-flow caps can be tighter than any shared resource.
             for k in 0..k_flows {
                 if !sc.frozen[k] {
-                    share = share.min(sc.specs[k].max_rate_bps);
+                    share = share.min(flows.specs[k].max_rate_bps);
                 }
             }
             if !share.is_finite() {
@@ -1055,59 +1082,79 @@ impl<S: Shaper> Fabric<S> {
             let share = share.max(0.0);
 
             // Freeze every flow limited at this share: flows crossing a
-            // bottleneck resource, or capped at exactly the share.
+            // bottleneck resource, or capped at exactly the share. A
+            // resource with no unfrozen flow is never read.
             let eps = share * 1e-9 + 1e-9;
+            let binds = |verdict: &mut Verdict, res: f64, count: usize| {
+                if *verdict == Verdict::Stale {
+                    *verdict = if res / count as f64 <= share + eps {
+                        Verdict::Binds
+                    } else {
+                        Verdict::Free
+                    };
+                }
+                *verdict == Verdict::Binds
+            };
+            let lowered = |verdict: &mut Verdict| {
+                if *verdict == Verdict::Free {
+                    *verdict = Verdict::Stale;
+                }
+            };
+            sc.eg_bind.fill(Verdict::Stale);
+            sc.in_bind.fill(Verdict::Stale);
+            sc.link_bind.fill(Verdict::Stale);
             let core_binding = core
                 .map(|c| c / unfrozen as f64 <= share + eps)
                 .unwrap_or(false);
             sc.round_frozen.clear();
-            let mut froze_any = false;
             for k in 0..k_flows {
                 if sc.frozen[k] {
                     continue;
                 }
-                let s = sc.specs[k];
-                let src_share = sc.egress[s.src] / sc.eg_count[s.src] as f64;
-                let dst_share = sc.ingress[s.dst] / sc.in_count[s.dst] as f64;
-                let mut link_binding = false;
-                for &l in sc.routes[k].links() {
-                    if sc.link_res[l as usize] / sc.link_count[l as usize] as f64 <= share + eps
-                    {
-                        link_binding = true;
-                    }
-                }
-                let capped = s.max_rate_bps <= share + eps;
+                let s = flows.specs[k];
+                let route = flows.routes[k].links();
                 if core_binding
-                    || src_share <= share + eps
-                    || dst_share <= share + eps
-                    || link_binding
-                    || capped
+                    || binds(&mut sc.eg_bind[s.src], sc.egress[s.src], sc.eg_count[s.src])
+                    || binds(&mut sc.in_bind[s.dst], sc.ingress[s.dst], sc.in_count[s.dst])
+                    || route.iter().any(|&l| {
+                        let l = l as usize;
+                        binds(&mut sc.link_bind[l], sc.link_res[l], sc.link_count[l])
+                    })
+                    || s.max_rate_bps <= share + eps
                 {
                     sc.frozen[k] = true;
                     sc.rate[k] = share;
                     sc.egress[s.src] = (sc.egress[s.src] - share).max(0.0);
+                    lowered(&mut sc.eg_bind[s.src]);
                     sc.ingress[s.dst] = (sc.ingress[s.dst] - share).max(0.0);
-                    for &l in sc.routes[k].links() {
-                        sc.link_res[l as usize] = (sc.link_res[l as usize] - share).max(0.0);
+                    lowered(&mut sc.in_bind[s.dst]);
+                    for &l in route {
+                        let l = l as usize;
+                        sc.link_res[l] = (sc.link_res[l] - share).max(0.0);
+                        lowered(&mut sc.link_bind[l]);
                     }
                     if let Some(c) = core.as_mut() {
                         *c = (*c - share).max(0.0);
                     }
                     sc.round_frozen.push(k);
-                    froze_any = true;
                 }
             }
-            debug_assert!(froze_any, "water-filling failed to make progress");
-            if !froze_any {
+            debug_assert!(
+                !sc.round_frozen.is_empty(),
+                "water-filling failed to make progress"
+            );
+            if sc.round_frozen.is_empty() || sc.round_frozen.len() == unfrozen {
+                // No progress, or every flow is frozen: the counts are
+                // never read again.
                 break;
             }
             // The reference reads round-start counts throughout its
             // freeze sweep, so this round's decrements land only now.
             for &k in &sc.round_frozen {
-                let s = sc.specs[k];
+                let s = flows.specs[k];
                 sc.eg_count[s.src] -= 1;
                 sc.in_count[s.dst] -= 1;
-                for &l in sc.routes[k].links() {
+                for &l in flows.routes[k].links() {
                     sc.link_count[l as usize] -= 1;
                 }
                 unfrozen -= 1;
@@ -1153,17 +1200,17 @@ impl<S: Shaper> Fabric<S> {
             ..
         } = &mut *self;
 
-        // Aggregate per-node egress demand. `flows` iterates in key
-        // order — exactly `scratch.ids` order — so zipping replaces the
-        // reference's per-flow map lookups with a linear walk; each
-        // flow's `want` is kept for the deliver pass (same value, same
-        // bits — the reference merely recomputes it).
+        // Aggregate per-node egress demand. The flow columns and the
+        // cached rates share one index, so a linear walk replaces the
+        // reference's per-flow map lookups; each flow's `want` is kept
+        // for the deliver pass (same value, same bits — the reference
+        // merely recomputes it).
         sc.node_demand.clear();
         sc.node_demand.resize(n_nodes, 0.0);
         sc.want.clear();
-        for (f, &r) in flows.values().zip(&sc.rate) {
-            let want = (r * dt).min(f.remaining_bits);
-            sc.node_demand[f.spec.src] += want;
+        for ((&r, &rem), &src) in sc.rate.iter().zip(&flows.remaining).zip(&flows.src) {
+            let want = (r * dt).min(rem);
+            sc.node_demand[src as usize] += want;
             sc.want.push(want);
         }
 
@@ -1182,12 +1229,12 @@ impl<S: Shaper> Fabric<S> {
         // allocate until a completion is actually pushed, so the
         // steady state stays allocation-free.
         let mut completed = Vec::new();
-        for ((id, f), &want) in flows.iter_mut().zip(&sc.want) {
-            let delivered = want * sc.node_scale[f.spec.src];
-            f.remaining_bits -= delivered;
-            f.last_rate_bps = delivered / dt;
-            if f.remaining_bits <= 1e-6 {
-                completed.push(*id);
+        for i in 0..flows.len() {
+            let delivered = sc.want[i] * sc.node_scale[flows.src[i] as usize];
+            flows.remaining[i] -= delivered;
+            flows.last_rate[i] = delivered / dt;
+            if flows.remaining[i] <= 1e-6 {
+                completed.push(flows.ids[i]);
             }
         }
         self.retire(&completed);
@@ -1197,8 +1244,9 @@ impl<S: Shaper> Fabric<S> {
     }
 
     /// Remove the completions of one step or one event window from the
-    /// flow map in one `Vec::retain` pass that merges against `done`,
-    /// releasing their per-node and per-link active counts on the way.
+    /// flow table in one compaction pass over its columns that merges
+    /// against `done`, releasing their per-node and per-link active
+    /// counts on the way.
     /// `done` is id-sorted (completions are pushed while walking the
     /// flows in id order) and names only mapped flows. The counts are
     /// integers, so the order of the decrements cannot change any bit
@@ -1218,24 +1266,36 @@ impl<S: Shaper> Fabric<S> {
             active_link,
             ..
         } = self;
-        let mut next = done.iter().peekable();
-        flows.0.retain(|(id, f)| {
-            if next.next_if_eq(&id).is_none() {
-                return true;
-            }
-            active_eg[f.spec.src] -= 1;
-            active_in[f.spec.dst] -= 1;
-            for &l in f.route.links() {
+        if done.len() == flows.len() {
+            // Every flow leaves (a shuffle's last window): no flow
+            // crosses any resource any more.
+            debug_assert_eq!(done, flows.ids.as_slice(), "completed an unmapped flow");
+            flows.clear();
+            active_eg.fill(0);
+            active_in.fill(0);
+            active_link.fill(0);
+            self.flow_epoch += 1;
+            return;
+        }
+        flows.remove_sorted(done, |spec, route| {
+            active_eg[spec.src] -= 1;
+            active_in[spec.dst] -= 1;
+            for &l in route.links() {
                 active_link[l as usize] -= 1;
             }
-            false
         });
-        debug_assert!(next.peek().is_none(), "completed an unmapped flow");
         self.flow_epoch += 1;
     }
 
-    /// The original stepping loop, kept verbatim as the equivalence
-    /// baseline (fresh buffers and map lookups every step).
+    /// Column index of an in-flight flow, for the reference loops'
+    /// per-id lookups.
+    fn flow_index(&self, id: FlowId) -> usize {
+        // detlint:allow(D5, D11) -- invariant: the reference loops only look up ids collected from the flow table in the same step; a miss is engine corruption where aborting the shard beats silently continuing
+        self.flows.index_of(id).expect("unknown flow id")
+    }
+
+    /// The original stepping loop, kept as the equivalence baseline
+    /// (fresh buffers, per-id lookups and per-id removal every step).
     fn step_reference(&mut self, dt: f64) -> Vec<FlowId> {
         let (rates, rounds) = self.compute_rates_reference();
         // compute_rates_reference: ids, rate, frozen, egress, ingress,
@@ -1251,9 +1311,9 @@ impl<S: Shaper> Fabric<S> {
         // Aggregate per-node egress demand.
         let mut node_demand = vec![0.0f64; self.nodes.len()];
         for &(id, r) in &rates {
-            let f = &self.flows[&id];
-            let want = (r * dt).min(f.remaining_bits);
-            node_demand[f.spec.src] += want;
+            let i = self.flow_index(id);
+            let want = (r * dt).min(self.flows.remaining[i]);
+            node_demand[self.flows.specs[i].src] += want;
         }
 
         // Let shapers admit the demand; compute per-node scaling.
@@ -1269,24 +1329,25 @@ impl<S: Shaper> Fabric<S> {
         // Deliver bits and collect completions.
         let mut completed = Vec::new();
         for (id, r) in rates {
-            // detlint:allow(D5, D11) -- invariant: `rates` was computed from `self.flows` this step; a vanished flow is engine corruption where aborting the shard beats silently continuing
-            let f = self.flows.get_mut(&id).expect("flow vanished");
-            let want = (r * dt).min(f.remaining_bits);
-            let delivered = want * node_scale[f.spec.src];
-            f.remaining_bits -= delivered;
-            f.last_rate_bps = delivered / dt;
-            if f.remaining_bits <= 1e-6 {
+            let i = self.flow_index(id);
+            let f = &mut self.flows;
+            let want = (r * dt).min(f.remaining[i]);
+            let delivered = want * node_scale[f.specs[i].src];
+            f.remaining[i] -= delivered;
+            f.last_rate[i] = delivered / dt;
+            if f.remaining[i] <= 1e-6 {
                 completed.push(id);
             }
         }
-        for id in &completed {
-            if let Some(f) = self.flows.remove(id) {
-                self.active_eg[f.spec.src] -= 1;
-                self.active_in[f.spec.dst] -= 1;
-                for &l in f.route.links() {
-                    self.active_link[l as usize] -= 1;
-                }
+        for &id in &completed {
+            let i = self.flow_index(id);
+            let s = self.flows.specs[i];
+            self.active_eg[s.src] -= 1;
+            self.active_in[s.dst] -= 1;
+            for &l in self.flows.routes[i].links() {
+                self.active_link[l as usize] -= 1;
             }
+            self.flows.remove_at(i);
         }
         if !completed.is_empty() {
             self.flow_epoch += 1;
@@ -1421,12 +1482,12 @@ impl<S: Shaper> Fabric<S> {
         }
         let sc = &self.scratch;
         if sc.sig_epoch == self.flow_epoch && sc.rate.len() == self.flows.len() {
-            for (i, f) in self.flows.values().enumerate() {
-                let h = flow_completion_horizon(f.remaining_bits, sc.rate[i] * dt);
+            for (i, &rem) in self.flows.remaining.iter().enumerate() {
+                let h = flow_completion_horizon(rem, sc.rate[i] * dt);
                 if h < ev.steps {
                     ev = NextEvent {
                         steps: h,
-                        cause: EventCause::Completion(sc.ids[i]),
+                        cause: EventCause::Completion(self.flows.ids[i]),
                     };
                 }
             }
@@ -1434,19 +1495,24 @@ impl<S: Shaper> Fabric<S> {
         ev
     }
 
-    /// The kernel's sharpened event horizon. Preconditions: the scratch
-    /// mirrors (`node_demand`, `want`, `ev_rem`) were gathered for the
-    /// current flow set at the current clock. Min-reduces the same
+    /// The kernel's sharpened event horizon. Preconditions: the
+    /// window's demand pass (`node_demand`, `want`) ran for the current
+    /// flow set at the current clock. Min-reduces the same
     /// fault-schedule and budget bounds as [`Fabric::next_event`], but
     /// swaps in the per-node [`Shaper::hint_stable_steps_busy`] bound —
     /// the kernel holds each node's demand bit-constant inside the
     /// window (see the demand hoist in [`Fabric::event_window`]), which
     /// is exactly the promise that bound is allowed to assume — and
-    /// per-flow completion horizons over the gathered wants. In the
+    /// per-flow completion horizons over the window's wants. In the
     /// depleted fig19 steady state this is the difference between a
     /// zero-length window (a bucket sitting *at* its hint threshold is
     /// always "one idle tick from crossing" under the demand-agnostic
     /// bound) and a window spanning the whole depletion plateau.
+    ///
+    /// A flow whose `(remaining, want)` bits equal the previous flow's
+    /// has the same horizon, already folded into the window, so it is
+    /// skipped: a shuffle's equal-size flows on equal shares come in
+    /// long identical runs.
     fn busy_horizon(&self, dt: f64, budget: u64) -> u64 {
         let mut window = budget;
         if let Some(s) = &self.faults {
@@ -1471,35 +1537,40 @@ impl<S: Shaper> Fabric<S> {
                 .saturating_add(1);
             window = window.min(stable);
         }
-        for i in 0..sc.want.len() {
-            let w = sc.want[i];
+        let mut prev = None;
+        for (&rem, &w) in self.flows.remaining.iter().zip(&sc.want) {
+            let bits = (rem.to_bits(), w.to_bits());
+            if prev == Some(bits) {
+                continue;
+            }
+            prev = Some(bits);
             // Quick accept without the division: `remaining` more than
             // `window + 4` demands away (with a relative margin beating
             // the horizon's own `1e-6` discount) cannot bound a window
             // this short.
-            if w > 0.0 && sc.ev_rem[i] > (window as f64 + 4.0) * (1.0 + 2e-6) * w {
+            if w > 0.0 && rem > (window as f64 + 4.0) * (1.0 + 2e-6) * w {
                 continue;
             }
-            window = window.min(flow_completion_horizon(sc.ev_rem[i], w));
+            window = window.min(flow_completion_horizon(rem, w));
         }
         window
     }
 
     /// Run the event kernel for up to `budget` steps. Preconditions:
-    /// event engine, flows present, and a general step *just* ran (so the
-    /// scratch cache mirrors the live flow set). Returns steps taken
-    /// (0 when the live signature no longer matches the cache — the
-    /// caller's next general step recomputes honestly).
+    /// event engine, flows present, and [`Fabric::refresh_rates`]
+    /// *just* ran (so the cached allocation matches the live flow set).
+    /// Returns steps taken (0 when the live signature no longer matches
+    /// the cache — the caller's next general step recomputes honestly).
     ///
     /// Every kernel step executes the identical floating-point
     /// recurrences of the general step — per-node `transmit`
     /// (shaper state, including RNGs, advances every tick exactly as
-    /// stepped), scale division, delivery subtraction, `now += dt` — on
-    /// struct-of-arrays mirrors. What it skips, the
+    /// stepped), scale division, delivery subtraction, `now += dt` — in
+    /// place on the flow table's columns. What it skips, the
     /// [`Fabric::busy_horizon`] proof obligations cover: the per-step
-    /// hint/factor gathers and signature compares, the flow-map
-    /// walks, and the per-step demand pass — inside the window every
-    /// flow's demand `min(rate*dt, remaining)` is provably the constant
+    /// hint/factor gathers and signature compares and the per-step
+    /// demand pass — inside the window every flow's demand
+    /// `min(rate*dt, remaining)` is provably the constant
     /// bit pattern `rate*dt` (the completion horizons guarantee
     /// `remaining` stays above it), so wants and per-node demand sums
     /// are computed once at entry.
@@ -1543,32 +1614,46 @@ impl<S: Shaper> Fabric<S> {
             }
         }
 
-        // Gather the struct-of-arrays mirrors (flow id order — the
-        // same order every per-step pass iterates in), then run the
-        // demand pass once: wants and per-node demand sums use the same
-        // expressions in the same accumulation order as the per-step
-        // pass, so the hoisted values are bitwise what every in-window
-        // step would have recomputed.
-        let k_flows = sc.ids.len();
-        sc.ev_src.clear();
-        for spec in &sc.specs {
-            sc.ev_src.push(spec.src as u32);
-        }
-        sc.ev_rem.clear();
-        for f in self.flows.values() {
-            sc.ev_rem.push(f.remaining_bits);
-        }
-        debug_assert_eq!(sc.ev_rem.len(), k_flows);
+        // The demand pass, once per window over the flow table (id
+        // order — the same order every per-step pass iterates in):
+        // wants and per-node demand sums use the same expressions in
+        // the same accumulation order as the per-step pass, so the
+        // hoisted values are bitwise what every in-window step would
+        // have recomputed.
+        let flows = &self.flows;
+        let k_flows = flows.len();
         sc.node_demand.clear();
         sc.node_demand.resize(n_nodes, 0.0);
         sc.want.clear();
-        for i in 0..k_flows {
-            let want = (sc.rate[i] * dt).min(sc.ev_rem[i]);
-            sc.node_demand[sc.ev_src[i] as usize] += want;
+        // Whether some flow sits in the sub-`1e-6`-want corner (see the
+        // deliver-pass strategy below).
+        let mut tiny_want = false;
+        for ((&r, &rem), &src) in sc.rate.iter().zip(&flows.remaining).zip(&flows.src) {
+            let want = (r * dt).min(rem);
+            sc.node_demand[src as usize] += want;
             sc.want.push(want);
+            tiny_want |= want > 0.0 && want <= 1e-6;
         }
         sc.node_scale.clear();
         sc.node_scale.resize(n_nodes, 1.0);
+        // Same-source runs depend only on the flow set: rebuild them
+        // once per flow-set epoch, not once per window.
+        if sc.runs_epoch != self.flow_epoch {
+            sc.runs_epoch = self.flow_epoch;
+            sc.ev_runs.clear();
+            if flows.src.windows(2).all(|p| p[0] <= p[1]) {
+                let mut i = 0u32;
+                while (i as usize) < k_flows {
+                    let v = flows.src[i as usize];
+                    let mut j = i + 1;
+                    while (j as usize) < k_flows && flows.src[j as usize] == v {
+                        j += 1;
+                    }
+                    sc.ev_runs.push((i, j));
+                    i = j;
+                }
+            }
+        }
 
         // The horizon bounds how far the cache may be reused *without
         // re-validation*; the window's first step needs no horizon at
@@ -1589,32 +1674,18 @@ impl<S: Shaper> Fabric<S> {
         // crossed while the demand stays bit-stable), no completion
         // can occur and the per-flow threshold check is dead code the
         // kernel may skip. Independently, when the flow order is
-        // src-sorted (the engine starts shuffles src-major), the
-        // deliver pass decomposes into contiguous same-source runs
-        // with a scalar scale — the per-flow updates are independent,
-        // so run order does not affect the bits.
-        let sc = &mut self.scratch;
-        let completions_possible =
-            horizon == 0 || sc.want.iter().any(|&w| w > 0.0 && w <= 1e-6);
-        sc.ev_runs.clear();
-        if !completions_possible && sc.ev_src.windows(2).all(|p| p[0] <= p[1]) {
-            let mut i = 0u32;
-            while (i as usize) < k_flows {
-                let v = sc.ev_src[i as usize];
-                let mut j = i + 1;
-                while (j as usize) < k_flows && sc.ev_src[j as usize] == v {
-                    j += 1;
-                }
-                sc.ev_runs.push((i, j));
-                i = j;
-            }
-        }
+        // src-sorted, the deliver pass decomposes into the contiguous
+        // same-source runs with a scalar scale — the per-flow updates
+        // are independent, so run order does not affect the bits.
+        let completions_possible = horizon == 0 || tiny_want;
+        let use_runs = !completions_possible && !self.scratch.ev_runs.is_empty();
 
         let first_new = completed.len();
         let mut taken = 0u64;
         {
             let Fabric {
                 nodes,
+                flows,
                 scratch: sc,
                 now_s,
                 ..
@@ -1630,13 +1701,13 @@ impl<S: Shaper> Fabric<S> {
                 }
                 // Fused deliver pass; `want * scale` is the identical
                 // expression the per-step pass evaluates.
-                if !sc.ev_runs.is_empty() {
+                if use_runs {
                     // Run variant: no completion is reachable in this
                     // window, so deliver is pure arithmetic.
                     for &(a, b) in &sc.ev_runs {
-                        let s = sc.node_scale[sc.ev_src[a as usize] as usize];
+                        let s = sc.node_scale[flows.src[a as usize] as usize];
                         let (a, b) = (a as usize, b as usize);
-                        for (rem, want) in sc.ev_rem[a..b].iter_mut().zip(&sc.want[a..b]) {
+                        for (rem, want) in flows.remaining[a..b].iter_mut().zip(&sc.want[a..b]) {
                             *rem -= *want * s;
                         }
                     }
@@ -1645,9 +1716,9 @@ impl<S: Shaper> Fabric<S> {
                     // after this step (the flow-set epoch is an event).
                     let mut done_any = false;
                     for i in 0..k_flows {
-                        sc.ev_rem[i] -= sc.want[i] * sc.node_scale[sc.ev_src[i] as usize];
-                        if sc.ev_rem[i] <= 1e-6 {
-                            completed.push(sc.ids[i]);
+                        flows.remaining[i] -= sc.want[i] * sc.node_scale[flows.src[i] as usize];
+                        if flows.remaining[i] <= 1e-6 {
+                            completed.push(flows.ids[i]);
                             done_any = true;
                         }
                     }
@@ -1660,6 +1731,12 @@ impl<S: Shaper> Fabric<S> {
                 *now_s += dt;
                 taken += 1;
             }
+            // The last delivered rate, from the (constant) want and the
+            // final step's scale — the same `delivered / dt` bits the
+            // per-step path stores every tick.
+            for ((rate, &want), &src) in flows.last_rate.iter_mut().zip(&sc.want).zip(&flows.src) {
+                *rate = want * sc.node_scale[src as usize] / dt;
+            }
         }
         self.perf.steps += taken;
         self.perf.rate_cache_hits += taken;
@@ -1669,18 +1746,8 @@ impl<S: Shaper> Fabric<S> {
         self.perf.event_steps += taken;
         self.perf.event_jumps += 1;
 
-        // Scatter the mirrors back and apply completions exactly as a
-        // per-step path would have at the completing step. The last
-        // delivered rate is recomputed from the (constant) want and the
-        // final step's scale — the same `delivered / dt` bits the
-        // per-step path stores every tick.
-        {
-            let sc = &self.scratch;
-            for (f, i) in self.flows.values_mut().zip(0..) {
-                f.remaining_bits = sc.ev_rem[i];
-                f.last_rate_bps = sc.want[i] * sc.node_scale[sc.ev_src[i] as usize] / dt;
-            }
-        }
+        // Apply completions exactly as a per-step path would have at the
+        // completing step.
         self.retire(&completed[first_new..]);
         taken
     }

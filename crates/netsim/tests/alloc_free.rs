@@ -5,14 +5,16 @@
 //! every `alloc`/`realloc`/`alloc_zeroed` on this thread. After a
 //! warm-up that grows the scratch buffers to their high-water mark,
 //! stepping — on cache hits, on forced recomputes, through rest
-//! windows, and while retiring completed flows — must not touch the
-//! heap at all.
+//! windows, while retiring completed flows, and across a whole routed
+//! all-to-all shuffle from admission to drain — must not touch the heap
+//! at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use netsim::fabric::{Fabric, FlowSpec};
 use netsim::shaper::{Shaper, StaticShaper, TokenBucket};
+use netsim::LinkRoute;
 
 struct CountingAlloc;
 
@@ -226,5 +228,63 @@ fn event_window_completions_are_allocation_free() {
     assert_eq!(
         completion_allocs, 0,
         "completing a batch allocated {completion_allocs} times ({perf:?})"
+    );
+}
+
+/// A routed 64-node all-to-all shuffle (4032 flows over a two-tier
+/// tree of access and spine links) runs allocation-free end to end once
+/// a warm-up shuffle has grown the scratch buffers and `reserve_flows`
+/// has sized the flow table's columns: admission appends to the
+/// columns, the first `refresh_rates` water-fills in the scratch
+/// buffers, and every event window and retirement works in place.
+#[test]
+fn routed_shuffle_is_allocation_free() {
+    const NODES: usize = 64;
+    const SPINES: usize = 8;
+    const FLOWS: usize = NODES * (NODES - 1);
+    let mut fabric: Fabric<Box<dyn Shaper + Send>> = Fabric::new();
+    for _ in 0..NODES {
+        fabric.add_node(Box::new(StaticShaper::new(10e9)), 10e9);
+    }
+    // Slots 2v / 2v + 1: node v's access link up / down; then one
+    // up / down pair per spine.
+    let mut caps = vec![10e9; 2 * NODES];
+    caps.extend(std::iter::repeat_n(40e9, 2 * SPINES));
+    fabric.set_link_caps(caps);
+    let route = |src: usize, dst: usize| {
+        let spine = (2 * NODES + 2 * ((src + dst) % SPINES)) as u32;
+        LinkRoute::new(&[2 * src as u32, spine, spine + 1, 2 * dst as u32 + 1])
+    };
+    let shuffle = |fabric: &mut Fabric<Box<dyn Shaper + Send>>, done: &mut Vec<_>| {
+        for src in 0..NODES {
+            for dst in (0..NODES).filter(|&d| d != src) {
+                let bits = 1e8 * (1 + (src + 3 * dst) % 4) as f64;
+                fabric.start_flow_routed(FlowSpec::new(src, dst, bits), route(src, dst));
+            }
+        }
+        done.clear();
+        while done.len() < FLOWS {
+            assert!(fabric.advance(0.01, 1_000_000, done) > 0, "no progress");
+        }
+    };
+    let mut done = Vec::with_capacity(FLOWS);
+
+    shuffle(&mut fabric, &mut done);
+    fabric.reserve_flows(FLOWS);
+    fabric.reset_perf();
+    let shuffle_allocs = measured(|| shuffle(&mut fabric, &mut done));
+    let perf = fabric.perf();
+    assert_eq!(fabric.active_flows(), 0, "the shuffle drained");
+    assert!(
+        perf.link_recomputes > 0,
+        "water-filling never ran: {perf:?}"
+    );
+    assert_eq!(
+        perf.event_steps, perf.steps,
+        "every step ran in an event window: {perf:?}"
+    );
+    assert_eq!(
+        shuffle_allocs, 0,
+        "a routed shuffle allocated {shuffle_allocs} times ({perf:?})"
     );
 }

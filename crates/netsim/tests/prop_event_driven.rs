@@ -19,7 +19,8 @@
 //! simultaneous crossings (identical twins depleting on the same
 //! step + equal-size flows completing together), bursts of 32-256
 //! equal-size flows completing in the same windows between survivors,
-//! and a fault edge landing exactly on a token-bucket refill crossing.
+//! a fault edge landing exactly on a token-bucket refill crossing, and
+//! a link that turns binding halfway through a water-filling round.
 
 use netsim::fabric::{EventCause, Fabric, FlowId, FlowSpec, StepPath};
 use netsim::faults::{FaultConfig, FaultEpisode, FaultKind, FaultSchedule};
@@ -28,6 +29,7 @@ use netsim::shaper::{
     MinShaper, NoiseConfig, NoiseShaper, PerCoreQos, PerCoreQosConfig, Shaper, StaticShaper,
     TokenBucket,
 };
+use netsim::LinkRoute;
 use proplite::prelude::*;
 
 /// One of the shaper kinds the fabric is exercised with. Construction
@@ -268,6 +270,55 @@ fn run_event_script(
         assert_eq!(ce, cr, "post-campaign completions diverged");
     }
     assert_fabrics_bit_equal(event, reference, &all_flows, "rng position pin");
+}
+
+/// Water-filling reads each resource's residual *during* the freeze
+/// sweep, so a link that is not binding at the start of a round can
+/// turn binding because flows frozen earlier in the same round lowered
+/// its residual; later flows crossing it then freeze in that round. The
+/// event engine keeps a binding verdict per resource instead of
+/// dividing per flow, and must re-evaluate a verdict read after a
+/// freeze lowered that resource — a verdict evaluated once per round
+/// would let the later flow climb to the next round's share.
+#[test]
+fn link_turning_binding_mid_round_matches_the_reference() {
+    let dt = 0.01;
+    let build = |path: StepPath| {
+        let mut f: DynFabric = Fabric::new();
+        for _ in 0..4 {
+            f.add_node(Box::new(StaticShaper::new(10e9)), 10e9);
+        }
+        f.set_link_caps(vec![2.5e9, 1e9]);
+        f.force_path(path);
+        f
+    };
+    let mut event = build(StepPath::Event);
+    let mut reference = build(StepPath::Reference);
+    // Round 1: link 1, crossed by the first flow alone, sets the 1 Gbps
+    // share. The first flow reads link 0 on its way to link 1 and finds
+    // it free (2.5 / 2 = 1.25 Gbps per flow, above the share); its
+    // freeze leaves 1.5 / 2, so link 0 binds the second flow in the
+    // same round.
+    let mut flows = Vec::new();
+    for (src, dst, route) in [(0, 1, &[0u32, 1][..]), (2, 3, &[0][..])] {
+        let spec = FlowSpec::new(src, dst, 1e12);
+        let a = event.start_flow_routed(spec, LinkRoute::new(route));
+        let b = reference.start_flow_routed(spec, LinkRoute::new(route));
+        assert_eq!(a, b);
+        flows.push(a);
+    }
+    let (mut done_e, mut done_r) = (Vec::new(), Vec::new());
+    for budget in [1, 1, 64, 1000] {
+        let te = event.advance(dt, budget, &mut done_e);
+        let tr = reference.advance(dt, budget, &mut done_r);
+        assert_eq!(te, tr);
+        assert_fabrics_bit_equal(&event, &reference, &flows, "mid-round binding link");
+    }
+    for &id in &flows {
+        let rate = event.flow_last_rate(id).unwrap();
+        assert!((rate - 1e9).abs() < 1.0, "flow {id:?} rate {rate}, want the 1 Gbps share");
+    }
+    assert!(event.perf().event_steps > 0, "the event kernel never ran");
 }
 
 prop_cases! {

@@ -4,11 +4,15 @@
 //! depth-first walk from the source in sorted-adjacency order (neighbor
 //! id, then link id), so parallel links are distinct paths. Nothing is
 //! enumerated up front: [`EcmpRouter::new`] runs one BFS per host and
-//! keeps, for every node, its hop distance to that host and the number
-//! of shortest paths from it to that host (capped at
-//! [`MAX_ECMP_PATHS`]) — `hosts × nodes × 2` bytes. A route is the
-//! `k`-th path in that order, unranked on demand by walking the DAG
-//! and skipping whole subtrees by their counts.
+//! keeps, for every node, its hop distance to that host, the number of
+//! shortest paths from it to that host (capped at [`MAX_ECMP_PATHS`])
+//! and the adjacency offset of its first neighbor one hop closer to
+//! that host — `hosts × nodes × 3` bytes, plus one CSR copy of the
+//! adjacency whose entries carry their directed link slot. A route is
+//! the `k`-th path in that order, unranked on demand by walking the
+//! DAG and skipping whole subtrees by their counts; each hop starts its
+//! scan at the first-closer offset, so a route costs O(hops) plus the
+//! closer neighbors it skips, not every neighbor at every hop.
 //!
 //! Real switches hash the five-tuple; here the "five-tuple" is
 //! `(src, dst, flow_label)` folded through the simulator's
@@ -35,19 +39,48 @@ const COUNT_CAP: u8 = MAX_ECMP_PATHS as u8;
 /// out than any route can go).
 const FAR: u8 = u8::MAX;
 
+/// `row_of` entry of a node that is not a host.
+const NO_ROW: u32 = u32::MAX;
+
+/// One node's entry in one host's table row.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    /// Hops from the node to the row's host ([`FAR`] if unreached).
+    dist: u8,
+    /// Shortest paths from the node to the row's host, capped at
+    /// [`MAX_ECMP_PATHS`].
+    count: u8,
+    /// Offset into the node's adjacency of its first neighbor one hop
+    /// closer to the row's host, saturated at `u8::MAX`: every neighbor
+    /// before it is farther away, so a scan may start there (or at any
+    /// earlier offset) without changing which neighbor it picks.
+    first: u8,
+}
+
+/// One CSR adjacency entry: a neighbor and the directed capacity slot
+/// for crossing the link to it.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    to: u32,
+    slot: u32,
+}
+
 /// The counted shortest-path DAG towards every host, plus the seeded
 /// hash that spreads flows across each pair's paths.
 #[derive(Debug, Clone)]
 pub struct EcmpRouter {
     seed: u64,
     topo: Topology,
-    /// Host node ids, ascending; a host's position is its table row.
-    hosts: Vec<usize>,
-    /// `dist[row * nodes + v]`: hops from `v` to host `hosts[row]`.
-    dist: Vec<u8>,
-    /// `count[row * nodes + v]`: shortest paths from `v` to host
-    /// `hosts[row]`, capped at [`MAX_ECMP_PATHS`].
-    count: Vec<u8>,
+    /// `row_of[v]`: host `v`'s table row (hosts in ascending id order),
+    /// or [`NO_ROW`] for a switch. Empty on a flat topology.
+    row_of: Vec<u32>,
+    /// CSR offsets: node `v`'s neighbors are
+    /// `adj[adj_start[v]..adj_start[v + 1]]`.
+    adj_start: Vec<u32>,
+    /// Every node's neighbors in the topology's sorted order.
+    adj: Vec<Hop>,
+    /// `cells[row * nodes + v]`: node `v` relative to host row `row`.
+    cells: Vec<Cell>,
 }
 
 impl EcmpRouter {
@@ -60,25 +93,46 @@ impl EcmpRouter {
         let mut router = EcmpRouter {
             seed,
             topo: topo.clone(),
-            hosts: Vec::new(),
-            dist: Vec::new(),
-            count: Vec::new(),
+            row_of: Vec::new(),
+            adj_start: Vec::new(),
+            adj: Vec::new(),
+            cells: Vec::new(),
         };
         if topo.is_flat() {
             return Ok(router);
         }
         let hosts = topo.hosts();
         let n = topo.node_count();
-        router.dist = vec![FAR; hosts.len() * n];
-        router.count = vec![0; hosts.len() * n];
+        router.row_of = vec![NO_ROW; n];
+        for (row, &h) in hosts.iter().enumerate() {
+            router.row_of[h] = row as u32;
+        }
+        router.adj_start.reserve(n + 1);
+        router.adj_start.push(0);
+        for v in 0..n {
+            for &(w, link) in topo.neighbors(v) {
+                router.adj.push(Hop {
+                    to: w as u32,
+                    slot: topo.directed_slot(link, v),
+                });
+            }
+            router.adj_start.push(router.adj.len() as u32);
+        }
+        let empty = Cell {
+            dist: FAR,
+            count: 0,
+            first: 0,
+        };
+        router.cells = vec![empty; hosts.len() * n];
         let mut hops = vec![usize::MAX; n];
+        let mut count = vec![0u8; n];
         let mut queue: Vec<usize> = Vec::with_capacity(n);
         for (row, &src) in hosts.iter().enumerate() {
             // BFS hop distances from src; path counts accumulate along
             // the level edges in pop order, so a node's count is final
             // before any node one hop further out reads it.
-            let count = &mut router.count[row * n..(row + 1) * n];
             hops.fill(usize::MAX);
+            count.fill(0);
             hops[src] = 0;
             count[src] = 1;
             queue.clear();
@@ -115,23 +169,38 @@ impl EcmpRouter {
                     )));
                 }
             }
-            let dist = &mut router.dist[row * n..(row + 1) * n];
-            for (d, &h) in dist.iter_mut().zip(&hops) {
-                *d = u8::try_from(h).unwrap_or(FAR);
+            let cells = &mut router.cells[row * n..(row + 1) * n];
+            for (v, cell) in cells.iter_mut().enumerate() {
+                let first = match hops[v] {
+                    0 | usize::MAX => 0,
+                    h => topo
+                        .neighbors(v)
+                        .iter()
+                        .position(|&(w, _)| hops[w] == h - 1)
+                        .unwrap_or(0),
+                };
+                *cell = Cell {
+                    dist: u8::try_from(hops[v]).unwrap_or(FAR),
+                    count: count[v],
+                    first: u8::try_from(first).unwrap_or(u8::MAX),
+                };
             }
         }
-        router.hosts = hosts;
         Ok(router)
     }
 
     /// `dst`'s table row and the pair's capped path count, when
     /// `src → dst` is a routed host pair.
     fn pair(&self, src: usize, dst: usize) -> Option<(usize, usize)> {
-        if src == dst || self.hosts.binary_search(&src).is_err() {
+        if src == dst || *self.row_of.get(src)? == NO_ROW {
             return None;
         }
-        let row = self.hosts.binary_search(&dst).ok()?;
-        let n = usize::from(self.count[row * self.topo.node_count() + src]);
+        let row = *self.row_of.get(dst)?;
+        if row == NO_ROW {
+            return None;
+        }
+        let row = row as usize;
+        let n = usize::from(self.cells[row * self.row_of.len() + src].count);
         Some((row, n))
     }
 
@@ -145,30 +214,34 @@ impl EcmpRouter {
     /// The `k`-th shortest `src → dst` path in sorted-adjacency DFS
     /// order (`k < path_count`): at each node, step to the first
     /// neighbor one hop closer to `dst` whose path count exceeds `k`,
-    /// less the counts of the closer neighbors skipped.
+    /// less the counts of the closer neighbors skipped. The scan starts
+    /// at the node's first-closer offset; the neighbors before it are
+    /// all farther out, so the walk is the full scan's, hop for hop.
     fn unrank(&self, row: usize, src: usize, mut k: usize) -> LinkRoute {
-        let n = self.topo.node_count();
-        let dist = &self.dist[row * n..(row + 1) * n];
-        let count = &self.count[row * n..(row + 1) * n];
-        let len = usize::from(dist[src]);
+        let n = self.row_of.len();
+        let cells = &self.cells[row * n..(row + 1) * n];
+        let len = usize::from(cells[src].dist);
         let mut slots = [0u32; MAX_ROUTE_LINKS];
         let mut v = src;
         for (hop, slot) in slots[..len].iter_mut().enumerate() {
-            let left = len - hop - 1;
-            for &(w, link) in self.topo.neighbors(v) {
-                if usize::from(dist[w]) != left {
+            let left = (len - hop - 1) as u8;
+            let start = self.adj_start[v] as usize + usize::from(cells[v].first);
+            let end = self.adj_start[v + 1] as usize;
+            for h in &self.adj[start..end] {
+                let c = cells[h.to as usize];
+                if c.dist != left {
                     continue;
                 }
-                let c = usize::from(count[w]);
+                let c = usize::from(c.count);
                 if k < c {
-                    *slot = self.topo.directed_slot(link, v);
-                    v = w;
+                    *slot = h.slot;
+                    v = h.to as usize;
                     break;
                 }
                 k -= c;
             }
         }
-        debug_assert_eq!(dist[v], 0, "unranking left the shortest-path DAG");
+        debug_assert_eq!(cells[v].dist, 0, "unranking left the shortest-path DAG");
         LinkRoute::new(&slots[..len])
     }
 
@@ -280,6 +353,20 @@ mod tests {
         assert!(r.route(0, 3, 5).is_empty());
         assert!(r.paths(0, 3).is_empty());
         assert_eq!(r.path_count(0, 3), 0);
+    }
+
+    #[test]
+    fn first_closer_offsets_saturate_past_255_neighbors() {
+        // The ToR of a 300-host star lists host d at adjacency offset d,
+        // so every offset from 255 up saturates; the scan from 255 must
+        // still reach the destination. Link i joins host i (the `a`
+        // end) to the ToR.
+        let t = zoo::star(300).unwrap();
+        let r = EcmpRouter::new(&t, 3).unwrap();
+        for (s, d) in [(0, 299), (299, 0), (5, 280), (280, 255), (254, 256)] {
+            let want = LinkRoute::new(&[2 * s as u32, 2 * d as u32 + 1]);
+            assert_eq!(r.route(s, d, 11), want, "{s} -> {d}");
+        }
     }
 
     #[test]

@@ -223,6 +223,81 @@ fn oracle_paths(t: &Topology, src: usize, dst: usize, limit: usize) -> Vec<LinkR
     found
 }
 
+/// Every route a 64-node terasort job takes on `fattree8` (seed 2020):
+/// three all-to-all shuffles in the engine's src-major start order,
+/// labelled by flow id `0..12096`, folded into one FNV-1a digest. Any
+/// change in path choice, however small, moves the digest.
+#[test]
+fn fattree8_shuffle_routes_are_pinned() {
+    const NODES: usize = 64;
+    const SHUFFLES: u64 = 3;
+    let w = Wiring::new(
+        topo::zoo::by_name("fattree8", NODES).unwrap(),
+        NODES,
+        2020,
+        2020,
+    )
+    .unwrap();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u64| {
+        h ^= x;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    };
+    let mut label = 0u64;
+    for _ in 0..SHUFFLES {
+        for src in 0..NODES {
+            for dst in (0..NODES).filter(|&d| d != src) {
+                let route = w.route_for(src, dst, label);
+                eat(route.links().len() as u64);
+                for &slot in route.links() {
+                    eat(u64::from(slot));
+                }
+                label += 1;
+            }
+        }
+    }
+    assert_eq!(label, 12_096);
+    assert_eq!(
+        h, 0x28e2_2156_1dd9_30cd,
+        "fattree8 shuffle route digest {h:#018x}"
+    );
+}
+
+/// Pairs the router does not route — a switch at either end, a host to
+/// itself, any pair on a flat topology — resolve to the empty route
+/// with no paths.
+#[test]
+fn unrouted_pairs_resolve_to_the_empty_route() {
+    let t = topo::zoo::by_name("fattree8", 64).unwrap();
+    let r = EcmpRouter::new(&t, 2020).unwrap();
+    let hosts = t.hosts();
+    let switches: Vec<usize> = (0..t.node_count())
+        .filter(|&v| t.kind(v) != NodeKind::Host)
+        .collect();
+    assert!(!switches.is_empty());
+    for &s in &switches {
+        for &h in [hosts[0], hosts[hosts.len() - 1]].iter() {
+            assert_eq!(r.route(s, h, 7), LinkRoute::EMPTY, "switch {s} -> host {h}");
+            assert_eq!(r.route(h, s, 7), LinkRoute::EMPTY, "host {h} -> switch {s}");
+            assert_eq!(r.path_count(s, h), 0);
+            assert_eq!(r.path_count(h, s), 0);
+        }
+    }
+    for &h in &hosts {
+        assert_eq!(r.route(h, h, 3), LinkRoute::EMPTY, "self pair {h}");
+        assert_eq!(r.path_count(h, h), 0);
+        assert!(r.paths(h, h).is_empty());
+    }
+    let flat = topo::zoo::flat(8);
+    let r = EcmpRouter::new(&flat, 2020).unwrap();
+    for s in 0..8 {
+        for d in 0..8 {
+            assert_eq!(r.route(s, d, 1), LinkRoute::EMPTY, "flat {s} -> {d}");
+            assert_eq!(r.path_count(s, d), 0);
+        }
+    }
+}
+
 #[test]
 fn layered_graphs_exceed_the_path_cap() {
     // The generator must reach past the cap, or the oracle property
