@@ -219,9 +219,6 @@ impl LinkRoute {
 struct FlowMap {
     ids: Vec<FlowId>,
     specs: Vec<FlowSpec>,
-    /// Source node per flow: the `specs[i].src` lane at a quarter of
-    /// the stride, for the per-flow demand and scale lookups.
-    src: Vec<u32>,
     routes: Vec<LinkRoute>,
     /// Bits still to deliver.
     remaining: Vec<f64>,
@@ -245,7 +242,6 @@ impl FlowMap {
     fn truncate(&mut self, len: usize) {
         self.ids.truncate(len);
         self.specs.truncate(len);
-        self.src.truncate(len);
         self.routes.truncate(len);
         self.remaining.truncate(len);
         self.last_rate.truncate(len);
@@ -254,32 +250,22 @@ impl FlowMap {
     fn reserve(&mut self, additional: usize) {
         self.ids.reserve(additional);
         self.specs.reserve(additional);
-        self.src.reserve(additional);
         self.routes.reserve(additional);
         self.remaining.reserve(additional);
         self.last_rate.reserve(additional);
     }
 
-    /// Add a fresh flow (full payload remaining, no rate yet).
+    /// Append a fresh flow (full payload remaining, no rate yet).
     fn insert(&mut self, id: FlowId, spec: FlowSpec, route: LinkRoute) {
-        let i = match self.ids.last() {
-            // Out-of-order insert (never happens with the monotone
-            // counter, but keep the map honest).
-            Some(last) if *last >= id => match self.ids.binary_search(&id) {
-                Ok(i) => {
-                    self.remove_at(i);
-                    i
-                }
-                Err(i) => i,
-            },
-            _ => self.ids.len(),
-        };
-        self.ids.insert(i, id);
-        self.specs.insert(i, spec);
-        self.src.insert(i, spec.src as u32);
-        self.routes.insert(i, route);
-        self.remaining.insert(i, spec.bits);
-        self.last_rate.insert(i, 0.0);
+        debug_assert!(
+            self.ids.last().map_or(true, |&l| l < id),
+            "flow ids must increase"
+        );
+        self.ids.push(id);
+        self.specs.push(spec);
+        self.routes.push(route);
+        self.remaining.push(spec.bits);
+        self.last_rate.push(0.0);
     }
 
     fn index_of(&self, id: FlowId) -> Option<usize> {
@@ -300,7 +286,6 @@ impl FlowMap {
             if kept != i {
                 self.ids[kept] = self.ids[i];
                 self.specs[kept] = self.specs[i];
-                self.src[kept] = self.src[i];
                 self.routes[kept] = self.routes[i];
                 self.remaining[kept] = self.remaining[i];
                 self.last_rate[kept] = self.last_rate[i];
@@ -314,7 +299,6 @@ impl FlowMap {
     fn remove_at(&mut self, i: usize) {
         self.ids.remove(i);
         self.specs.remove(i);
-        self.src.remove(i);
         self.routes.remove(i);
         self.remaining.remove(i);
         self.last_rate.remove(i);
@@ -465,8 +449,8 @@ struct StepScratch {
     sig_egress: Vec<u64>,
     /// Effective ingress (cap × fault factor) bit patterns per node.
     sig_ingress: Vec<u64>,
-    /// Contiguous same-source runs `(start, end)` over the flow table's
-    /// `src` column, or empty when that column is not src-sorted (the
+    /// Contiguous same-source runs `(start, end)` over the flow table,
+    /// or empty when its flows are not src-sorted (the
     /// engine starts shuffles src-major, so it usually is). The event
     /// kernel's deliver pass then walks each run with its node's scale
     /// as a loop-constant scalar — branch-free, gather-free, and
@@ -1208,9 +1192,9 @@ impl<S: Shaper> Fabric<S> {
         sc.node_demand.clear();
         sc.node_demand.resize(n_nodes, 0.0);
         sc.want.clear();
-        for ((&r, &rem), &src) in sc.rate.iter().zip(&flows.remaining).zip(&flows.src) {
+        for ((&r, &rem), s) in sc.rate.iter().zip(&flows.remaining).zip(&flows.specs) {
             let want = (r * dt).min(rem);
-            sc.node_demand[src as usize] += want;
+            sc.node_demand[s.src] += want;
             sc.want.push(want);
         }
 
@@ -1230,7 +1214,7 @@ impl<S: Shaper> Fabric<S> {
         // steady state stays allocation-free.
         let mut completed = Vec::new();
         for i in 0..flows.len() {
-            let delivered = sc.want[i] * sc.node_scale[flows.src[i] as usize];
+            let delivered = sc.want[i] * sc.node_scale[flows.specs[i].src];
             flows.remaining[i] -= delivered;
             flows.last_rate[i] = delivered / dt;
             if flows.remaining[i] <= 1e-6 {
@@ -1266,17 +1250,6 @@ impl<S: Shaper> Fabric<S> {
             active_link,
             ..
         } = self;
-        if done.len() == flows.len() {
-            // Every flow leaves (a shuffle's last window): no flow
-            // crosses any resource any more.
-            debug_assert_eq!(done, flows.ids.as_slice(), "completed an unmapped flow");
-            flows.clear();
-            active_eg.fill(0);
-            active_in.fill(0);
-            active_link.fill(0);
-            self.flow_epoch += 1;
-            return;
-        }
         flows.remove_sorted(done, |spec, route| {
             active_eg[spec.src] -= 1;
             active_in[spec.dst] -= 1;
@@ -1628,9 +1601,9 @@ impl<S: Shaper> Fabric<S> {
         // Whether some flow sits in the sub-`1e-6`-want corner (see the
         // deliver-pass strategy below).
         let mut tiny_want = false;
-        for ((&r, &rem), &src) in sc.rate.iter().zip(&flows.remaining).zip(&flows.src) {
+        for ((&r, &rem), s) in sc.rate.iter().zip(&flows.remaining).zip(&flows.specs) {
             let want = (r * dt).min(rem);
-            sc.node_demand[src as usize] += want;
+            sc.node_demand[s.src] += want;
             sc.want.push(want);
             tiny_want |= want > 0.0 && want <= 1e-6;
         }
@@ -1641,12 +1614,12 @@ impl<S: Shaper> Fabric<S> {
         if sc.runs_epoch != self.flow_epoch {
             sc.runs_epoch = self.flow_epoch;
             sc.ev_runs.clear();
-            if flows.src.windows(2).all(|p| p[0] <= p[1]) {
+            if flows.specs.windows(2).all(|p| p[0].src <= p[1].src) {
                 let mut i = 0u32;
                 while (i as usize) < k_flows {
-                    let v = flows.src[i as usize];
+                    let v = flows.specs[i as usize].src;
                     let mut j = i + 1;
-                    while (j as usize) < k_flows && flows.src[j as usize] == v {
+                    while (j as usize) < k_flows && flows.specs[j as usize].src == v {
                         j += 1;
                     }
                     sc.ev_runs.push((i, j));
@@ -1705,7 +1678,7 @@ impl<S: Shaper> Fabric<S> {
                     // Run variant: no completion is reachable in this
                     // window, so deliver is pure arithmetic.
                     for &(a, b) in &sc.ev_runs {
-                        let s = sc.node_scale[flows.src[a as usize] as usize];
+                        let s = sc.node_scale[flows.specs[a as usize].src];
                         let (a, b) = (a as usize, b as usize);
                         for (rem, want) in flows.remaining[a..b].iter_mut().zip(&sc.want[a..b]) {
                             *rem -= *want * s;
@@ -1716,7 +1689,7 @@ impl<S: Shaper> Fabric<S> {
                     // after this step (the flow-set epoch is an event).
                     let mut done_any = false;
                     for i in 0..k_flows {
-                        flows.remaining[i] -= sc.want[i] * sc.node_scale[flows.src[i] as usize];
+                        flows.remaining[i] -= sc.want[i] * sc.node_scale[flows.specs[i].src];
                         if flows.remaining[i] <= 1e-6 {
                             completed.push(flows.ids[i]);
                             done_any = true;
@@ -1734,8 +1707,8 @@ impl<S: Shaper> Fabric<S> {
             // The last delivered rate, from the (constant) want and the
             // final step's scale — the same `delivered / dt` bits the
             // per-step path stores every tick.
-            for ((rate, &want), &src) in flows.last_rate.iter_mut().zip(&sc.want).zip(&flows.src) {
-                *rate = want * sc.node_scale[src as usize] / dt;
+            for ((rate, &want), s) in flows.last_rate.iter_mut().zip(&sc.want).zip(&flows.specs) {
+                *rate = want * sc.node_scale[s.src] / dt;
             }
         }
         self.perf.steps += taken;
