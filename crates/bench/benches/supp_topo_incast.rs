@@ -10,14 +10,14 @@
 //! sharded fleet of eight campaigns must hash identically on
 //! REPRO_JOBS=1 and 4. Wall-clock numbers (steps/sec, the
 //! `Wiring::new` build time of a 64-endpoint `fattree8` and a 1024-host
-//! `fattree16`, and the per-flow cost of routing a 64-node terasort's
-//! shuffles on `fattree8` as a median with a bootstrap CI) and the
+//! `fattree16`, and the per-flow cost of batch-routing a 64-node
+//! terasort's shuffles on `fattree8` as a median with a bootstrap CI) and the
 //! per-link water-filling cache hit rate land in machine-readable
 //! `BENCH_topo.json` so future PRs can track the trajectory.
 
 use bench::{banner, check, rss, MedianCi};
 use repro_core::exec;
-use repro_core::netsim::fabric::{Fabric, FabricPerf, FlowSpec, StepPath};
+use repro_core::netsim::fabric::{Fabric, FabricPerf, FlowSpec, LinkRoute, StepPath};
 use repro_core::netsim::rng::{derive_seed, SimRng};
 use repro_core::netsim::shaper::StaticShaper;
 use repro_core::topo::{zoo, Wiring};
@@ -58,12 +58,10 @@ fn incast_campaign(topo_name: &str, path: StepPath, seed: u64) -> (u64, FabricPe
     };
     for _round in 0..ROUNDS {
         let sink = rng.index(HOSTS);
-        for src in 0..HOSTS {
-            if src != sink {
-                let bits = 1e8 * (1 + rng.index(8)) as f64;
-                wiring.start_flow(&mut fab, FlowSpec::new(src, sink, bits));
-            }
-        }
+        let fan_in = (0..HOSTS)
+            .filter(|&src| src != sink)
+            .map(|src| FlowSpec::new(src, sink, 1e8 * (1 + rng.index(8)) as f64));
+        wiring.start_flows(&mut fab, fan_in);
         while fab.active_flows() > 0 {
             fab.step(DT);
         }
@@ -95,23 +93,26 @@ fn wiring_new_s(topo_name: &str, endpoints: usize) -> f64 {
     times[WIRING_BUILDS / 2]
 }
 
-/// Per-flow `Wiring::route_for` cost, one sample per pass, on a
-/// 64-endpoint `fattree8`: each pass routes the three all-to-all
-/// shuffles of one terasort job (3 × 4032 flows) in the engine's
+/// Per-flow cost of the batch routing path (`Wiring::route_flows`,
+/// what shuffle admission runs), one sample per pass, on a 64-endpoint
+/// `fattree8`: each pass routes the three all-to-all shuffles of one
+/// terasort job (3 × 4032 flows), each as one batch in the engine's
 /// src-major start order, labelled by flow id.
 fn route_ns_per_flow() -> Vec<f64> {
     const NODES: usize = 64;
     let topo = zoo::by_name("fattree8", NODES).expect("zoo topology");
     let wiring = Wiring::new(topo, NODES, SEED, SEED).expect("topology holds the endpoints");
-    let pass = || {
+    let specs: Vec<FlowSpec> = (0..NODES)
+        .flat_map(|src| (0..NODES).filter(move |&d| d != src).map(move |d| (src, d)))
+        .map(|(src, dst)| FlowSpec::new(src, dst, 1e9))
+        .collect();
+    let mut routes = vec![LinkRoute::EMPTY; specs.len()];
+    let mut pass = || {
         let mut label = 0u64;
         for _shuffle in 0..3 {
-            for src in 0..NODES {
-                for dst in (0..NODES).filter(|&d| d != src) {
-                    black_box(wiring.route_for(src, dst, label));
-                    label += 1;
-                }
-            }
+            wiring.route_flows(&specs, label, &mut routes);
+            black_box(&routes);
+            label += specs.len() as u64;
         }
         label
     };

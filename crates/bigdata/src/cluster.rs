@@ -2,7 +2,7 @@
 
 use clouds::CloudProfile;
 use netsim::cpu::CpuCredits;
-use netsim::fabric::{CrossTraffic, Fabric, FlowId, FlowSpec};
+use netsim::fabric::{CrossTraffic, Fabric, FlowId, FlowRange, FlowSpec};
 use netsim::faults::FaultSchedule;
 use netsim::shaper::{Shaper, TokenBucket};
 use netsim::units::{gbit, gbps};
@@ -83,14 +83,22 @@ impl<S: Shaper> Cluster<S> {
         self.wiring.as_ref()
     }
 
-    /// Start a flow between two workers, routed through the wiring's
-    /// topology when one is attached (ECMP-spread by the flow id the
-    /// fabric assigns), or endpoint-constrained only when not.
-    pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
+    /// Start a batch of flows between workers in one admission call,
+    /// routed through the wiring's topology when one is attached
+    /// (ECMP-spread by the flow ids the fabric assigns), or
+    /// endpoint-constrained only when not. Returns the batch's
+    /// contiguous id range.
+    pub fn start_flows(&mut self, specs: impl IntoIterator<Item = FlowSpec>) -> FlowRange {
         match &self.wiring {
-            Some(w) => w.start_flow(&mut self.fabric, spec),
-            None => self.fabric.start_flow(spec),
+            Some(w) => w.start_flows(&mut self.fabric, specs),
+            None => self.fabric.start_flows(specs, |_, _, _| {}),
         }
+    }
+
+    /// Start one flow between two workers: [`Cluster::start_flows`]
+    /// with a batch of one.
+    pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
+        self.start_flows([spec]).start()
     }
 
     /// Attach a fault schedule to the underlying fabric: stalled nodes

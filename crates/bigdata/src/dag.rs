@@ -21,9 +21,9 @@
 //! makes the accounting exact; the DAG scheduler ignores them.
 
 use crate::cluster::Cluster;
-use crate::engine::EngineConfig;
+use crate::engine::{AllToAll, EngineConfig};
 use crate::job::{JobSpec, StageSpec};
-use netsim::fabric::{FlowId, FlowSpec};
+use netsim::fabric::FlowId;
 use netsim::rng::SimRng;
 use netsim::shaper::Shaper;
 use std::collections::BTreeSet;
@@ -244,21 +244,9 @@ pub fn run_dag<S: Shaper>(
                 {
                     let stage = &dag.stages[idx];
                     if stage.shuffle_bits > 0.0 && n > 1 {
-                        let weights: Vec<f64> = (0..n)
-                            .map(|i| if Some(i) == hot_node { 1.0 + dag.skew } else { 1.0 })
-                            .collect();
-                        let wsum: f64 = weights.iter().sum();
-                        for src in 0..n {
-                            let per_dst =
-                                stage.shuffle_bits * weights[src] / wsum / (n - 1) as f64;
-                            for dst in 0..n {
-                                if dst != src {
-                                    let id =
-                                        cluster.start_flow(FlowSpec::new(src, dst, per_dst));
-                                    runs[idx].pending_flows.insert(id);
-                                }
-                            }
-                        }
+                        let shuffle = AllToAll::new(n, stage.shuffle_bits, hot_node, dag.skew);
+                        let span = cluster.start_flows(shuffle);
+                        runs[idx].pending_flows.extend(span.iter());
                         runs[idx].state = StageState::Shuffling;
                     } else {
                         runs[idx].state = StageState::Done;

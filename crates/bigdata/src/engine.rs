@@ -13,6 +13,67 @@ use netsim::fabric::{FlowId, FlowSpec};
 use netsim::rng::SimRng;
 use netsim::shaper::Shaper;
 
+/// One stage's all-to-all shuffle flows in src-major order — the order
+/// the fabric numbers them in, and so the order the wiring draws their
+/// paths in. Node `src` splits its weighted share
+/// `shuffle_bits · w_src / Σw` of the stage output evenly over the
+/// other `n − 1` nodes; the hot node weighs `1 + skew`, every other
+/// node 1. Exact-sized, so admission sizes the flow table once.
+pub(crate) struct AllToAll {
+    per_dst: Vec<f64>,
+    src: usize,
+    dst: usize,
+    left: usize,
+}
+
+impl AllToAll {
+    /// The shuffle of `shuffle_bits` over `n >= 2` nodes.
+    pub(crate) fn new(n: usize, shuffle_bits: f64, hot_node: Option<usize>, skew: f64) -> Self {
+        let mut per_dst: Vec<f64> = (0..n)
+            .map(|i| if Some(i) == hot_node { 1.0 + skew } else { 1.0 })
+            .collect();
+        let wsum: f64 = per_dst.iter().sum();
+        for w in &mut per_dst {
+            *w = shuffle_bits * *w / wsum / (n - 1) as f64;
+        }
+        AllToAll {
+            per_dst,
+            src: 0,
+            dst: 1,
+            left: n * (n - 1),
+        }
+    }
+}
+
+impl Iterator for AllToAll {
+    type Item = FlowSpec;
+
+    fn next(&mut self) -> Option<FlowSpec> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let spec = FlowSpec::new(self.src, self.dst, self.per_dst[self.src]);
+        self.dst += 1;
+        if self.dst == self.src {
+            self.dst += 1;
+        }
+        if self.dst == self.per_dst.len() {
+            // The next source is at least 1, so destination 0 is never
+            // a loopback.
+            self.src += 1;
+            self.dst = 0;
+        }
+        Some(spec)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for AllToAll {}
+
 /// Engine time-stepping configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
@@ -275,34 +336,18 @@ fn execute<S: Shaper>(
         // --- Shuffle phase: all-to-all exchange of the stage output. ---
         let mut shuffle_s = 0.0;
         if stage.shuffle_bits > 0.0 && n > 1 {
-            let weights: Vec<f64> = (0..n)
-                .map(|i| if Some(i) == hot_node { 1.0 + job.skew } else { 1.0 })
-                .collect();
-            let wsum: f64 = weights.iter().sum();
             let start = cluster.fabric().now();
-            // Flow ids come from a monotone counter and nothing else
-            // starts a flow in between, so the shuffle's flows take the
-            // contiguous id range `first..=last` and waiting on them is
-            // a count: every completed id inside the range retires one.
-            // The count does not depend on completion order (one
-            // batched `advance` concatenates several windows, so its
-            // `done` list is not globally id-sorted); ids outside the
-            // range are cross traffic.
-            let mut pending = n * (n - 1);
-            cluster.fabric_mut().reserve_flows(pending);
-            let mut span: Option<(FlowId, FlowId)> = None;
-            for src in 0..n {
-                let src_bits = stage.shuffle_bits * weights[src] / wsum;
-                let per_dst = src_bits / (n - 1) as f64;
-                for dst in 0..n {
-                    if dst != src {
-                        let id = cluster.start_flow(FlowSpec::new(src, dst, per_dst));
-                        span = Some((span.map_or(id, |(first, _)| first), id));
-                    }
-                }
-            }
-            let shuffle_flow =
-                |id: &FlowId| span.is_some_and(|(first, last)| (first..=last).contains(id));
+            // The shuffle is admitted as one batch, so its flows take
+            // one contiguous id range and waiting on them is a count:
+            // every completed id inside the range retires one. The
+            // count does not depend on completion order (one batched
+            // `advance` concatenates several windows, so its `done`
+            // list is not globally id-sorted); ids outside the range
+            // are cross traffic.
+            let span =
+                cluster.start_flows(AllToAll::new(n, stage.shuffle_bits, hot_node, job.skew));
+            let mut pending = span.len();
+            let shuffle_flow = |id: &FlowId| span.contains(*id);
             // Hard cap to guarantee termination even on a zero-rate link.
             let max_steps = (86_400.0 / cfg.shuffle_step_s) as u64;
             let mut steps = 0u64;

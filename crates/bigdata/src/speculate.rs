@@ -22,7 +22,7 @@
 //!   equally-drained peer versus the counterfactual fresh-budget node.
 
 use crate::cluster::Cluster;
-use crate::engine::{task_time, JobResult, StageResult};
+use crate::engine::{task_time, AllToAll, JobResult, StageResult};
 use crate::job::JobSpec;
 use netsim::fabric::{FlowId, FlowSpec};
 use netsim::faults::{FaultEpisode, FaultKind, FaultSchedule};
@@ -370,22 +370,11 @@ pub fn run_job_speculative<S: Shaper>(
         // --- Shuffle phase: the faulted fabric does the degrading. ---
         let mut shuffle_s = 0.0;
         if stage.shuffle_bits > 0.0 && n > 1 {
-            let weights: Vec<f64> = (0..n)
-                .map(|i| if Some(i) == hot_node { 1.0 + job.skew } else { 1.0 })
-                .collect();
-            let wsum: f64 = weights.iter().sum();
             let start = cluster.fabric().now();
-            let mut pending: BTreeSet<FlowId> = BTreeSet::new();
-            for src in 0..n {
-                let src_bits = stage.shuffle_bits * weights[src] / wsum;
-                let per_dst = src_bits / (n - 1) as f64;
-                for dst in 0..n {
-                    if dst != src {
-                        let id = cluster.start_flow(FlowSpec::new(src, dst, per_dst));
-                        pending.insert(id);
-                    }
-                }
-            }
+            let mut pending: BTreeSet<FlowId> = cluster
+                .start_flows(AllToAll::new(n, stage.shuffle_bits, hot_node, job.skew))
+                .iter()
+                .collect();
             let max_steps = (86_400.0 / SHUFFLE_STEP_S) as u64;
             let mut steps = 0u64;
             while !pending.is_empty() && steps < max_steps {

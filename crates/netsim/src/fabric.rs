@@ -127,6 +127,43 @@ fn flow_completion_horizon(remaining: f64, want: f64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(u64);
 
+/// The ids of one batch admitted by [`Fabric::start_flows`]: ids come
+/// from a monotone counter, so a batch takes a contiguous range, in the
+/// order its specs were given.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowRange {
+    start: u64,
+    end: u64,
+}
+
+impl FlowRange {
+    /// The batch's first id (for an empty batch, the id the next flow
+    /// will receive).
+    pub fn start(&self) -> FlowId {
+        FlowId(self.start)
+    }
+
+    /// Number of flows in the batch.
+    pub fn len(&self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    /// Whether the batch admitted no flow.
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// Whether `id` belongs to the batch.
+    pub fn contains(&self, id: FlowId) -> bool {
+        (self.start..self.end).contains(&id.0)
+    }
+
+    /// The batch's ids in admission order.
+    pub fn iter(&self) -> impl Iterator<Item = FlowId> {
+        (self.start..self.end).map(FlowId)
+    }
+}
+
 /// A requested transfer.
 #[derive(Debug, Clone, Copy)]
 pub struct FlowSpec {
@@ -208,13 +245,14 @@ impl LinkRoute {
 
 /// The in-flight flows as struct-of-arrays columns sorted by flow id:
 /// index `i` of every column is the same flow. Ids come from a monotone
-/// counter, so every insert is an append, lookups are binary searches
-/// over `ids`, and every pass walks the columns in id order — the order
-/// every floating-point accumulation downstream relies on. Water-filling,
-/// the general step and the event kernel all run on the columns in
-/// place. Completions leave in one [`Fabric::retire`] pass per step or
-/// event window; the per-index [`FlowMap::remove_at`] (one shift per
-/// column) is kept for the reference loops only.
+/// counter, so admission ([`Fabric::start_flows`]) appends a whole
+/// batch in place, lookups are binary searches over `ids`, and every
+/// pass walks the columns in id order — the order every floating-point
+/// accumulation downstream relies on. Water-filling, the general step
+/// and the event kernel all run on the columns in place. Completions
+/// leave in one [`Fabric::retire`] pass per step or event window; the
+/// per-index [`FlowMap::remove_at`] (one shift per column) is kept for
+/// the reference loops only.
 #[derive(Debug, Default)]
 struct FlowMap {
     ids: Vec<FlowId>,
@@ -253,19 +291,6 @@ impl FlowMap {
         self.routes.reserve(additional);
         self.remaining.reserve(additional);
         self.last_rate.reserve(additional);
-    }
-
-    /// Append a fresh flow (full payload remaining, no rate yet).
-    fn insert(&mut self, id: FlowId, spec: FlowSpec, route: LinkRoute) {
-        debug_assert!(
-            self.ids.last().map_or(true, |&l| l < id),
-            "flow ids must increase"
-        );
-        self.ids.push(id);
-        self.specs.push(spec);
-        self.routes.push(route);
-        self.remaining.push(spec.bits);
-        self.last_rate.push(0.0);
     }
 
     fn index_of(&self, id: FlowId) -> Option<usize> {
@@ -675,44 +700,78 @@ impl<S: Shaper> Fabric<S> {
         self.flows.len()
     }
 
-    /// Make room for `additional` more in-flight flows in one
-    /// allocation per flow-table column, so a burst of starts (a
-    /// shuffle's all-to-all) does not regrow the table by doubling.
-    pub fn reserve_flows(&mut self, additional: usize) {
-        self.flows.reserve(additional);
-    }
-
-    /// Start a transfer; completion is reported by [`Fabric::step`].
+    /// Start one transfer; completion is reported by [`Fabric::step`].
+    /// [`Fabric::start_flows`] with an unrouted batch of one.
     pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
-        self.start_flow_routed(spec, LinkRoute::EMPTY)
+        self.start_flows([spec], |_, _, _| {}).start()
     }
 
-    /// Start a transfer that crosses the given directed links (in hop
-    /// order) of the installed topology; completion is reported by
-    /// [`Fabric::step`]. An empty route is exactly [`Fabric::start_flow`].
+    /// Start one transfer that crosses the given directed links (in hop
+    /// order) of the installed topology: [`Fabric::start_flows`] with a
+    /// batch of one. An empty route is exactly [`Fabric::start_flow`].
     pub fn start_flow_routed(&mut self, spec: FlowSpec, route: LinkRoute) -> FlowId {
-        assert!(
-            spec.src < self.nodes.len() && spec.dst < self.nodes.len(),
-            "flow endpoints must be fabric nodes"
-        );
-        assert!(spec.src != spec.dst, "loopback flows bypass the network");
-        assert!(spec.bits >= 0.0, "flow size must be non-negative");
-        for &l in route.links() {
+        self.start_flows([spec], |_, _, routes| routes[0] = route).start()
+    }
+
+    /// Admit a batch of transfers — the fabric's one admission path.
+    /// The specs are appended to the flow table in place, taking the
+    /// contiguous ids the returned range names, in order. `route` then
+    /// fills the batch's route column: it receives the batch's first id,
+    /// its specs and its routes (all [`LinkRoute::EMPTY`] on entry, and
+    /// left so for unrouted flows), so a wiring can hash each flow's id
+    /// into its path pick and unrank the path straight into the table.
+    /// Remaining bits, last rates and the per-node and per-link active
+    /// counts follow in the same passes, with one flow-set epoch bump
+    /// for the whole batch. Completions are reported by
+    /// [`Fabric::step`] and [`Fabric::advance`].
+    ///
+    /// Panics on an endpoint that is not a fabric node, a loopback
+    /// flow, a negative size, or a route naming an uninstalled link
+    /// slot.
+    pub fn start_flows(
+        &mut self,
+        specs: impl IntoIterator<Item = FlowSpec>,
+        route: impl FnOnce(u64, &[FlowSpec], &mut [LinkRoute]),
+    ) -> FlowRange {
+        let specs = specs.into_iter();
+        let at = self.flows.len();
+        let first = self.next_flow;
+        let n_nodes = self.nodes.len();
+        let flows = &mut self.flows;
+        flows.reserve(specs.size_hint().0);
+        for spec in specs {
             assert!(
-                (l as usize) < self.link_caps.len(),
-                "route names an uninstalled link slot"
+                spec.src < n_nodes && spec.dst < n_nodes,
+                "flow endpoints must be fabric nodes"
             );
+            assert!(spec.src != spec.dst, "loopback flows bypass the network");
+            assert!(spec.bits >= 0.0, "flow size must be non-negative");
+            flows.ids.push(FlowId(self.next_flow));
+            self.next_flow += 1;
+            flows.specs.push(spec);
+            flows.remaining.push(spec.bits);
+            flows.last_rate.push(0.0);
+            self.active_eg[spec.src] += 1;
+            self.active_in[spec.dst] += 1;
         }
-        let id = FlowId(self.next_flow);
-        self.next_flow += 1;
-        self.flows.insert(id, spec, route);
-        self.active_eg[spec.src] += 1;
-        self.active_in[spec.dst] += 1;
-        for &l in route.links() {
-            self.active_link[l as usize] += 1;
+        flows.routes.resize(flows.ids.len(), LinkRoute::EMPTY);
+        route(first, &flows.specs[at..], &mut flows.routes[at..]);
+        for r in &flows.routes[at..] {
+            for &l in r.links() {
+                assert!(
+                    (l as usize) < self.link_caps.len(),
+                    "route names an uninstalled link slot"
+                );
+                self.active_link[l as usize] += 1;
+            }
         }
-        self.flow_epoch += 1;
-        id
+        if self.next_flow != first {
+            self.flow_epoch += 1;
+        }
+        FlowRange {
+            start: first,
+            end: self.next_flow,
+        }
     }
 
     /// Remaining bits of a flow (`None` once completed/unknown).
@@ -1235,6 +1294,11 @@ impl<S: Shaper> Fabric<S> {
     /// flows in id order) and names only mapped flows. The counts are
     /// integers, so the order of the decrements cannot change any bit
     /// downstream.
+    ///
+    /// When `done` names every flow (a shuffle whose flows all finish
+    /// in one window), the table is cleared and the counts zeroed
+    /// outright: each count is the number of in-flight flows at its
+    /// node or on its link, so with the table empty every count is 0.
     fn retire(&mut self, done: &[FlowId]) {
         if done.is_empty() {
             return;
@@ -1243,6 +1307,16 @@ impl<S: Shaper> Fabric<S> {
             done.windows(2).all(|w| w[0] < w[1]),
             "completions must be id-sorted"
         );
+        self.flow_epoch += 1;
+        if done.len() == self.flows.len() {
+            debug_assert_eq!(done, &self.flows.ids[..], "completed an unmapped flow");
+            debug_assert!(self.counts_match_table(), "active counts drifted");
+            self.flows.clear();
+            self.active_eg.fill(0);
+            self.active_in.fill(0);
+            self.active_link.fill(0);
+            return;
+        }
         let Fabric {
             flows,
             active_eg,
@@ -1257,7 +1331,39 @@ impl<S: Shaper> Fabric<S> {
                 active_link[l as usize] -= 1;
             }
         });
-        self.flow_epoch += 1;
+    }
+
+    /// Debug check of the invariant whole-table retirement relies on:
+    /// the per-node and per-link active counts equal the flow table's
+    /// sums. The recount goes into the water-fill's round-count scratch
+    /// (which every `refresh_rates` overwrites from the active counts),
+    /// so it leaves the active counts alone and allocates nothing once
+    /// warm — the allocation probes hold in debug builds too.
+    fn counts_match_table(&mut self) -> bool {
+        let Fabric {
+            flows,
+            active_eg,
+            active_in,
+            active_link,
+            scratch: sc,
+            ..
+        } = self;
+        for (count, len) in [
+            (&mut sc.eg_count, active_eg.len()),
+            (&mut sc.in_count, active_in.len()),
+            (&mut sc.link_count, active_link.len()),
+        ] {
+            count.clear();
+            count.resize(len, 0);
+        }
+        for (spec, route) in flows.specs.iter().zip(&flows.routes) {
+            sc.eg_count[spec.src] += 1;
+            sc.in_count[spec.dst] += 1;
+            for &l in route.links() {
+                sc.link_count[l as usize] += 1;
+            }
+        }
+        sc.eg_count == *active_eg && sc.in_count == *active_in && sc.link_count == *active_link
     }
 
     /// Column index of an in-flight flow, for the reference loops'

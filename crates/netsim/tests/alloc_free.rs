@@ -233,9 +233,9 @@ fn event_window_completions_are_allocation_free() {
 
 /// A routed 64-node all-to-all shuffle (4032 flows over a two-tier
 /// tree of access and spine links) runs allocation-free end to end once
-/// a warm-up shuffle has grown the scratch buffers and `reserve_flows`
-/// has sized the flow table's columns: admission appends to the
-/// columns, the first `refresh_rates` water-fills in the scratch
+/// a warm-up shuffle has grown the scratch buffers and the flow table's
+/// columns: batch admission appends to the columns and routes in
+/// place, the first `refresh_rates` water-fills in the scratch
 /// buffers, and every event window and retirement works in place.
 #[test]
 fn routed_shuffle_is_allocation_free() {
@@ -256,12 +256,16 @@ fn routed_shuffle_is_allocation_free() {
         LinkRoute::new(&[2 * src as u32, spine, spine + 1, 2 * dst as u32 + 1])
     };
     let shuffle = |fabric: &mut Fabric<Box<dyn Shaper + Send>>, done: &mut Vec<_>| {
-        for src in 0..NODES {
-            for dst in (0..NODES).filter(|&d| d != src) {
-                let bits = 1e8 * (1 + (src + 3 * dst) % 4) as f64;
-                fabric.start_flow_routed(FlowSpec::new(src, dst, bits), route(src, dst));
+        let specs = (0..NODES).flat_map(|src| {
+            (0..NODES).filter(move |&d| d != src).map(move |dst| {
+                FlowSpec::new(src, dst, 1e8 * (1 + (src + 3 * dst) % 4) as f64)
+            })
+        });
+        fabric.start_flows(specs, |_, specs, routes| {
+            for (r, s) in routes.iter_mut().zip(specs) {
+                *r = route(s.src, s.dst);
             }
-        }
+        });
         done.clear();
         while done.len() < FLOWS {
             assert!(fabric.advance(0.01, 1_000_000, done) > 0, "no progress");
@@ -270,7 +274,6 @@ fn routed_shuffle_is_allocation_free() {
     let mut done = Vec::with_capacity(FLOWS);
 
     shuffle(&mut fabric, &mut done);
-    fabric.reserve_flows(FLOWS);
     fabric.reset_perf();
     let shuffle_allocs = measured(|| shuffle(&mut fabric, &mut done));
     let perf = fabric.perf();

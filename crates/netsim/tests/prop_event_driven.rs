@@ -321,6 +321,84 @@ fn link_turning_binding_mid_round_matches_the_reference() {
     assert!(event.perf().event_steps > 0, "the event kernel never ran");
 }
 
+/// A window that completes every in-flight flow retires the whole
+/// table at once (columns cleared, per-node and per-link counts
+/// zeroed). A routed burst started right after must water-fill on
+/// counts holding only its own flows: it crosses the same link-bound
+/// access links as the retired shuffle, so a stale count would lower
+/// its share below the reference's, which recounts every step.
+#[test]
+fn whole_table_retirement_then_a_new_burst_matches_the_reference() {
+    const N: usize = 6;
+    let dt = 0.01;
+    let build = |path: StepPath| {
+        let mut f: DynFabric = Fabric::new();
+        for _ in 0..N {
+            f.add_node(Box::new(StaticShaper::new(10e9)), 10e9);
+        }
+        // Slots 2v / 2v + 1: node v's 2 Gbps access link up / down;
+        // then one 40 Gbps spine up / down pair.
+        let mut caps = vec![2e9; 2 * N];
+        caps.extend([40e9, 40e9]);
+        f.set_link_caps(caps);
+        f.force_path(path);
+        f
+    };
+    let spine = 2 * N as u32;
+    let route = |s: usize, d: usize| LinkRoute::new(&[2 * s as u32, spine, spine + 1, 2 * d as u32 + 1]);
+    let mut event = build(StepPath::Event);
+    let mut reference = build(StepPath::Reference);
+    let mut flows: Vec<FlowId> = Vec::new();
+    let admit = |f: &mut DynFabric, specs: &[FlowSpec]| {
+        f.start_flows(specs.iter().copied(), |_, specs, routes| {
+            for (r, s) in routes.iter_mut().zip(specs) {
+                *r = route(s.src, s.dst);
+            }
+        })
+    };
+
+    // An all-to-all of equal flows on symmetric routes: every flow gets
+    // the same rate and completes in the same step.
+    let shuffle: Vec<FlowSpec> = (0..N)
+        .flat_map(|s| (0..N).filter(move |&d| d != s).map(move |d| FlowSpec::new(s, d, 1e8)))
+        .collect();
+    let a = admit(&mut event, &shuffle);
+    assert_eq!(a, admit(&mut reference, &shuffle));
+    flows.extend(a.iter());
+    let (mut done_e, mut done_r) = (Vec::new(), Vec::new());
+    let te = event.advance(dt, 10_000, &mut done_e);
+    let tr = reference.advance(dt, 10_000, &mut done_r);
+    assert_eq!((te, &done_e), (tr, &done_r), "shuffle drain diverged");
+    assert_eq!(done_e, a.iter().collect::<Vec<_>>(), "every flow completes");
+    assert_eq!(event.active_flows(), 0);
+    let perf = event.perf();
+    assert_eq!(perf.event_steps, perf.steps, "the shuffle drained in event windows");
+    assert_fabrics_bit_equal(&event, &reference, &flows, "after whole-table retirement");
+
+    // The follow-up burst shares node 0's uplink two ways and node 1's
+    // downlink two ways.
+    let burst = [
+        FlowSpec::new(0, 1, 1e10),
+        FlowSpec::new(0, 2, 1e10),
+        FlowSpec::new(3, 1, 1e10),
+    ];
+    let b = admit(&mut event, &burst);
+    assert_eq!(b, admit(&mut reference, &burst));
+    flows.extend(b.iter());
+    for budget in [1, 3, 50, 10_000] {
+        let (mut done_e, mut done_r) = (Vec::new(), Vec::new());
+        let te = event.advance(dt, budget, &mut done_e);
+        let tr = reference.advance(dt, budget, &mut done_r);
+        assert_eq!((te, &done_e), (tr, &done_r), "burst diverged at budget {budget}");
+        assert_fabrics_bit_equal(&event, &reference, &flows, "burst after retirement");
+        if budget == 1 {
+            let rate = event.flow_last_rate(b.start()).unwrap();
+            assert!((rate - 1e9).abs() < 1.0, "rate {rate}, want half the 2 Gbps uplink");
+        }
+    }
+    assert_eq!(event.active_flows(), 0);
+}
+
 prop_cases! {
     #![config(Config::with_cases(24))]
 

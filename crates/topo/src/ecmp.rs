@@ -5,14 +5,20 @@
 //! id, then link id), so parallel links are distinct paths. Nothing is
 //! enumerated up front: [`EcmpRouter::new`] runs one BFS per host and
 //! keeps, for every node, its hop distance to that host, the number of
-//! shortest paths from it to that host (capped at [`MAX_ECMP_PATHS`])
-//! and the adjacency offset of its first neighbor one hop closer to
-//! that host — `hosts × nodes × 3` bytes, plus one CSR copy of the
-//! adjacency whose entries carry their directed link slot. A route is
-//! the `k`-th path in that order, unranked on demand by walking the
-//! DAG and skipping whole subtrees by their counts; each hop starts its
-//! scan at the first-closer offset, so a route costs O(hops) plus the
-//! closer neighbors it skips, not every neighbor at every hop.
+//! shortest paths from it to that host (capped at [`MAX_ECMP_PATHS`]),
+//! the adjacency offset of its first neighbor one hop closer to that
+//! host and, when those closer neighbors form one contiguous block of
+//! equal counts, that count as a stride — `hosts × nodes × 4` bytes,
+//! plus one CSR copy of the adjacency whose entries carry their
+//! directed link slot. A route is the `k`-th path in that order,
+//! unranked on demand by walking the DAG and skipping whole subtrees by
+//! their counts: a stride hop skips `⌊k / stride⌋` subtrees at once, and
+//! any other hop scans from the first-closer offset, so a route costs
+//! O(hops) plus the closer neighbors the scans skip.
+//!
+//! A shuffle routes as one batch ([`EcmpRouter::route_batch`]): a first
+//! pass draws every flow's path index, a second unranks the routes
+//! straight into the caller's route column.
 //!
 //! Real switches hash the five-tuple; here the "five-tuple" is
 //! `(src, dst, flow_label)` folded through the simulator's
@@ -42,6 +48,45 @@ const FAR: u8 = u8::MAX;
 /// `row_of` entry of a node that is not a host.
 const NO_ROW: u32 = u32::MAX;
 
+/// `QUOTIENT[c][k] == k / c` for every stride `c ≤ MAX_ECMP_PATHS` and
+/// path index `k < MAX_ECMP_PATHS`: a stride hop reads its quotient
+/// instead of paying a hardware divide on the route's dependent chain.
+static QUOTIENT: [[u8; MAX_ECMP_PATHS]; MAX_ECMP_PATHS + 1] = {
+    let mut t = [[0u8; MAX_ECMP_PATHS]; MAX_ECMP_PATHS + 1];
+    let mut c = 1;
+    while c <= MAX_ECMP_PATHS {
+        let mut k = 0;
+        while k < MAX_ECMP_PATHS {
+            t[c][k] = (k / c) as u8;
+            k += 1;
+        }
+        c += 1;
+    }
+    t
+};
+
+/// Flows a batch draws before unranking them: [`EcmpRouter::route_batch`]
+/// alternates its two passes over chunks this long, so its draw
+/// scratch is a fixed stack array, never a heap buffer.
+const DRAW_CHUNK: usize = 256;
+
+/// One flow's pass-one result: its destination's table row, its source
+/// host and its path index, or `row == NO_ROW` for an unrouted pair.
+#[derive(Debug, Clone, Copy)]
+struct Draw {
+    row: u32,
+    src: u32,
+    k: u32,
+}
+
+impl Draw {
+    const UNROUTED: Draw = Draw {
+        row: NO_ROW,
+        src: 0,
+        k: 0,
+    };
+}
+
 /// One node's entry in one host's table row.
 #[derive(Debug, Clone, Copy)]
 struct Cell {
@@ -55,6 +100,28 @@ struct Cell {
     /// before it is farther away, so a scan may start there (or at any
     /// earlier offset) without changing which neighbor it picks.
     first: u8,
+    /// The capped count `c` every closer neighbor shares when they are
+    /// exactly the `m` adjacency entries from `first` on (and `first`
+    /// is not saturated); 0 otherwise. A scan over such a block skips
+    /// `⌊k / c⌋` whole subtrees of `c` paths each, and `k < count ≤ m·c`
+    /// keeps the pick inside the block, so the hop is entry
+    /// `first + ⌊k / c⌋` and `k` drops to `k mod c`.
+    stride: u8,
+}
+
+/// What one BFS learns about a node's neighbors one hop closer to the
+/// BFS source (its parents), one level edge at a time: enough to set
+/// the node's `first` and `stride` without scanning its adjacency.
+#[derive(Debug, Clone, Copy)]
+struct Parents {
+    /// Parent entries seen (each parallel link is an entry of its own).
+    n: u32,
+    /// Lowest and highest adjacency offsets of those entries.
+    lo: u32,
+    hi: u32,
+    /// The capped count every parent entry shares, or 0 once two differ
+    /// (a reached node's count is at least 1).
+    c: u8,
 }
 
 /// One CSR adjacency entry: a neighbor and the directed capacity slot
@@ -109,12 +176,17 @@ impl EcmpRouter {
         }
         router.adj_start.reserve(n + 1);
         router.adj_start.push(0);
+        // back[e]: where adjacency entry e's link sits in its
+        // neighbor's list (always present: links are undirected).
+        let mut back: Vec<u32> = Vec::new();
         for v in 0..n {
             for &(w, link) in topo.neighbors(v) {
                 router.adj.push(Hop {
                     to: w as u32,
                     slot: topo.directed_slot(link, v),
                 });
+                let at = topo.neighbors(w).binary_search(&(v, link));
+                back.push(at.unwrap_or_else(|i| i) as u32);
             }
             router.adj_start.push(router.adj.len() as u32);
         }
@@ -122,10 +194,18 @@ impl EcmpRouter {
             dist: FAR,
             count: 0,
             first: 0,
+            stride: 0,
         };
         router.cells = vec![empty; hosts.len() * n];
         let mut hops = vec![usize::MAX; n];
         let mut count = vec![0u8; n];
+        let none = Parents {
+            n: 0,
+            lo: u32::MAX,
+            hi: 0,
+            c: 0,
+        };
+        let mut parents = vec![none; n];
         let mut queue: Vec<usize> = Vec::with_capacity(n);
         for (row, &src) in hosts.iter().enumerate() {
             // BFS hop distances from src; path counts accumulate along
@@ -133,6 +213,7 @@ impl EcmpRouter {
             // before any node one hop further out reads it.
             hops.fill(usize::MAX);
             count.fill(0);
+            parents.fill(none);
             hops[src] = 0;
             count[src] = 1;
             queue.clear();
@@ -141,7 +222,9 @@ impl EcmpRouter {
             while head < queue.len() {
                 let v = queue[head];
                 head += 1;
-                for &(w, _) in topo.neighbors(v) {
+                let edges = router.adj_start[v] as usize..router.adj_start[v + 1] as usize;
+                for (hop, &at) in router.adj[edges.clone()].iter().zip(&back[edges]) {
+                    let w = hop.to as usize;
                     if hops[w] == usize::MAX {
                         hops[w] = hops[v] + 1;
                         queue.push(w);
@@ -150,6 +233,11 @@ impl EcmpRouter {
                         // min(Σ min(aᵢ, cap), cap) == min(Σ aᵢ, cap):
                         // capping every partial sum keeps the count exact.
                         count[w] = (count[w] + count[v]).min(COUNT_CAP);
+                        let p = &mut parents[w];
+                        p.c = if p.n == 0 || p.c == count[v] { count[v] } else { 0 };
+                        p.n += 1;
+                        p.lo = p.lo.min(at);
+                        p.hi = p.hi.max(at);
                     }
                 }
             }
@@ -171,18 +259,23 @@ impl EcmpRouter {
             }
             let cells = &mut router.cells[row * n..(row + 1) * n];
             for (v, cell) in cells.iter_mut().enumerate() {
-                let first = match hops[v] {
-                    0 | usize::MAX => 0,
-                    h => topo
-                        .neighbors(v)
-                        .iter()
-                        .position(|&(w, _)| hops[w] == h - 1)
-                        .unwrap_or(0),
+                // The parents are one contiguous block iff their
+                // offsets span exactly as many entries as there are.
+                let p = parents[v];
+                let (first, block) = match p.n {
+                    0 => (0, false),
+                    n => (p.lo, p.hi - p.lo + 1 == n),
+                };
+                let stride = if block && first < u32::from(u8::MAX) {
+                    p.c
+                } else {
+                    0
                 };
                 *cell = Cell {
                     dist: u8::try_from(hops[v]).unwrap_or(FAR),
                     count: count[v],
                     first: u8::try_from(first).unwrap_or(u8::MAX),
+                    stride,
                 };
             }
         }
@@ -214,9 +307,11 @@ impl EcmpRouter {
     /// The `k`-th shortest `src → dst` path in sorted-adjacency DFS
     /// order (`k < path_count`): at each node, step to the first
     /// neighbor one hop closer to `dst` whose path count exceeds `k`,
-    /// less the counts of the closer neighbors skipped. The scan starts
-    /// at the node's first-closer offset; the neighbors before it are
-    /// all farther out, so the walk is the full scan's, hop for hop.
+    /// less the counts of the closer neighbors skipped. A stride hop
+    /// reads that neighbor off directly (see [`Cell::stride`]); any
+    /// other hop scans from the node's first-closer offset — the
+    /// neighbors before it are all farther out — so the walk is the
+    /// full scan's, hop for hop.
     fn unrank(&self, row: usize, src: usize, mut k: usize) -> LinkRoute {
         let n = self.row_of.len();
         let cells = &self.cells[row * n..(row + 1) * n];
@@ -224,25 +319,49 @@ impl EcmpRouter {
         let mut slots = [0u32; MAX_ROUTE_LINKS];
         let mut v = src;
         for (hop, slot) in slots[..len].iter_mut().enumerate() {
-            let left = (len - hop - 1) as u8;
-            let start = self.adj_start[v] as usize + usize::from(cells[v].first);
-            let end = self.adj_start[v + 1] as usize;
-            for h in &self.adj[start..end] {
-                let c = cells[h.to as usize];
-                if c.dist != left {
-                    continue;
+            let cell = cells[v];
+            let start = self.adj_start[v] as usize + usize::from(cell.first);
+            let next = if cell.stride != 0 {
+                let c = usize::from(cell.stride);
+                let q = usize::from(QUOTIENT[c][k]);
+                k -= q * c;
+                self.adj[start + q]
+            } else {
+                let left = (len - hop - 1) as u8;
+                let end = self.adj_start[v + 1] as usize;
+                let mut pick = self.adj[start];
+                for h in &self.adj[start..end] {
+                    let c = cells[h.to as usize];
+                    if c.dist != left {
+                        continue;
+                    }
+                    let c = usize::from(c.count);
+                    if k < c {
+                        pick = *h;
+                        break;
+                    }
+                    k -= c;
                 }
-                let c = usize::from(c.count);
-                if k < c {
-                    *slot = h.slot;
-                    v = h.to as usize;
-                    break;
-                }
-                k -= c;
-            }
+                pick
+            };
+            *slot = next.slot;
+            v = next.to as usize;
         }
         debug_assert_eq!(cells[v].dist, 0, "unranking left the shortest-path DAG");
         LinkRoute::new(&slots[..len])
+    }
+
+    /// The seeded path index of the flow labelled `flow_label` among the
+    /// `n` paths of `src → dst`.
+    fn draw(&self, src: usize, dst: usize, n: usize, flow_label: u64) -> usize {
+        match n {
+            1 => 0,
+            n => {
+                let pair = ((src as u64) << 32) | dst as u64;
+                let mut rng = SimRng::new(derive_seed(derive_seed(self.seed, pair), flow_label));
+                rng.index(n)
+            }
+        }
     }
 
     /// The equal-cost path set for `src → dst`, in DFS order. Empty
@@ -262,18 +381,47 @@ impl EcmpRouter {
     /// `(seed, src, dst, label)` — independent of arrival interleaving
     /// across shards.
     pub fn route(&self, src: usize, dst: usize, flow_label: u64) -> LinkRoute {
-        let Some((row, n)) = self.pair(src, dst) else {
-            return LinkRoute::EMPTY;
-        };
-        let k = match n {
-            1 => 0,
-            n => {
-                let pair = ((src as u64) << 32) | dst as u64;
-                let mut rng = SimRng::new(derive_seed(derive_seed(self.seed, pair), flow_label));
-                rng.index(n)
+        match self.pair(src, dst) {
+            Some((row, n)) => self.unrank(row, src, self.draw(src, dst, n, flow_label)),
+            None => LinkRoute::EMPTY,
+        }
+    }
+
+    /// Route a batch of flows labelled `first_label` onward: `out[i]`
+    /// becomes `route(src, dst, first_label + i)` for `(src, dst) =
+    /// pair_of(i)`. Two passes per chunk of 256 flows: the
+    /// first resolves each pair's row and path count and draws its
+    /// index — independent hashing work the CPU overlaps across flows —
+    /// and the second unranks each route into `out`.
+    pub fn route_batch(
+        &self,
+        pair_of: impl Fn(usize) -> (usize, usize),
+        first_label: u64,
+        out: &mut [LinkRoute],
+    ) {
+        let mut draws = [Draw::UNROUTED; DRAW_CHUNK];
+        for (c, chunk) in out.chunks_mut(DRAW_CHUNK).enumerate() {
+            let base = c * DRAW_CHUNK;
+            let draws = &mut draws[..chunk.len()];
+            for (j, d) in draws.iter_mut().enumerate() {
+                let (src, dst) = pair_of(base + j);
+                *d = match self.pair(src, dst) {
+                    Some((row, n)) => Draw {
+                        row: row as u32,
+                        src: src as u32,
+                        k: self.draw(src, dst, n, first_label + (base + j) as u64) as u32,
+                    },
+                    None => Draw::UNROUTED,
+                };
             }
-        };
-        self.unrank(row, src, k)
+            for (route, d) in chunk.iter_mut().zip(draws.iter()) {
+                *route = if d.row == NO_ROW {
+                    LinkRoute::EMPTY
+                } else {
+                    self.unrank(d.row as usize, d.src as usize, d.k as usize)
+                };
+            }
+        }
     }
 
     /// The hash seed this router spreads with.
@@ -290,7 +438,61 @@ impl EcmpRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{NodeKind, TopologyBuilder};
     use crate::zoo;
+
+    /// `(stride, scan)`: how many cells a route can step through — a
+    /// reached node other than the row's host — unrank by stride and
+    /// how many by scan.
+    fn stride_census(r: &EcmpRouter) -> (usize, usize) {
+        let routed = r.cells.iter().filter(|c| c.dist != 0 && c.dist != FAR);
+        routed.fold((0, 0), |(stride, scan), c| {
+            if c.stride != 0 {
+                (stride + 1, scan)
+            } else {
+                (stride, scan + 1)
+            }
+        })
+    }
+
+    #[test]
+    fn zoo_shapes_unrank_every_hop_by_stride() {
+        for (name, hosts) in [
+            ("fattree4", 16),
+            ("fattree8", 128),
+            ("oversub4", 32),
+            ("star", 16),
+        ] {
+            let r = EcmpRouter::new(&zoo::by_name(name, hosts).unwrap(), 5).unwrap();
+            let (stride, scan) = stride_census(&r);
+            assert!(stride > 0, "{name}: no routed cells");
+            assert_eq!(scan, 0, "{name}: {scan} scan cells beside {stride} stride cells");
+        }
+    }
+
+    #[test]
+    fn unequal_parallel_links_fall_back_to_the_scan() {
+        // h0 - t0 = {a, b} = t1 - h1, where a reaches t1 over one link
+        // and b over two parallel ones: t0's closer neighbors toward h1
+        // carry counts 1 and 2, so t0 scans, and the scan's order is
+        // a's path, then b's two.
+        let mut b = TopologyBuilder::new("uneven");
+        let [h0, h1] = [b.node(NodeKind::Host), b.node(NodeKind::Host)];
+        let [t0, t1] = [b.node(NodeKind::Tor), b.node(NodeKind::Tor)];
+        let [fa, fb] = [b.node(NodeKind::Fabric), b.node(NodeKind::Fabric)];
+        for (x, y) in [(h0, t0), (h1, t1), (t0, fa), (t0, fb), (fa, t1), (fb, t1), (fb, t1)] {
+            b.link(x, y, 1e9, 1e-6).unwrap();
+        }
+        let t = b.build().unwrap();
+        let r = EcmpRouter::new(&t, 1).unwrap();
+        let (stride, scan) = stride_census(&r);
+        assert!(scan > 0 && stride > 0, "stride {stride}, scan {scan}");
+        let paths = r.paths(h0, h1);
+        assert_eq!(paths.len(), 3);
+        let mid: Vec<u32> = paths.iter().map(|p| p.links()[1]).collect();
+        let slot = |link: usize| t.directed_slot(link, t0);
+        assert_eq!(mid, vec![slot(2), slot(3), slot(3)], "t0's hop: a, then b twice");
+    }
 
     #[test]
     fn star_has_one_two_hop_path_per_pair() {

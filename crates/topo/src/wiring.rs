@@ -12,7 +12,7 @@ use crate::model::{TopoError, Topology};
 use netsim::fabric::Fabric;
 use netsim::rng::derive_seed;
 use netsim::shaper::Shaper;
-use netsim::{FlowId, FlowSpec, LinkRoute, SimRng};
+use netsim::{FlowId, FlowRange, FlowSpec, LinkRoute, SimRng};
 use std::sync::Arc;
 
 /// Stable label mixing the placement seed away from other consumers of
@@ -104,13 +104,36 @@ impl Wiring {
         fabric.set_link_caps(self.topology().directed_caps());
     }
 
-    /// Admit a flow through the wiring: resolve the endpoint hosts,
-    /// spread over the ECMP set keyed by the flow id the fabric is
-    /// about to assign, and start it routed. On a flat topology this
-    /// is exactly `fabric.start_flow(spec)`.
+    /// Admit a batch of flows through the wiring in one
+    /// [`Fabric::start_flows`] call: resolve each flow's endpoint
+    /// hosts, spread it over the ECMP set keyed by the flow id the
+    /// fabric assigns it, and write its route straight into the flow
+    /// table. On a flat topology every route is empty, so this is
+    /// exactly the unrouted `fabric.start_flows`.
+    pub fn start_flows<S: Shaper>(
+        &self,
+        fabric: &mut Fabric<S>,
+        specs: impl IntoIterator<Item = FlowSpec>,
+    ) -> FlowRange {
+        fabric.start_flows(specs, |first, specs, routes| {
+            self.route_flows(specs, first, routes)
+        })
+    }
+
+    /// The routes a batch of flows labelled `first_label` onward would
+    /// take, written into `routes` (one per spec): entry `i` is
+    /// `route_for(specs[i].src, specs[i].dst, first_label + i)`,
+    /// computed in [`EcmpRouter::route_batch`]'s two passes.
+    pub fn route_flows(&self, specs: &[FlowSpec], first_label: u64, routes: &mut [LinkRoute]) {
+        let p = &self.placement;
+        self.router
+            .route_batch(|i| (p[specs[i].src], p[specs[i].dst]), first_label, routes);
+    }
+
+    /// Admit one flow through the wiring: [`Wiring::start_flows`] with
+    /// a batch of one.
     pub fn start_flow<S: Shaper>(&self, fabric: &mut Fabric<S>, spec: FlowSpec) -> FlowId {
-        let route = self.route_for(spec.src, spec.dst, fabric.next_flow_id_hint());
-        fabric.start_flow_routed(spec, route)
+        self.start_flows(fabric, [spec]).start()
     }
 
     /// The route a flow between fabric endpoints would take with the

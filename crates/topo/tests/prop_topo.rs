@@ -1,6 +1,6 @@
 //! Property suite for the topology subsystem (DESIGN.md §12).
 //!
-//! Four contracts, each driven with randomized inputs:
+//! Six contracts, each driven with randomized inputs:
 //!
 //! * the fabric's per-link max-min water-filling is **bit-identical**
 //!   between the event engine and the reference loops on arbitrary
@@ -12,7 +12,11 @@
 //!   enumeration of the shortest paths path-for-path — order and cap
 //!   included — on fat trees, oversubscribed trees, stars and layered
 //!   graphs with parallel links, dead ends and more than
-//!   [`MAX_ECMP_PATHS`] paths per pair;
+//!   [`MAX_ECMP_PATHS`] paths per pair, each also with its node ids
+//!   permuted;
+//! * admitting a burst of flows as one batch ([`Wiring::start_flows`])
+//!   is bitwise the same as admitting them one at a time through the
+//!   router's single-flow [`Wiring::route_for`];
 //! * a fabric wired with a **flat** topology is bitwise
 //!   indistinguishable from a plain fabric under a random flow script
 //!   (the flat-equivalence contract);
@@ -165,13 +169,37 @@ fn layered_topology(seed: u64) -> Topology {
     b.build().unwrap()
 }
 
+/// `t` with its node ids randomly permuted, links declared in the same
+/// order — the same graph as an imported cluster file might number it.
+/// Sorted adjacency then interleaves a node's closer and farther
+/// neighbors, so the neighbors one hop closer to a host no longer form
+/// one contiguous block.
+fn relabeled(t: &Topology, seed: u64) -> Topology {
+    let mut id: Vec<usize> = (0..t.node_count()).collect();
+    SimRng::new(seed ^ 0x2e1a).shuffle(&mut id);
+    let mut b = TopologyBuilder::new(t.name());
+    for (v, &to) in id.iter().enumerate() {
+        b.node_with_id(to, t.kind(v));
+    }
+    for l in t.links() {
+        b.link(id[l.a], id[l.b], l.bandwidth_bps, l.delay_s).unwrap();
+    }
+    b.build().unwrap()
+}
+
 /// A random routed topology: a zoo shape, or (one time in three) a
-/// layered graph.
+/// layered graph, with its node ids permuted half of the time.
 fn random_ecmp_topology(seed: u64) -> Topology {
-    if SimRng::new(seed ^ 0x1a7e).chance(1.0 / 3.0) {
+    let mut rng = SimRng::new(seed ^ 0x1a7e);
+    let t = if rng.chance(1.0 / 3.0) {
         layered_topology(seed)
     } else {
         random_tiered_topology(seed)
+    };
+    if rng.chance(0.5) {
+        relabeled(&t, seed)
+    } else {
+        t
     }
 }
 
@@ -315,8 +343,112 @@ fn layered_graphs_exceed_the_path_cap() {
     );
 }
 
+/// Two fabrics with the same random static shapers and ingress caps,
+/// both with `w`'s link capacities installed.
+fn wired_twins(w: &Wiring, rng: &mut SimRng) -> (Fabric<StaticShaper>, Fabric<StaticShaper>) {
+    let caps: Vec<(f64, f64)> = (0..w.endpoints())
+        .map(|_| (rng.uniform_in(1e9, 2e10), rng.uniform_in(1e9, 2e10)))
+        .collect();
+    let build = || {
+        let mut f = Fabric::new();
+        for &(eg, ing) in &caps {
+            f.add_node(StaticShaper::new(eg), ing);
+        }
+        w.install(&mut f);
+        f
+    };
+    (build(), build())
+}
+
+/// A batch whose middle flow is a loopback is rejected like a single
+/// loopback flow.
+#[test]
+#[should_panic(expected = "loopback flows bypass the network")]
+fn batch_admission_rejects_a_loopback_inside_the_batch() {
+    let w = Wiring::identity(topo::zoo::fattree(4).unwrap(), 8, 1).unwrap();
+    let (mut f, _) = wired_twins(&w, &mut SimRng::new(1));
+    let specs = [
+        FlowSpec::new(0, 5, 1e9),
+        FlowSpec::new(3, 3, 1e9),
+        FlowSpec::new(5, 0, 1e9),
+    ];
+    w.start_flows(&mut f, specs);
+}
+
+/// A batch whose router names an uninstalled link slot for one flow is
+/// rejected like a single misrouted flow.
+#[test]
+#[should_panic(expected = "route names an uninstalled link slot")]
+fn batch_admission_rejects_a_bad_slot_inside_the_batch() {
+    let w = Wiring::identity(topo::zoo::fattree(4).unwrap(), 8, 1).unwrap();
+    let (mut f, _) = wired_twins(&w, &mut SimRng::new(1));
+    let slots = f.link_count() as u32;
+    let specs = (1..8).map(|d| FlowSpec::new(0, d, 1e9));
+    f.start_flows(specs, |first, specs, routes| {
+        for (i, (r, s)) in routes.iter_mut().zip(specs).enumerate() {
+            *r = w.route_for(s.src, s.dst, first + i as u64);
+        }
+        routes[3] = LinkRoute::new(&[0, slots]);
+    });
+}
+
 prop_cases! {
     #![config(Config::with_cases(48))]
+
+    /// Batch admission: a random flow script on a random routed
+    /// topology, each burst admitted as one `Wiring::start_flows` batch
+    /// on one fabric and flow by flow (`route_for` keyed by the next id,
+    /// then `start_flow_routed`) on its twin, keeps the twins bitwise
+    /// equal: ids, completions, every flow's remaining bits and last
+    /// rate, and the fabric counters. Bursts range from one flow to
+    /// several draw chunks, src-major all-to-alls included.
+    #[test]
+    fn batch_admission_matches_one_by_one(seed in 0u64..1_000_000) {
+        let t = random_ecmp_topology(seed);
+        let mut rng = SimRng::new(seed ^ 0xba7c);
+        let n = 2 + rng.index(t.hosts().len().min(16) - 1);
+        let w = Wiring::new(t, n, seed, seed ^ 0x5eed).unwrap();
+        let (mut batched, mut single) = wired_twins(&w, &mut rng);
+        let dt = 0.01 * (1 + rng.index(10)) as f64;
+        let mut flows: Vec<FlowId> = Vec::new();
+        for epoch in 0..16 {
+            let specs: Vec<FlowSpec> = if rng.chance(0.3) {
+                let bits = rng.uniform_in(1e6, 1e9);
+                (0..n)
+                    .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)))
+                    .map(|(s, d)| FlowSpec::new(s, d, bits))
+                    .collect()
+            } else {
+                let len = if rng.chance(0.2) { 1 + rng.index(600) } else { 1 + rng.index(8) };
+                (0..len)
+                    .map(|_| {
+                        let src = rng.index(n);
+                        let dst = (src + 1 + rng.index(n - 1)) % n;
+                        let mut spec = FlowSpec::new(src, dst, rng.uniform_in(1e6, 1e9));
+                        if rng.chance(0.2) {
+                            spec.max_rate_bps = rng.uniform_in(1e8, 5e9);
+                        }
+                        spec
+                    })
+                    .collect()
+            };
+            let span = w.start_flows(&mut batched, specs.iter().copied());
+            for (spec, id) in specs.iter().zip(span.iter()) {
+                let route = w.route_for(spec.src, spec.dst, single.next_flow_id_hint());
+                prop_assert_eq!(single.start_flow_routed(*spec, route), id, "flow ids diverged");
+                flows.push(id);
+            }
+            prop_assert_eq!(span.len(), specs.len(), "batch size");
+            let budget = 1 + rng.index(200) as u64;
+            let (mut done_b, mut done_s) = (Vec::new(), Vec::new());
+            let tb = batched.advance(dt, budget, &mut done_b);
+            let ts = single.advance(dt, budget, &mut done_s);
+            prop_assert_eq!(tb, ts, "steps taken diverged at epoch {}", epoch);
+            prop_assert_eq!(done_b, done_s, "completions diverged at epoch {}", epoch);
+            assert_twins_bit_equal(&batched, &single, &flows, &format!("epoch {epoch}"));
+            prop_assert_eq!(batched.perf(), single.perf(), "counters diverged at epoch {}", epoch);
+        }
+    }
 
     /// Routed water-filling: the event engine and the reference loops
     /// stay bitwise equal on random routed problems under flow churn
