@@ -474,15 +474,23 @@ struct StepScratch {
     sig_egress: Vec<u64>,
     /// Effective ingress (cap × fault factor) bit patterns per node.
     sig_ingress: Vec<u64>,
-    /// Contiguous same-source runs `(start, end)` over the flow table,
-    /// or empty when its flows are not src-sorted (the
-    /// engine starts shuffles src-major, so it usually is). The event
-    /// kernel's deliver pass then walks each run with its node's scale
-    /// as a loop-constant scalar — branch-free, gather-free, and
-    /// vectorizable — instead of indexing `node_scale` per flow.
+    /// The spans `(start, end)` the event kernel walks the flow table
+    /// in: its contiguous same-source runs when its flows are src-sorted
+    /// (the engine starts shuffles src-major, so they usually are), else
+    /// one span over the whole table. Over sorted runs the kernel's
+    /// deliver pass uses each run's node scale as a loop-constant
+    /// scalar — branch-free, gather-free, and vectorizable — instead of
+    /// indexing `node_scale` per flow.
     ev_runs: Vec<(u32, u32)>,
+    /// Whether `ev_runs` are same-source runs.
+    runs_sorted: bool,
     /// Flow-set epoch `ev_runs` was built for.
     runs_epoch: u64,
+    /// Per `ev_runs` entry, for the current event window: when the run
+    /// is uniform (same-source, and each flow's `rate` and `remaining`
+    /// bits equal the head's), the `remaining` its flows share, stepped
+    /// in the column's place; `None` for a mixed span.
+    run_rem: Vec<Option<f64>>,
 }
 
 /// The fabric. Generic over the shaper type so callers that need to
@@ -988,6 +996,16 @@ impl<S: Shaper> Fabric<S> {
     /// division the reference makes at that point of the sweep. The
     /// freeze decision is an `||` of those predicates, so the ones a
     /// flow never reads (its source already binds) cannot change it.
+    ///
+    /// A round in which every source with unfrozen flows binds at round
+    /// start ends without the sweep. Past the core test (which can only
+    /// freeze more), a flow's first predicate is its source's egress
+    /// verdict; the first flow of each source reads it before any flow
+    /// of that source froze, i.e. on the round-start residual, finds it
+    /// binding, and binding is final. So the sweep would freeze every
+    /// unfrozen flow at `share`, and the round would be the last: the
+    /// residuals, counts and verdicts it updates are re-gathered before
+    /// any later read. A terasort shuffle's one round is such a round.
     fn refresh_rates(&mut self) {
         let n_nodes = self.nodes.len();
         let sc = &mut self.scratch;
@@ -1128,6 +1146,21 @@ impl<S: Shaper> Fabric<S> {
             // bottleneck resource, or capped at exactly the share. A
             // resource with no unfrozen flow is never read.
             let eps = share * 1e-9 + 1e-9;
+            // One-check exit: when every active source binds at round
+            // start, the sweep below would freeze every unfrozen flow at
+            // `share` (see the doc comment), and the residuals it lowers
+            // are never read again, so skip straight to its outcome.
+            if (0..n_nodes)
+                .all(|v| sc.eg_count[v] == 0 || sc.egress[v] / sc.eg_count[v] as f64 <= share + eps)
+            {
+                for (rate, frozen) in sc.rate.iter_mut().zip(&mut sc.frozen) {
+                    if !*frozen {
+                        *frozen = true;
+                        *rate = share;
+                    }
+                }
+                break;
+            }
             let binds = |verdict: &mut Verdict, res: f64, count: usize| {
                 if *verdict == Verdict::Stale {
                     *verdict = if res / count as f64 <= share + eps {
@@ -1575,8 +1608,8 @@ impl<S: Shaper> Fabric<S> {
     }
 
     /// The kernel's sharpened event horizon. Preconditions: the
-    /// window's demand pass (`node_demand`, `want`) ran for the current
-    /// flow set at the current clock. Min-reduces the same
+    /// window's demand pass (`node_demand`, `want`, `run_rem`) ran for
+    /// the current flow set at the current clock. Min-reduces the same
     /// fault-schedule and budget bounds as [`Fabric::next_event`], but
     /// swaps in the per-node [`Shaper::hint_stable_steps_busy`] bound —
     /// the kernel holds each node's demand bit-constant inside the
@@ -1591,7 +1624,8 @@ impl<S: Shaper> Fabric<S> {
     /// A flow whose `(remaining, want)` bits equal the previous flow's
     /// has the same horizon, already folded into the window, so it is
     /// skipped: a shuffle's equal-size flows on equal shares come in
-    /// long identical runs.
+    /// long identical runs. A uniform run (see [`Fabric::event_window`])
+    /// is such a stretch by construction and is folded once.
     fn busy_horizon(&self, dt: f64, budget: u64) -> u64 {
         let mut window = budget;
         if let Some(s) = &self.faults {
@@ -1617,10 +1651,10 @@ impl<S: Shaper> Fabric<S> {
             window = window.min(stable);
         }
         let mut prev = None;
-        for (&rem, &w) in self.flows.remaining.iter().zip(&sc.want) {
+        let mut fold = |rem: f64, w: f64| {
             let bits = (rem.to_bits(), w.to_bits());
             if prev == Some(bits) {
-                continue;
+                return;
             }
             prev = Some(bits);
             // Quick accept without the division: `remaining` more than
@@ -1628,9 +1662,16 @@ impl<S: Shaper> Fabric<S> {
             // the horizon's own `1e-6` discount) cannot bound a window
             // this short.
             if w > 0.0 && rem > (window as f64 + 4.0) * (1.0 + 2e-6) * w {
-                continue;
+                return;
             }
             window = window.min(flow_completion_horizon(rem, w));
+        };
+        for (&(a, b), run_rem) in sc.ev_runs.iter().zip(&sc.run_rem) {
+            let (a, b) = (a as usize, b as usize);
+            match run_rem {
+                Some(rem) => fold(*rem, sc.want[a]),
+                None => (a..b).for_each(|i| fold(self.flows.remaining[i], sc.want[i])),
+            }
         }
         window
     }
@@ -1693,34 +1734,15 @@ impl<S: Shaper> Fabric<S> {
             }
         }
 
-        // The demand pass, once per window over the flow table (id
-        // order — the same order every per-step pass iterates in):
-        // wants and per-node demand sums use the same expressions in
-        // the same accumulation order as the per-step pass, so the
-        // hoisted values are bitwise what every in-window step would
-        // have recomputed.
-        let flows = &self.flows;
-        let k_flows = flows.len();
-        sc.node_demand.clear();
-        sc.node_demand.resize(n_nodes, 0.0);
-        sc.want.clear();
-        // Whether some flow sits in the sub-`1e-6`-want corner (see the
-        // deliver-pass strategy below).
-        let mut tiny_want = false;
-        for ((&r, &rem), s) in sc.rate.iter().zip(&flows.remaining).zip(&flows.specs) {
-            let want = (r * dt).min(rem);
-            sc.node_demand[s.src] += want;
-            sc.want.push(want);
-            tiny_want |= want > 0.0 && want <= 1e-6;
-        }
-        sc.node_scale.clear();
-        sc.node_scale.resize(n_nodes, 1.0);
         // Same-source runs depend only on the flow set: rebuild them
         // once per flow-set epoch, not once per window.
+        let flows = &self.flows;
+        let k_flows = flows.len();
         if sc.runs_epoch != self.flow_epoch {
             sc.runs_epoch = self.flow_epoch;
             sc.ev_runs.clear();
-            if flows.specs.windows(2).all(|p| p[0].src <= p[1].src) {
+            sc.runs_sorted = flows.specs.windows(2).all(|p| p[0].src <= p[1].src);
+            if sc.runs_sorted {
                 let mut i = 0u32;
                 while (i as usize) < k_flows {
                     let v = flows.specs[i as usize].src;
@@ -1731,8 +1753,58 @@ impl<S: Shaper> Fabric<S> {
                     sc.ev_runs.push((i, j));
                     i = j;
                 }
+            } else {
+                sc.ev_runs.push((0, k_flows as u32));
             }
         }
+
+        // The demand pass, once per window over the flow table (id
+        // order — the same order every per-step pass iterates in):
+        // wants and per-node demand sums use the same expressions in
+        // the same accumulation order as the per-step pass, so the
+        // hoisted values are bitwise what every in-window step would
+        // have recomputed. A uniform run (every flow's `rate` and
+        // `remaining` bits equal its head's) has one want: it is
+        // evaluated once, then added to its node's demand once per flow,
+        // which is the per-step pass's sum in its order.
+        sc.node_demand.clear();
+        sc.node_demand.resize(n_nodes, 0.0);
+        sc.want.clear();
+        sc.run_rem.clear();
+        // Whether some flow sits in the sub-`1e-6`-want corner (see the
+        // deliver-pass strategy below).
+        let mut tiny_want = false;
+        let (rate, remaining) = (&sc.rate, &flows.remaining);
+        for &(a, b) in &sc.ev_runs {
+            let (a, b) = (a as usize, b as usize);
+            let (r, rem) = (rate[a], remaining[a]);
+            let uniform = sc.runs_sorted
+                && rate[a..b]
+                    .iter()
+                    .zip(&remaining[a..b])
+                    .fold(true, |u, (x, y)| {
+                        u & (x.to_bits() == r.to_bits()) & (y.to_bits() == rem.to_bits())
+                    });
+            sc.run_rem.push(uniform.then_some(rem));
+            if uniform {
+                let want = (r * dt).min(rem);
+                let demand = &mut sc.node_demand[flows.specs[a].src];
+                for _ in a..b {
+                    *demand += want;
+                }
+                sc.want.resize(b, want);
+                tiny_want |= want > 0.0 && want <= 1e-6;
+                continue;
+            }
+            for i in a..b {
+                let want = (rate[i] * dt).min(remaining[i]);
+                sc.node_demand[flows.specs[i].src] += want;
+                sc.want.push(want);
+                tiny_want |= want > 0.0 && want <= 1e-6;
+            }
+        }
+        sc.node_scale.clear();
+        sc.node_scale.resize(n_nodes, 1.0);
 
         // The horizon bounds how far the cache may be reused *without
         // re-validation*; the window's first step needs no horizon at
@@ -1755,9 +1827,11 @@ impl<S: Shaper> Fabric<S> {
         // kernel may skip. Independently, when the flow order is
         // src-sorted, the deliver pass decomposes into the contiguous
         // same-source runs with a scalar scale — the per-flow updates
-        // are independent, so run order does not affect the bits.
+        // are independent, so run order does not affect the bits — and
+        // a uniform run steps one representative `remaining`, written
+        // back to the run's flows when the window ends.
         let completions_possible = horizon == 0 || tiny_want;
-        let use_runs = !completions_possible && !self.scratch.ev_runs.is_empty();
+        let use_runs = !completions_possible && self.scratch.runs_sorted;
 
         let first_new = completed.len();
         let mut taken = 0u64;
@@ -1782,10 +1856,16 @@ impl<S: Shaper> Fabric<S> {
                 // expression the per-step pass evaluates.
                 if use_runs {
                     // Run variant: no completion is reachable in this
-                    // window, so deliver is pure arithmetic.
-                    for &(a, b) in &sc.ev_runs {
+                    // window, so deliver is pure arithmetic. A uniform
+                    // run's flows step in lockstep, so its representative
+                    // takes the one subtraction each of them would.
+                    for (&(a, b), run_rem) in sc.ev_runs.iter().zip(&mut sc.run_rem) {
                         let s = sc.node_scale[flows.specs[a as usize].src];
                         let (a, b) = (a as usize, b as usize);
+                        if let Some(rem) = run_rem {
+                            *rem -= sc.want[a] * s;
+                            continue;
+                        }
                         for (rem, want) in flows.remaining[a..b].iter_mut().zip(&sc.want[a..b]) {
                             *rem -= *want * s;
                         }
@@ -1812,9 +1892,23 @@ impl<S: Shaper> Fabric<S> {
             }
             // The last delivered rate, from the (constant) want and the
             // final step's scale — the same `delivered / dt` bits the
-            // per-step path stores every tick.
-            for ((rate, &want), s) in flows.last_rate.iter_mut().zip(&sc.want).zip(&flows.specs) {
-                *rate = want * sc.node_scale[s.src] / dt;
+            // per-step path stores every tick. A uniform run's flows
+            // share one want, so one rate; in the run variant they also
+            // take their representative's `remaining` here, before
+            // anything reads the column.
+            for (&(a, b), run_rem) in sc.ev_runs.iter().zip(&sc.run_rem) {
+                let (a, b) = (a as usize, b as usize);
+                if let Some(rem) = run_rem {
+                    let s = sc.node_scale[flows.specs[a].src];
+                    flows.last_rate[a..b].fill(sc.want[a] * s / dt);
+                    if use_runs {
+                        flows.remaining[a..b].fill(*rem);
+                    }
+                    continue;
+                }
+                for i in a..b {
+                    flows.last_rate[i] = sc.want[i] * sc.node_scale[flows.specs[i].src] / dt;
+                }
             }
         }
         self.perf.steps += taken;

@@ -236,7 +236,10 @@ fn event_window_completions_are_allocation_free() {
 /// a warm-up shuffle has grown the scratch buffers and the flow table's
 /// columns: batch admission appends to the columns and routes in
 /// place, the first `refresh_rates` water-fills in the scratch
-/// buffers, and every event window and retirement works in place.
+/// buffers, and every event window and retirement works in place. Two
+/// shapes run: flows of mixed sizes (mixed same-source runs, per-flow
+/// window passes) and of one size (uniform runs, each stepped through
+/// one representative).
 #[test]
 fn routed_shuffle_is_allocation_free() {
     const NODES: usize = 64;
@@ -255,10 +258,11 @@ fn routed_shuffle_is_allocation_free() {
         let spine = (2 * NODES + 2 * ((src + dst) % SPINES)) as u32;
         LinkRoute::new(&[2 * src as u32, spine, spine + 1, 2 * dst as u32 + 1])
     };
-    let shuffle = |fabric: &mut Fabric<Box<dyn Shaper + Send>>, done: &mut Vec<_>| {
+    let shuffle = |fabric: &mut Fabric<Box<dyn Shaper + Send>>, done: &mut Vec<_>, mixed: bool| {
         let specs = (0..NODES).flat_map(|src| {
             (0..NODES).filter(move |&d| d != src).map(move |dst| {
-                FlowSpec::new(src, dst, 1e8 * (1 + (src + 3 * dst) % 4) as f64)
+                let size = if mixed { 1 + (src + 3 * dst) % 4 } else { 2 };
+                FlowSpec::new(src, dst, 1e8 * size as f64)
             })
         });
         fabric.start_flows(specs, |_, specs, routes| {
@@ -273,9 +277,13 @@ fn routed_shuffle_is_allocation_free() {
     };
     let mut done = Vec::with_capacity(FLOWS);
 
-    shuffle(&mut fabric, &mut done);
+    let both = |fabric: &mut Fabric<Box<dyn Shaper + Send>>, done: &mut Vec<_>| {
+        shuffle(fabric, done, true);
+        shuffle(fabric, done, false);
+    };
+    both(&mut fabric, &mut done);
     fabric.reset_perf();
-    let shuffle_allocs = measured(|| shuffle(&mut fabric, &mut done));
+    let shuffle_allocs = measured(|| both(&mut fabric, &mut done));
     let perf = fabric.perf();
     assert_eq!(fabric.active_flows(), 0, "the shuffle drained");
     assert!(

@@ -21,6 +21,9 @@
 //! equal-size flows completing in the same windows between survivors,
 //! a fault edge landing exactly on a token-bucket refill crossing, and
 //! a link that turns binding halfway through a water-filling round.
+//! Routed src-sorted shuffles pin the per-source-run shortcuts: every
+//! source binding (water-filling's one-check exit), a source with spare
+//! egress, a mixed run, and cross traffic breaking the source order.
 
 use netsim::fabric::{EventCause, Fabric, FlowId, FlowSpec, StepPath};
 use netsim::faults::{FaultConfig, FaultEpisode, FaultKind, FaultSchedule};
@@ -587,5 +590,192 @@ prop_cases! {
             crossed_fault_boundary,
             "campaign never saw the fault-transition horizon"
         );
+    }
+}
+
+/// The src-sorted shuffle shapes the event engine prices per source run:
+/// water-filling leaves a round in one check when every active source
+/// binds, and event windows step a uniform same-source run (equal
+/// `rate` and `remaining` bits) through one representative.
+#[derive(Debug, Clone, Copy)]
+enum ShuffleCase {
+    /// Every source binds at the egress share: the one-check exit fires.
+    AllBind,
+    /// One source has spare egress, so its flows climb past the first
+    /// round's share and the exit must not fire.
+    SpareSource,
+    /// One run is mixed: one of its flows has a different size or a
+    /// per-flow cap below the share.
+    MixedRun,
+    /// Cross traffic admitted after the shuffle breaks the source order.
+    CrossTraffic,
+}
+
+/// A routed fabric with loose per-node access links and spine pairs,
+/// all of whose nodes share one shaper kind, on `path`. Ingress and
+/// links never bind before the egress share, so the egress verdicts
+/// alone decide whether the water-filling exit fires.
+fn routed_shuffle_fabric(
+    case: ShuffleCase,
+    n: usize,
+    spines: usize,
+    egress_bps: f64,
+    bucket: bool,
+    path: StepPath,
+) -> DynFabric {
+    let mut f: DynFabric = Fabric::new();
+    for v in 0..n {
+        let rate = match case {
+            ShuffleCase::SpareSource if v == n / 2 => 3.0 * egress_bps,
+            _ => egress_bps,
+        };
+        let shaper: Box<dyn Shaper + Send> = if bucket {
+            Box::new(TokenBucket::sigma_rho(rate * 0.3, rate * 0.25, rate))
+        } else {
+            Box::new(StaticShaper::new(rate))
+        };
+        f.add_node(shaper, 8.0 * egress_bps);
+    }
+    let mut caps = vec![8.0 * egress_bps; 2 * n];
+    caps.extend(std::iter::repeat_n(64.0 * egress_bps, 2 * spines));
+    f.set_link_caps(caps);
+    f.force_path(path);
+    f
+}
+
+/// Admit one src-sorted all-to-all shuffle of `bits`-sized flows (with
+/// `case`'s perturbation) in one batch, routed over the access links
+/// and an ECMP-style spine pick.
+fn admit_shuffle(
+    f: &mut DynFabric,
+    case: ShuffleCase,
+    spines: usize,
+    bits: f64,
+    odd: (usize, f64, Option<f64>),
+) -> netsim::fabric::FlowRange {
+    let n = f.node_count();
+    let specs: Vec<FlowSpec> = (0..n)
+        .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| FlowSpec::new(s, d, bits)))
+        .enumerate()
+        .map(|(i, mut spec)| {
+            if matches!(case, ShuffleCase::MixedRun) && i == odd.0 {
+                spec.bits = odd.1;
+                spec.max_rate_bps = odd.2.unwrap_or(f64::INFINITY);
+            }
+            spec
+        })
+        .collect();
+    let spine0 = 2 * n;
+    f.start_flows(specs, |_, specs, routes| {
+        for (r, s) in routes.iter_mut().zip(specs) {
+            let spine = (spine0 + 2 * ((s.src + s.dst) % spines)) as u32;
+            *r = LinkRoute::new(&[2 * s.src as u32, spine, spine + 1, 2 * s.dst as u32 + 1]);
+        }
+    })
+}
+
+/// Drive an event fabric, its reference twin and an event twin that
+/// only takes general steps through one shuffle of `case` until it
+/// drains, comparing every observable bitwise at each boundary.
+fn run_shuffle_case(case: ShuffleCase, seed: u64) {
+    let mut rng = SimRng::new(seed ^ 0x5EED);
+    let n = 3 + rng.index(6);
+    let spines = 1 + rng.index(4);
+    let egress = rng.uniform_in(2e9, 20e9);
+    let bucket = rng.chance(0.5);
+    let dt = rng.uniform_in(0.002, 0.05);
+    // Sizes of a few to a few dozen steps at the egress share.
+    let share = egress / (n - 1) as f64;
+    let bits = share * dt * rng.uniform_in(3.0, 40.0);
+    let odd_bits = if rng.chance(0.5) { bits * rng.uniform_in(0.3, 0.9) } else { bits };
+    let odd_cap = (odd_bits == bits).then(|| share * rng.uniform_in(0.2, 0.8));
+    let odd = (rng.index(n * (n - 1)), odd_bits, odd_cap);
+
+    let build = |path| routed_shuffle_fabric(case, n, spines, egress, bucket, path);
+    let (mut event, mut reference, mut stepped) =
+        (build(StepPath::Event), build(StepPath::Reference), build(StepPath::Event));
+    let mut flows: Vec<FlowId> = Vec::new();
+    for f in [&mut event, &mut reference, &mut stepped] {
+        let range = admit_shuffle(f, case, spines, bits, odd);
+        if flows.is_empty() {
+            flows.extend(range.iter());
+        }
+    }
+    let mut epoch = 0;
+    while event.active_flows() > 0 {
+        if matches!(case, ShuffleCase::CrossTraffic) && epoch == 1 {
+            // Cross traffic from the highest and lowest sources lands
+            // after the shuffle's last run: the table is no longer
+            // src-sorted.
+            for (src, dst) in [(n - 1, 0), (0, 1)] {
+                let spec = FlowSpec::new(src, dst, bits * rng.uniform_in(0.5, 2.0));
+                let route = LinkRoute::new(&[2 * src as u32, 2 * dst as u32 + 1]);
+                let id = event.start_flow_routed(spec, route);
+                assert_eq!(id, reference.start_flow_routed(spec, route));
+                assert_eq!(id, stepped.start_flow_routed(spec, route));
+                flows.push(id);
+            }
+        }
+        let budget = if rng.chance(0.7) {
+            event.next_event(dt, 100_000).steps.saturating_add(1).min(512)
+        } else {
+            rng.index(16) as u64 + 1
+        };
+        let (mut done_e, mut done_r, mut done_s) = (Vec::new(), Vec::new(), Vec::new());
+        let te = event.advance(dt, budget, &mut done_e);
+        let tr = reference.advance(dt, budget, &mut done_r);
+        for _ in 0..te {
+            done_s.extend(stepped.step(dt));
+        }
+        let ctx = format!("{case:?}, seed {seed}, epoch {epoch}");
+        assert_eq!(te, tr, "steps taken diverged ({ctx})");
+        assert_eq!(done_e, done_r, "completions diverged ({ctx})");
+        assert_eq!(done_e, done_s, "general-step completions diverged ({ctx})");
+        assert_fabrics_bit_equal(&event, &reference, &flows, &ctx);
+        assert_fabrics_bit_equal(&stepped, &reference, &flows, &ctx);
+        let (pe, pr, ps) = (event.perf(), reference.perf(), stepped.perf());
+        assert_eq!((pe.steps, pe.empty_steps), (pr.steps, pr.empty_steps), "step counts ({ctx})");
+        assert_eq!(
+            (pe.rate_recomputes, pe.link_recomputes),
+            (ps.rate_recomputes, ps.link_recomputes),
+            "water-fills ({ctx})"
+        );
+        epoch += 1;
+        assert!(epoch < 100_000, "shuffle did not drain ({ctx})");
+    }
+    assert_eq!(reference.active_flows(), 0);
+    assert!(event.perf().event_steps > 0, "the event kernel never ran");
+}
+
+prop_cases! {
+    #![config(Config::with_cases(32))]
+
+    /// Every source binds, so each water-fill leaves its round in one
+    /// check, and the shuffle's uniform runs step through
+    /// representatives that must land back on the columns bitwise.
+    #[test]
+    fn shuffle_every_source_binds(seed in 0u64..1_000_000) {
+        run_shuffle_case(ShuffleCase::AllBind, seed);
+    }
+
+    /// A source with spare egress keeps the exit shut: its flows must
+    /// take the second round's larger share, as in the reference.
+    #[test]
+    fn shuffle_with_a_spare_source(seed in 0u64..1_000_000) {
+        run_shuffle_case(ShuffleCase::SpareSource, seed);
+    }
+
+    /// One mixed run (a flow of another size or a tighter cap) beside
+    /// uniform ones: the mixed run takes the per-flow passes.
+    #[test]
+    fn shuffle_with_a_mixed_run(seed in 0u64..1_000_000) {
+        run_shuffle_case(ShuffleCase::MixedRun, seed);
+    }
+
+    /// Cross traffic breaks the source order mid-shuffle: the windows
+    /// fall back to per-flow passes over the whole table.
+    #[test]
+    fn shuffle_with_cross_traffic(seed in 0u64..1_000_000) {
+        run_shuffle_case(ShuffleCase::CrossTraffic, seed);
     }
 }

@@ -90,6 +90,26 @@ echo "== detlint: pipeline benchmark =="
 # trajectory to BENCH_detlint.json.
 cargo bench -q --offline -p bench --bench supp_detlint
 
+echo "== paper benches: every figure and ablation CHECK passes =="
+# The fig* and ablation targets rerun the paper's figures and print one
+# `CHECK PASS/FAIL` line per reproduced claim; a FAIL panics the target
+# (all 20 take ~10 s in release on 2 vCPUs). Left out:
+#   - table3_campaign, which fails on HEAD: its m4.16xlarge row shows
+#     no variability (ROADMAP item 1 has the cause and the fix);
+#   - the timing targets (supp_*, micro_*): they measure wall time, and
+#     supp_* rewrite BENCH_*.json.
+cargo bench -q --offline -p bench --no-run
+for target in crates/bench/benches/fig*.rs crates/bench/benches/ablation_*.rs; do
+  name=$(basename "$target" .rs)
+  if ! paper_out=$(cargo bench -q --offline -p bench --bench "$name" 2>&1) \
+    || printf '%s\n' "$paper_out" | grep -q "CHECK FAIL"; then
+    echo "FAIL: paper bench $name:" >&2
+    printf '%s\n' "$paper_out" | grep -E "CHECK FAIL|panicked|error" >&2 || true
+    exit 1
+  fi
+done
+echo "OK: every figure and ablation bench passes its CHECKs"
+
 echo "== deterministic replay: faulty campaign =="
 # A campaign with every fault class active must be bit-for-bit
 # reproducible from its seed: run the example twice, diff the output.
@@ -141,7 +161,9 @@ echo "== fabric engines: faulty campaign on event and reference, bit-identical =
 #      general step and through event windows against a reference twin
 #      and compare every observable with f64::to_bits — the event suite
 #      at every event boundary, with adversarial
-#      zero-length/simultaneous/fault-edge cases.
+#      zero-length/simultaneous/fault-edge cases and src-sorted
+#      shuffles priced per source run (water-filling's one-check exit,
+#      uniform-run window passes).
 #   3. The counting-allocator probe asserts steady-state stepping and
 #      event jumps perform zero heap allocations.
 # (detlint deny-cleanliness of the event engine is enforced by the
