@@ -114,33 +114,28 @@ impl<S: Shaper> Cluster<S> {
         self.fabric.fault_schedule()
     }
 
-    /// Advance the cluster by `dt`: inject cross traffic (if any) and
-    /// step the fabric. Returns completed flows (the engine ignores
-    /// completions it did not start).
-    pub fn step(&mut self, dt: f64) -> Vec<FlowId> {
-        if let Some(ct) = &mut self.cross_traffic {
-            ct.inject(&mut self.fabric, dt);
-        }
-        self.fabric.step(dt)
-    }
-
     /// Advance the cluster by up to `max_steps` ticks of `dt`,
     /// appending completed flows to `completed` in step order. Returns
-    /// the number of steps taken.
+    /// the number of steps taken (at least one when `max_steps > 0`).
+    /// This is the cluster's one stepping entry.
     ///
-    /// Without cross traffic this forwards straight to
-    /// [`Fabric::advance`] — the event-driven engine's batched entry
-    /// point. With cross traffic every tick must inject flows, so the
-    /// per-step loop is kept; it stops after any step that reports a
-    /// completion so batched callers can re-check which flows they are
-    /// still waiting for before continuing.
+    /// Without cross traffic a batch forwards to [`Fabric::advance`],
+    /// the event engine's batched entry point, which stops early only
+    /// after the step that completes the last active flow. A single
+    /// tick is one general step: a one-step window or idle jump would
+    /// produce the same bits with more bookkeeping, and the fabric's
+    /// event counters keep counting batched work only. With cross
+    /// traffic every tick must inject flows, so ticks run one at a
+    /// time and the call stops after any step that reports a
+    /// completion; callers that wait on a subset of the flows re-check
+    /// it and call again.
     pub fn advance(&mut self, dt: f64, max_steps: u64, completed: &mut Vec<FlowId>) -> u64 {
-        if self.cross_traffic.is_none() {
+        if self.cross_traffic.is_none() && max_steps > 1 {
             return self.fabric.advance(dt, max_steps, completed);
         }
         let mut taken = 0u64;
         while taken < max_steps {
-            let done = self.step(dt);
+            let done = self.tick(dt);
             taken += 1;
             if !done.is_empty() {
                 completed.extend_from_slice(&done);
@@ -150,21 +145,27 @@ impl<S: Shaper> Cluster<S> {
         taken
     }
 
-    /// Idle the cluster for `duration` seconds in steps of `dt`
-    /// (token refill; cross traffic keeps flowing, unlike
-    /// [`Fabric::rest`] which requires an empty fabric).
-    pub fn rest(&mut self, duration: f64, dt: f64) {
-        if self.cross_traffic.is_none() && self.fabric.active_flows() == 0 {
-            // Nothing contends: every step would be an idle fabric step
-            // (each shaper granted exactly 0.0, totals unchanged), which
-            // is precisely what Fabric::rest's closed-form shaper rests
-            // reproduce bit-for-bit — without the per-tick loop.
-            self.fabric.rest(duration, dt);
-            return;
+    /// One tick: inject this tick's cross traffic (if any), then take
+    /// one fabric step. Returns the step's completions.
+    fn tick(&mut self, dt: f64) -> Vec<FlowId> {
+        if let Some(ct) = &mut self.cross_traffic {
+            ct.inject(&mut self.fabric, dt);
         }
+        self.fabric.step(dt)
+    }
+
+    /// Idle the cluster for `duration` seconds in steps of `dt` (token
+    /// refill). Cross traffic and any active flows keep flowing, unlike
+    /// [`Fabric::rest`], which requires an empty fabric; on a quiet
+    /// cluster [`Cluster::advance`] takes the whole rest as one idle
+    /// jump.
+    pub fn rest(&mut self, duration: f64, dt: f64) {
         let steps = (duration / dt).round().max(0.0) as u64;
-        for _ in 0..steps {
-            self.step(dt);
+        let mut done = Vec::new();
+        let mut taken = 0u64;
+        while taken < steps {
+            taken += self.advance(dt, steps - taken, &mut done);
+            done.clear();
         }
     }
 

@@ -14,19 +14,22 @@
 //! * per-task durations sampled as in the linear engine;
 //! * shuffles as fabric flows that coexist with other stages' compute
 //!   *and* other shuffles (max-min fairness arbitrates);
-//! * a stage becoming runnable when all its parents' shuffles finish.
+//! * a stage becoming runnable when all its parents' shuffles finish;
+//! * one fabric tick per scheduling step through `Cluster::advance`,
+//!   with each shuffling stage counting the completions inside its
+//!   shuffle's flow-id range.
 //!
 //! CPU credits ([`Cluster::with_cpu_credits`]) are currently honored
-//! only by the pipeline engine, whose strict compute/shuffle alternation
-//! makes the accounting exact; the DAG scheduler ignores them.
+//! only by the pipeline runners (the wave engine and the speculative
+//! runner), whose strict compute/shuffle alternation makes the
+//! accounting exact; the DAG scheduler ignores them.
 
 use crate::cluster::Cluster;
-use crate::engine::{AllToAll, EngineConfig};
+use crate::engine::{pick_hot_node, tx_since, tx_totals, AllToAll, EngineConfig};
 use crate::job::{JobSpec, StageSpec};
-use netsim::fabric::FlowId;
+use netsim::fabric::FlowRange;
 use netsim::rng::SimRng;
 use netsim::shaper::Shaper;
-use std::collections::BTreeSet;
 
 /// A DAG of stages.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,8 +113,10 @@ enum StageState {
     Blocked,
     /// Tasks queued/running on the slot pool.
     Computing,
-    /// All tasks done; shuffle flows in flight.
-    Shuffling,
+    /// All tasks done; shuffle flows in flight. The shuffle was
+    /// admitted as one batch, so its flows are one id range, and the
+    /// wait is a count of the flows still pending.
+    Shuffling(FlowRange, usize),
     /// Fully complete (shuffle delivered).
     Done,
 }
@@ -122,8 +127,6 @@ struct StageRun {
     queued_tasks: Vec<f64>,
     /// Remaining times of tasks currently on slots.
     running_tasks: Vec<f64>,
-    /// Outstanding shuffle flows.
-    pending_flows: BTreeSet<FlowId>,
 }
 
 /// Execute a DAG on a cluster. Deterministic in `seed`.
@@ -137,14 +140,8 @@ pub fn run_dag<S: Shaper>(
     let total_slots = cluster.total_slots();
     let mut rng = SimRng::new(seed);
     let start = cluster.fabric().now();
-    let tx_before: Vec<f64> = (0..n)
-        .map(|i| cluster.fabric().node_total_tx_bits(i))
-        .collect();
-
-    let hot_node = (dag.skew > 0.0).then(|| match dag.hot_node {
-        Some(h) => h,
-        None => rng.index(n),
-    });
+    let tx_before = tx_totals(cluster);
+    let hot_node = pick_hot_node(dag.skew, dag.hot_node, n, &mut rng);
     let env_factor = if cfg.compute_jitter_sigma > 0.0 {
         rng.lognormal(0.0, cfg.compute_jitter_sigma)
     } else {
@@ -171,7 +168,6 @@ pub fn run_dag<S: Shaper>(
                 state: StageState::Blocked,
                 queued_tasks: queued,
                 running_tasks: Vec::new(),
-                pending_flows: BTreeSet::new(),
             }
         })
         .collect();
@@ -191,6 +187,7 @@ pub fn run_dag<S: Shaper>(
     let mut free_slots = total_slots;
     let max_steps = (7.0 * 86_400.0 / dt) as u64;
     let mut steps = 0u64;
+    let mut done = Vec::new();
 
     while runs.iter().any(|r| r.state != StageState::Done) {
         assert!(steps < max_steps, "DAG did not finish within a simulated week");
@@ -210,11 +207,15 @@ pub fn run_dag<S: Shaper>(
             }
         }
 
-        // 2. Advance the fabric (carries every active shuffle).
-        let completed = cluster.step(dt);
-        for id in completed {
-            for run in runs.iter_mut() {
-                run.pending_flows.remove(&id);
+        // 2. Advance the fabric one tick (carries every active
+        //    shuffle). Ticks are not batched: a batch stops early only
+        //    when the last active flow completes, so with two shuffles
+        //    in flight it would run past the first one's completion.
+        done.clear();
+        cluster.advance(dt, 1, &mut done);
+        for run in runs.iter_mut() {
+            if let StageState::Shuffling(span, pending) = &mut run.state {
+                *pending -= done.iter().filter(|&&id| span.contains(id)).count();
             }
         }
 
@@ -246,14 +247,13 @@ pub fn run_dag<S: Shaper>(
                     if stage.shuffle_bits > 0.0 && n > 1 {
                         let shuffle = AllToAll::new(n, stage.shuffle_bits, hot_node, dag.skew);
                         let span = cluster.start_flows(shuffle);
-                        runs[idx].pending_flows.extend(span.iter());
-                        runs[idx].state = StageState::Shuffling;
+                        runs[idx].state = StageState::Shuffling(span, span.len());
                     } else {
                         runs[idx].state = StageState::Done;
                         stage_finish[idx] = now - start;
                     }
                 }
-                StageState::Shuffling if runs[idx].pending_flows.is_empty() => {
+                StageState::Shuffling(_, 0) => {
                     runs[idx].state = StageState::Done;
                     stage_finish[idx] = now - start;
                 }
@@ -268,14 +268,11 @@ pub fn run_dag<S: Shaper>(
         }
     }
 
-    let node_tx_bits = (0..n)
-        .map(|i| cluster.fabric().node_total_tx_bits(i) - tx_before[i])
-        .collect();
     DagResult {
         name: dag.name.clone(),
         duration_s: cluster.fabric().now() - start,
         stage_finish_s: stage_finish,
-        node_tx_bits,
+        node_tx_bits: tx_since(cluster, &tx_before),
     }
 }
 
@@ -433,6 +430,14 @@ mod tests {
             run_dag(&mut c, &d, 17, &cfg()).duration_s
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    #[should_panic(expected = "hot node out of range")]
+    fn rejects_out_of_range_hot_node() {
+        let d = diamond().with_skew(0.5, Some(4));
+        let mut c = Cluster::ec2_emulated(4, 16, 5000.0);
+        run_dag(&mut c, &d, 19, &cfg());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! runs under.
 
 use crate::cluster::Cluster;
-use crate::job::JobSpec;
-use netsim::fabric::{FlowId, FlowSpec};
+use crate::job::{JobSpec, StageSpec};
+use netsim::fabric::{FlowId, FlowRange, FlowSpec};
 use netsim::rng::SimRng;
 use netsim::shaper::Shaper;
 
@@ -164,7 +164,8 @@ pub struct NodeTrace {
     pub samples: Vec<TraceSample>,
 }
 
-struct Recorder {
+/// A traced run's per-node sampler.
+pub(crate) struct Recorder {
     interval_s: f64,
     acc_bits: Vec<f64>,
     acc_time: f64,
@@ -216,29 +217,213 @@ pub(crate) fn task_time(rng: &mut SimRng, m: f64, cv: f64) -> f64 {
     rng.lognormal(mu, sigma2.sqrt())
 }
 
-fn execute<S: Shaper>(
-    cluster: &mut Cluster<S>,
-    job: &JobSpec,
-    seed: u64,
-    cfg: &EngineConfig,
-    mut recorder: Option<&mut Recorder>,
-) -> JobResult {
-    let n = cluster.nodes();
-    let slots = cluster.total_slots();
-    let mut rng = SimRng::new(seed);
-    let started_at_s = cluster.fabric().now();
-    let tx_before: Vec<f64> = (0..n)
-        .map(|i| cluster.fabric().node_total_tx_bits(i))
-        .collect();
-
-    // Pick the hot node for skewed shuffles (fixed or seed-derived).
-    let hot_node = (job.skew > 0.0).then(|| match job.hot_node {
+/// The hot node of a skewed job's shuffles: the fixed one, or one
+/// drawn from the run's RNG; `None` without skew.
+pub(crate) fn pick_hot_node(
+    skew: f64,
+    fixed: Option<usize>,
+    n: usize,
+    rng: &mut SimRng,
+) -> Option<usize> {
+    (skew > 0.0).then(|| match fixed {
         Some(h) => {
             assert!(h < n, "hot node out of range");
             h
         }
         None => rng.index(n),
-    });
+    })
+}
+
+/// Every node's transmitted total so far.
+pub(crate) fn tx_totals<S: Shaper>(cluster: &Cluster<S>) -> Vec<f64> {
+    (0..cluster.nodes())
+        .map(|i| cluster.fabric().node_total_tx_bits(i))
+        .collect()
+}
+
+/// Bits each node transmitted since its totals were `before`.
+pub(crate) fn tx_since<S: Shaper>(cluster: &Cluster<S>, before: &[f64]) -> Vec<f64> {
+    (0..cluster.nodes())
+        .map(|i| cluster.fabric().node_total_tx_bits(i) - before[i])
+        .collect()
+}
+
+/// One pipeline job's run: the stage-phase core shared by the wave
+/// engine and [`crate::speculate::run_job_speculative`], which differ
+/// only in how they schedule a stage's tasks. Given a stage's compute
+/// wall, [`JobRun::stage`] stretches it by CPU credits, idles the
+/// fabric through it, admits the shuffle, waits on it and accrues
+/// credits meanwhile.
+pub(crate) struct JobRun<'r> {
+    cfg: EngineConfig,
+    started_at_s: f64,
+    tx_before: Vec<f64>,
+    hot_node: Option<usize>,
+    skew: f64,
+    /// With a recorder every `advance` call takes one step and is
+    /// observed; without one, calls batch.
+    recorder: Option<&'r mut Recorder>,
+    /// Completions of the current `advance` call (reused).
+    done: Vec<FlowId>,
+    stages: Vec<StageResult>,
+}
+
+impl<'r> JobRun<'r> {
+    /// Start `job` now; draws the hot node from `rng` when skewed.
+    pub(crate) fn start<S: Shaper>(
+        cluster: &Cluster<S>,
+        job: &JobSpec,
+        rng: &mut SimRng,
+        cfg: &EngineConfig,
+        recorder: Option<&'r mut Recorder>,
+    ) -> Self {
+        JobRun {
+            cfg: *cfg,
+            started_at_s: cluster.fabric().now(),
+            tx_before: tx_totals(cluster),
+            hot_node: pick_hot_node(job.skew, job.hot_node, cluster.nodes(), rng),
+            skew: job.skew,
+            recorder,
+            done: Vec::new(),
+            stages: Vec::with_capacity(job.stages.len()),
+        }
+    }
+
+    /// Run one stage whose tasks take `compute_s` of wall time.
+    pub(crate) fn stage<S: Shaper>(
+        &mut self,
+        cluster: &mut Cluster<S>,
+        stage: &StageSpec,
+        mut compute_s: f64,
+    ) {
+        // Burstable instances: CPU credits stretch the compute phase
+        // once depleted; the stage waits for the slowest node, and the
+        // faster nodes idle-earn credits meanwhile.
+        if let Some(credits) = cluster.cpu_credits_mut() {
+            let walls: Vec<f64> = credits.iter_mut().map(|c| c.run(compute_s)).collect();
+            let stage_wall = walls.iter().cloned().fold(0.0, f64::max);
+            for (c, w) in credits.iter_mut().zip(&walls) {
+                c.idle(stage_wall - w);
+            }
+            compute_s = stage_wall;
+        }
+        self.idle_through(cluster, compute_s);
+
+        // Shuffle phase: all-to-all exchange of the stage output.
+        let n = cluster.nodes();
+        let mut shuffle_s = 0.0;
+        if stage.shuffle_bits > 0.0 && n > 1 {
+            let start = cluster.fabric().now();
+            let shuffle = AllToAll::new(n, stage.shuffle_bits, self.hot_node, self.skew);
+            let span = cluster.start_flows(shuffle);
+            self.drain(cluster, span);
+            shuffle_s = cluster.fabric().now() - start;
+            // CPUs are (mostly) idle while shuffling: credits accrue.
+            if let Some(credits) = cluster.cpu_credits_mut() {
+                for c in credits {
+                    c.idle(shuffle_s);
+                }
+            }
+        }
+
+        self.stages.push(StageResult {
+            name: stage.name.clone(),
+            compute_s,
+            shuffle_s,
+            shuffle_bits: stage.shuffle_bits,
+        });
+    }
+
+    /// The job's result, as of now.
+    pub(crate) fn finish<S: Shaper>(self, cluster: &Cluster<S>, job: &JobSpec) -> JobResult {
+        JobResult {
+            name: job.name.clone(),
+            duration_s: cluster.fabric().now() - self.started_at_s,
+            started_at_s: self.started_at_s,
+            stages: self.stages,
+            node_tx_bits: tx_since(cluster, &self.tx_before),
+            hot_node: self.hot_node,
+        }
+    }
+
+    /// Advance up to `max_steps` ticks of `dt` into `self.done`.
+    fn advance<S: Shaper>(&mut self, cluster: &mut Cluster<S>, dt: f64, max_steps: u64) -> u64 {
+        match self.recorder.as_deref_mut() {
+            None => cluster.advance(dt, max_steps, &mut self.done),
+            Some(rec) => {
+                let taken = cluster.advance(dt, max_steps.min(1), &mut self.done);
+                rec.observe(cluster, dt);
+                taken
+            }
+        }
+    }
+
+    /// Idle the fabric through a compute phase of `compute_s` in ticks
+    /// of the compute step. The tick sequence is the `left -= dt`
+    /// recurrence's: it is floating point, so it is replayed literally
+    /// rather than closed-formed, giving the full ticks and the final
+    /// partial one (`left.min(step) == left` on the last tick makes
+    /// `left -= dt` land on exactly 0.0).
+    fn idle_through<S: Shaper>(&mut self, cluster: &mut Cluster<S>, compute_s: f64) {
+        let step = self.cfg.compute_step_s;
+        let mut left = compute_s;
+        let mut full = 0u64;
+        let mut partial = None;
+        while left > 0.0 {
+            let dt = left.min(step);
+            if dt < step {
+                partial = Some(dt);
+            } else {
+                full += 1;
+            }
+            left -= dt;
+        }
+        let mut taken = 0u64;
+        while taken < full {
+            taken += self.advance(cluster, step, full - taken);
+        }
+        if let Some(dt) = partial {
+            self.advance(cluster, dt, 1);
+        }
+        // Compute phases wait on no flow: completions here are cross
+        // traffic.
+        self.done.clear();
+    }
+
+    /// Wait for a shuffle admitted as one batch. Its flows take one
+    /// contiguous id range, so waiting on them is a count: every
+    /// completed id inside the range retires one, whatever the order
+    /// (one batched `advance` concatenates several windows, so its
+    /// completions are not globally id-sorted); ids outside the range
+    /// are cross traffic. A 24 h cap guarantees termination even on a
+    /// zero-rate link.
+    fn drain<S: Shaper>(&mut self, cluster: &mut Cluster<S>, span: FlowRange) {
+        let step = self.cfg.shuffle_step_s;
+        let max_steps = (86_400.0 / step) as u64;
+        let mut pending = span.len();
+        let mut steps = 0u64;
+        while pending > 0 && steps < max_steps {
+            self.done.clear();
+            steps += self.advance(cluster, step, max_steps - steps);
+            pending -= self.done.iter().filter(|&&id| span.contains(id)).count();
+        }
+        assert!(
+            pending == 0,
+            "shuffle did not complete within 24 simulated hours"
+        );
+    }
+}
+
+fn execute<S: Shaper>(
+    cluster: &mut Cluster<S>,
+    job: &JobSpec,
+    seed: u64,
+    cfg: &EngineConfig,
+    recorder: Option<&mut Recorder>,
+) -> JobResult {
+    let slots = cluster.total_slots();
+    let mut rng = SimRng::new(seed);
+    let mut run = JobRun::start(cluster, job, &mut rng, cfg, recorder);
 
     // Per-run environment factor (see EngineConfig::compute_jitter_sigma).
     let env_factor = if cfg.compute_jitter_sigma > 0.0 {
@@ -247,9 +432,8 @@ fn execute<S: Shaper>(
         1.0
     };
 
-    let mut stage_results = Vec::with_capacity(job.stages.len());
     for stage in &job.stages {
-        // --- Compute phase: waves of tasks over the executor slots. ---
+        // Compute phase: waves of tasks over the executor slots.
         let mut compute_s = 0.0;
         let mut remaining = stage.tasks;
         // Same draws as `task_time(&mut rng, m, cv)` per task, with the
@@ -276,138 +460,9 @@ fn execute<S: Shaper>(
             compute_s += wave_time;
             remaining -= wave;
         }
-        // Burstable instances: CPU credits stretch the compute phase
-        // once depleted; the stage waits for the slowest node, and the
-        // faster nodes idle-earn credits meanwhile.
-        if let Some(credits) = cluster.cpu_credits_mut() {
-            let walls: Vec<f64> = credits.iter_mut().map(|c| c.run(compute_s)).collect();
-            let stage_wall = walls.iter().cloned().fold(0.0, f64::max);
-            for (c, w) in credits.iter_mut().zip(&walls) {
-                c.idle(stage_wall - w);
-            }
-            compute_s = stage_wall;
-        }
-        // Advance the fabric through the compute phase (idle network).
-        if recorder.is_none() {
-            // Batched path: replay the stepping loop's scalar recurrence
-            // to find how many full ticks it would take and what the
-            // final partial tick would be (the `left -= dt` sequence is
-            // floating point, so it is re-run literally rather than
-            // closed-formed), then jump the fabric through the full
-            // ticks in one `advance` call. `left.min(step) == left` on
-            // the last tick makes `left -= dt` land on exactly 0.0.
-            let mut left = compute_s;
-            let mut full = 0u64;
-            let mut partial = None;
-            while left > 0.0 {
-                let dt = left.min(cfg.compute_step_s);
-                if dt < cfg.compute_step_s {
-                    partial = Some(dt);
-                } else {
-                    full += 1;
-                }
-                left -= dt;
-            }
-            let mut done: Vec<FlowId> = Vec::new();
-            let mut taken = 0u64;
-            while taken < full {
-                let t = cluster.advance(cfg.compute_step_s, full - taken, &mut done);
-                done.clear();
-                taken += t;
-                if t == 0 {
-                    break;
-                }
-            }
-            if let Some(dt) = partial {
-                cluster.step(dt);
-            }
-        } else {
-            let mut left = compute_s;
-            while left > 0.0 {
-                let dt = left.min(cfg.compute_step_s);
-                cluster.step(dt);
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.observe(cluster, dt);
-                }
-                left -= dt;
-            }
-        }
-
-        // --- Shuffle phase: all-to-all exchange of the stage output. ---
-        let mut shuffle_s = 0.0;
-        if stage.shuffle_bits > 0.0 && n > 1 {
-            let start = cluster.fabric().now();
-            // The shuffle is admitted as one batch, so its flows take
-            // one contiguous id range and waiting on them is a count:
-            // every completed id inside the range retires one. The
-            // count does not depend on completion order (one batched
-            // `advance` concatenates several windows, so its `done`
-            // list is not globally id-sorted); ids outside the range
-            // are cross traffic.
-            let span =
-                cluster.start_flows(AllToAll::new(n, stage.shuffle_bits, hot_node, job.skew));
-            let mut pending = span.len();
-            let shuffle_flow = |id: &FlowId| span.contains(*id);
-            // Hard cap to guarantee termination even on a zero-rate link.
-            let max_steps = (86_400.0 / cfg.shuffle_step_s) as u64;
-            let mut steps = 0u64;
-            if recorder.is_none() {
-                // Batched path: `Cluster::advance` jumps between events
-                // (completions end each jump) and takes exactly the
-                // steps the per-tick loop would, so the clock, shaper
-                // state, and completion order are bitwise identical.
-                let mut done: Vec<FlowId> = Vec::new();
-                while pending > 0 && steps < max_steps {
-                    done.clear();
-                    let taken = cluster.advance(cfg.shuffle_step_s, max_steps - steps, &mut done);
-                    pending -= done.iter().filter(|id| shuffle_flow(id)).count();
-                    steps += taken;
-                    if taken == 0 {
-                        break;
-                    }
-                }
-            } else {
-                while pending > 0 && steps < max_steps {
-                    let done = cluster.step(cfg.shuffle_step_s);
-                    if let Some(rec) = recorder.as_deref_mut() {
-                        rec.observe(cluster, cfg.shuffle_step_s);
-                    }
-                    pending -= done.iter().filter(|id| shuffle_flow(id)).count();
-                    steps += 1;
-                }
-            }
-            assert!(
-                pending == 0,
-                "shuffle did not complete within 24 simulated hours"
-            );
-            shuffle_s = cluster.fabric().now() - start;
-            // CPUs are (mostly) idle while shuffling: credits accrue.
-            if let Some(credits) = cluster.cpu_credits_mut() {
-                for c in credits {
-                    c.idle(shuffle_s);
-                }
-            }
-        }
-
-        stage_results.push(StageResult {
-            name: stage.name.clone(),
-            compute_s,
-            shuffle_s,
-            shuffle_bits: stage.shuffle_bits,
-        });
+        run.stage(cluster, stage, compute_s);
     }
-
-    let node_tx_bits: Vec<f64> = (0..n)
-        .map(|i| cluster.fabric().node_total_tx_bits(i) - tx_before[i])
-        .collect();
-    JobResult {
-        name: job.name.clone(),
-        duration_s: cluster.fabric().now() - started_at_s,
-        started_at_s,
-        stages: stage_results,
-        node_tx_bits,
-        hot_node,
-    }
+    run.finish(cluster, job)
 }
 
 /// Run a job with default stepping.
@@ -555,7 +610,7 @@ mod tests {
         let plain = run_job_cfg(&mut c1, &small_job(200.0), 11, &cfg);
         let mut c2 = Cluster::ec2_emulated(4, 8, 1000.0);
         let (traced, traces) = run_job_traced(&mut c2, &small_job(200.0), 11, &cfg);
-        assert_eq!(plain.duration_s, traced.duration_s);
+        assert_eq!(plain, traced);
         assert_eq!(traces.len(), 4);
         for tr in &traces {
             assert!(!tr.samples.is_empty());

@@ -8,7 +8,8 @@
 //!
 //! * [`cluster`] — a simulated cluster: one `netsim` fabric node per
 //!   worker, each with its own egress shaper (e.g. its VM's token
-//!   bucket) and a fixed executor-core count.
+//!   bucket) and a fixed executor-core count. `Cluster::advance` is
+//!   its one stepping entry.
 //! * [`job`] — jobs as DAGs of stages; each stage has a task count,
 //!   per-task compute-time distribution, and an all-to-all shuffle
 //!   volume (the way Spark stages exchange data).
@@ -16,7 +17,10 @@
 //!   then a max-min-fair shuffle over the fabric. Because compute
 //!   phases advance the same clock as the network, token buckets refill
 //!   during compute and deplete during shuffles — reproducing the
-//!   coupling that breaks run-to-run independence (Figure 19).
+//!   coupling that breaks run-to-run independence (Figure 19). Its
+//!   stage-phase core (CPU-credit stretch, compute-phase idle, shuffle
+//!   admission and the range-counted wait on it) runs the speculative
+//!   runner's stages too.
 //! * [`workloads`] — calibrated HiBench (K-Means, Terasort, WordCount,
 //!   Sort, Bayes) and TPC-DS (21-query subset) profiles.
 //! * [`straggler`] — per-node utilization analysis that detects the

@@ -22,23 +22,19 @@
 //!   equally-drained peer versus the counterfactual fresh-budget node.
 
 use crate::cluster::Cluster;
-use crate::engine::{task_time, AllToAll, JobResult, StageResult};
+use crate::engine::{task_time, EngineConfig, JobResult, JobRun};
 use crate::job::JobSpec;
 use netsim::fabric::{FlowId, FlowSpec};
 use netsim::faults::{FaultEpisode, FaultKind, FaultSchedule};
 use netsim::rng::{derive_seed, SimRng};
 use netsim::shaper::Shaper;
 use netsim::units::gbit;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Seed-derivation label for per-stage task RNG streams.
 const LABEL_STAGE: u64 = 0x57A6;
 /// Seed-derivation label for speculative-copy durations.
 const LABEL_COPY: u64 = 0xC0B7;
-/// Fluid step during shuffles, seconds (matches the engine default).
-const SHUFFLE_STEP_S: f64 = 0.25;
-/// Fluid step during compute phases, seconds.
-const COMPUTE_STEP_S: f64 = 1.0;
 
 /// Speculative-execution policy (Spark's knobs, simplified).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -317,29 +313,17 @@ pub fn run_job_speculative<S: Shaper>(
     seed: u64,
     cfg: &SpeculationConfig,
 ) -> (JobResult, SpeculationReport) {
-    let n = cluster.nodes();
     let mut rng = SimRng::new(seed);
-    let started_at_s = cluster.fabric().now();
-    let tx_before: Vec<f64> = (0..n)
-        .map(|i| cluster.fabric().node_total_tx_bits(i))
-        .collect();
     let schedule = cluster.fault_schedule().cloned();
-
-    let hot_node = (job.skew > 0.0).then(|| match job.hot_node {
-        Some(h) => {
-            assert!(h < n, "hot node out of range");
-            h
-        }
-        None => rng.index(n),
-    });
-
+    let mut run = JobRun::start(cluster, job, &mut rng, &EngineConfig::default(), None);
     let mut report = SpeculationReport::default();
-    let mut stage_results = Vec::with_capacity(job.stages.len());
     for (stage_idx, stage) in job.stages.iter().enumerate() {
-        // --- Compute phase: per-task scheduling with retry. ---
+        // Compute phase: per-task scheduling with retry. The shuffle
+        // then runs through the faulted fabric, which does the
+        // degrading.
         let stage_seed = derive_seed(derive_seed(seed, LABEL_STAGE), stage_idx as u64);
         let sc = schedule_stage(
-            n,
+            cluster.nodes(),
             cluster.cores_per_node(),
             cluster.fabric().now(),
             stage.tasks,
@@ -350,72 +334,9 @@ pub fn run_job_speculative<S: Shaper>(
             cfg,
         );
         report.absorb(sc.report);
-        let mut compute_s = sc.wall_s;
-        // Burstable instances stretch compute exactly as in the engine.
-        if let Some(credits) = cluster.cpu_credits_mut() {
-            let walls: Vec<f64> = credits.iter_mut().map(|c| c.run(compute_s)).collect();
-            let stage_wall = walls.iter().cloned().fold(0.0, f64::max);
-            for (c, w) in credits.iter_mut().zip(&walls) {
-                c.idle(stage_wall - w);
-            }
-            compute_s = stage_wall;
-        }
-        let mut left = compute_s;
-        while left > 0.0 {
-            let dt = left.min(COMPUTE_STEP_S);
-            cluster.step(dt);
-            left -= dt;
-        }
-
-        // --- Shuffle phase: the faulted fabric does the degrading. ---
-        let mut shuffle_s = 0.0;
-        if stage.shuffle_bits > 0.0 && n > 1 {
-            let start = cluster.fabric().now();
-            let mut pending: BTreeSet<FlowId> = cluster
-                .start_flows(AllToAll::new(n, stage.shuffle_bits, hot_node, job.skew))
-                .iter()
-                .collect();
-            let max_steps = (86_400.0 / SHUFFLE_STEP_S) as u64;
-            let mut steps = 0u64;
-            while !pending.is_empty() && steps < max_steps {
-                let finished = cluster.step(SHUFFLE_STEP_S);
-                for id in finished {
-                    pending.remove(&id);
-                }
-                steps += 1;
-            }
-            assert!(
-                pending.is_empty(),
-                "shuffle did not complete within 24 simulated hours"
-            );
-            shuffle_s = cluster.fabric().now() - start;
-            if let Some(credits) = cluster.cpu_credits_mut() {
-                for c in credits {
-                    c.idle(shuffle_s);
-                }
-            }
-        }
-
-        stage_results.push(StageResult {
-            name: stage.name.clone(),
-            compute_s,
-            shuffle_s,
-            shuffle_bits: stage.shuffle_bits,
-        });
+        run.stage(cluster, stage, sc.wall_s);
     }
-
-    let node_tx_bits: Vec<f64> = (0..n)
-        .map(|i| cluster.fabric().node_total_tx_bits(i) - tx_before[i])
-        .collect();
-    let result = JobResult {
-        name: job.name.clone(),
-        duration_s: cluster.fabric().now() - started_at_s,
-        started_at_s,
-        stages: stage_results,
-        node_tx_bits,
-        hot_node,
-    };
-    (result, report)
+    (run.finish(cluster, job), report)
 }
 
 /// Outcome of the controlled Figure 18 speculation experiment.
@@ -454,6 +375,7 @@ fn transfer_race(
     let primary = c.start_flow(FlowSpec::new(0, 1, transfer_bits));
     let mut copy: Option<FlowId> = None;
     let dt = 0.1;
+    let mut finished = Vec::new();
     loop {
         if copy.is_none() {
             if let Some(src) = copy_src {
@@ -462,7 +384,8 @@ fn transfer_race(
                 }
             }
         }
-        let finished = c.step(dt);
+        finished.clear();
+        c.advance(dt, 1, &mut finished);
         let now = c.fabric().now();
         if finished
             .iter()

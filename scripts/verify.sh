@@ -90,10 +90,14 @@ echo "== detlint: pipeline benchmark =="
 # trajectory to BENCH_detlint.json.
 cargo bench -q --offline -p bench --bench supp_detlint
 
-echo "== paper benches: every figure and ablation CHECK passes =="
+echo "== paper benches: every figure and ablation CHECK passes, on both engines =="
 # The fig* and ablation targets rerun the paper's figures and print one
 # `CHECK PASS/FAIL` line per reproduced claim; a FAIL panics the target
-# (all 20 take ~10 s in release on 2 vCPUs). Left out:
+# (all 20 take ~10 s in release on 2 vCPUs). Each target runs a second
+# time on the reference loops (FABRIC_SLOW_PATH=1, ~14 s more) and its
+# stdout must match the event engine's byte for byte: this puts the
+# traced (fig15, fig18) and DAG (ablation) runners under the
+# two-engine gate. Left out:
 #   - table3_campaign, which fails on HEAD: its m4.16xlarge row shows
 #     no variability (ROADMAP item 1 has the cause and the fix);
 #   - the timing targets (supp_*, micro_*): they measure wall time, and
@@ -107,8 +111,14 @@ for target in crates/bench/benches/fig*.rs crates/bench/benches/ablation_*.rs; d
     printf '%s\n' "$paper_out" | grep -E "CHECK FAIL|panicked|error" >&2 || true
     exit 1
   fi
+  if ! paper_slow=$(FABRIC_SLOW_PATH=1 cargo bench -q --offline -p bench --bench "$name" 2>&1) \
+    || [ "$paper_out" != "$paper_slow" ]; then
+    echo "FAIL: paper bench $name differs between the event and reference engines:" >&2
+    diff -u <(printf '%s\n' "$paper_out") <(printf '%s\n' "$paper_slow") >&2 | head -20
+    exit 1
+  fi
 done
-echo "OK: every figure and ablation bench passes its CHECKs"
+echo "OK: every figure and ablation bench passes its CHECKs, byte-identical on both engines"
 
 echo "== deterministic replay: faulty campaign =="
 # A campaign with every fault class active must be bit-for-bit
