@@ -5,8 +5,9 @@
 //! (`StepPath::Reference`, the test oracle) and the event-driven engine
 //! (`StepPath::Event`: closed-form next-event horizons jump the fabric
 //! between token-bucket crossings, fault transitions, and flow
-//! completions on struct-of-arrays state, falling back to an
-//! allocation-free, signature-cached general step). The two are
+//! completions on struct-of-arrays state over an allocation-free,
+//! signature-cached rate allocation; a single `step` is a one-step
+//! window). The two are
 //! contractually bit-identical. This bench runs the same 600
 //! s-of-simulated-time depletion campaign through each engine, CHECKs
 //! the golden trace hashes match exactly (and stay invariant across
@@ -161,9 +162,9 @@ fn main() {
     let fleet_4 = fleet(4);
     println!("  fleet goldens: jobs=1 {fleet_1:016x}, jobs=4 {fleet_4:016x}");
 
-    // Micro-kernels: a steady-state cache-hit general step and an
-    // event-kernel step vs a forced reference step on an identical
-    // 132-flow fabric.
+    // Micro-kernels: a steady-state cache-hit single step (a one-step
+    // window) and an event-kernel step vs a forced reference step on
+    // an identical 132-flow fabric.
     let mk_loaded = |path: StepPath| {
         let mut f = Fabric::new();
         for _ in 0..NODES {

@@ -122,9 +122,9 @@ impl<S: Shaper> Cluster<S> {
     /// Without cross traffic a batch forwards to [`Fabric::advance`],
     /// the event engine's batched entry point, which stops early only
     /// after the step that completes the last active flow. A single
-    /// tick is one general step: a one-step window or idle jump would
-    /// produce the same bits with more bookkeeping, and the fabric's
-    /// event counters keep counting batched work only. With cross
+    /// tick is one [`Fabric::step`]: the same one-step event window,
+    /// but booked as a plain step, so the fabric's event counters keep
+    /// counting batched work only. With cross
     /// traffic every tick must inject flows, so ticks run one at a
     /// time and the call stops after any step that reports a
     /// completion; callers that wait on a subset of the flows re-check

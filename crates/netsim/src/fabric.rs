@@ -17,30 +17,31 @@
 //! runs one **event-driven engine**, with the original loops kept
 //! beside it as a bit-identical test oracle ([`StepPath`]):
 //!
-//! * the **general step** ([`Fabric::step`]) keeps every per-step
-//!   buffer in per-fabric scratch storage (zero steady-state heap
-//!   allocations), maintains per-node active-flow counts incrementally
-//!   instead of rebuilding them every water-filling round, and caches
-//!   the rate allocation keyed by its exact inputs: the flow-set epoch,
-//!   each node's `rate_hint` × fault factor, each node's effective
-//!   ingress cap, the per-link capacities, and the core capacity.
-//!   Water-filling is a pure function of that signature (it never reads
-//!   `remaining_bits`), so a bitwise unchanged signature means the
-//!   previous allocation can be reused verbatim;
-//! * **event windows** ([`Fabric::advance`]) generalize that signature
-//!   cache from "check every step" to "prove a horizon": they
-//!   min-reduce a [`NextEvent`] over per-node state (closed-form
-//!   [`Shaper::hint_stable_steps`] crossings, the fault schedule's next
-//!   transition, the flow-completion epoch, the caller's budget) and
-//!   run the intervening steps in a kernel over the flow table's
-//!   struct-of-arrays columns that skips the per-step signature gathers
-//!   and demand passes entirely. Idle stretches batch through
-//!   [`Shaper::rest`], and a window that cannot open falls back to one
-//!   general step. The kernel executes the *identical* per-step
-//!   floating-point recurrences (demand, transmit, scale, deliver,
-//!   clock) on the same columns the general step uses, so it is bit-identical
-//!   by construction — events only bound how long the pure *reads* may
-//!   be skipped, they never replace arithmetic;
+//! * the **rate cache** ([`Fabric::refresh_rates`]) keeps every
+//!   per-step buffer in per-fabric scratch storage (zero steady-state
+//!   heap allocations), maintains per-node active-flow counts
+//!   incrementally instead of rebuilding them every water-filling
+//!   round, and keys the allocation by its exact inputs: the flow-set
+//!   epoch, each node's `rate_hint` × fault factor, each node's
+//!   effective ingress cap, the per-link capacities, and the core
+//!   capacity. Water-filling is a pure function of that signature (it
+//!   never reads `remaining_bits`), so a bitwise unchanged signature
+//!   means the previous allocation can be reused verbatim;
+//! * **event windows** are the engine's one step body.
+//!   [`Fabric::advance`] generalizes the signature cache from "check
+//!   every step" to "prove a horizon": it min-reduces a [`NextEvent`]
+//!   over per-node state (closed-form [`Shaper::hint_stable_steps`]
+//!   crossings, the fault schedule's next transition, the
+//!   flow-completion epoch, the caller's budget) and runs the
+//!   intervening steps in a kernel over the flow table's
+//!   struct-of-arrays columns that skips the per-step signature
+//!   gathers and demand passes entirely; [`Fabric::step`] is a window
+//!   of one step. Idle stretches batch through [`Shaper::rest`]. The
+//!   kernel executes the *identical* per-step floating-point
+//!   recurrences (demand, transmit, scale, deliver, clock) the
+//!   reference loops do, so it is bit-identical by construction —
+//!   events only bound how long the pure *reads* may be skipped, they
+//!   never replace arithmetic;
 //! * the **reference loops** re-run water-filling from scratch with
 //!   fresh buffers every step. No campaign runs them by default; they
 //!   are the equivalence oracle, selected with
@@ -48,7 +49,7 @@
 //!   `FABRIC_SLOW_PATH` environment variable.
 //!
 //! The equivalence contract is pinned by `tests/prop_fabric_fast.rs`
-//! (general step vs reference), `tests/prop_event_driven.rs` (event
+//! (single steps vs reference), `tests/prop_event_driven.rs` (event
 //! windows vs reference, including adversarial event alignments) and
 //! topo's routed-fabric property, and documented in DESIGN.md §9–10.
 
@@ -66,7 +67,7 @@ pub type NodeId = usize;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepPath {
     /// Event-driven engine (default): [`Fabric::advance`] jumps between
-    /// provable events, falling back to the cached general step.
+    /// provable events, and [`Fabric::step`] is a window of one step.
     Event,
     /// The original allocating loops, kept verbatim as the equivalence
     /// oracle. `FABRIC_SLOW_PATH=1` at construction.
@@ -248,11 +249,11 @@ impl LinkRoute {
 /// counter, so admission ([`Fabric::start_flows`]) appends a whole
 /// batch in place, lookups are binary searches over `ids`, and every
 /// pass walks the columns in id order — the order every floating-point
-/// accumulation downstream relies on. Water-filling, the general step
-/// and the event kernel all run on the columns in place. Completions
-/// leave in one [`Fabric::retire`] pass per step or event window; the
-/// per-index [`FlowMap::remove_at`] (one shift per column) is kept for
-/// the reference loops only.
+/// accumulation downstream relies on. Water-filling and the event
+/// window run on the columns in place. Completions leave in one
+/// [`Fabric::retire`] pass per event window; the per-index
+/// [`FlowMap::remove_at`] (one shift per column) is kept for the
+/// reference loops only.
 #[derive(Debug, Default)]
 struct FlowMap {
     ids: Vec<FlowId>,
@@ -361,7 +362,8 @@ pub struct FabricPerf {
     /// the event engine avoids.
     pub ref_vec_allocs: u64,
     /// Event windows opened by [`Fabric::advance`] (kernel runs of ≥1
-    /// step, plus batched idle jumps).
+    /// step, plus batched idle jumps). The one-step window of a
+    /// [`Fabric::step`] is not counted here.
     pub event_jumps: u64,
     /// Steps executed inside event windows (kernel steps + batched idle
     /// steps). Each also counts toward `steps`, and kernel steps count
@@ -427,9 +429,10 @@ enum Verdict {
     Binds,
 }
 
-/// Scratch buffers for the allocation-free general step. Every
-/// buffer is cleared and refilled in place, so in steady state (constant
-/// flow set, constant node count) no buffer ever reallocates.
+/// Scratch buffers for the event engine's water-filling and event
+/// windows. Every buffer is cleared and refilled in place, so in steady
+/// state (constant flow set, constant node count) no buffer ever
+/// reallocates.
 #[derive(Debug, Default)]
 struct StepScratch {
     /// The cached max-min allocation, aligned with the flow columns.
@@ -456,8 +459,8 @@ struct StepScratch {
     round_frozen: Vec<usize>,
     node_demand: Vec<f64>,
     node_scale: Vec<f64>,
-    /// Per-flow `(rate*dt).min(remaining)` computed in the demand pass
-    /// and reused verbatim in the deliver pass.
+    /// Per-flow `(rate*dt).min(remaining)`, computed once per event
+    /// window and reused verbatim by each of its deliver passes.
     want: Vec<f64>,
     /// Residual per-link capacity during water-filling.
     link_res: Vec<f64>,
@@ -474,22 +477,19 @@ struct StepScratch {
     sig_egress: Vec<u64>,
     /// Effective ingress (cap × fault factor) bit patterns per node.
     sig_ingress: Vec<u64>,
-    /// The spans `(start, end)` the event kernel walks the flow table
-    /// in: its contiguous same-source runs when its flows are src-sorted
-    /// (the engine starts shuffles src-major, so they usually are), else
-    /// one span over the whole table. Over sorted runs the kernel's
-    /// deliver pass uses each run's node scale as a loop-constant
-    /// scalar — branch-free, gather-free, and vectorizable — instead of
-    /// indexing `node_scale` per flow.
+    /// The flow table's maximal same-source runs `(start, end)`, in
+    /// table order: the spans the event window walks. Its deliver pass
+    /// uses each run's node scale as a loop-constant scalar — gather-free
+    /// and, for a mixed run outside a checking window, vectorizable —
+    /// instead of indexing `node_scale` per flow. The engine starts
+    /// shuffles src-major, so a shuffle's runs are long.
     ev_runs: Vec<(u32, u32)>,
-    /// Whether `ev_runs` are same-source runs.
-    runs_sorted: bool,
     /// Flow-set epoch `ev_runs` was built for.
     runs_epoch: u64,
     /// Per `ev_runs` entry, for the current event window: when the run
-    /// is uniform (same-source, and each flow's `rate` and `remaining`
-    /// bits equal the head's), the `remaining` its flows share, stepped
-    /// in the column's place; `None` for a mixed span.
+    /// is uniform (each flow's `rate` and `remaining` bits equal the
+    /// head's), the `remaining` its flows share, stepped in the column's
+    /// place; `None` for a mixed run.
     run_rem: Vec<Option<f64>>,
 }
 
@@ -1241,85 +1241,30 @@ impl<S: Shaper> Fabric<S> {
     /// Advance the fabric by `dt` seconds. Returns the flows that
     /// completed during the step, in id order.
     ///
-    /// On the event engine this is the general step: the cached
-    /// allocation from [`Fabric::refresh_rates`] and one pass each of
-    /// demand, transmit and deliver over scratch buffers.
-    /// [`Fabric::advance`] falls back to it whenever an event window
-    /// cannot open.
+    /// On the event engine this is an event window of one step: the
+    /// allocation from [`Fabric::refresh_rates`], then one step of
+    /// [`Fabric::event_window`] (or, with no flow in flight, one idle
+    /// tick). Its window is not counted as an event jump.
     pub fn step(&mut self, dt: f64) -> Vec<FlowId> {
         assert!(dt > 0.0, "step must be positive");
         self.perf.steps += 1;
         if self.path == StepPath::Reference {
             return self.step_reference(dt);
         }
-
-        if self.flows.is_empty() {
-            // No flows: water-filling is vacuous, but idle shapers must
-            // still advance (token refill) with the same bookkeeping.
-            self.perf.empty_steps += 1;
-            for node in &mut self.nodes {
-                let granted = node.shaper.transmit(self.now_s, dt, 0.0);
-                node.last_tx_bits = granted;
-                node.total_tx_bits += granted;
-            }
-            self.now_s += dt;
-            return Vec::new();
-        }
-
-        self.refresh_rates();
-        let n_nodes = self.nodes.len();
-        let Fabric {
-            nodes,
-            flows,
-            scratch: sc,
-            now_s,
-            ..
-        } = &mut *self;
-
-        // Aggregate per-node egress demand. The flow columns and the
-        // cached rates share one index, so a linear walk replaces the
-        // reference's per-flow map lookups; each flow's `want` is kept
-        // for the deliver pass (same value, same bits — the reference
-        // merely recomputes it).
-        sc.node_demand.clear();
-        sc.node_demand.resize(n_nodes, 0.0);
-        sc.want.clear();
-        for ((&r, &rem), s) in sc.rate.iter().zip(&flows.remaining).zip(&flows.specs) {
-            let want = (r * dt).min(rem);
-            sc.node_demand[s.src] += want;
-            sc.want.push(want);
-        }
-
-        // Let shapers admit the demand; compute per-node scaling.
-        sc.node_scale.clear();
-        sc.node_scale.resize(n_nodes, 1.0);
-        for (v, node) in nodes.iter_mut().enumerate() {
-            let demand = sc.node_demand[v];
-            let granted = node.shaper.transmit(*now_s, dt, demand);
-            node.last_tx_bits = granted;
-            node.total_tx_bits += granted;
-            sc.node_scale[v] = if demand > 0.0 { granted / demand } else { 1.0 };
-        }
-
-        // Deliver bits and collect completions. `Vec::new` does not
-        // allocate until a completion is actually pushed, so the
-        // steady state stays allocation-free.
+        // `Vec::new` does not allocate until a completion is pushed, so
+        // the steady state stays allocation-free.
         let mut completed = Vec::new();
-        for i in 0..flows.len() {
-            let delivered = sc.want[i] * sc.node_scale[flows.specs[i].src];
-            flows.remaining[i] -= delivered;
-            flows.last_rate[i] = delivered / dt;
-            if flows.remaining[i] <= 1e-6 {
-                completed.push(flows.ids[i]);
-            }
+        if self.flows.is_empty() {
+            self.perf.empty_steps += 1;
+            self.idle(dt, 1);
+        } else {
+            self.refresh_rates();
+            self.event_window(dt, 1, &mut completed);
         }
-        self.retire(&completed);
-
-        self.now_s += dt;
         completed
     }
 
-    /// Remove the completions of one step or one event window from the
+    /// Remove the completions of one event window from the
     /// flow table in one compaction pass over its columns that merges
     /// against `done`, releasing their per-node and per-link active
     /// counts on the way.
@@ -1483,74 +1428,94 @@ impl<S: Shaper> Fabric<S> {
     ///
     /// On the event engine this is where stepping cost collapses: idle
     /// stretches batch through [`Shaper::rest`], and busy stretches run
-    /// the event kernel ([`Fabric::next_event`] horizon +
-    /// struct-of-arrays stepping). On the reference path it is the
-    /// literal per-step loop, so the equivalence gate covers batched
-    /// callers identically.
+    /// event windows as long as their horizon proves the cached
+    /// allocation current. On the reference path it is the literal
+    /// per-step loop, so the equivalence gate covers batched callers
+    /// identically.
     pub fn advance(&mut self, dt: f64, max_steps: u64, completed: &mut Vec<FlowId>) -> u64 {
         assert!(dt > 0.0, "step must be positive");
-        let event = self.path == StepPath::Event;
         let mut taken = 0u64;
         while taken < max_steps {
-            if event && self.flows.is_empty() {
-                // Idle jump: batch every remaining tick through the
-                // shapers' closed-form rests. Grants of an idle step
-                // are exactly 0.0 on every shaper, so `last_tx_bits`
-                // and `total_tx_bits` land on the stepped loop's
-                // values, and the clock advances by the same repeated
-                // `+= dt` the loop would perform.
-                let k = max_steps - taken;
-                for node in &mut self.nodes {
-                    node.shaper.rest(self.now_s, dt, k);
-                    node.last_tx_bits = 0.0;
+            let busy = !self.flows.is_empty();
+            let k = match self.path {
+                StepPath::Reference => {
+                    completed.extend(self.step(dt));
+                    1
                 }
-                self.now_s = crate::shaper::advance_clock(self.now_s, dt, k);
+                StepPath::Event if busy => {
+                    // (Re)establish the rate cache for the current
+                    // signature, then run the kernel as far as the event
+                    // horizon proves the cache must keep hitting.
+                    self.refresh_rates();
+                    let k = self.event_window(dt, max_steps - taken, completed);
+                    self.perf.rate_cache_hits += k;
+                    if !self.link_caps.is_empty() {
+                        self.perf.link_cache_hits += k;
+                    }
+                    k
+                }
+                StepPath::Event => {
+                    // Idle jump: batch every remaining tick.
+                    let k = max_steps - taken;
+                    self.idle(dt, k);
+                    self.perf.empty_steps += k;
+                    k
+                }
+            };
+            if self.path == StepPath::Event {
                 self.perf.steps += k;
-                self.perf.empty_steps += k;
                 self.perf.event_steps += k;
                 self.perf.event_jumps += 1;
-                taken += k;
+            }
+            taken += k;
+            if busy && self.flows.is_empty() {
+                // The last step completed the last flow.
                 break;
-            }
-            if event {
-                // (Re)establish the rate cache for the current
-                // signature, then run the kernel as far as the event
-                // horizon proves the cache must keep hitting; the
-                // window's first step plays the general step's role.
-                self.refresh_rates();
-                let k = self.event_window(dt, max_steps - taken, completed);
-                if k > 0 {
-                    taken += k;
-                    if self.flows.is_empty() {
-                        // The kernel's final step completed the last flow.
-                        break;
-                    }
-                    continue;
-                }
-            }
-            // Reference loop, or a stalled window: an event is due
-            // within the guard slack (e.g. a flow is a few ticks from
-            // completing) or a shaper offers no closed-form bound. One
-            // honest step guarantees progress.
-            let done = self.step(dt);
-            taken += 1;
-            if !done.is_empty() {
-                completed.extend_from_slice(&done);
-                if self.flows.is_empty() {
-                    break;
-                }
             }
         }
         taken
     }
 
+    /// Run `k` flow-free ticks of `dt` through [`Shaper::rest`]. An
+    /// idle step grants exactly 0.0 on every shaper, so `last_tx_bits`
+    /// and `total_tx_bits` land on the stepped loop's values, and the
+    /// clock advances by the same repeated `+= dt` the loop performs.
+    fn idle(&mut self, dt: f64, k: u64) {
+        for node in &mut self.nodes {
+            node.shaper.rest(self.now_s, dt, k);
+            if k > 0 {
+                node.last_tx_bits = 0.0;
+            }
+        }
+        self.now_s = crate::shaper::advance_clock(self.now_s, dt, k);
+    }
+
+    /// Steps until the fault schedule's next episode edge, less two
+    /// ticks of guard slack for the iterated clock (`u64::MAX` when no
+    /// edge lies ahead).
+    fn fault_horizon(&self, dt: f64) -> u64 {
+        let Some(s) = &self.faults else {
+            return u64::MAX;
+        };
+        let t_next = s.next_transition_after(self.now_s);
+        if !t_next.is_finite() {
+            return u64::MAX;
+        }
+        let raw = (t_next - self.now_s) / dt;
+        if raw <= 3.0 {
+            0
+        } else {
+            (raw.floor() as u64).saturating_sub(2)
+        }
+    }
+
     /// Closed-form min-reduction of the next event horizon: how many
     /// upcoming ticks of `dt` provably cannot change any input of the
     /// cached rate allocation. Per-node [`Shaper::hint_stable_steps`]
-    /// crossings (+1: the window's first step is validated against the
-    /// live signature before the window opens, the bound covers the
-    /// transmits *after* it), the fault schedule's next episode edge
-    /// (with two ticks of guard slack for the iterated clock), per-flow
+    /// crossings (+1: a window's first step runs on an allocation
+    /// refreshed at its own clock, the bound covers the transmits
+    /// *after* it), the fault schedule's next episode edge
+    /// ([`Fabric::fault_horizon`]), per-flow
     /// completion horizons (how long `remaining` provably stays above
     /// the per-step demand `rate * dt`, with a relative `1e-6` plus two
     /// absolute guard steps absorbing delivery rounding — available
@@ -1563,22 +1528,12 @@ impl<S: Shaper> Fabric<S> {
             steps: budget,
             cause: EventCause::Budget,
         };
-        if let Some(s) = &self.faults {
-            let t_next = s.next_transition_after(self.now_s);
-            if t_next.is_finite() {
-                let raw = (t_next - self.now_s) / dt;
-                let horizon = if raw <= 3.0 {
-                    0
-                } else {
-                    (raw.floor() as u64).saturating_sub(2)
-                };
-                if horizon < ev.steps {
-                    ev = NextEvent {
-                        steps: horizon,
-                        cause: EventCause::FaultTransition,
-                    };
-                }
-            }
+        let fault = self.fault_horizon(dt);
+        if fault < ev.steps {
+            ev = NextEvent {
+                steps: fault,
+                cause: EventCause::FaultTransition,
+            };
         }
         for (v, node) in self.nodes.iter().enumerate() {
             let stable = node
@@ -1627,18 +1582,7 @@ impl<S: Shaper> Fabric<S> {
     /// long identical runs. A uniform run (see [`Fabric::event_window`])
     /// is such a stretch by construction and is folded once.
     fn busy_horizon(&self, dt: f64, budget: u64) -> u64 {
-        let mut window = budget;
-        if let Some(s) = &self.faults {
-            let t_next = s.next_transition_after(self.now_s);
-            if t_next.is_finite() {
-                let raw = (t_next - self.now_s) / dt;
-                window = window.min(if raw <= 3.0 {
-                    0
-                } else {
-                    (raw.floor() as u64).saturating_sub(2)
-                });
-            }
-        }
+        let mut window = budget.min(self.fault_horizon(dt));
         let sc = &self.scratch;
         for (v, node) in self.nodes.iter().enumerate() {
             if window == 0 {
@@ -1676,85 +1620,49 @@ impl<S: Shaper> Fabric<S> {
         window
     }
 
-    /// Run the event kernel for up to `budget` steps. Preconditions:
-    /// event engine, flows present, and [`Fabric::refresh_rates`]
-    /// *just* ran (so the cached allocation matches the live flow set).
-    /// Returns steps taken (0 when the live signature no longer matches
-    /// the cache — the caller's next general step recomputes honestly).
+    /// Run one event window of at least one and at most `budget` steps
+    /// (`budget > 0`) and return the steps taken. Preconditions: event
+    /// engine, flows present, and [`Fabric::refresh_rates`] ran at the
+    /// current clock, so the cached allocation is live for the first
+    /// step. Counts no [`FabricPerf`] entry: its callers book the
+    /// window as they do.
     ///
-    /// Every kernel step executes the identical floating-point
-    /// recurrences of the general step — per-node `transmit`
-    /// (shaper state, including RNGs, advances every tick exactly as
-    /// stepped), scale division, delivery subtraction, `now += dt` — in
-    /// place on the flow table's columns. What it skips, the
-    /// [`Fabric::busy_horizon`] proof obligations cover: the per-step
-    /// hint/factor gathers and signature compares and the per-step
-    /// demand pass — inside the window every flow's demand
-    /// `min(rate*dt, remaining)` is provably the constant
-    /// bit pattern `rate*dt` (the completion horizons guarantee
-    /// `remaining` stays above it), so wants and per-node demand sums
-    /// are computed once at entry.
+    /// Every step executes the identical floating-point recurrences of
+    /// the reference loop — per-node `transmit` (shaper state,
+    /// including RNGs, advances every tick exactly as stepped), scale
+    /// division, delivery subtraction, `now += dt` — in place on the
+    /// flow table's columns. What it skips, the [`Fabric::busy_horizon`]
+    /// proof obligations cover: the per-step hint/factor gathers and
+    /// signature compares and the per-step demand pass — inside the
+    /// window every flow's demand `min(rate*dt, remaining)` is provably
+    /// the constant bit pattern `rate*dt` (the completion horizons
+    /// guarantee `remaining` stays above it), so wants and per-node
+    /// demand sums are computed once at entry.
+    ///
+    /// The deliver pass walks the flow table's maximal same-source
+    /// runs with each run's node scale as a loop-constant scalar. The
+    /// per-flow updates are independent, so run order does not affect
+    /// the bits. A uniform run (each flow's `rate` and `remaining` bits
+    /// equal the head's) steps in lockstep, so one representative
+    /// `remaining` takes the subtraction each of its flows would, and
+    /// is written back to the run when the window ends; when it
+    /// completes, so does every flow of the run, in id order.
     fn event_window(&mut self, dt: f64, budget: u64, completed: &mut Vec<FlowId>) -> u64 {
         let n_nodes = self.nodes.len();
-        {
-            let sc = &self.scratch;
-            if budget == 0
-                || self.flows.is_empty()
-                || sc.sig_epoch != self.flow_epoch
-                || sc.sig_egress.len() != n_nodes
-                || sc.sig_core != self.core_capacity_bps.map(f64::to_bits)
-                || sc.sig_links.len() != self.link_caps.len()
-                || self
-                    .link_caps
-                    .iter()
-                    .zip(&sc.sig_links)
-                    .any(|(cap, sig)| cap.to_bits() != *sig)
-            {
-                return 0;
-            }
-        }
-
-        // Entry validation: the cache was signed during the last
-        // refresh (one tick ago); re-derive each node's live signature
-        // word once and bail to the general path on any mismatch (e.g.
-        // a bucket crossed its hint threshold during that step's
-        // transmit). A passed check makes the window's first step a
-        // proven cache hit; `busy_horizon` extends the proof to the
-        // rest.
         let sc = &mut self.scratch;
-        for (v, node) in self.nodes.iter().enumerate() {
-            let factor = match &self.faults {
-                Some(s) => s.factor_at(v, self.now_s),
-                None => 1.0,
-            };
-            let eg = node.shaper.rate_hint(self.now_s).max(0.0) * factor;
-            let ing = node.ingress_cap_bps * factor;
-            if sc.sig_egress[v] != eg.to_bits() || sc.sig_ingress[v] != ing.to_bits() {
-                return 0;
-            }
-        }
+        let flows = &self.flows;
 
         // Same-source runs depend only on the flow set: rebuild them
         // once per flow-set epoch, not once per window.
-        let flows = &self.flows;
-        let k_flows = flows.len();
         if sc.runs_epoch != self.flow_epoch {
             sc.runs_epoch = self.flow_epoch;
             sc.ev_runs.clear();
-            sc.runs_sorted = flows.specs.windows(2).all(|p| p[0].src <= p[1].src);
-            if sc.runs_sorted {
-                let mut i = 0u32;
-                while (i as usize) < k_flows {
-                    let v = flows.specs[i as usize].src;
-                    let mut j = i + 1;
-                    while (j as usize) < k_flows && flows.specs[j as usize].src == v {
-                        j += 1;
-                    }
-                    sc.ev_runs.push((i, j));
-                    i = j;
+            let mut a = 0;
+            for i in 1..=flows.len() {
+                if i == flows.len() || flows.specs[i].src != flows.specs[a].src {
+                    sc.ev_runs.push((a as u32, i as u32));
+                    a = i;
                 }
-            } else {
-                sc.ev_runs.push((0, k_flows as u32));
             }
         }
 
@@ -1763,44 +1671,46 @@ impl<S: Shaper> Fabric<S> {
         // wants and per-node demand sums use the same expressions in
         // the same accumulation order as the per-step pass, so the
         // hoisted values are bitwise what every in-window step would
-        // have recomputed. A uniform run (every flow's `rate` and
-        // `remaining` bits equal its head's) has one want: it is
-        // evaluated once, then added to its node's demand once per flow,
-        // which is the per-step pass's sum in its order.
+        // have recomputed. A uniform run has one want: it is evaluated
+        // once, then added to its node's demand once per flow, which is
+        // the per-step pass's sum in its order.
         sc.node_demand.clear();
         sc.node_demand.resize(n_nodes, 0.0);
         sc.want.clear();
         sc.run_rem.clear();
-        // Whether some flow sits in the sub-`1e-6`-want corner (see the
-        // deliver-pass strategy below).
-        let mut tiny_want = false;
+        // Whether a flow can complete although its horizon does not
+        // bound the window: it starts at or below the completion
+        // threshold (an empty flow), or its want is so small that the
+        // absolute threshold can be crossed while the demand stays
+        // bit-stable.
+        let near_done = |rem: f64, want: f64| rem <= 1e-6 || (want > 0.0 && want <= 1e-6);
+        let mut check = false;
         let (rate, remaining) = (&sc.rate, &flows.remaining);
         for &(a, b) in &sc.ev_runs {
             let (a, b) = (a as usize, b as usize);
             let (r, rem) = (rate[a], remaining[a]);
-            let uniform = sc.runs_sorted
-                && rate[a..b]
-                    .iter()
-                    .zip(&remaining[a..b])
-                    .fold(true, |u, (x, y)| {
-                        u & (x.to_bits() == r.to_bits()) & (y.to_bits() == rem.to_bits())
-                    });
+            let uniform = rate[a..b]
+                .iter()
+                .zip(&remaining[a..b])
+                .fold(true, |u, (x, y)| {
+                    u & (x.to_bits() == r.to_bits()) & (y.to_bits() == rem.to_bits())
+                });
             sc.run_rem.push(uniform.then_some(rem));
+            let demand = &mut sc.node_demand[flows.specs[a].src];
             if uniform {
                 let want = (r * dt).min(rem);
-                let demand = &mut sc.node_demand[flows.specs[a].src];
                 for _ in a..b {
                     *demand += want;
                 }
                 sc.want.resize(b, want);
-                tiny_want |= want > 0.0 && want <= 1e-6;
+                check |= near_done(rem, want);
                 continue;
             }
             for i in a..b {
                 let want = (rate[i] * dt).min(remaining[i]);
-                sc.node_demand[flows.specs[i].src] += want;
+                *demand += want;
                 sc.want.push(want);
-                tiny_want |= want > 0.0 && want <= 1e-6;
+                check |= near_done(remaining[i], want);
             }
         }
         sc.node_scale.clear();
@@ -1808,116 +1718,87 @@ impl<S: Shaper> Fabric<S> {
 
         // The horizon bounds how far the cache may be reused *without
         // re-validation*; the window's first step needs no horizon at
-        // all — the refresh and entry validation just proved its
-        // signature live, which is exactly the general step's signature
-        // check. So the window is always at least one step, and an
-        // imminent event (a flow a few ticks from completing, a fault
-        // edge inside the guard slack) degrades to single-step windows
-        // instead of bouncing back to the general path.
+        // all — the refresh just before the window signed the
+        // allocation at this clock. So the window is always at least
+        // one step, and an imminent event (a flow a few ticks from
+        // completing, a fault edge inside the guard slack) degrades to
+        // single-step windows. Within a nonzero horizon a flow with
+        // `want > 1e-6` keeps `remaining > 2*want > 1e-6` and a
+        // zero-want flow never moves, so unless some flow is near done
+        // no completion can occur and the deliver pass skips the
+        // per-flow threshold check.
         let horizon = self.busy_horizon(dt, budget);
         let window = horizon.max(1);
-
-        // Deliver-pass strategy. Within the *unclamped* horizon a flow
-        // with `want > 1e-6` keeps `remaining > 2*want > 1e-6` (the
-        // completion horizons guarantee it) and a zero-want flow never
-        // moves, so unless some flow sits in the sub-`1e-6`-want
-        // corner (where the absolute completion threshold can be
-        // crossed while the demand stays bit-stable), no completion
-        // can occur and the per-flow threshold check is dead code the
-        // kernel may skip. Independently, when the flow order is
-        // src-sorted, the deliver pass decomposes into the contiguous
-        // same-source runs with a scalar scale — the per-flow updates
-        // are independent, so run order does not affect the bits — and
-        // a uniform run steps one representative `remaining`, written
-        // back to the run's flows when the window ends.
-        let completions_possible = horizon == 0 || tiny_want;
-        let use_runs = !completions_possible && self.scratch.runs_sorted;
+        let check = check || horizon == 0;
 
         let first_new = completed.len();
         let mut taken = 0u64;
-        {
-            let Fabric {
-                nodes,
-                flows,
-                scratch: sc,
-                now_s,
-                ..
-            } = &mut *self;
-            while taken < window {
-                // Transmit pass: demand is the hoisted constant.
-                for (v, node) in nodes.iter_mut().enumerate() {
-                    let demand = sc.node_demand[v];
-                    let granted = node.shaper.transmit(*now_s, dt, demand);
-                    node.last_tx_bits = granted;
-                    node.total_tx_bits += granted;
-                    sc.node_scale[v] = if demand > 0.0 { granted / demand } else { 1.0 };
-                }
-                // Fused deliver pass; `want * scale` is the identical
-                // expression the per-step pass evaluates.
-                if use_runs {
-                    // Run variant: no completion is reachable in this
-                    // window, so deliver is pure arithmetic. A uniform
-                    // run's flows step in lockstep, so its representative
-                    // takes the one subtraction each of them would.
-                    for (&(a, b), run_rem) in sc.ev_runs.iter().zip(&mut sc.run_rem) {
-                        let s = sc.node_scale[flows.specs[a as usize].src];
-                        let (a, b) = (a as usize, b as usize);
-                        if let Some(rem) = run_rem {
-                            *rem -= sc.want[a] * s;
-                            continue;
-                        }
-                        for (rem, want) in flows.remaining[a..b].iter_mut().zip(&sc.want[a..b]) {
-                            *rem -= *want * s;
-                        }
+        let Fabric {
+            nodes,
+            flows,
+            scratch: sc,
+            now_s,
+            ..
+        } = &mut *self;
+        while taken < window {
+            // Transmit pass: demand is the hoisted constant.
+            for (v, node) in nodes.iter_mut().enumerate() {
+                let demand = sc.node_demand[v];
+                let granted = node.shaper.transmit(*now_s, dt, demand);
+                node.last_tx_bits = granted;
+                node.total_tx_bits += granted;
+                sc.node_scale[v] = if demand > 0.0 { granted / demand } else { 1.0 };
+            }
+            // Deliver pass; `want * scale` is the identical expression
+            // the reference evaluates. A completion ends the window
+            // after this step (the flow-set epoch is an event).
+            let mut done_any = false;
+            for (&(a, b), run_rem) in sc.ev_runs.iter().zip(&mut sc.run_rem) {
+                let (a, b) = (a as usize, b as usize);
+                let s = sc.node_scale[flows.specs[a].src];
+                if let Some(rem) = run_rem {
+                    *rem -= sc.want[a] * s;
+                    if check && *rem <= 1e-6 {
+                        completed.extend_from_slice(&flows.ids[a..b]);
+                        done_any = true;
                     }
-                } else {
-                    // Checking variant: completions end the window
-                    // after this step (the flow-set epoch is an event).
-                    let mut done_any = false;
-                    for i in 0..k_flows {
-                        flows.remaining[i] -= sc.want[i] * sc.node_scale[flows.specs[i].src];
+                } else if check {
+                    for i in a..b {
+                        flows.remaining[i] -= sc.want[i] * s;
                         if flows.remaining[i] <= 1e-6 {
                             completed.push(flows.ids[i]);
                             done_any = true;
                         }
                     }
-                    if done_any {
-                        *now_s += dt;
-                        taken += 1;
-                        break;
+                } else {
+                    // Check-free, so the loop vectorizes.
+                    for (rem, want) in flows.remaining[a..b].iter_mut().zip(&sc.want[a..b]) {
+                        *rem -= *want * s;
                     }
                 }
-                *now_s += dt;
-                taken += 1;
             }
-            // The last delivered rate, from the (constant) want and the
-            // final step's scale — the same `delivered / dt` bits the
-            // per-step path stores every tick. A uniform run's flows
-            // share one want, so one rate; in the run variant they also
-            // take their representative's `remaining` here, before
-            // anything reads the column.
-            for (&(a, b), run_rem) in sc.ev_runs.iter().zip(&sc.run_rem) {
-                let (a, b) = (a as usize, b as usize);
-                if let Some(rem) = run_rem {
-                    let s = sc.node_scale[flows.specs[a].src];
-                    flows.last_rate[a..b].fill(sc.want[a] * s / dt);
-                    if use_runs {
-                        flows.remaining[a..b].fill(*rem);
-                    }
-                    continue;
-                }
-                for i in a..b {
-                    flows.last_rate[i] = sc.want[i] * sc.node_scale[flows.specs[i].src] / dt;
-                }
+            *now_s += dt;
+            taken += 1;
+            if done_any {
+                break;
             }
         }
-        self.perf.steps += taken;
-        self.perf.rate_cache_hits += taken;
-        if !self.link_caps.is_empty() {
-            self.perf.link_cache_hits += taken;
+        // The last delivered rate, from the (constant) want and the
+        // final step's scale — the same `delivered / dt` bits the
+        // reference stores every tick — and each uniform run's
+        // `remaining`, before anything reads the columns.
+        for (&(a, b), run_rem) in sc.ev_runs.iter().zip(&sc.run_rem) {
+            let (a, b) = (a as usize, b as usize);
+            let s = sc.node_scale[flows.specs[a].src];
+            if let Some(rem) = run_rem {
+                flows.last_rate[a..b].fill(sc.want[a] * s / dt);
+                flows.remaining[a..b].fill(*rem);
+                continue;
+            }
+            for i in a..b {
+                flows.last_rate[i] = sc.want[i] * s / dt;
+            }
         }
-        self.perf.event_steps += taken;
-        self.perf.event_jumps += 1;
 
         // Apply completions exactly as a per-step path would have at the
         // completing step.
@@ -1927,11 +1808,11 @@ impl<S: Shaper> Fabric<S> {
 
     /// Advance with **no** flows for `duration` (resting: token refill).
     ///
-    /// The event engine delegates to [`Shaper::rest`], which replaces the
-    /// per-step virtual idle `transmit` calls with each shaper's (often
-    /// closed-form or early-exiting) equivalent; the clock still
-    /// advances by the same repeated `+= dt` so `now` stays bitwise
-    /// identical to the reference loop.
+    /// The event engine rests every shaper through [`Shaper::rest`],
+    /// which replaces the per-step virtual idle `transmit` calls with
+    /// each shaper's (often closed-form or early-exiting) equivalent;
+    /// the clock still advances by the same repeated `+= dt` so `now`
+    /// stays bitwise identical to the reference loop.
     pub fn rest(&mut self, duration: f64, dt: f64) {
         assert!(self.flows.is_empty(), "rest() with active flows");
         let steps = (duration / dt).round().max(0.0) as u64;
@@ -1945,13 +1826,7 @@ impl<S: Shaper> Fabric<S> {
             }
             return;
         }
-        for node in &mut self.nodes {
-            node.shaper.rest(self.now_s, dt, steps);
-            if steps > 0 {
-                node.last_tx_bits = 0.0;
-            }
-        }
-        self.now_s = crate::shaper::advance_clock(self.now_s, dt, steps);
+        self.idle(dt, steps);
     }
 
     /// Reset every node's shaper and the clock (fresh VMs).
@@ -2405,6 +2280,44 @@ mod tests {
         let ev = run(StepPath::Event);
         let slow = run(StepPath::Reference);
         assert_eq!(ev, slow, "event vs reference diverged on a linked fabric");
+    }
+
+    /// How each entry point books its steps is pinned as a whole: an
+    /// empty single step, a routed two-flow batch under single steps,
+    /// event windows through a completion and a water-fill, an idle
+    /// jump, and a rest. `Fabric::step` runs a one-step event window
+    /// but books it as a plain step, never as an event jump; perfbench
+    /// reports these counters and its fleet golden pins them.
+    #[test]
+    fn perf_counters_of_a_scripted_mix() {
+        let mut f = static_fabric(3, gbps(10.0));
+        f.set_link_caps(vec![gbps(100.0)]);
+        f.step(0.1);
+        let batch = f.start_flows(
+            [FlowSpec::new(0, 2, gbit(2.0)), FlowSpec::new(1, 2, gbit(8.0))],
+            |_, _, routes| routes.fill(LinkRoute::new(&[0])),
+        );
+        f.step(0.1);
+        f.step(0.1);
+        let mut done = Vec::new();
+        assert_eq!(f.advance(0.1, 1_000, &mut done), 8);
+        assert_eq!(done, batch.iter().collect::<Vec<_>>());
+        assert_eq!(f.advance(0.1, 10, &mut done), 10);
+        f.rest(1.0, 0.1);
+        assert_eq!(
+            f.perf(),
+            FabricPerf {
+                steps: 21,
+                rate_recomputes: 2,
+                rate_cache_hits: 14,
+                empty_steps: 11,
+                ref_vec_allocs: 0,
+                event_jumps: 7,
+                event_steps: 18,
+                link_recomputes: 2,
+                link_cache_hits: 14,
+            }
+        );
     }
 
     #[test]

@@ -19,11 +19,13 @@
 //! simultaneous crossings (identical twins depleting on the same
 //! step + equal-size flows completing together), bursts of 32-256
 //! equal-size flows completing in the same windows between survivors,
-//! a fault edge landing exactly on a token-bucket refill crossing, and
-//! a link that turns binding halfway through a water-filling round.
-//! Routed src-sorted shuffles pin the per-source-run shortcuts: every
+//! a fault edge landing exactly on a token-bucket refill crossing, a
+//! link that turns binding halfway through a water-filling round, and
+//! empty or sub-threshold flows that must complete in their first step.
+//! Routed src-major shuffles pin the per-source-run shortcuts: every
 //! source binding (water-filling's one-check exit), a source with spare
-//! egress, a mixed run, and cross traffic breaking the source order.
+//! egress, a mixed run, cross traffic breaking the source order, and a
+//! second shuffle overlapping the first.
 
 use netsim::fabric::{EventCause, Fabric, FlowId, FlowSpec, StepPath};
 use netsim::faults::{FaultConfig, FaultEpisode, FaultKind, FaultSchedule};
@@ -196,7 +198,13 @@ fn run_event_script(
             for _ in 0..rng.index(4) + 1 {
                 let src = rng.index(n);
                 let dst = (src + 1 + rng.index(n - 1)) % n;
-                let bits = rng.uniform_in(5e8, 2e10);
+                // Now and then an empty or sub-threshold flow: it
+                // completes in its first step, as in the reference.
+                let bits = if rng.chance(0.04) {
+                    if rng.chance(0.5) { 0.0 } else { 1e-7 }
+                } else {
+                    rng.uniform_in(5e8, 2e10)
+                };
                 let mut spec = FlowSpec::new(src, dst, bits);
                 if rng.chance(0.3) {
                     spec.max_rate_bps = rng.uniform_in(5e8, 6e9);
@@ -609,6 +617,10 @@ enum ShuffleCase {
     MixedRun,
     /// Cross traffic admitted after the shuffle breaks the source order.
     CrossTraffic,
+    /// A second shuffle of another size lands after the first's first
+    /// step: the table is no longer src-sorted, but every same-source
+    /// run in it is uniform.
+    Overlap,
 }
 
 /// A routed fabric with loose per-node access links and spine pairs,
@@ -675,7 +687,7 @@ fn admit_shuffle(
 }
 
 /// Drive an event fabric, its reference twin and an event twin that
-/// only takes general steps through one shuffle of `case` until it
+/// only takes single steps through one shuffle of `case` until it
 /// drains, comparing every observable bitwise at each boundary.
 fn run_shuffle_case(case: ShuffleCase, seed: u64) {
     let mut rng = SimRng::new(seed ^ 0x5EED);
@@ -716,7 +728,9 @@ fn run_shuffle_case(case: ShuffleCase, seed: u64) {
                 flows.push(id);
             }
         }
-        let budget = if rng.chance(0.7) {
+        let budget = if matches!(case, ShuffleCase::Overlap) && epoch == 0 {
+            1
+        } else if rng.chance(0.7) {
             event.next_event(dt, 100_000).steps.saturating_add(1).min(512)
         } else {
             rng.index(16) as u64 + 1
@@ -730,7 +744,7 @@ fn run_shuffle_case(case: ShuffleCase, seed: u64) {
         let ctx = format!("{case:?}, seed {seed}, epoch {epoch}");
         assert_eq!(te, tr, "steps taken diverged ({ctx})");
         assert_eq!(done_e, done_r, "completions diverged ({ctx})");
-        assert_eq!(done_e, done_s, "general-step completions diverged ({ctx})");
+        assert_eq!(done_e, done_s, "single-step completions diverged ({ctx})");
         assert_fabrics_bit_equal(&event, &reference, &flows, &ctx);
         assert_fabrics_bit_equal(&stepped, &reference, &flows, &ctx);
         let (pe, pr, ps) = (event.perf(), reference.perf(), stepped.perf());
@@ -740,6 +754,13 @@ fn run_shuffle_case(case: ShuffleCase, seed: u64) {
             (ps.rate_recomputes, ps.link_recomputes),
             "water-fills ({ctx})"
         );
+        if matches!(case, ShuffleCase::Overlap) && epoch == 0 {
+            let more = bits * rng.uniform_in(0.5, 2.0);
+            let range = admit_shuffle(&mut event, case, spines, more, odd);
+            assert_eq!(range, admit_shuffle(&mut reference, case, spines, more, odd));
+            assert_eq!(range, admit_shuffle(&mut stepped, case, spines, more, odd));
+            flows.extend(range.iter());
+        }
         epoch += 1;
         assert!(epoch < 100_000, "shuffle did not drain ({ctx})");
     }
@@ -772,10 +793,19 @@ prop_cases! {
         run_shuffle_case(ShuffleCase::MixedRun, seed);
     }
 
-    /// Cross traffic breaks the source order mid-shuffle: the windows
-    /// fall back to per-flow passes over the whole table.
+    /// Cross traffic breaks the source order mid-shuffle: each
+    /// neighbour flow is a run of its own beside the shuffle's runs.
     #[test]
     fn shuffle_with_cross_traffic(seed in 0u64..1_000_000) {
         run_shuffle_case(ShuffleCase::CrossTraffic, seed);
+    }
+
+    /// Two overlapping shuffles of different sizes: the unsorted table
+    /// still splits into uniform same-source runs, each stepped through
+    /// its representative, and the runs of both shuffles complete in
+    /// id order.
+    #[test]
+    fn overlapping_shuffles(seed in 0u64..1_000_000) {
+        run_shuffle_case(ShuffleCase::Overlap, seed);
     }
 }

@@ -1,8 +1,9 @@
-//! General-step equivalence suite (DESIGN.md §9).
+//! Single-step equivalence suite (DESIGN.md §9).
 //!
-//! The event engine's general step, [`Fabric::step`] (scratch buffers,
-//! incremental active-flow counts, signature-keyed rate cache,
-//! closed-form shaper rests), must be **bit-identical** to the
+//! A single step of the event engine, [`Fabric::step`] (a one-step
+//! event window over scratch buffers, incremental active-flow counts
+//! and the signature-keyed rate cache; closed-form shaper rests when
+//! idle), must be **bit-identical** to the
 //! reference loops — not merely close. These properties drive
 //! randomized scripts (mixed shaper kinds, random flow sets, fault
 //! schedules, core capacities, drain and rest windows) through a

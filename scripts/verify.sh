@@ -167,13 +167,14 @@ echo "== fabric engines: faulty campaign on event and reference, bit-identical =
 #      (golden hashes included) must match byte for byte. The
 #      REPRO_JOBS gates above already ran the event engine on 1 and 4
 #      workers, so its jobs-invariance is covered too.
-#   2. The property suites drive randomized fabrics through the
-#      general step and through event windows against a reference twin
-#      and compare every observable with f64::to_bits — the event suite
-#      at every event boundary, with adversarial
-#      zero-length/simultaneous/fault-edge cases and src-sorted
-#      shuffles priced per source run (water-filling's one-check exit,
-#      uniform-run window passes).
+#   2. The property suites drive randomized fabrics through single
+#      steps (each a one-step event window) and through batched event
+#      windows against a reference twin and compare every observable
+#      with f64::to_bits — the event suite at every event boundary,
+#      with adversarial zero-length/simultaneous/fault-edge cases,
+#      empty flows, and src-major shuffles priced per source run
+#      (water-filling's one-check exit, uniform-run window passes,
+#      overlapping shuffles).
 #   3. The counting-allocator probe asserts steady-state stepping and
 #      event jumps perform zero heap allocations.
 # (detlint deny-cleanliness of the event engine is enforced by the
@@ -535,5 +536,25 @@ sigkill_gate campaign "$repro campaign --cloud hpc-8 --tenants 20000 --hours 0.0
 sigkill_gate fleet "$repro fleet --cloud hpc-8 --pairs 128 --hours 12 --seed 31 \
   --checkpoint-every 1 --journal"
 echo "OK: SIGKILLed journaled campaigns and fleets resume to byte-identical reports and journals"
+
+echo "== perfbench: both benchmark workloads reproduce their goldens =="
+# perfbench (its own workspace under perfbench/) repeats each workload's
+# operation and checks every result against the golden pinned for seed
+# 2020: the bigdata_fleet job durations and FabricPerf counters, and the
+# stream_journaled campaign report. A one-second run must end with a
+# JSON line reporting "correct": true and "failed": 0.
+for workload in bigdata_fleet stream_journaled; do
+  bench_out=$(python3 perfbench/run.py --workload "$workload" --seed 2020 --seconds 1 --trace 0)
+  if ! printf '%s\n' "$bench_out" | tail -n 1 | python3 -c '
+import json, sys
+doc = json.loads(sys.stdin.read())
+sys.exit(0 if doc["correct"] is True and doc["failed"] == 0 else 1)
+'; then
+    echo "FAIL: perfbench $workload is not correct or failed operations:" >&2
+    printf '%s\n' "$bench_out" | tail -n 1 | cut -c1-300 >&2
+    exit 1
+  fi
+done
+echo "OK: perfbench workloads are correct with no failed operations"
 
 echo "== verify.sh: all gates passed =="
