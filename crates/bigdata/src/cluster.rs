@@ -1,6 +1,6 @@
 //! Simulated clusters: a fabric of worker nodes with executor cores.
 
-use clouds::CloudProfile;
+use clouds::{CloudProfile, VmShaper};
 use netsim::cpu::CpuCredits;
 use netsim::fabric::{CrossTraffic, Fabric, FlowId, FlowRange, FlowSpec};
 use netsim::faults::FaultSchedule;
@@ -11,9 +11,10 @@ use topo::Wiring;
 /// A simulated Spark cluster.
 ///
 /// Generic over the node shaper type: use `Cluster<TokenBucket>` when
-/// you need to read or preset per-node budgets (Figures 15–19), or
-/// `Cluster<Box<dyn Shaper + Send>>` for heterogeneous/provider-built
-/// clusters.
+/// you need to read or preset per-node budgets (Figures 15–19),
+/// `Cluster<VmShaper>` for provider-built clusters
+/// ([`Cluster::from_profile`]), or `Cluster<Box<dyn Shaper + Send>>`
+/// for heterogeneous shaper mixes.
 pub struct Cluster<S> {
     fabric: Fabric<S>,
     cores_per_node: u32,
@@ -280,7 +281,7 @@ impl Cluster<TokenBucket> {
     }
 }
 
-impl Cluster<Box<dyn Shaper + Send>> {
+impl Cluster<VmShaper> {
     /// Build a cluster of `n` VMs instantiated from a cloud profile
     /// (each VM gets an incarnation-specific shaper).
     pub fn from_profile(profile: &CloudProfile, n: usize, cores_per_node: u32, seed: u64) -> Self {

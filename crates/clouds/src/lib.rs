@@ -29,5 +29,5 @@ pub mod hpccloud;
 pub mod profile;
 pub mod timeline;
 
-pub use profile::{reference_faults, CloudProfile, Era, Provider, QosModel, Vm};
+pub use profile::{reference_faults, CloudProfile, Era, Provider, QosModel, Vm, VmShaper};
 pub use timeline::PolicyTimeline;

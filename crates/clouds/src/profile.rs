@@ -94,14 +94,71 @@ pub struct CloudProfile {
     pub faults: FaultConfig,
 }
 
+/// A VM's egress shaper: one variant per shaper a [`QosModel`] builds.
+///
+/// Implements [`Shaper`] by forwarding every method to the variant, so
+/// per-tick calls dispatch by a `match` the compiler can inline instead
+/// of through a vtable.
+pub enum VmShaper {
+    /// EC2-style token bucket ([`QosModel::TokenBucket`]).
+    TokenBucket(TokenBucket),
+    /// GCE-style per-core QoS ([`QosModel::PerCore`]).
+    PerCore(PerCoreQos),
+    /// Contention noise ([`QosModel::Contention`] and
+    /// [`QosModel::Dedicated`]).
+    Noise(NoiseShaper),
+}
+
+/// Forward one [`Shaper`] call to whichever shaper `$vm` holds.
+macro_rules! forward {
+    ($vm:expr, $s:ident => $call:expr) => {
+        match $vm {
+            VmShaper::TokenBucket($s) => $call,
+            VmShaper::PerCore($s) => $call,
+            VmShaper::Noise($s) => $call,
+        }
+    };
+}
+
+impl Shaper for VmShaper {
+    fn transmit(&mut self, now: f64, dt: f64, demand_bits: f64) -> f64 {
+        forward!(self, s => s.transmit(now, dt, demand_bits))
+    }
+
+    fn rate_hint(&self, now: f64) -> f64 {
+        forward!(self, s => s.rate_hint(now))
+    }
+
+    fn reset(&mut self) {
+        forward!(self, s => s.reset())
+    }
+
+    fn token_budget_bits(&self) -> Option<f64> {
+        forward!(self, s => s.token_budget_bits())
+    }
+
+    fn rest(&mut self, now: f64, dt: f64, steps: u64) {
+        forward!(self, s => s.rest(now, dt, steps))
+    }
+
+    fn hint_stable_steps(&self, now: f64, dt: f64) -> u64 {
+        forward!(self, s => s.hint_stable_steps(now, dt))
+    }
+
+    fn hint_stable_steps_busy(&self, now: f64, dt: f64, demand_bits: f64) -> u64 {
+        forward!(self, s => s.hint_stable_steps_busy(now, dt, demand_bits))
+    }
+}
+
 /// An instantiated VM pair endpoint: egress shaper + virtual NIC.
 ///
 /// Incarnation-specific parameters (bucket constants, NIC caps) are
 /// already sampled; a fresh `Vm` corresponds to the paper's "fresh set
 /// of VMs" with a full token budget.
 pub struct Vm {
-    /// Egress shaper implementing the provider's QoS policy.
-    pub shaper: Box<dyn Shaper + Send>,
+    /// Egress shaper implementing the provider's QoS policy, as the
+    /// concrete [`VmShaper`] its [`QosModel`] selects.
+    pub shaper: VmShaper,
     /// Virtual NIC model (latency + retransmissions).
     pub nic: NicModel,
     /// The sampled line rate in bits/s (post-incarnation; e.g. 5 Gbps
@@ -144,7 +201,7 @@ impl CloudProfile {
                 let low = low.min(high);
                 let tb = TokenBucket::new(budget, budget, high, low, low);
                 Vm {
-                    shaper: Box::new(tb),
+                    shaper: VmShaper::TokenBucket(tb),
                     nic: NicModel::new(NicConfig::ec2_ena(high), rng.fork(1).uniform().to_bits()),
                     line_rate_bps: high,
                     budget_bits: budget,
@@ -156,7 +213,7 @@ impl CloudProfile {
                 let line = gbps(per_core_gbps) * self.cores as f64;
                 let sub = rng.fork(2).uniform().to_bits();
                 Vm {
-                    shaper: Box::new(PerCoreQos::new(cfg, seed ^ 0x9e37)),
+                    shaper: VmShaper::PerCore(PerCoreQos::new(cfg, seed ^ 0x9e37)),
                     nic: NicModel::new(NicConfig::gce_virtio(line), sub),
                     line_rate_bps: line,
                     budget_bits: 0.0,
@@ -168,7 +225,7 @@ impl CloudProfile {
                 let line = gbps(capacity_gbps);
                 let sub = rng.fork(3).uniform().to_bits();
                 Vm {
-                    shaper: Box::new(NoiseShaper::new(cfg, seed ^ 0x51f1)),
+                    shaper: VmShaper::Noise(NoiseShaper::new(cfg, seed ^ 0x51f1)),
                     nic: NicModel::new(NicConfig::plain(line), sub),
                     line_rate_bps: line,
                     budget_bits: 0.0,
@@ -190,7 +247,7 @@ impl CloudProfile {
                 let line = gbps(rate_gbps);
                 let sub = rng.fork(4).uniform().to_bits();
                 Vm {
-                    shaper: Box::new(NoiseShaper::new(cfg, seed ^ 0xded1)),
+                    shaper: VmShaper::Noise(NoiseShaper::new(cfg, seed ^ 0xded1)),
                     nic: NicModel::new(NicConfig::ec2_ena(line), sub),
                     line_rate_bps: line,
                     budget_bits: 0.0,

@@ -9,7 +9,7 @@
 use crate::error::MeasureError;
 use crate::resume::SupervisionStats;
 use crate::wire::{ShardOutcome, ShardSim};
-use clouds::CloudProfile;
+use clouds::{CloudProfile, VmShaper};
 use exec::{RetryAccountant, TaskPanic};
 use netsim::faults::{FaultInjector, FaultSchedule};
 use netsim::pattern::TrafficPattern;
@@ -196,7 +196,7 @@ fn run_campaign_with<S: Shaper>(
     pattern: TrafficPattern,
     duration_s: f64,
     seed: u64,
-    wrap: impl FnOnce(Box<dyn Shaper + Send>) -> S,
+    wrap: impl FnOnce(VmShaper) -> S,
 ) -> Result<CampaignResult, MeasureError> {
     let mut vm = profile.instantiate(seed);
     let mut shaper = wrap(vm.shaper);
@@ -213,11 +213,11 @@ fn run_campaign_with<S: Shaper>(
             duration_s,
             derive_seed(seed, LABEL_FAULT_TIMELINE),
         );
-        let mut shaper = FaultInjector::new(shaper, 0, schedule.clone());
+        let mut shaper = FaultInjector::new(shaper, 0, schedule);
         let res = StreamSim::run(&mut shaper, &mut vm.nic, &cfg);
         censor_trace(
             res.bandwidth,
-            &schedule,
+            shaper.schedule(),
             profile.faults.probe_loss_prob,
             derive_seed(seed, LABEL_PROBE_LOSS),
             duration_s,

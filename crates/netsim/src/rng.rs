@@ -214,10 +214,14 @@ impl SimRng {
 /// `sigma^2`. Used to give bandwidth noise the sample-to-sample
 /// correlation the paper observes (Section 3.1: consecutive 10-second
 /// measurements move by up to 33% / 114% but are not independent).
+///
+/// The innovation standard deviation `sigma * sqrt(1 - phi^2)` is
+/// computed once, in [`Ar1::new`], from the same expression `step`
+/// would evaluate, so every step draws bit-identical values.
 #[derive(Debug, Clone)]
 pub struct Ar1 {
     phi: f64,
-    sigma: f64,
+    innovation_sd: f64,
     state: f64,
 }
 
@@ -227,13 +231,17 @@ impl Ar1 {
     pub fn new(phi: f64, sigma: f64, rng: &mut SimRng) -> Self {
         assert!(phi.abs() < 1.0, "AR(1) requires |phi| < 1");
         let state = rng.normal(0.0, sigma);
-        Ar1 { phi, sigma, state }
+        let innovation_sd = sigma * (1.0 - phi * phi).sqrt();
+        Ar1 {
+            phi,
+            innovation_sd,
+            state,
+        }
     }
 
     /// Advance one step and return the new value.
     pub fn step(&mut self, rng: &mut SimRng) -> f64 {
-        let innovation_sd = self.sigma * (1.0 - self.phi * self.phi).sqrt();
-        self.state = self.phi * self.state + rng.normal(0.0, innovation_sd);
+        self.state = self.phi * self.state + rng.normal(0.0, self.innovation_sd);
         self.state
     }
 

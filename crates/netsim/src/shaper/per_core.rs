@@ -61,7 +61,20 @@ impl PerCoreQosConfig {
     }
 }
 
+/// A ramp loss below this is latched to exactly `0.0` for the rest of
+/// the burst: `2^-60`, far below the `2^-54` under which
+/// `1.0 - ramp_loss` rounds to `1.0` (DESIGN.md, "Stream hot path:
+/// exact shortcuts").
+const RAMP_SETTLED: f64 = 1.0 / (1u64 << 60) as f64;
+
 /// GCE-style per-core QoS shaper. See the module docs.
+///
+/// A burst's ramp loss `burst_penalty * exp(-age / tau)` decays towards
+/// zero; once it drops below `2^-60` the shaper latches it to `0.0` and
+/// skips the `exp` until the next burst starts. The grants are bitwise
+/// those of the unlatched formula, because burst age never decreases
+/// under [`Shaper`]'s non-decreasing `now` contract and every later
+/// loss stays far below the `2^-54` at which `1.0 - loss == 1.0`.
 pub struct PerCoreQos {
     cfg: PerCoreQosConfig,
     rng: SimRng,
@@ -70,6 +83,9 @@ pub struct PerCoreQos {
     burst_start: Option<f64>,
     /// Sampled ramp penalty for the current burst (fraction in [0, 1)).
     burst_penalty: f64,
+    /// Set once the current burst's ramp loss fell below
+    /// [`RAMP_SETTLED`]; cleared at burst start and by `reset`.
+    ramp_settled: bool,
     /// Construction seed, kept for `reset`.
     seed: u64,
 }
@@ -77,6 +93,10 @@ pub struct PerCoreQos {
 impl PerCoreQos {
     /// Create a shaper with the given configuration and seed.
     pub fn new(cfg: PerCoreQosConfig, seed: u64) -> Self {
+        debug_assert!(
+            cfg.ramp_tau_s > 0.0 && cfg.ramp_penalty_mean >= 0.0,
+            "the ramp latch needs a decaying, non-negative ramp loss"
+        );
         let mut rng = SimRng::new(seed);
         let noise = Ar1::new(cfg.noise_phi, cfg.noise_sigma, &mut rng);
         PerCoreQos {
@@ -85,6 +105,7 @@ impl PerCoreQos {
             noise,
             burst_start: None,
             burst_penalty: 0.0,
+            ramp_settled: false,
             seed,
         }
     }
@@ -106,9 +127,15 @@ impl PerCoreQos {
     }
 
     fn current_multiplier(&mut self, now: f64) -> f64 {
-        // detlint:allow(D5, D11) -- invariant: only called while a burst is active, so burst_start is set; violation is a shaper state-machine bug worth a loud abort
-        let age = now - self.burst_start.expect("multiplier during idle");
-        let ramp_loss = self.burst_penalty * (-age / self.cfg.ramp_tau_s).exp();
+        let ramp_loss = if self.ramp_settled {
+            0.0
+        } else {
+            // detlint:allow(D5, D11) -- invariant: only called while a burst is active, so burst_start is set; violation is a shaper state-machine bug worth a loud abort
+            let age = now - self.burst_start.expect("multiplier during idle");
+            let r = self.burst_penalty * (-age / self.cfg.ramp_tau_s).exp();
+            self.ramp_settled = r < RAMP_SETTLED;
+            r
+        };
         let noise = self.noise.value();
         ((1.0 - ramp_loss) * (1.0 + noise)).clamp(0.05, 1.0)
     }
@@ -130,6 +157,7 @@ impl Shaper for PerCoreQos {
         if self.burst_start.is_none() {
             self.burst_start = Some(now);
             self.burst_penalty = self.sample_penalty();
+            self.ramp_settled = false;
         }
 
         let ceiling = self.advertised_bps() * self.cfg.efficiency;
@@ -147,6 +175,7 @@ impl Shaper for PerCoreQos {
         self.rng = rng;
         self.burst_start = None;
         self.burst_penalty = 0.0;
+        self.ramp_settled = false;
     }
 
     fn hint_stable_steps(&self, _now: f64, _dt: f64) -> u64 {

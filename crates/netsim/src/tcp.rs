@@ -84,6 +84,11 @@ impl StreamSim {
     /// omitted from the trace (iperf reports nothing while idle);
     /// partially-idle intervals report the average rate *while
     /// transmitting*, matching how the paper's box plots are built.
+    ///
+    /// The loop runs interval by interval, each over its own steps
+    /// (the last interval may be short). Step `i` is stamped
+    /// `i as f64 * step_s`, and the momentary rate RTT samples see is
+    /// the interval's last on-step grant divided by `step_s`.
     pub fn run<S: Shaper>(shaper: &mut S, nic: &mut NicModel, cfg: &StreamConfig) -> StreamResult {
         assert!(
             cfg.step_s > 0.0 && cfg.summary_interval_s >= cfg.step_s,
@@ -95,51 +100,49 @@ impl StreamSim {
         let steps = (cfg.duration_s / cfg.step_s).round() as u64;
         let steps_per_interval = (cfg.summary_interval_s / cfg.step_s).round().max(1.0) as u64;
 
-        let mut interval_bits = 0.0;
-        let mut interval_on_time = 0.0;
+        let mut first = 0;
         let mut interval_idx: u64 = 0;
-        let mut last_rate = 0.0;
-
-        for i in 0..steps {
-            let t = i as f64 * cfg.step_s;
-            let on = cfg.pattern.is_on(t);
-            let demand = if on { f64::INFINITY } else { 0.0 };
-            let granted = shaper.transmit(t, cfg.step_s, demand);
-            if on {
-                interval_bits += granted;
-                interval_on_time += cfg.step_s;
-                last_rate = granted / cfg.step_s;
-            }
-
-            let interval_done = (i + 1) % steps_per_interval == 0 || i + 1 == steps;
-            if interval_done {
-                let interval_start = interval_idx as f64 * cfg.summary_interval_s;
-                if interval_on_time > 0.0 {
-                    let avg_rate = interval_bits / interval_on_time;
-                    let retrans =
-                        nic.count_retransmissions(interval_bits, cfg.write_bytes, avg_rate);
-                    bandwidth.samples.push(BwSample {
-                        t: interval_start,
-                        bandwidth_bps: avg_rate,
-                        bits: interval_bits,
-                        retransmissions: retrans,
-                    });
-                    for k in 0..cfg.rtt_samples_per_interval {
-                        // Sample segments against the momentary rate;
-                        // spread sample timestamps across the interval.
-                        // Retransmitted segments report their inflated
-                        // (recovery-inclusive) RTT, as wireshark would.
-                        let frac = (k as f64 + 0.5) / cfg.rtt_samples_per_interval as f64;
-                        let ts = interval_start + frac * cfg.summary_interval_s;
-                        let outcome =
-                            nic.send_segment(cfg.write_bytes, last_rate.max(avg_rate * 0.5));
-                        rtt.samples.push((ts, outcome.rtt_s()));
-                    }
+        while first < steps {
+            let end = steps.min(first.saturating_add(steps_per_interval));
+            let mut interval_bits = 0.0;
+            let mut interval_on_time = 0.0;
+            let mut last_grant = 0.0;
+            for i in first..end {
+                let t = i as f64 * cfg.step_s;
+                let on = cfg.pattern.is_on(t);
+                let demand = if on { f64::INFINITY } else { 0.0 };
+                let granted = shaper.transmit(t, cfg.step_s, demand);
+                if on {
+                    interval_bits += granted;
+                    interval_on_time += cfg.step_s;
+                    last_grant = granted;
                 }
-                interval_bits = 0.0;
-                interval_on_time = 0.0;
-                interval_idx += 1;
             }
+
+            if interval_on_time > 0.0 {
+                let interval_start = interval_idx as f64 * cfg.summary_interval_s;
+                let avg_rate = interval_bits / interval_on_time;
+                let last_rate = last_grant / cfg.step_s;
+                let retrans = nic.count_retransmissions(interval_bits, cfg.write_bytes, avg_rate);
+                bandwidth.samples.push(BwSample {
+                    t: interval_start,
+                    bandwidth_bps: avg_rate,
+                    bits: interval_bits,
+                    retransmissions: retrans,
+                });
+                for k in 0..cfg.rtt_samples_per_interval {
+                    // Sample segments against the momentary rate;
+                    // spread sample timestamps across the interval.
+                    // Retransmitted segments report their inflated
+                    // (recovery-inclusive) RTT, as wireshark would.
+                    let frac = (k as f64 + 0.5) / cfg.rtt_samples_per_interval as f64;
+                    let ts = interval_start + frac * cfg.summary_interval_s;
+                    let outcome = nic.send_segment(cfg.write_bytes, last_rate.max(avg_rate * 0.5));
+                    rtt.samples.push((ts, outcome.rtt_s()));
+                }
+            }
+            first = end;
+            interval_idx += 1;
         }
 
         StreamResult { bandwidth, rtt }

@@ -541,16 +541,19 @@ echo "== perfbench: both benchmark workloads reproduce their goldens =="
 # perfbench (its own workspace under perfbench/) repeats each workload's
 # operation and checks every result against the golden pinned for seed
 # 2020: the bigdata_fleet job durations and FabricPerf counters, and the
-# stream_journaled campaign report. A one-second run must end with a
+# stream_journaled campaign report. The held-out seed 4242 has no golden:
+# there perfbench checks the journaled campaign against a plain run and
+# the resumed journal byte for byte. A one-second run must end with a
 # JSON line reporting "correct": true and "failed": 0.
-for workload in bigdata_fleet stream_journaled; do
-  bench_out=$(python3 perfbench/run.py --workload "$workload" --seed 2020 --seconds 1 --trace 0)
+for run in "bigdata_fleet 2020" "stream_journaled 2020" "stream_journaled 4242"; do
+  workload=${run% *} seed=${run#* }
+  bench_out=$(python3 perfbench/run.py --workload "$workload" --seed "$seed" --seconds 1 --trace 0)
   if ! printf '%s\n' "$bench_out" | tail -n 1 | python3 -c '
 import json, sys
 doc = json.loads(sys.stdin.read())
 sys.exit(0 if doc["correct"] is True and doc["failed"] == 0 else 1)
 '; then
-    echo "FAIL: perfbench $workload is not correct or failed operations:" >&2
+    echo "FAIL: perfbench $workload (seed $seed) is not correct or failed operations:" >&2
     printf '%s\n' "$bench_out" | tail -n 1 | cut -c1-300 >&2
     exit 1
   fi
