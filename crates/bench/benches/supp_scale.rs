@@ -12,9 +12,11 @@
 //! tenants journaled, checkpointing every pane: the fingerprints must
 //! equal the plain ones, the peak resident set must pass the same
 //! flatness rule, and the 100k journaled wall may exceed the plain one
-//! by at most 15%. Results land in `BENCH_scale.json`.
+//! by at most 15% — judged on the median ratio over alternating
+//! plain/journaled pairs, since one pair of single-shot walls is a coin
+//! flip at this margin. Results land in `BENCH_scale.json`.
 
-use bench::{banner, check, rss};
+use bench::{banner, check, rss, MedianCi};
 use repro_core::measure::stream::{
     run_fleet_stream, run_fleet_stream_journaled, StreamSpec, StreamSummary, PANE_TENANTS,
 };
@@ -37,9 +39,21 @@ fn spec(tenants: u64) -> StreamSpec {
     )
 }
 
-/// Largest journaled-over-plain wall ratio at 100k tenants (the
-/// ROADMAP's journal overhead gate).
+/// Largest median journaled-over-plain wall ratio at 100k tenants
+/// (the ROADMAP's journal overhead gate).
 const MAX_JOURNAL_OVERHEAD: f64 = 1.15;
+
+/// Plain/journaled 100k pairs behind the overhead gate. Even pairs run
+/// plain first, odd pairs journaled first, so a drifting host speed
+/// falls alike on both sides; an even count balances the two orders.
+const OVERHEAD_PAIRS: usize = 6;
+
+/// Wall seconds of a plain 100k campaign.
+fn plain_100k_wall() -> f64 {
+    let t0 = Instant::now();
+    run_fleet_stream(&spec(100_000), JOBS).expect("100k campaign");
+    t0.elapsed().as_secs_f64()
+}
 
 /// Run `tenants` tenants journaled, checkpointing every pane, into a
 /// fresh temp journal; returns the summary and the wall seconds.
@@ -139,14 +153,26 @@ fn main() {
     let mem_10k_jnl = rss::sample();
     let (hundred_k_jnl, wall_100k_jnl) = journaled(100_000);
     let mem_100k_jnl = rss::sample();
-    let journal_overhead = wall_100k_jnl / wall_100k;
+    // Pair 0 is the plain and journaled 100k runs above (plain first).
+    let mut ratios = vec![wall_100k_jnl / wall_100k];
+    for k in 1..OVERHEAD_PAIRS {
+        let (plain, jnl) = if k % 2 == 0 {
+            let plain = plain_100k_wall();
+            (plain, journaled(100_000).1)
+        } else {
+            let jnl = journaled(100_000).1;
+            (plain_100k_wall(), jnl)
+        };
+        ratios.push(jnl / plain);
+    }
+    let journal_overhead = MedianCi::of(&ratios);
     println!(
-        "  journaled:    10k {:.2} s, 100k {:.2} s wall ({:.3}x plain), fingerprints {:#018x} / {:#018x}",
-        wall_10k_jnl,
-        wall_100k_jnl,
-        journal_overhead,
-        ten_k_jnl.fingerprint,
-        hundred_k_jnl.fingerprint
+        "  journaled:    10k {:.2} s, 100k {:.2} s wall, fingerprints {:#018x} / {:#018x}",
+        wall_10k_jnl, wall_100k_jnl, ten_k_jnl.fingerprint, hundred_k_jnl.fingerprint
+    );
+    println!(
+        "  journal overhead at 100k: median {:.3}x plain (95% CI {:.3}-{:.3}, {} alternating pairs)",
+        journal_overhead.median, journal_overhead.ci_lo, journal_overhead.ci_hi, journal_overhead.n
     );
     println!("  journaled memory: {}", rss::footer(mem_100k_jnl));
     let journaled_matches_plain = ten_k_jnl.fingerprint == four.fingerprint
@@ -156,7 +182,7 @@ fn main() {
         |m: Option<rss::MemUsage>| m.map_or("null".to_string(), |m| format!("{:.1}", m.peak_mib()));
 
     let json = format!(
-        "{{\n  \"bench\": \"supp_scale\",\n  \"workload\": \"hpc8_reference_faults_fullspeed_180s\",\n  \"jobs\": {JOBS},\n  \"wall_s_10k\": {wall_10k:.4},\n  \"tenants_per_sec_10k\": {tenants_per_sec:.1},\n  \"wall_s_100k\": {wall_100k:.4},\n  \"tenants_per_sec_100k\": {:.1},\n  \"peak_rss_mib_10k\": {},\n  \"peak_rss_mib_100k\": {},\n  \"rss_flat_10k_to_100k\": {rss_flat},\n  \"fingerprint_10k\": \"{:#018x}\",\n  \"fingerprint_100k\": \"{:#018x}\",\n  \"jobs_invariant\": {jobs_invariant},\n  \"sketch_max_rel_err\": {:.6e},\n  \"sketch_err_bound\": {:.6e},\n  \"topology_binds\": {topology_binds},\n  \"wall_s_10k_journaled\": {wall_10k_jnl:.4},\n  \"wall_s_100k_journaled\": {wall_100k_jnl:.4},\n  \"journal_overhead_100k\": {journal_overhead:.3},\n  \"peak_rss_mib_10k_journaled\": {},\n  \"peak_rss_mib_100k_journaled\": {},\n  \"journaled_matches_plain\": {journaled_matches_plain}\n}}\n",
+        "{{\n  \"bench\": \"supp_scale\",\n  \"workload\": \"hpc8_reference_faults_fullspeed_180s\",\n  \"jobs\": {JOBS},\n  \"wall_s_10k\": {wall_10k:.4},\n  \"tenants_per_sec_10k\": {tenants_per_sec:.1},\n  \"wall_s_100k\": {wall_100k:.4},\n  \"tenants_per_sec_100k\": {:.1},\n  \"peak_rss_mib_10k\": {},\n  \"peak_rss_mib_100k\": {},\n  \"rss_flat_10k_to_100k\": {rss_flat},\n  \"fingerprint_10k\": \"{:#018x}\",\n  \"fingerprint_100k\": \"{:#018x}\",\n  \"jobs_invariant\": {jobs_invariant},\n  \"sketch_max_rel_err\": {:.6e},\n  \"sketch_err_bound\": {:.6e},\n  \"topology_binds\": {topology_binds},\n  \"wall_s_10k_journaled\": {wall_10k_jnl:.4},\n  \"wall_s_100k_journaled\": {wall_100k_jnl:.4},\n  \"journal_overhead_100k\": {},\n  \"peak_rss_mib_10k_journaled\": {},\n  \"peak_rss_mib_100k_journaled\": {},\n  \"journaled_matches_plain\": {journaled_matches_plain}\n}}\n",
         100_000.0 / wall_100k,
         mib(mem_10k),
         mib(mem_100k),
@@ -164,6 +190,7 @@ fn main() {
         hundred_k.fingerprint,
         self_check.max_rel_err,
         self_check.bound,
+        journal_overhead.json("ratio", 3),
         mib(mem_10k_jnl),
         mib(mem_100k_jnl),
     );
@@ -182,6 +209,9 @@ fn main() {
     check("peak RSS flat from 10k to 100k tenants", rss_flat);
     check("journaled fingerprints equal the plain ones", journaled_matches_plain);
     check("journaled peak RSS flat at 100k tenants", rss_flat_journaled);
-    check("journaled 100k wall within 1.15x of plain", journal_overhead <= MAX_JOURNAL_OVERHEAD);
+    check(
+        "journaled 100k wall within 1.15x of plain (median of alternating pairs)",
+        journal_overhead.median <= MAX_JOURNAL_OVERHEAD,
+    );
     println!();
 }

@@ -121,30 +121,37 @@ macro_rules! forward {
 }
 
 impl Shaper for VmShaper {
+    #[inline]
     fn transmit(&mut self, now: f64, dt: f64, demand_bits: f64) -> f64 {
         forward!(self, s => s.transmit(now, dt, demand_bits))
     }
 
+    #[inline]
     fn rate_hint(&self, now: f64) -> f64 {
         forward!(self, s => s.rate_hint(now))
     }
 
+    #[inline]
     fn reset(&mut self) {
         forward!(self, s => s.reset())
     }
 
+    #[inline]
     fn token_budget_bits(&self) -> Option<f64> {
         forward!(self, s => s.token_budget_bits())
     }
 
+    #[inline]
     fn rest(&mut self, now: f64, dt: f64, steps: u64) {
         forward!(self, s => s.rest(now, dt, steps))
     }
 
+    #[inline]
     fn hint_stable_steps(&self, now: f64, dt: f64) -> u64 {
         forward!(self, s => s.hint_stable_steps(now, dt))
     }
 
+    #[inline]
     fn hint_stable_steps_busy(&self, now: f64, dt: f64, demand_bits: f64) -> u64 {
         forward!(self, s => s.hint_stable_steps_busy(now, dt, demand_bits))
     }

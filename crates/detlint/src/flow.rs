@@ -14,7 +14,9 @@ use crate::parser::{Tok, Tree};
 
 /// The exec parallel-map family: a closure passed to any of these runs
 /// on an arbitrary worker, so anything it captures is shared across
-/// tasks.
+/// tasks. (`par_for_each_ordered`'s sink runs on the caller's thread,
+/// but the rule scans the whole argument list, so an rng in the sink
+/// is flagged too — the conservative direction.)
 pub const PAR_FNS: &[&str] = &[
     "par_map",
     "par_map_indexed",
@@ -23,6 +25,7 @@ pub const PAR_FNS: &[&str] = &[
     "par_map_with",
     "par_map_indexed_report",
     "run_tasks",
+    "par_for_each_ordered",
 ];
 
 /// Is this identifier an rng-like value name? The workspace convention

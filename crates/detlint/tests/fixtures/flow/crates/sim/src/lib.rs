@@ -66,3 +66,22 @@ pub fn stable_sum(xs: &[f64]) -> f64 {
 pub fn horner(cs: &[f64], x: f64) -> f64 {
     cs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
 }
+
+/// D9 positive: the ordered pipeline's task captures one stream.
+pub fn noisy_panes(rng: &mut SimRng, n: usize, jobs: usize) -> Result<(), ()> {
+    exec::par_for_each_ordered(jobs, n, 16, |i| i as f64 + rng.uniform(), |_, _| Ok(()))
+}
+
+/// D9 clean: each ordered task derives its own stream.
+pub fn seeded_panes(seed: u64, n: usize, jobs: usize) -> Result<(), ()> {
+    exec::par_for_each_ordered(
+        jobs,
+        n,
+        16,
+        |i| {
+            let mut rng = SimRng::new(derive_seed(seed, i as u64));
+            rng.uniform()
+        },
+        |_, _| Ok(()),
+    )
+}

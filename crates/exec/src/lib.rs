@@ -18,6 +18,19 @@
 //! count and under any steal interleaving**. Scheduling decides only
 //! *which thread* computes a task, never *what* the task computes.
 //!
+//! ## Streamed consumption
+//!
+//! [`par_for_each_ordered`] hands results to a caller-side `sink` one
+//! at a time instead of returning them all at the end, so a campaign
+//! can fold and checkpoint each result while later tasks still run.
+//! The same contract holds for it: the sink sees every index exactly
+//! once, in ascending order, at any worker count. Scheduling changes
+//! only *when* the sink is called, never *with what* or *in which
+//! order*, so a fold over the sink's arguments — and anything it
+//! writes — is bit-identical at any `jobs`. Workers run at most
+//! `window` results ahead of the sink, which bounds memory at any
+//! task count.
+//!
 //! ## Panic containment
 //!
 //! A panicking task does not abort the process or poison its worker:
@@ -44,11 +57,13 @@
 
 mod budget;
 mod jobs;
+mod ordered;
 mod par;
 mod pool;
 
 pub use budget::{RetryAccountant, StepBudget};
 pub use jobs::{current_jobs, global_jobs, parse_jobs, resolve_jobs, set_global_jobs};
+pub use ordered::par_for_each_ordered;
 pub use par::{
     par_map, par_map_indexed, par_map_indexed_report, par_map_with, try_par_map,
     try_par_map_indexed,

@@ -160,13 +160,20 @@ fn run_one<S, R>(
     stats: &mut WorkerStats,
 ) -> Result<R, TaskPanic> {
     let t0 = Instant::now();
+    let out = contain(i, || task(state, i));
+    stats.busy += t0.elapsed();
+    stats.tasks_run += 1;
+    out
+}
+
+/// Run task `i`'s body under `catch_unwind`, turning a panic into a
+/// typed [`TaskPanic`] at that index.
+pub(crate) fn contain<R>(i: usize, body: impl FnOnce() -> R) -> Result<R, TaskPanic> {
     // AssertUnwindSafe: a panicked task's result is discarded, and the
     // worker state is a caller-provided scratch value whose every use
     // fully overwrites it before reading (the `init`/`task` contract).
-    let out = catch_unwind(AssertUnwindSafe(|| task(state, i)));
-    stats.busy += t0.elapsed();
-    stats.tasks_run += 1;
-    out.map_err(|p| TaskPanic { task: i, payload: panic_message(p) })
+    catch_unwind(AssertUnwindSafe(body))
+        .map_err(|p| TaskPanic { task: i, payload: panic_message(p) })
 }
 
 /// The core executor: run tasks `0..n` on `jobs` workers, each worker

@@ -65,10 +65,10 @@ use vstats::sketch::{Coverage, Sketch, SketchConfig};
 /// config fingerprint: changing it orphans old journals loudly.
 pub const PANE_TENANTS: u64 = 256;
 
-/// Panes simulated per parallel wave. Bounds peak memory at
-/// `CHUNK_PANES` pane accumulators regardless of tenant count; results
-/// are invariant to it (panes still merge in pane order).
-const CHUNK_PANES: u64 = 16;
+/// Panes in flight at once: the ordered pipeline's window. Bounds peak
+/// memory at `PANE_WINDOW` pane accumulators regardless of tenant
+/// count; results are invariant to it (panes still merge in pane order).
+const PANE_WINDOW: usize = 16;
 
 /// Checkpoint cadence (in tenants) when the spec leaves it 0.
 const AUTO_CHECKPOINT_EVERY: u64 = 4096;
@@ -635,10 +635,12 @@ pub fn run_fleet_stream(spec: &StreamSpec, jobs: usize) -> Result<StreamSummary,
 }
 
 /// The pane pump shared by the plain and journaled drivers: simulate
-/// panes `start_pane..` in waves of [`CHUNK_PANES`], absorb each pane
-/// in pane order, and hand `(summary, pane, pane_fp)` to `after_pane`
-/// after each merge (the journaled driver's checkpoint hook). The first
-/// simulation error in pane order aborts the campaign.
+/// panes `start_pane..` through the ordered pipeline, at most
+/// [`PANE_WINDOW`] in flight, absorb each pane in pane order on this
+/// thread, and hand `(summary, pane, pane_fp)` to `after_pane` after
+/// each merge (the journaled driver's checkpoint hook), while the
+/// workers simulate the panes after it. The first simulation error in
+/// pane order aborts the campaign.
 fn drive_panes(
     spec: &StreamSpec,
     placement: Option<&Placement>,
@@ -647,13 +649,14 @@ fn drive_panes(
     summary: &mut StreamSummary,
     mut after_pane: impl FnMut(&StreamSummary, u64, u64) -> Result<(), MeasureError>,
 ) -> Result<(), MeasureError> {
-    let total_panes = spec.pane_count();
-    let mut pane = start_pane;
-    while pane < total_panes {
-        let chunk_end = (pane + CHUNK_PANES).min(total_panes);
-        let idxs: Vec<u64> = (pane..chunk_end).collect();
-        let results = exec::try_par_map(jobs, &idxs, |&p| simulate_pane(spec, placement, p));
-        for (res, &p) in results.into_iter().zip(&idxs) {
+    let panes = spec.pane_count().saturating_sub(start_pane) as usize;
+    exec::par_for_each_ordered(
+        jobs,
+        panes,
+        PANE_WINDOW,
+        |k| simulate_pane(spec, placement, start_pane + k as u64),
+        |k, res| {
+            let p = start_pane + k as u64;
             let acc = match res {
                 Ok(acc) => acc?,
                 // A pane-task panic is contained: the pane's tenants
@@ -664,11 +667,9 @@ fn drive_panes(
                 }
             };
             let pane_fp = summary.absorb(acc);
-            after_pane(summary, p, pane_fp)?;
-        }
-        pane = chunk_end;
-    }
-    Ok(())
+            after_pane(summary, p, pane_fp)
+        },
+    )
 }
 
 /// Resume accounting for a journaled streaming campaign.
@@ -908,9 +909,13 @@ mod tests {
     fn streaming_campaign_is_jobs_invariant() {
         let s = spec(600); // 2 full panes + 1 partial pane of 88
         let one = run_fleet_stream(&s, 1).expect("jobs=1");
-        let four = run_fleet_stream(&s, 4).expect("jobs=4");
-        assert_eq!(one.fingerprint, four.fingerprint);
-        assert_eq!(one.render(&s), four.render(&s));
+        // 3 workers do not divide the pane window, and 8 outnumber the
+        // panes: each interleaves claims and consumption differently.
+        for jobs in [2, 3, 8] {
+            let wide = run_fleet_stream(&s, jobs).expect("wide");
+            assert_eq!(one.fingerprint, wide.fingerprint, "jobs={jobs}");
+            assert_eq!(one.render(&s), wide.render(&s), "jobs={jobs}");
+        }
         assert_eq!(one.tenants_done, 600);
         assert_eq!(one.alive + one.partial + one.dead + one.panicked, 600);
         assert!(one.mean_bps.n() > 0, "some tenants must produce data");
@@ -979,26 +984,33 @@ mod tests {
         let mut s = spec(520);
         s.checkpoint_every = 200;
         let full_path = dir.join("full.jnl");
-        run_fleet_stream_journaled(&s, &full_path, false, 2, |_| ()).expect("full run");
+        run_fleet_stream_journaled(&s, &full_path, false, 1, |_| ()).expect("full run");
         let full_bytes = std::fs::read(&full_path).expect("read full");
-
-        // Simulate a mid-append SIGKILL: keep a prefix that tears the
-        // final checkpoint record.
-        let torn_path = dir.join("torn.jnl");
-        std::fs::write(&torn_path, &full_bytes[..full_bytes.len() - 11]).expect("write torn");
-        let j = run_fleet_stream_journaled(&s, &torn_path, true, 2, |_| ()).expect("resume");
-        assert!(j.resume.resumed);
-        assert!(j.resume.verified_pane);
-        assert!(j.resume.truncated_bytes > 0);
-        assert!(j.resume.tenants_skipped >= 256);
-        assert!(j.resume.tenants_computed < 520);
-        let resumed_bytes = std::fs::read(&torn_path).expect("read resumed");
-        assert_eq!(
-            resumed_bytes, full_bytes,
-            "resumed journal must be byte-identical to an uninterrupted one"
-        );
         let uninterrupted = run_fleet_stream(&s, 1).expect("plain");
-        assert_eq!(j.summary.fingerprint, uninterrupted.fingerprint);
+
+        for jobs in [1, 2, 3, 8] {
+            let wide_path = dir.join(format!("full-{jobs}.jnl"));
+            run_fleet_stream_journaled(&s, &wide_path, false, jobs, |_| ()).expect("full run");
+            let wide_bytes = std::fs::read(&wide_path).expect("read full");
+            assert_eq!(wide_bytes, full_bytes, "jobs={jobs}: journal must be jobs-invariant");
+
+            // Simulate a mid-append SIGKILL: keep a prefix that tears
+            // the final checkpoint record.
+            let torn_path = dir.join(format!("torn-{jobs}.jnl"));
+            std::fs::write(&torn_path, &full_bytes[..full_bytes.len() - 11]).expect("write torn");
+            let j = run_fleet_stream_journaled(&s, &torn_path, true, jobs, |_| ()).expect("resume");
+            assert!(j.resume.resumed);
+            assert!(j.resume.verified_pane);
+            assert!(j.resume.truncated_bytes > 0);
+            assert!(j.resume.tenants_skipped >= 256);
+            assert!(j.resume.tenants_computed < 520);
+            let resumed_bytes = std::fs::read(&torn_path).expect("read resumed");
+            assert_eq!(
+                resumed_bytes, full_bytes,
+                "jobs={jobs}: resumed journal must be byte-identical to an uninterrupted one"
+            );
+            assert_eq!(j.summary.fingerprint, uninterrupted.fingerprint, "jobs={jobs}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -165,6 +165,7 @@ impl NodeEpisodes {
     }
 
     /// Minimum rate factor over all episodes active at `t` (1.0 if none).
+    #[inline]
     fn factor_at(&self, t: f64) -> f64 {
         let mut factor = 1.0f64;
         // First episode starting after t cannot be active; walk back
@@ -361,6 +362,7 @@ impl FaultSchedule {
     /// Transmit-rate factor for `node` at time `t`: 1.0 when healthy,
     /// 0.0 while stalled, the minimum degradation factor when one or
     /// more degrade/loss episodes overlap.
+    #[inline]
     pub fn factor_at(&self, node: usize, t: f64) -> f64 {
         match self.per_node.get(node) {
             Some(eps) => eps.factor_at(t),

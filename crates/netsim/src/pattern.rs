@@ -46,6 +46,7 @@ impl TrafficPattern {
     ];
 
     /// Is the sender transmitting at simulated time `t` (seconds)?
+    #[inline]
     pub fn is_on(&self, t: f64) -> bool {
         match *self {
             TrafficPattern::FullSpeed => true,

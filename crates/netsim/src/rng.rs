@@ -123,6 +123,7 @@ impl SimRng {
     }
 
     /// Standard normal variate (Box–Muller, cached pair).
+    #[inline]
     pub fn standard_normal(&mut self) -> f64 {
         if let Some(z) = self.spare_normal.take() {
             return z;
@@ -240,12 +241,14 @@ impl Ar1 {
     }
 
     /// Advance one step and return the new value.
+    #[inline]
     pub fn step(&mut self, rng: &mut SimRng) -> f64 {
         self.state = self.phi * self.state + rng.normal(0.0, self.innovation_sd);
         self.state
     }
 
     /// Current value without advancing.
+    #[inline]
     pub fn value(&self) -> f64 {
         self.state
     }

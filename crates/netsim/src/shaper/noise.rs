@@ -117,6 +117,7 @@ impl NoiseShaper {
 }
 
 impl Shaper for NoiseShaper {
+    #[inline]
     fn transmit(&mut self, now: f64, dt: f64, demand_bits: f64) -> f64 {
         debug_assert!(dt > 0.0);
         self.step_state(now, dt);
@@ -126,6 +127,7 @@ impl Shaper for NoiseShaper {
         demand_bits.min(self.current_rate() * dt)
     }
 
+    #[inline]
     fn rate_hint(&self, _now: f64) -> f64 {
         self.current_rate()
     }

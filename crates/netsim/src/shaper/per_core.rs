@@ -111,6 +111,7 @@ impl PerCoreQos {
     }
 
     /// Advertised ceiling: `per_core_bps * cores`.
+    #[inline]
     pub fn advertised_bps(&self) -> f64 {
         self.cfg.per_core_bps * self.cfg.cores as f64
     }
@@ -126,6 +127,7 @@ impl PerCoreQos {
         p.min(0.8)
     }
 
+    #[inline]
     fn current_multiplier(&mut self, now: f64) -> f64 {
         let ramp_loss = if self.ramp_settled {
             0.0
@@ -142,6 +144,7 @@ impl PerCoreQos {
 }
 
 impl Shaper for PerCoreQos {
+    #[inline]
     fn transmit(&mut self, now: f64, dt: f64, demand_bits: f64) -> f64 {
         debug_assert!(dt > 0.0);
         self.noise.step(&mut self.rng);
@@ -165,6 +168,7 @@ impl Shaper for PerCoreQos {
         demand_bits.min(rate * dt)
     }
 
+    #[inline]
     fn rate_hint(&self, _now: f64) -> f64 {
         self.advertised_bps() * self.cfg.efficiency
     }

@@ -160,6 +160,7 @@ impl TokenBucket {
 }
 
 impl Shaper for TokenBucket {
+    #[inline]
     fn transmit(&mut self, _now: f64, dt: f64, demand_bits: f64) -> f64 {
         debug_assert!(dt > 0.0);
         let refill = if demand_bits <= 0.0 {
@@ -179,6 +180,7 @@ impl Shaper for TokenBucket {
         granted
     }
 
+    #[inline]
     fn rate_hint(&self, _now: f64) -> f64 {
         // "High" while the budget can sustain the peak rate for at least
         // a brief burst; otherwise the sustained (refill) rate.
