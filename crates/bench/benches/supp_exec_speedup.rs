@@ -4,8 +4,8 @@
 //! The determinism contract of `exec` (index-ordered merge, per-task
 //! derived seeds) means worker count buys time and nothing else: this
 //! bench runs the same week-long fleet at 1, 2, and 4 workers, CHECKs
-//! that every result is bit-identical, and reports the speedup and the
-//! pool's per-worker counters (tasks run / stolen / busy time).
+//! that every result is bit-identical, reports the speedup, and counts
+//! the pair tasks the pool ran.
 //!
 //! The ≥2x speedup CHECK needs real hardware parallelism and is only
 //! enforced when the machine has ≥4 cores; single-core CI still
@@ -18,6 +18,7 @@ use repro_core::measure::{run_campaign, run_fleet, FleetResult, FleetSpec};
 use repro_core::netsim::units::{days, hours};
 use repro_core::netsim::TrafficPattern;
 use repro_core::vstats::{bootstrap_ci_jobs, mean};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 const PAIRS: usize = 12;
@@ -52,7 +53,7 @@ fn fleet_hash(f: &FleetResult) -> u64 {
 fn main() {
     banner(
         "Supp. exec",
-        "Work-stealing runtime: fleet speedup with bit-identical goldens",
+        "Parallel runtime: fleet speedup with bit-identical goldens",
     );
 
     let profile = hpccloud::n_core(8).with_reference_faults();
@@ -85,22 +86,16 @@ fn main() {
     let speedup = times[0] / times[2];
     println!("  speedup at 4 workers: {speedup:.2}x");
 
-    // Per-worker counters on the same sharding the fleet uses.
-    let (results, report) = exec::par_map_indexed_report(4, PAIRS, |i| {
+    // Count task runs on the same sharding the fleet uses.
+    let runs = AtomicU64::new(0);
+    let results = exec::par_map_indexed(4, PAIRS, |i| {
+        runs.fetch_add(1, Ordering::Relaxed);
         let pair_seed = repro_core::netsim::rng::derive_seed(SEED, i as u64);
         run_campaign(&profile, TrafficPattern::FullSpeed, hours(24.0), pair_seed)
             .map(|r| r.summary.mean)
     });
-    println!("  pool counters (4 workers, {} pair tasks):", results.len());
-    for w in &report.workers {
-        println!(
-            "    worker {}: {} run, {} stolen, {:.0} ms busy",
-            w.worker,
-            w.tasks_run,
-            w.tasks_stolen,
-            w.busy.as_secs_f64() * 1e3
-        );
-    }
+    let runs = runs.into_inner();
+    println!("  pool (4 workers): {runs} runs for {} pair tasks", results.len());
 
     // Bootstrap resampling shards the same way.
     let samples: Vec<f64> = (0..400).map(|i| 9.0 + ((i * 37) % 100) as f64 / 100.0).collect();
@@ -117,7 +112,7 @@ fn main() {
     );
     check(
         "pool accounted every pair task exactly once",
-        report.total_tasks() == PAIRS as u64,
+        runs == PAIRS as u64 && results.len() == PAIRS,
     );
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores >= 4 {

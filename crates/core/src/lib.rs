@@ -19,7 +19,7 @@
 //! The substrate crates are re-exported so downstream users need a
 //! single dependency:
 //!
-//! * [`exec`] — the deterministic work-stealing execution runtime
+//! * [`exec`] — the deterministic parallel execution runtime
 //!   (parallel campaigns and bootstrap, bit-identical at any worker
 //!   count);
 //! * [`netsim`] — shapers, NICs, fabrics (the network simulator);

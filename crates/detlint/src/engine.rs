@@ -449,7 +449,7 @@ mod tests {
     #[test]
     fn exempt_paths_do_not_fire() {
         let src = "use std::sync::Mutex;\n";
-        assert!(lint_rust_source("crates/exec/src/pool.rs", src).is_empty());
+        assert!(lint_rust_source("crates/exec/src/ordered.rs", src).is_empty());
         assert_eq!(lint_rust_source("crates/netsim/src/x.rs", src).len(), 1);
     }
 

@@ -21,10 +21,7 @@ pub const PAR_FNS: &[&str] = &[
     "par_map",
     "par_map_indexed",
     "try_par_map",
-    "try_par_map_indexed",
     "par_map_with",
-    "par_map_indexed_report",
-    "run_tasks",
     "par_for_each_ordered",
 ];
 

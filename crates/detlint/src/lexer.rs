@@ -28,13 +28,6 @@ pub struct ScannedFile {
     pub in_test: Vec<bool>,
 }
 
-impl ScannedFile {
-    /// Number of lines in the file.
-    pub fn line_count(&self) -> usize {
-        self.code.len()
-    }
-}
-
 #[derive(Clone, Copy, PartialEq)]
 enum State {
     Code,

@@ -140,7 +140,7 @@ impl RuleId {
         match self {
             RuleId::D1 => "HashMap/HashSet iteration order is randomized per process (SipHash keys\nfrom process entropy), so any result that folds over such a map varies\nrun to run. Fix: BTreeMap/BTreeSet, or collect + sort before folding.",
             RuleId::D2 => "Wall-clock reads (Instant, SystemTime) and host-topology probes\n(available_parallelism) make results depend on when and where the run\nhappens — the exact failure mode the source paper documents in real\nclouds. Only the bench harness (which measures wall time by design),\nthe exec runtime (pool sizing), and CLI parsing are exempt.",
-            RuleId::D3 => "Ad-hoc threads or shared-state primitives outside crates/exec create\nscheduling-dependent interleavings. All parallelism goes through the\ndeterministic work-stealing runtime, whose index-ordered merge makes\nworker count invisible to results.",
+            RuleId::D3 => "Ad-hoc threads or shared-state primitives outside crates/exec create\nscheduling-dependent interleavings. All parallelism goes through the\ndeterministic runtime, which hands results back in index order, so the\nworker count never shows in them.",
             RuleId::D4 => "Entropy-seeded RNGs (thread_rng, from_entropy, RandomState) make every\nrun unique. Every SimRng must be constructed from an explicit seed or\nvia derive_seed so campaigns replay bit-for-bit.",
             RuleId::D5 => "A panic in library code crashes the whole process instead of degrading\nthe campaign. Return typed errors (MeasureError et al.); a reasoned\npragma is acceptable where an invariant genuinely guarantees the call\ncannot fail.",
             RuleId::D6 => "partial_cmp returns None on NaN and silently inverts sort contracts.\ntotal_cmp is the mandated float ordering. Warn-tier: some call sites\nhandle the None deliberately.",
@@ -306,8 +306,8 @@ pub const TOKEN_RULES: [TokenRule; 7] = [
             Pattern::Ident("mpsc"),
             Pattern::IdentPrefix("Atomic"),
         ],
-        // The deterministic work-stealing runtime is the one place
-        // where threads and synchronization are allowed to live.
+        // The deterministic runtime is the one place where threads
+        // and synchronization are allowed to live.
         exempt_prefixes: &["crates/exec/"],
     },
     TokenRule {

@@ -1,22 +1,24 @@
 #![deny(missing_docs)]
 
-//! # exec — deterministic work-stealing execution runtime
+//! # exec — deterministic parallel execution runtime
 //!
 //! A std-only parallel runtime for the simulator's embarrassingly
 //! parallel hot paths (fleet campaigns, pattern sweeps, bootstrap
 //! resampling). The workspace's hermetic-build policy rules out
 //! `rayon`; this crate provides the slice of it the simulator needs,
-//! built on scoped threads, per-worker chunk deques, and work stealing.
+//! built on scoped threads and one scheduler, the ordered pipeline:
+//! workers claim runs of contiguous indices from one shared counter,
+//! and the caller's thread receives the results in index order.
 //!
 //! ## The determinism contract
 //!
-//! Every task is keyed by its **stable index**, and results are merged
-//! in index order after all workers finish. Combined with the
-//! simulator-wide convention that per-task randomness derives from
-//! `(seed, task id)` — never from a shared sequential stream — the
-//! output of [`par_map`] and friends is **bit-identical at any worker
-//! count and under any steal interleaving**. Scheduling decides only
-//! *which thread* computes a task, never *what* the task computes.
+//! Every task is keyed by its **stable index**, and results reach the
+//! caller in index order. Combined with the simulator-wide convention
+//! that per-task randomness derives from `(seed, task id)` — never from
+//! a shared sequential stream — the output of [`par_map`] and friends
+//! is **bit-identical at any worker count and under any claim
+//! interleaving**. Scheduling decides only *which thread* computes a
+//! task, never *what* the task computes.
 //!
 //! ## Streamed consumption
 //!
@@ -58,14 +60,11 @@
 mod budget;
 mod jobs;
 mod ordered;
+mod panic;
 mod par;
-mod pool;
 
 pub use budget::{RetryAccountant, StepBudget};
 pub use jobs::{current_jobs, global_jobs, parse_jobs, resolve_jobs, set_global_jobs};
 pub use ordered::par_for_each_ordered;
-pub use par::{
-    par_map, par_map_indexed, par_map_indexed_report, par_map_with, try_par_map,
-    try_par_map_indexed,
-};
-pub use pool::{run_tasks, PoolReport, TaskPanic, WorkerStats};
+pub use panic::TaskPanic;
+pub use par::{par_map, par_map_indexed, par_map_with, try_par_map};

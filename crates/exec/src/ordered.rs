@@ -1,20 +1,25 @@
-//! The ordered pipeline: results streamed to the caller in index order
-//! while the workers keep computing.
+//! The ordered pipeline: `exec`'s one scheduler.
 //!
-//! [`par_map`](crate::par_map) and friends return only after every task
-//! has finished, so a caller that folds results into a running state
-//! (and perhaps writes each fold to disk) must either hold all `n`
-//! results or run in waves, idling the pool at every wave end.
-//! [`par_for_each_ordered`] removes the waves: workers claim indices in
-//! order from one shared counter, less than `window` ahead of the index
-//! the caller is consuming, and the caller's thread receives each
-//! result in index order as soon as it and all earlier ones exist.
+//! Workers claim runs of contiguous indices in order from one shared
+//! counter, never `window` or more past the index the caller is
+//! consuming, and the caller's thread receives each result in index
+//! order as soon as it and all earlier ones exist.
+//! [`par_for_each_ordered`] hands the caller's side to a `sink` that
+//! folds results while later tasks still run; the `par_map` family
+//! runs the same core with a window of `n` and a sink that collects.
 //!
 //! Memory is bounded by the window: at most `window` results are
 //! computing, waiting or in the caller's hands at once, at any `n`.
 
-use crate::pool::{contain, TaskPanic};
+use crate::panic::{contain, TaskPanic};
+use std::ops::Range;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
+/// Claims per worker over one window's worth of indices: enough that
+/// the last run to finish holds up little, few enough that the shared
+/// lock stays cheap next to the tasks. A window of 16 (the campaign
+/// drivers') at two or more workers claims one index at a time.
+const CLAIMS_PER_WORKER: usize = 8;
 
 /// The state workers and the caller share, under one mutex.
 struct Shared<R> {
@@ -28,6 +33,11 @@ struct Shared<R> {
     slots: Vec<Option<Result<R, TaskPanic>>>,
     /// Set when the caller stops early (sink error, sink panic).
     stop: bool,
+    /// Workers waiting for the window to open, and whether the caller
+    /// waits for a result: a condvar is signalled only when someone
+    /// waits on it, because each signal costs a system call.
+    idle_workers: usize,
+    caller_waits: bool,
 }
 
 struct Pipeline<R> {
@@ -37,10 +47,30 @@ struct Pipeline<R> {
     /// Signalled when the slot of index `consumed` fills.
     ready: Condvar,
     window: usize,
+    /// Indices per claim; a claim at the window's edge is shorter.
+    chunk: usize,
     n: usize,
 }
 
 impl<R> Pipeline<R> {
+    fn new(n: usize, window: usize, chunk: usize) -> Self {
+        Pipeline {
+            shared: Mutex::new(Shared {
+                next_claim: 0,
+                consumed: 0,
+                slots: (0..window).map(|_| None).collect(),
+                stop: false,
+                idle_workers: 0,
+                caller_waits: false,
+            }),
+            claimable: Condvar::new(),
+            ready: Condvar::new(),
+            window,
+            chunk,
+            n,
+        }
+    }
+
     /// Lock the shared state, shrugging off poisoning: no code that
     /// can panic runs while it is held, and every field is valid
     /// between any two statements that update it.
@@ -48,30 +78,40 @@ impl<R> Pipeline<R> {
         self.shared.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Claim the next index, waiting while the window is full.
-    /// `None` once every index is claimed or the caller stopped.
-    fn claim(&self) -> Option<usize> {
+    /// Claim the next run of at most `chunk` indices, waiting while
+    /// the window is full. `None` once every index is claimed or the
+    /// caller stopped.
+    fn claim(&self) -> Option<Range<usize>> {
         let mut s = self.lock();
         loop {
             if s.stop || s.next_claim >= self.n {
                 return None;
             }
-            if s.next_claim < s.consumed + self.window {
-                s.next_claim += 1;
-                return Some(s.next_claim - 1);
+            let limit = s.consumed + self.window;
+            if s.next_claim < limit {
+                let start = s.next_claim;
+                s.next_claim = (start + self.chunk).min(self.n).min(limit);
+                return Some(start..s.next_claim);
             }
+            s.idle_workers += 1;
             s = self
                 .claimable
                 .wait(s)
                 .unwrap_or_else(PoisonError::into_inner);
+            s.idle_workers -= 1;
         }
     }
 
-    /// Publish task `i`'s result; wake the caller if it waits on `i`.
-    fn publish(&self, i: usize, r: Result<R, TaskPanic>) {
+    /// Move the results of the run starting at `start` into their
+    /// slots under one lock; wake the caller if it waits on one of
+    /// them.
+    fn publish(&self, start: usize, results: &mut Vec<Result<R, TaskPanic>>) {
         let mut s = self.lock();
-        s.slots[i % self.window] = Some(r);
-        if i == s.consumed {
+        let run = start..start + results.len();
+        for (i, r) in run.clone().zip(results.drain(..)) {
+            s.slots[i % self.window] = Some(r);
+        }
+        if s.caller_waits && run.contains(&s.consumed) {
             self.ready.notify_one();
         }
     }
@@ -83,13 +123,17 @@ impl<R> Pipeline<R> {
         let mut s = self.lock();
         if s.consumed != i {
             s.consumed = i;
-            self.claimable.notify_one();
+            if s.idle_workers > 0 {
+                self.claimable.notify_one();
+            }
         }
         loop {
             if let Some(r) = s.slots[i % self.window].take() {
                 return r;
             }
+            s.caller_waits = true;
             s = self.ready.wait(s).unwrap_or_else(PoisonError::into_inner);
+            s.caller_waits = false;
         }
     }
 }
@@ -105,6 +149,72 @@ impl<R> Drop for StopOnDrop<'_, R> {
         self.0.lock().stop = true;
         self.0.claimable.notify_all();
     }
+}
+
+/// The core behind every front: run tasks `0..n` on `jobs` workers,
+/// each owning one `init(worker)` state value, and hand each result to
+/// `sink` on the caller's thread in index order (the contract of
+/// [`par_for_each_ordered`]).
+///
+/// The states are built on the caller's thread before any worker
+/// starts, so a panicking `init` unwinds into the caller. `task` must
+/// treat its state as scratch: which worker runs an index depends on
+/// scheduling.
+pub(crate) fn run_ordered<S, R, E>(
+    jobs: usize,
+    n: usize,
+    window: usize,
+    init: impl Fn(usize) -> S,
+    task: impl Fn(&mut S, usize) -> R + Sync,
+    mut sink: impl FnMut(usize, Result<R, TaskPanic>) -> Result<(), E>,
+) -> Result<(), E>
+where
+    S: Send,
+    R: Send,
+{
+    let workers = jobs.max(1).min(n);
+    if workers <= 1 {
+        // Serial path: no threads, same containment and order.
+        let mut state = init(0);
+        for i in 0..n {
+            sink(i, contain(i, || task(&mut state, i)))?;
+        }
+        return Ok(());
+    }
+
+    let window = window.max(1);
+    let chunk = (n.min(window) / (workers * CLAIMS_PER_WORKER)).max(1);
+    let pipe = Pipeline::new(n, window, chunk);
+    let states: Vec<S> = (0..workers).map(init).collect();
+    std::thread::scope(|scope| {
+        // Armed before the first spawn, so a failed spawn stops the
+        // workers already running too.
+        let stop = StopOnDrop(&pipe);
+        let handles: Vec<_> = states
+            .into_iter()
+            .map(|mut state| {
+                let (pipe, task) = (&pipe, &task);
+                scope.spawn(move || {
+                    let mut local = Vec::with_capacity(pipe.chunk);
+                    while let Some(run) = pipe.claim() {
+                        let start = run.start;
+                        local.extend(run.map(|i| contain(i, || task(&mut state, i))));
+                        pipe.publish(start, &mut local);
+                    }
+                })
+            })
+            .collect();
+        let out = (0..n).try_for_each(|i| sink(i, pipe.take(i)));
+        drop(stop);
+        // Join the threads, not just their closures (all the scope
+        // waits for): a thread hands its malloc arena back only as it
+        // exits, and a pool started before that would open new arenas
+        // and raise peak RSS.
+        for h in handles {
+            let _ = h.join();
+        }
+        out
+    })
 }
 
 /// Run tasks `0..n` on `jobs` workers and hand each result to `sink`
@@ -131,52 +241,14 @@ pub fn par_for_each_ordered<R, E, F, S>(
     n: usize,
     window: usize,
     task: F,
-    mut sink: S,
+    sink: S,
 ) -> Result<(), E>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
     S: FnMut(usize, Result<R, TaskPanic>) -> Result<(), E>,
 {
-    let workers = jobs.max(1).min(n);
-    if workers <= 1 {
-        // Serial path: no threads, same containment and order.
-        for i in 0..n {
-            sink(i, contain(i, || task(i)))?;
-        }
-        return Ok(());
-    }
-
-    let window = window.max(1);
-    let pipe = Pipeline {
-        shared: Mutex::new(Shared {
-            next_claim: 0,
-            consumed: 0,
-            slots: (0..window).map(|_| None).collect(),
-            stop: false,
-        }),
-        claimable: Condvar::new(),
-        ready: Condvar::new(),
-        window,
-        n,
-    };
-    std::thread::scope(|scope| {
-        // Armed before the first spawn, so a failed spawn stops the
-        // workers already running too.
-        let _stop = StopOnDrop(&pipe);
-        for _ in 0..workers {
-            let (pipe, task) = (&pipe, &task);
-            scope.spawn(move || {
-                while let Some(i) = pipe.claim() {
-                    pipe.publish(i, contain(i, || task(i)));
-                }
-            });
-        }
-        for i in 0..n {
-            sink(i, pipe.take(i))?;
-        }
-        Ok(())
-    })
+    run_ordered(jobs, n, window, |_| (), |_, i| task(i), sink)
 }
 
 #[cfg(test)]
@@ -223,8 +295,22 @@ mod tests {
     }
 
     #[test]
+    fn claims_are_contiguous_runs_clipped_at_the_window() {
+        let pipe = Pipeline::<usize>::new(11, 10, 4);
+        assert_eq!(pipe.claim(), Some(0..4));
+        assert_eq!(pipe.claim(), Some(4..8));
+        assert_eq!(pipe.claim(), Some(8..10), "a run stops at the window's edge");
+        pipe.publish(0, &mut (0..4).map(Ok).collect());
+        assert_eq!((pipe.take(0), pipe.take(1)), (Ok(0), Ok(1)));
+        // Index 0 is consumed, so the window now reaches index 10.
+        assert_eq!(pipe.claim(), Some(10..11));
+        assert_eq!(pipe.claim(), None, "every index is claimed");
+    }
+
+    #[test]
     fn in_flight_results_never_exceed_the_window() {
-        for (jobs, window) in [(2, 1), (3, 2), (8, 5), (8, 16)] {
+        // Window 64 at two workers claims runs of four indices.
+        for (jobs, window) in [(2, 1), (3, 2), (8, 5), (8, 16), (2, 64)] {
             let in_flight = AtomicUsize::new(0);
             let peak = AtomicUsize::new(0);
             let _: Result<(), ()> = par_for_each_ordered(

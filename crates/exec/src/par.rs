@@ -1,19 +1,40 @@
-//! The `par_map` family: ergonomic fronts over [`run_tasks`].
+//! The `par_map` family: fronts over the ordered pipeline that collect
+//! every result before returning.
 //!
 //! All variants share the determinism contract (crate docs): results
-//! merge in task-index order, so output is bit-identical at any
-//! `jobs`. Pick by failure handling and state needs:
+//! land in task-index order, so output is bit-identical at any `jobs`.
+//! Pick by failure handling and state needs:
 //!
 //! | fn | input | panics | worker state |
 //! |---|---|---|---|
 //! | [`par_map`] | slice | re-raised (lowest index) | — |
 //! | [`par_map_indexed`] | `0..n` | re-raised | — |
 //! | [`try_par_map`] | slice | typed [`TaskPanic`] per task | — |
-//! | [`try_par_map_indexed`] | `0..n` | typed per task | — |
 //! | [`par_map_with`] | `0..n` | re-raised | per-worker scratch |
-//! | [`par_map_indexed_report`] | `0..n` | typed per task | — (+ counters) |
 
-use crate::pool::{run_tasks, PoolReport, TaskPanic};
+use crate::ordered::run_ordered;
+use crate::panic::TaskPanic;
+use std::convert::Infallible;
+
+/// Run tasks `0..n` and collect every result in index order. The
+/// window is `n`, so no worker ever waits on the caller.
+fn collect<S, R>(
+    jobs: usize,
+    n: usize,
+    init: impl Fn(usize) -> S,
+    task: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<Result<R, TaskPanic>>
+where
+    S: Send,
+    R: Send,
+{
+    let mut out = Vec::with_capacity(n);
+    let Ok(()) = run_ordered::<S, R, Infallible>(jobs, n, n, init, task, |_, r| {
+        out.push(r);
+        Ok(())
+    });
+    out
+}
 
 /// Re-raise the lowest-indexed contained panic, if any; otherwise
 /// return the unwrapped values. Choosing the lowest index (not the
@@ -48,7 +69,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    unwrap_or_resume(try_par_map_indexed(jobs, n, f))
+    unwrap_or_resume(collect(jobs, n, |_| (), |_, i| f(i)))
 }
 
 /// [`par_map`] with per-task panic containment surfaced to the caller:
@@ -60,16 +81,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    run_tasks(jobs, items.len(), |_| (), |_, i| f(&items[i])).0
-}
-
-/// [`par_map_indexed`] with typed per-task panic results.
-pub fn try_par_map_indexed<R, F>(jobs: usize, n: usize, f: F) -> Vec<Result<R, TaskPanic>>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    run_tasks(jobs, n, |_| (), |_, i| f(i)).0
+    collect(jobs, items.len(), |_| (), |_, i| f(&items[i]))
 }
 
 /// [`par_map_indexed`] with a per-worker state value built by
@@ -81,26 +93,12 @@ where
 /// scheduling-dependent; accumulation would break determinism).
 pub fn par_map_with<S, R, I, F>(jobs: usize, n: usize, init: I, f: F) -> Vec<R>
 where
+    S: Send,
     R: Send,
-    I: Fn(usize) -> S + Sync,
+    I: Fn(usize) -> S,
     F: Fn(&mut S, usize) -> R + Sync,
 {
-    unwrap_or_resume(run_tasks(jobs, n, init, f).0)
-}
-
-/// [`try_par_map_indexed`] plus the pool's per-worker counters, for
-/// bench harnesses that report scheduling behaviour (tasks run,
-/// tasks stolen, busy time) next to the — unchanged — results.
-pub fn par_map_indexed_report<R, F>(
-    jobs: usize,
-    n: usize,
-    f: F,
-) -> (Vec<Result<R, TaskPanic>>, PoolReport)
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    run_tasks(jobs, n, |_| (), |_, i| f(i))
+    unwrap_or_resume(collect(jobs, n, init, f))
 }
 
 #[cfg(test)]
@@ -229,16 +227,34 @@ mod tests {
     }
 
     #[test]
-    fn report_travels_with_results() {
-        let (out, report) = par_map_indexed_report(2, 10, |i| i + 1);
-        assert_eq!(out.into_iter().map(|r| r.unwrap()).collect::<Vec<_>>(),
-                   (1..=10).collect::<Vec<_>>());
-        assert_eq!(report.total_tasks(), 10);
+    fn worker_state_is_per_worker_scratch() {
+        // Each worker's state is initialized once and reusable; tasks
+        // must not observe another task's leftovers if they overwrite
+        // before reading (the contract).
+        let out = par_map_with(
+            4,
+            50,
+            |w| vec![w; 8],
+            |buf, i| {
+                for slot in buf.iter_mut() {
+                    *slot = i;
+                }
+                buf.iter().sum::<usize>()
+            },
+        );
+        assert_eq!(out, (0..50).map(|i| i * 8).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
         assert!(par_map::<u64, u64, _>(4, &[], |&x| x).is_empty());
         assert_eq!(par_map(4, &[41u64], |&x| x + 1), vec![42]);
+    }
+
+    #[test]
+    fn zero_tasks_is_fine() {
+        assert!(par_map_with(4, 0, |_| (), |_, i| i).is_empty());
+        assert!(par_map_indexed(4, 0, |i| i).is_empty());
+        assert!(try_par_map::<u64, u64, _>(4, &[], |&x| x).is_empty());
     }
 }

@@ -1,9 +1,10 @@
 //! Property suite for the execution runtime: the determinism contract
 //! (bit-identical results at any worker count) under arbitrary task
-//! counts, worker counts, workloads, and panic masks.
+//! counts, worker counts, windows, workloads, and panic masks.
 
-use exec::{par_map, par_map_indexed, par_map_indexed_report, par_map_with, try_par_map_indexed};
+use exec::{par_for_each_ordered, par_map, par_map_indexed, par_map_with, try_par_map};
 use proplite::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A cheap pure task body with full bit churn (SplitMix64 finalizer).
 fn mix(x: u64) -> u64 {
@@ -11,6 +12,20 @@ fn mix(x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// One run counter per task index.
+fn counters(n: usize) -> Vec<AtomicUsize> {
+    (0..n).map(|_| AtomicUsize::new(0)).collect()
+}
+
+/// Fail unless every counter reads exactly one.
+fn each_ran_once(runs: &[AtomicUsize]) -> Result<(), CaseError> {
+    for (i, c) in runs.iter().enumerate() {
+        let c = c.load(Ordering::SeqCst);
+        prop_assert!(c == 1, "task {i} ran {c} times");
+    }
+    Ok(())
 }
 
 prop_cases! {
@@ -54,8 +69,9 @@ prop_cases! {
         n in 1usize..120,
         mask in 1u64..u64::MAX,
     ) {
+        let idx: Vec<usize> = (0..n).collect();
         let run = |jobs: usize| {
-            try_par_map_indexed(jobs, n, |i| {
+            try_par_map(jobs, &idx, |&i| {
                 if mix(mask ^ i as u64) % 5 == 0 {
                     panic!("injected failure at {i}");
                 }
@@ -104,7 +120,7 @@ prop_cases! {
     /// only one exercised before), partial results keep full shape:
     /// slot `i` always describes task `i` — an `Err` carrying the
     /// task's own index and payload, or the task's own `Ok` value —
-    /// the pool counters count panicked tasks as run, and the
+    /// every task runs exactly once, panicked ones included, and the
     /// re-raising front propagates exactly the lowest-indexed payload.
     #[test]
     fn multi_panic_partial_results_hold_shape(
@@ -115,15 +131,18 @@ prop_cases! {
     ) {
         let offset = offset_raw % stride;
         let fails = move |i: usize| i % stride == offset;
-        let (out, report) = par_map_indexed_report(jobs, n, |i| {
+        let runs = counters(n);
+        let idx: Vec<usize> = (0..n).collect();
+        let out = try_par_map(jobs, &idx, |&i| {
+            runs[i].fetch_add(1, Ordering::SeqCst);
             if fails(i) {
                 panic!("injected {i}");
             }
             mix(i as u64)
         });
         prop_assert_eq!(out.len(), n);
-        // Counters: a contained panic is still a task that ran.
-        prop_assert_eq!(report.total_tasks(), n as u64);
+        // A contained panic is still a task that ran, once.
+        each_ran_once(&runs)?;
         // Result ordering: Ok/Err land in their own slots.
         let mut n_fail = 0usize;
         for (i, r) in out.iter().enumerate() {
@@ -162,21 +181,64 @@ prop_cases! {
         prop_assert_eq!(msg, format!("injected {first}"));
     }
 
-    /// The pool's accounting always adds up: every task runs exactly
-    /// once no matter how the steal interleaving went.
+    /// Every task runs exactly once and lands in its own slot, however
+    /// the workers' claims interleaved.
     #[test]
     fn every_task_runs_exactly_once(
         n in 0usize..400,
         jobs in 1usize..12,
     ) {
-        let (out, report) = par_map_indexed_report(jobs, n, |i| i);
-        prop_assert_eq!(report.total_tasks(), n as u64);
-        prop_assert!(report.total_stolen() <= n as u64);
+        let runs = counters(n);
+        let idx: Vec<usize> = (0..n).collect();
+        let out = try_par_map(jobs, &idx, |&i| {
+            runs[i].fetch_add(1, Ordering::SeqCst);
+            i
+        });
+        each_ran_once(&runs)?;
+        prop_assert_eq!(out.len(), n);
         for (i, r) in out.into_iter().enumerate() {
             match r {
                 Ok(v) => prop_assert_eq!(v, i),
                 Err(p) => return Err(CaseError::Fail(format!("unexpected panic: {p}"))),
             }
         }
+    }
+
+    /// The ordered pipeline at any `(n, jobs, window)`: the sink sees
+    /// each index once and in order with that index's result, each
+    /// task runs exactly once, and the results in flight (started, not
+    /// yet sunk) never exceed the window — also where a worker claims
+    /// several indices at a time (`window / (jobs × 8) > 1`).
+    #[test]
+    fn ordered_pipeline_sinks_each_index_once_within_the_window(
+        n in 0usize..400,
+        jobs in 1usize..12,
+        window in 1usize..64,
+    ) {
+        let runs = counters(n);
+        let (in_flight, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let mut sunk = Vec::with_capacity(n);
+        let out: Result<(), ()> = par_for_each_ordered(
+            jobs,
+            n,
+            window,
+            |i| {
+                runs[i].fetch_add(1, Ordering::SeqCst);
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                mix(i as u64)
+            },
+            |i, r| {
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                sunk.push((i, r.expect("no panics")));
+                Ok(())
+            },
+        );
+        prop_assert_eq!(out, Ok(()));
+        each_ran_once(&runs)?;
+        let want: Vec<(usize, u64)> = (0..n).map(|i| (i, mix(i as u64))).collect();
+        prop_assert_eq!(sunk, want);
+        let peak = peak.load(Ordering::SeqCst);
+        prop_assert!(peak <= window, "peak {peak} > window {window}");
     }
 }

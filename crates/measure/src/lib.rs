@@ -42,6 +42,12 @@
 //! `--kill-after N`, aborts the process at the first checkpoint that
 //! covers at least `N`.
 
+/// Tasks in flight at once in the campaign drivers' ordered pipelines
+/// (stream panes, pair-fleet shards): the `exec` window. Bounds peak
+/// memory at that many results regardless of campaign size; results
+/// and journal bytes are invariant to it.
+const IN_FLIGHT: usize = 16;
+
 pub mod campaign;
 pub mod error;
 pub mod experiment;

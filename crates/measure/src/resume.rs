@@ -43,8 +43,10 @@
 //! of which the journal records exactly (retries consumed + starved
 //! flag). A resumed run therefore reconstructs the accountant in the
 //! same state the interrupted run would have reached, and every
-//! downstream decision replays identically. First attempts are still
-//! sharded across workers; only the (rare) retries run serially.
+//! downstream decision replays identically. First attempts stream
+//! through the `exec` ordered pipeline, at most
+//! [`IN_FLIGHT`](crate::IN_FLIGHT) ahead of the shard being settled;
+//! retries (rare) run serially as each shard settles.
 
 use crate::campaign::{assemble_fleet, simulate_pair_capped, FleetResult, PairSim};
 use crate::error::MeasureError;
@@ -66,12 +68,6 @@ const LABEL_VERIFY: u64 = 0x7E81;
 /// The fluid-simulation step the stream engine uses (see
 /// [`netsim::tcp::StreamConfig`]); step budgets are denominated in it.
 const FLUID_STEP_S: f64 = 0.1;
-
-/// Minimum first attempts simulated per parallel wave before the driver
-/// settles (and journals) them; a wave holds at least `jobs` shards.
-/// Purely a throughput/durability trade-off: results are invariant to
-/// it (and to the worker count).
-const SHARD_BATCH: usize = 8;
 
 /// Supervision limits for a fleet campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -431,38 +427,38 @@ fn verify_resumed_shards(
 /// retriable).
 type Attempt = Result<Result<PairSim, TaskPanic>, MeasureError>;
 
-/// Simulate `(shard, seed)` attempts across `jobs` workers, results in
-/// input order, panics contained per task.
-fn attempts(spec: &FleetSpec, jobs: usize, tasks: &[(usize, u64)]) -> Vec<Attempt> {
-    exec::try_par_map(jobs, tasks, |&(shard, seed)| {
-        simulate_pair_capped(&spec.profile, spec.pattern, spec.duration_s, seed, shard, None)
-    })
-    .into_iter()
-    .zip(tasks)
-    .map(|(res, &(shard, _))| match res {
-        Ok(sim) => sim.map(Ok),
-        Err(p) => Ok(Err(TaskPanic { task: shard, payload: p.payload })),
-    })
-    .collect()
+/// Simulate shard `shard` under `seed`.
+fn simulate(spec: &FleetSpec, shard: usize, seed: u64) -> Result<PairSim, MeasureError> {
+    simulate_pair_capped(&spec.profile, spec.pattern, spec.duration_s, seed, shard, None)
 }
 
-/// One serial attempt (a single-task pass through the exec pool reuses
-/// its `catch_unwind` machinery).
+/// Split a contained attempt into an [`Attempt`], reporting a panic
+/// against the shard (`exec` reports it against its task index).
+fn attempt_of(shard: usize, res: Result<Result<PairSim, MeasureError>, TaskPanic>) -> Attempt {
+    match res {
+        Ok(sim) => sim.map(Ok),
+        Err(p) => Ok(Err(TaskPanic { task: shard, payload: p.payload })),
+    }
+}
+
+/// One serial attempt (a single-task pass through `exec` reuses its
+/// panic containment).
 fn attempt(spec: &FleetSpec, shard: usize, seed: u64) -> Attempt {
-    match attempts(spec, 1, &[(shard, seed)]).pop() {
-        Some(res) => res,
+    match exec::try_par_map(1, &[seed], |&seed| simulate(spec, shard, seed)).pop() {
+        Some(res) => attempt_of(shard, res),
         None => Ok(Err(TaskPanic { task: shard, payload: "empty pool result".into() })),
     }
 }
 
-/// The one supervised settle loop behind both drivers. The shards not
-/// yet in `done` run in waves of at least `jobs` (and
-/// [`SHARD_BATCH`]): first attempts fan out across workers, then each
-/// shard settles — retries, step-budget accounting — **in shard-index
-/// order** and is handed to `on_settled` (the journaled driver's
-/// append). Every supervision decision is a pure function of
-/// lower-indexed outcomes, so results and the journal's record sequence
-/// are invariant to worker count and wave size. The first simulation
+/// The one supervised settle loop behind both drivers. First attempts
+/// of the shards not yet in `done` stream through the ordered pipeline,
+/// at most [`IN_FLIGHT`](crate::IN_FLIGHT) ahead of the shard being
+/// settled; on this thread each shard settles — retries, step-budget
+/// accounting — **in shard-index order** and is handed to `on_settled`
+/// (the journaled driver's append) while the workers simulate the
+/// shards after it. Every supervision decision is a pure function of
+/// lower-indexed outcomes, so results and the journal's record
+/// sequence are invariant to the worker count. The first simulation
 /// error in shard order aborts the campaign.
 fn settle(
     spec: &FleetSpec,
@@ -471,19 +467,19 @@ fn settle(
     done: &mut BTreeMap<usize, ShardOutcome>,
     mut on_settled: impl FnMut(usize, &ShardOutcome) -> Result<(), MeasureError>,
 ) -> Result<(), MeasureError> {
-    let attempt_steps = spec.attempt_steps();
+    let (attempt_steps, budget_steps) = (spec.attempt_steps(), spec.shard_budget());
     // Every shard starts from the same budget, so either every shard
     // can afford its first attempt or none can (and none is simulated).
-    let budget_steps = spec.shard_budget();
+    let affordable = budget_steps >= attempt_steps;
     let missing: Vec<usize> = (0..spec.n_pairs).filter(|i| !done.contains_key(i)).collect();
-    for wave in missing.chunks(SHARD_BATCH.max(jobs)) {
-        let firsts: Vec<(usize, u64)> = match budget_steps >= attempt_steps {
-            true => wave.iter().map(|&shard| (shard, spec.attempt_seed(shard, 0))).collect(),
-            false => Vec::new(),
-        };
-        let mut firsts = attempts(spec, jobs, &firsts).into_iter();
-        for &shard in wave {
-            let outcome = match firsts.next() {
+    exec::par_for_each_ordered(
+        jobs,
+        missing.len(),
+        crate::IN_FLIGHT,
+        |k| affordable.then(|| simulate(spec, missing[k], spec.attempt_seed(missing[k], 0))),
+        |k, first| {
+            let shard = missing[k];
+            let outcome = match first.transpose() {
                 None => ShardOutcome {
                     retries: 0,
                     starved: false,
@@ -492,13 +488,13 @@ fn settle(
                         remaining_steps: budget_steps,
                     },
                 },
-                Some(first) => supervise(spec, shard, first?, accountant)?,
+                Some(first) => supervise(spec, shard, attempt_of(shard, first)?, accountant)?,
             };
             on_settled(shard, &outcome)?;
             done.insert(shard, outcome);
-        }
-    }
-    Ok(())
+            Ok(())
+        },
+    )
 }
 
 /// Settle one shard from its first attempt: retry a dead or panicked

@@ -65,11 +65,6 @@ use vstats::sketch::{Coverage, Sketch, SketchConfig};
 /// config fingerprint: changing it orphans old journals loudly.
 pub const PANE_TENANTS: u64 = 256;
 
-/// Panes in flight at once: the ordered pipeline's window. Bounds peak
-/// memory at `PANE_WINDOW` pane accumulators regardless of tenant
-/// count; results are invariant to it (panes still merge in pane order).
-const PANE_WINDOW: usize = 16;
-
 /// Checkpoint cadence (in tenants) when the spec leaves it 0.
 const AUTO_CHECKPOINT_EVERY: u64 = 4096;
 
@@ -636,7 +631,7 @@ pub fn run_fleet_stream(spec: &StreamSpec, jobs: usize) -> Result<StreamSummary,
 
 /// The pane pump shared by the plain and journaled drivers: simulate
 /// panes `start_pane..` through the ordered pipeline, at most
-/// [`PANE_WINDOW`] in flight, absorb each pane in pane order on this
+/// [`IN_FLIGHT`](crate::IN_FLIGHT) in flight, absorb each pane in pane order on this
 /// thread, and hand `(summary, pane, pane_fp)` to `after_pane` after
 /// each merge (the journaled driver's checkpoint hook), while the
 /// workers simulate the panes after it. The first simulation error in
@@ -653,7 +648,7 @@ fn drive_panes(
     exec::par_for_each_ordered(
         jobs,
         panes,
-        PANE_WINDOW,
+        crate::IN_FLIGHT,
         |k| simulate_pane(spec, placement, start_pane + k as u64),
         |k, res| {
             let p = start_pane + k as u64;

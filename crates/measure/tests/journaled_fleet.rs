@@ -98,17 +98,32 @@ fn unsupervised_journaled_run_matches_plain_fleet() {
 
 #[test]
 fn journal_bytes_are_worker_count_invariant() {
-    let spec = faulty_spec(29);
-    let path1 = temp_path("jobs1");
-    let path4 = temp_path("jobs4");
-    let a = journaled(&spec, &path1, false, 0, 1).expect("jobs=1");
-    let b = journaled(&spec, &path4, false, 0, 4).expect("jobs=4");
-    assert_eq!(fleet_bits(&a.fleet), fleet_bits(&b.fleet));
-    let bytes1 = fs::read(&path1).unwrap();
-    let bytes4 = fs::read(&path4).unwrap();
-    assert_eq!(bytes1, bytes4, "journal image must not depend on worker count");
-    fs::remove_file(&path1).unwrap();
-    fs::remove_file(&path4).unwrap();
+    // The faulty fleet, and a dying one whose retries run in the
+    // settling sink while the workers simulate later shards; 40 shards
+    // overrun the pipeline window, and a 6-retry budget runs dry.
+    let dying = FleetSpec {
+        n_pairs: 40,
+        ..dying_spec(
+            11,
+            SupervisePolicy { max_shard_attempts: 3, retry_budget: 6, shard_step_budget: 0 },
+        )
+    };
+    for (spec, retries) in [(faulty_spec(29), 0), (dying, 6)] {
+        let path1 = temp_path("jobs1");
+        let a = journaled(&spec, &path1, false, 0, 1).expect("jobs=1");
+        let bytes1 = fs::read(&path1).unwrap();
+        fs::remove_file(&path1).unwrap();
+        assert_eq!(a.fleet.supervision.retries_used, retries, "the fixture must retry");
+        for jobs in [2, 3, 8] {
+            let path = temp_path(&format!("jobs{jobs}"));
+            let b = journaled(&spec, &path, false, 0, jobs).expect("jobs>1");
+            assert_eq!(fleet_bits(&a.fleet), fleet_bits(&b.fleet), "jobs={jobs}");
+            assert_eq!(a.fleet.supervision, b.fleet.supervision, "jobs={jobs}");
+            let bytes = fs::read(&path).unwrap();
+            assert_eq!(bytes1, bytes, "journal image must not depend on worker count");
+            fs::remove_file(&path).unwrap();
+        }
+    }
 }
 
 #[test]

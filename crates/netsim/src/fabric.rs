@@ -575,11 +575,6 @@ impl<S: Shaper> Fabric<S> {
         self.path = path;
     }
 
-    /// The active stepping engine.
-    pub fn step_path(&self) -> StepPath {
-        self.path
-    }
-
     /// Stepping instrumentation counters.
     pub fn perf(&self) -> FabricPerf {
         self.perf
@@ -597,11 +592,6 @@ impl<S: Shaper> Fabric<S> {
     /// refilling while the VM is paused, exactly as on a real cloud.
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
         self.faults = Some(schedule);
-    }
-
-    /// Detach the fault schedule (all nodes healthy again).
-    pub fn clear_fault_schedule(&mut self) {
-        self.faults = None;
     }
 
     /// The attached fault schedule, if any.
@@ -666,11 +656,6 @@ impl<S: Shaper> Fabric<S> {
     /// Number of installed directed link-capacity slots (0 = flat).
     pub fn link_count(&self) -> usize {
         self.link_caps.len()
-    }
-
-    /// Capacity of directed link slot `l` in bits/s.
-    pub fn link_cap_bps(&self, l: usize) -> f64 {
-        self.link_caps[l]
     }
 
     /// The id the **next** started flow will receive. Topology wirings

@@ -56,13 +56,6 @@ impl StreamConfig {
         self.write_bytes = bytes;
         self
     }
-
-    /// Set the fluid step.
-    pub fn with_step(mut self, step_s: f64) -> Self {
-        assert!(step_s > 0.0, "step must be positive");
-        self.step_s = step_s;
-        self
-    }
 }
 
 /// Result of a stream run.

@@ -28,12 +28,6 @@ pub fn gbit(v: f64) -> f64 {
     v * 1e9
 }
 
-/// Bits from megabits.
-#[inline]
-pub fn mbit(v: f64) -> f64 {
-    v * 1e6
-}
-
 /// Bits from bytes.
 #[inline]
 pub fn bytes(v: f64) -> f64 {
