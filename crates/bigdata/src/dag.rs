@@ -25,7 +25,7 @@
 //! accounting exact; the DAG scheduler ignores them.
 
 use crate::cluster::Cluster;
-use crate::engine::{pick_hot_node, tx_since, tx_totals, AllToAll, EngineConfig};
+use crate::engine::{pick_hot_node, tx_since, tx_totals, AllToAll, EngineConfig, TaskTime};
 use crate::job::{JobSpec, StageSpec};
 use netsim::fabric::FlowRange;
 use netsim::rng::SimRng;
@@ -153,17 +153,8 @@ pub fn run_dag<S: Shaper>(
         .stages
         .iter()
         .map(|stage| {
-            let sigma2 = (1.0 + stage.task_cv * stage.task_cv).ln();
-            let mu = (stage.task_compute_s * env_factor).ln() - sigma2 / 2.0;
-            let queued: Vec<f64> = (0..stage.tasks)
-                .map(|_| {
-                    if stage.task_cv <= 0.0 {
-                        stage.task_compute_s * env_factor
-                    } else {
-                        rng.lognormal(mu, sigma2.sqrt())
-                    }
-                })
-                .collect();
+            let time = TaskTime::new(stage.task_compute_s * env_factor, stage.task_cv);
+            let queued: Vec<f64> = (0..stage.tasks).map(|_| time.draw(&mut rng)).collect();
             StageRun {
                 state: StageState::Blocked,
                 queued_tasks: queued,

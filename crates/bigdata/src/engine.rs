@@ -207,14 +207,34 @@ impl Recorder {
     }
 }
 
-/// Sample a lognormal task duration with mean `m` and CV `cv`.
-pub(crate) fn task_time(rng: &mut SimRng, m: f64, cv: f64) -> f64 {
-    if cv <= 0.0 {
-        return m;
+/// Lognormal task durations with mean `m` and CV `cv`, the one recipe
+/// every runner draws from: the parameters are derived once per stage
+/// and each task draws once.
+pub(crate) struct TaskTime {
+    m: f64,
+    /// `(μ, σ)` of the underlying normal; `None` when every task takes
+    /// exactly `m` (`cv <= 0`).
+    lognormal: Option<(f64, f64)>,
+}
+
+impl TaskTime {
+    pub(crate) fn new(m: f64, cv: f64) -> TaskTime {
+        let lognormal = if cv <= 0.0 {
+            None
+        } else {
+            let sigma2 = (1.0 + cv * cv).ln();
+            Some((m.ln() - sigma2 / 2.0, sigma2.sqrt()))
+        };
+        TaskTime { m, lognormal }
     }
-    let sigma2 = (1.0 + cv * cv).ln();
-    let mu = m.ln() - sigma2 / 2.0;
-    rng.lognormal(mu, sigma2.sqrt())
+
+    /// One task's duration.
+    pub(crate) fn draw(&self, rng: &mut SimRng) -> f64 {
+        match self.lognormal {
+            Some((mu, sigma)) => rng.lognormal(mu, sigma),
+            None => self.m,
+        }
+    }
 }
 
 /// The hot node of a skewed job's shuffles: the fixed one, or one
@@ -436,27 +456,10 @@ fn execute<S: Shaper>(
         // Compute phase: waves of tasks over the executor slots.
         let mut compute_s = 0.0;
         let mut remaining = stage.tasks;
-        // Same draws as `task_time(&mut rng, m, cv)` per task, with the
-        // per-draw-constant lognormal parameters hoisted out of the
-        // wave (identical operands and operations, so identical bits).
-        let m = stage.task_compute_s * env_factor;
-        let (mu, sigma) = if stage.task_cv > 0.0 {
-            let sigma2 = (1.0 + stage.task_cv * stage.task_cv).ln();
-            (m.ln() - sigma2 / 2.0, sigma2.sqrt())
-        } else {
-            (0.0, 0.0)
-        };
+        let time = TaskTime::new(stage.task_compute_s * env_factor, stage.task_cv);
         while remaining > 0 {
             let wave = remaining.min(slots);
-            let wave_time = (0..wave)
-                .map(|_| {
-                    if stage.task_cv <= 0.0 {
-                        m
-                    } else {
-                        rng.lognormal(mu, sigma)
-                    }
-                })
-                .fold(0.0, f64::max);
+            let wave_time = (0..wave).map(|_| time.draw(&mut rng)).fold(0.0, f64::max);
             compute_s += wave_time;
             remaining -= wave;
         }

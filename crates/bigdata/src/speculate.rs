@@ -22,7 +22,7 @@
 //!   equally-drained peer versus the counterfactual fresh-budget node.
 
 use crate::cluster::Cluster;
-use crate::engine::{task_time, EngineConfig, JobResult, JobRun};
+use crate::engine::{EngineConfig, JobResult, JobRun, TaskTime};
 use crate::job::JobSpec;
 use netsim::fabric::{FlowId, FlowSpec};
 use netsim::faults::{FaultEpisode, FaultKind, FaultSchedule};
@@ -188,6 +188,7 @@ fn schedule_stage(
         };
     }
 
+    let time = TaskTime::new(mean_s, cv);
     let mut slots: Vec<Slot> = (0..n_nodes)
         .flat_map(|node| {
             (0..cores_per_node).map(move |_| Slot {
@@ -214,7 +215,7 @@ fn schedule_stage(
             stage_seed,
             (task as u64) * 131 + attempt as u64,
         ));
-        let d = task_time(&mut trng, mean_s, cv);
+        let d = time.draw(&mut trng);
         let killer = schedule.and_then(|sch| first_stall_within(sch, node, start, start + d));
         report.attempts_launched += 1;
         match killer {
@@ -263,7 +264,7 @@ fn schedule_stage(
                 }
                 let mut crng =
                     SimRng::new(derive_seed(derive_seed(stage_seed, LABEL_COPY), task as u64));
-                let copy_d = task_time(&mut crng, mean_s, cv);
+                let copy_d = time.draw(&mut crng);
                 report.speculative_copies += 1;
                 report.attempts_launched += 1;
                 let copy_killed = schedule

@@ -90,7 +90,7 @@ impl MeasurementReport {
     }
 
     /// Annotate the report with the fraction of intended samples that
-    /// survived (e.g. `gap_summary.coverage()` from a faulty campaign).
+    /// survived (e.g. `Coverage::coverage` of a faulty campaign).
     pub fn with_coverage(mut self, coverage: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&coverage),

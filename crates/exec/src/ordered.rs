@@ -253,7 +253,11 @@ where
 
 #[cfg(test)]
 mod tests {
+    //! Each test runs under [`within_deadline`]: the caller waits on
+    //! every index without a bound, so a lost index would hang the
+    //! suite instead of failing the test.
     use super::*;
+    use proplite::within_deadline;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn mix(x: u64) -> u64 {
@@ -272,185 +276,199 @@ mod tests {
 
     #[test]
     fn results_arrive_in_index_order() {
-        // A zero window runs as a window of one.
-        for (jobs, window) in [(1, 4), (2, 4), (3, 4), (8, 4), (3, 0)] {
-            let mut got = Vec::new();
-            let out: Result<(), ()> = par_for_each_ordered(
-                jobs,
-                100,
-                window,
-                |i| {
-                    busy(i);
-                    mix(i as u64)
-                },
-                |i, r| {
-                    got.push((i, r.expect("no panics")));
-                    Ok(())
-                },
-            );
-            assert_eq!(out, Ok(()));
-            let want: Vec<(usize, u64)> = (0..100).map(|i| (i, mix(i as u64))).collect();
-            assert_eq!(got, want, "jobs={jobs} window={window}");
-        }
+        within_deadline(|| {
+            // A zero window runs as a window of one.
+            for (jobs, window) in [(1, 4), (2, 4), (3, 4), (8, 4), (3, 0)] {
+                let mut got = Vec::new();
+                let out: Result<(), ()> = par_for_each_ordered(
+                    jobs,
+                    100,
+                    window,
+                    |i| {
+                        busy(i);
+                        mix(i as u64)
+                    },
+                    |i, r| {
+                        got.push((i, r.expect("no panics")));
+                        Ok(())
+                    },
+                );
+                assert_eq!(out, Ok(()));
+                let want: Vec<(usize, u64)> = (0..100).map(|i| (i, mix(i as u64))).collect();
+                assert_eq!(got, want, "jobs={jobs} window={window}");
+            }
+        });
     }
 
     #[test]
     fn claims_are_contiguous_runs_clipped_at_the_window() {
-        let pipe = Pipeline::<usize>::new(11, 10, 4);
-        assert_eq!(pipe.claim(), Some(0..4));
-        assert_eq!(pipe.claim(), Some(4..8));
-        assert_eq!(pipe.claim(), Some(8..10), "a run stops at the window's edge");
-        pipe.publish(0, &mut (0..4).map(Ok).collect());
-        assert_eq!((pipe.take(0), pipe.take(1)), (Ok(0), Ok(1)));
-        // Index 0 is consumed, so the window now reaches index 10.
-        assert_eq!(pipe.claim(), Some(10..11));
-        assert_eq!(pipe.claim(), None, "every index is claimed");
+        within_deadline(|| {
+            let pipe = Pipeline::<usize>::new(11, 10, 4);
+            assert_eq!(pipe.claim(), Some(0..4));
+            assert_eq!(pipe.claim(), Some(4..8));
+            assert_eq!(pipe.claim(), Some(8..10), "a run stops at the window's edge");
+            pipe.publish(0, &mut (0..4).map(Ok).collect());
+            assert_eq!((pipe.take(0), pipe.take(1)), (Ok(0), Ok(1)));
+            // Index 0 is consumed, so the window now reaches index 10.
+            assert_eq!(pipe.claim(), Some(10..11));
+            assert_eq!(pipe.claim(), None, "every index is claimed");
+        });
     }
 
     #[test]
     fn in_flight_results_never_exceed_the_window() {
-        // Window 64 at two workers claims runs of four indices.
-        for (jobs, window) in [(2, 1), (3, 2), (8, 5), (8, 16), (2, 64)] {
-            let in_flight = AtomicUsize::new(0);
-            let peak = AtomicUsize::new(0);
-            let _: Result<(), ()> = par_for_each_ordered(
-                jobs,
-                200,
-                window,
-                |i| {
-                    let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    busy(i);
-                },
-                |i, _| {
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                    // A slow consumer lets the workers run into the
-                    // window's edge.
-                    busy(i * 7);
-                    Ok(())
-                },
-            );
-            let peak = peak.load(Ordering::SeqCst);
-            assert!(peak <= window, "jobs={jobs} window={window}: peak {peak}");
-            assert_eq!(in_flight.load(Ordering::SeqCst), 0);
-        }
+        within_deadline(|| {
+            // Window 64 at two workers claims runs of four indices.
+            for (jobs, window) in [(2, 1), (3, 2), (8, 5), (8, 16), (2, 64)] {
+                let in_flight = AtomicUsize::new(0);
+                let peak = AtomicUsize::new(0);
+                let _: Result<(), ()> = par_for_each_ordered(
+                    jobs,
+                    200,
+                    window,
+                    |i| {
+                        let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        busy(i);
+                    },
+                    |i, _| {
+                        in_flight.fetch_sub(1, Ordering::SeqCst);
+                        // A slow consumer lets the workers run into the
+                        // window's edge.
+                        busy(i * 7);
+                        Ok(())
+                    },
+                );
+                let peak = peak.load(Ordering::SeqCst);
+                assert!(peak <= window, "jobs={jobs} window={window}: peak {peak}");
+                assert_eq!(in_flight.load(Ordering::SeqCst), 0);
+            }
+        });
     }
 
     #[test]
     fn a_task_panic_arrives_at_its_index_and_later_results_follow() {
-        for jobs in [1, 2, 3, 8] {
-            let mut got = Vec::new();
-            let _: Result<(), ()> = par_for_each_ordered(
-                jobs,
-                20,
-                3,
-                |i| {
-                    if i == 9 {
-                        panic!("pane {i} broke");
+        within_deadline(|| {
+            for jobs in [1, 2, 3, 8] {
+                let mut got = Vec::new();
+                let _: Result<(), ()> = par_for_each_ordered(
+                    jobs,
+                    20,
+                    3,
+                    |i| {
+                        if i == 9 {
+                            panic!("pane {i} broke");
+                        }
+                        i * 2
+                    },
+                    |i, r| {
+                        got.push((i, r));
+                        Ok(())
+                    },
+                );
+                assert_eq!(got.len(), 20, "jobs={jobs}");
+                for (k, (i, r)) in got.into_iter().enumerate() {
+                    assert_eq!(i, k);
+                    match r {
+                        Err(p) => {
+                            assert_eq!((p.task, p.payload.as_str()), (9, "pane 9 broke"));
+                        }
+                        Ok(v) => assert_eq!((i, v), (i, i * 2), "jobs={jobs}"),
                     }
-                    i * 2
-                },
-                |i, r| {
-                    got.push((i, r));
-                    Ok(())
-                },
-            );
-            assert_eq!(got.len(), 20, "jobs={jobs}");
-            for (k, (i, r)) in got.into_iter().enumerate() {
-                assert_eq!(i, k);
-                match r {
-                    Err(p) => {
-                        assert_eq!((p.task, p.payload.as_str()), (9, "pane 9 broke"));
-                    }
-                    Ok(v) => assert_eq!((i, v), (i, i * 2), "jobs={jobs}"),
                 }
             }
-        }
+        });
     }
 
     #[test]
     fn a_sink_error_ends_the_call_without_further_sink_calls() {
-        for jobs in [1, 2, 3, 8] {
-            let started = AtomicUsize::new(0);
-            let mut calls = Vec::new();
-            let out = par_for_each_ordered(
-                jobs,
-                1000,
-                4,
-                |i| {
-                    started.fetch_add(1, Ordering::SeqCst);
-                    i
-                },
-                |i, _| {
-                    calls.push(i);
-                    if i == 5 {
-                        Err(format!("stop at {i}"))
-                    } else {
-                        Ok(())
-                    }
-                },
-            );
-            assert_eq!(out, Err("stop at 5".to_string()), "jobs={jobs}");
-            assert_eq!(calls, (0..=5).collect::<Vec<_>>());
-            // Nothing past the window of the stopping index starts.
-            assert!(started.load(Ordering::SeqCst) <= 5 + 4, "jobs={jobs}");
-        }
+        within_deadline(|| {
+            for jobs in [1, 2, 3, 8] {
+                let started = AtomicUsize::new(0);
+                let mut calls = Vec::new();
+                let out = par_for_each_ordered(
+                    jobs,
+                    1000,
+                    4,
+                    |i| {
+                        started.fetch_add(1, Ordering::SeqCst);
+                        i
+                    },
+                    |i, _| {
+                        calls.push(i);
+                        if i == 5 {
+                            Err(format!("stop at {i}"))
+                        } else {
+                            Ok(())
+                        }
+                    },
+                );
+                assert_eq!(out, Err("stop at 5".to_string()), "jobs={jobs}");
+                assert_eq!(calls, (0..=5).collect::<Vec<_>>());
+                // Nothing past the window of the stopping index starts.
+                assert!(started.load(Ordering::SeqCst) <= 5 + 4, "jobs={jobs}");
+            }
+        });
     }
 
     #[test]
     fn a_panicking_sink_does_not_hang_the_pool() {
-        for jobs in [2, 3, 8] {
-            let caught = std::panic::catch_unwind(|| {
-                let _: Result<(), ()> = par_for_each_ordered(
-                    jobs,
-                    500,
-                    2,
-                    |i| i,
-                    |i, _| {
-                        if i == 3 {
-                            panic!("sink failed at {i}");
-                        }
-                        Ok(())
-                    },
-                );
-            });
-            let payload = caught.expect_err("the sink panic must reach the caller");
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert_eq!(msg, "sink failed at 3", "jobs={jobs}");
-        }
+        within_deadline(|| {
+            for jobs in [2, 3, 8] {
+                let caught = std::panic::catch_unwind(|| {
+                    let _: Result<(), ()> = par_for_each_ordered(
+                        jobs,
+                        500,
+                        2,
+                        |i| i,
+                        |i, _| {
+                            if i == 3 {
+                                panic!("sink failed at {i}");
+                            }
+                            Ok(())
+                        },
+                    );
+                });
+                let payload = caught.expect_err("the sink panic must reach the caller");
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default();
+                assert_eq!(msg, "sink failed at 3", "jobs={jobs}");
+            }
+        });
     }
 
     #[test]
     fn empty_range_and_more_workers_than_tasks() {
-        let mut calls = 0;
-        let out: Result<(), ()> = par_for_each_ordered(
-            4,
-            0,
-            16,
-            |i| i,
-            |_, _| {
-                calls += 1;
-                Ok(())
-            },
-        );
-        assert_eq!((out, calls), (Ok(()), 0));
-
-        for n in [1, 2, 3] {
-            let mut got = Vec::new();
-            let _: Result<(), ()> = par_for_each_ordered(
-                8,
-                n,
+        within_deadline(|| {
+            let mut calls = 0;
+            let out: Result<(), ()> = par_for_each_ordered(
+                4,
+                0,
                 16,
-                |i| i + 10,
-                |i, r| {
-                    got.push((i, r.expect("no panics")));
+                |i| i,
+                |_, _| {
+                    calls += 1;
                     Ok(())
                 },
             );
-            assert_eq!(got, (0..n).map(|i| (i, i + 10)).collect::<Vec<_>>());
-        }
+            assert_eq!((out, calls), (Ok(()), 0));
+
+            for n in [1, 2, 3] {
+                let mut got = Vec::new();
+                let _: Result<(), ()> = par_for_each_ordered(
+                    8,
+                    n,
+                    16,
+                    |i| i + 10,
+                    |i, r| {
+                        got.push((i, r.expect("no panics")));
+                        Ok(())
+                    },
+                );
+                assert_eq!(got, (0..n).map(|i| (i, i + 10)).collect::<Vec<_>>());
+            }
+        });
     }
 }

@@ -103,7 +103,12 @@ where
 
 #[cfg(test)]
 mod tests {
+    //! Each test runs under [`within_deadline`]: every front runs on
+    //! the ordered pipeline, whose caller waits on each index without
+    //! a bound, so a lost index would hang the suite instead of failing
+    //! the test.
     use super::*;
+    use proplite::within_deadline;
 
     fn mix(x: u64) -> u64 {
         // A cheap pure function with enough bit churn to catch any
@@ -115,146 +120,166 @@ mod tests {
 
     #[test]
     fn par_map_matches_serial_map() {
-        let items: Vec<u64> = (0..257).collect();
-        let serial: Vec<u64> = items.iter().map(|&x| mix(x)).collect();
-        for jobs in [1, 2, 3, 8] {
-            assert_eq!(par_map(jobs, &items, |&x| mix(x)), serial, "jobs={jobs}");
-        }
+        within_deadline(|| {
+            let items: Vec<u64> = (0..257).collect();
+            let serial: Vec<u64> = items.iter().map(|&x| mix(x)).collect();
+            for jobs in [1, 2, 3, 8] {
+                assert_eq!(par_map(jobs, &items, |&x| mix(x)), serial, "jobs={jobs}");
+            }
+        });
     }
 
     #[test]
     fn par_map_indexed_is_jobs_invariant() {
-        let one = par_map_indexed(1, 100, |i| mix(i as u64));
-        let eight = par_map_indexed(8, 100, |i| mix(i as u64));
-        assert_eq!(one, eight);
+        within_deadline(|| {
+            let one = par_map_indexed(1, 100, |i| mix(i as u64));
+            let eight = par_map_indexed(8, 100, |i| mix(i as u64));
+            assert_eq!(one, eight);
+        });
     }
 
     #[test]
     fn nested_par_map_works() {
-        // A task that itself fans out: scoped pools nest cleanly.
-        let out = par_map_indexed(4, 6, |i| {
-            let inner = par_map_indexed(2, 5, move |j| mix((i * 5 + j) as u64));
-            inner.iter().fold(0u64, |a, &b| a.wrapping_add(b))
+        within_deadline(|| {
+            // A task that itself fans out: scoped pools nest cleanly.
+            let out = par_map_indexed(4, 6, |i| {
+                let inner = par_map_indexed(2, 5, move |j| mix((i * 5 + j) as u64));
+                inner.iter().fold(0u64, |a, &b| a.wrapping_add(b))
+            });
+            let expect: Vec<u64> = (0..6)
+                .map(|i| (0..5).map(|j| mix((i * 5 + j) as u64)).fold(0u64, |a, b| a.wrapping_add(b)))
+                .collect();
+            assert_eq!(out, expect);
         });
-        let expect: Vec<u64> = (0..6)
-            .map(|i| (0..5).map(|j| mix((i * 5 + j) as u64)).fold(0u64, |a, b| a.wrapping_add(b)))
-            .collect();
-        assert_eq!(out, expect);
     }
 
     #[test]
     fn try_par_map_surfaces_panics_per_task() {
-        let items: Vec<usize> = (0..20).collect();
-        let out = try_par_map(4, &items, |&x| {
-            if x % 7 == 3 {
-                panic!("bad {x}");
+        within_deadline(|| {
+            let items: Vec<usize> = (0..20).collect();
+            let out = try_par_map(4, &items, |&x| {
+                if x % 7 == 3 {
+                    panic!("bad {x}");
+                }
+                x * 2
+            });
+            for (i, r) in out.iter().enumerate() {
+                if i % 7 == 3 {
+                    assert_eq!(r.as_ref().unwrap_err().task, i);
+                } else {
+                    assert_eq!(*r.as_ref().unwrap(), i * 2);
+                }
             }
-            x * 2
         });
-        for (i, r) in out.iter().enumerate() {
-            if i % 7 == 3 {
-                assert_eq!(r.as_ref().unwrap_err().task, i);
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), i * 2);
-            }
-        }
     }
 
     #[test]
     fn try_par_map_multi_panic_keeps_order_and_payloads() {
-        // Several tasks panic in the same run; every slot must still
-        // describe its own task, at any worker count.
-        let items: Vec<u64> = (0..33).map(mix).collect();
-        for jobs in [1, 2, 8] {
-            let out = try_par_map(jobs, &items, |&x| {
-                if x % 3 == 0 {
-                    panic!("value {x} rejected");
-                }
-                x.wrapping_mul(3)
-            });
-            assert_eq!(out.len(), items.len(), "jobs={jobs}");
-            let mut panics = 0;
-            for (i, r) in out.iter().enumerate() {
-                let x = items[i];
-                match r {
-                    Err(p) => {
-                        panics += 1;
-                        assert_eq!(p.task, i);
-                        assert_eq!(p.payload, format!("value {x} rejected"));
-                        assert_eq!(x % 3, 0);
+        within_deadline(|| {
+            // Several tasks panic in the same run; every slot must still
+            // describe its own task, at any worker count.
+            let items: Vec<u64> = (0..33).map(mix).collect();
+            for jobs in [1, 2, 8] {
+                let out = try_par_map(jobs, &items, |&x| {
+                    if x % 3 == 0 {
+                        panic!("value {x} rejected");
                     }
-                    Ok(v) => assert_eq!(*v, x.wrapping_mul(3)),
+                    x.wrapping_mul(3)
+                });
+                assert_eq!(out.len(), items.len(), "jobs={jobs}");
+                let mut panics = 0;
+                for (i, r) in out.iter().enumerate() {
+                    let x = items[i];
+                    match r {
+                        Err(p) => {
+                            panics += 1;
+                            assert_eq!(p.task, i);
+                            assert_eq!(p.payload, format!("value {x} rejected"));
+                            assert_eq!(x % 3, 0);
+                        }
+                        Ok(v) => assert_eq!(*v, x.wrapping_mul(3)),
+                    }
                 }
+                assert!(panics >= 2, "fixture must exercise the multi-panic path");
             }
-            assert!(panics >= 2, "fixture must exercise the multi-panic path");
-        }
+        });
     }
 
     #[test]
     fn par_map_reraises_lowest_indexed_panic() {
-        let caught = std::panic::catch_unwind(|| {
-            par_map_indexed(4, 16, |i| {
-                if i == 3 || i == 12 {
-                    panic!("task {i} failed");
-                }
-                i
-            })
+        within_deadline(|| {
+            let caught = std::panic::catch_unwind(|| {
+                par_map_indexed(4, 16, |i| {
+                    if i == 3 || i == 12 {
+                        panic!("task {i} failed");
+                    }
+                    i
+                })
+            });
+            let payload = caught.expect_err("must re-raise");
+            let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert_eq!(msg, "task 3 failed", "lowest index wins deterministically");
         });
-        let payload = caught.expect_err("must re-raise");
-        let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert_eq!(msg, "task 3 failed", "lowest index wins deterministically");
     }
 
     #[test]
     fn par_map_with_reuses_scratch_per_worker() {
-        let out = par_map_with(
-            3,
-            40,
-            |_| Vec::<u64>::new(),
-            |buf, i| {
+        within_deadline(|| {
+            let out = par_map_with(
+                3,
+                40,
+                |_| Vec::<u64>::new(),
+                |buf, i| {
+                    buf.clear();
+                    buf.extend((0..4).map(|k| mix((i * 4 + k) as u64)));
+                    buf.iter().fold(0u64, |a, &b| a.wrapping_add(b))
+                },
+            );
+            assert_eq!(out.len(), 40);
+            let serial = par_map_with(1, 40, |_| Vec::<u64>::new(), |buf, i| {
                 buf.clear();
                 buf.extend((0..4).map(|k| mix((i * 4 + k) as u64)));
                 buf.iter().fold(0u64, |a, &b| a.wrapping_add(b))
-            },
-        );
-        assert_eq!(out.len(), 40);
-        let serial = par_map_with(1, 40, |_| Vec::<u64>::new(), |buf, i| {
-            buf.clear();
-            buf.extend((0..4).map(|k| mix((i * 4 + k) as u64)));
-            buf.iter().fold(0u64, |a, &b| a.wrapping_add(b))
+            });
+            assert_eq!(out, serial);
         });
-        assert_eq!(out, serial);
     }
 
     #[test]
     fn worker_state_is_per_worker_scratch() {
-        // Each worker's state is initialized once and reusable; tasks
-        // must not observe another task's leftovers if they overwrite
-        // before reading (the contract).
-        let out = par_map_with(
-            4,
-            50,
-            |w| vec![w; 8],
-            |buf, i| {
-                for slot in buf.iter_mut() {
-                    *slot = i;
-                }
-                buf.iter().sum::<usize>()
-            },
-        );
-        assert_eq!(out, (0..50).map(|i| i * 8).collect::<Vec<_>>());
+        within_deadline(|| {
+            // Each worker's state is initialized once and reusable; tasks
+            // must not observe another task's leftovers if they overwrite
+            // before reading (the contract).
+            let out = par_map_with(
+                4,
+                50,
+                |w| vec![w; 8],
+                |buf, i| {
+                    for slot in buf.iter_mut() {
+                        *slot = i;
+                    }
+                    buf.iter().sum::<usize>()
+                },
+            );
+            assert_eq!(out, (0..50).map(|i| i * 8).collect::<Vec<_>>());
+        });
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
-        assert!(par_map::<u64, u64, _>(4, &[], |&x| x).is_empty());
-        assert_eq!(par_map(4, &[41u64], |&x| x + 1), vec![42]);
+        within_deadline(|| {
+            assert!(par_map::<u64, u64, _>(4, &[], |&x| x).is_empty());
+            assert_eq!(par_map(4, &[41u64], |&x| x + 1), vec![42]);
+        });
     }
 
     #[test]
     fn zero_tasks_is_fine() {
-        assert!(par_map_with(4, 0, |_| (), |_, i| i).is_empty());
-        assert!(par_map_indexed(4, 0, |i| i).is_empty());
-        assert!(try_par_map::<u64, u64, _>(4, &[], |&x| x).is_empty());
+        within_deadline(|| {
+            assert!(par_map_with(4, 0, |_| (), |_, i| i).is_empty());
+            assert!(par_map_indexed(4, 0, |i| i).is_empty());
+            assert!(try_par_map::<u64, u64, _>(4, &[], |&x| x).is_empty());
+        });
     }
 }

@@ -4,6 +4,7 @@
 
 use exec::{par_for_each_ordered, par_map, par_map_indexed, par_map_with, try_par_map};
 use proplite::prelude::*;
+use proplite::within_deadline;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A cheap pure task body with full bit churn (SplitMix64 finalizer).
@@ -28,7 +29,29 @@ fn each_ran_once(runs: &[AtomicUsize]) -> Result<(), CaseError> {
     Ok(())
 }
 
-prop_cases! {
+/// [`prop_cases!`] with each property's whole run (every case and any
+/// shrinking) under [`within_deadline`]: every property here drives
+/// the ordered pipeline, whose caller waits on each index without a
+/// bound, so a lost index must fail the test instead of hanging the
+/// suite.
+macro_rules! deadline_cases {
+    (#![config($cfg:expr)] $($(#[$meta:meta])* fn $name:ident($($args:tt)*) $body:block)*) => {
+        $(
+            $(#[$meta])*
+            fn $name() {
+                within_deadline(|| {
+                    prop_cases! {
+                        #![config($cfg)]
+                        fn property($($args)*) $body
+                    }
+                    property()
+                });
+            }
+        )*
+    };
+}
+
+deadline_cases! {
     #![config(Config::with_cases(48))]
 
     /// par_map over arbitrary inputs is invariant to the worker count:

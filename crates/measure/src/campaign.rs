@@ -18,7 +18,8 @@ use netsim::shaper::{MinShaper, Shaper, StaticShaper};
 use netsim::tcp::{StreamConfig, StreamSim};
 use netsim::trace::BandwidthTrace;
 use std::collections::BTreeMap;
-use vstats::describe::{GapAwareSummary, Summary};
+use vstats::describe::Summary;
+use vstats::sketch::Coverage;
 
 /// Seed-derivation labels: fault timeline, per-sample probe loss, and
 /// pair death draws must come from decoupled streams so that turning
@@ -90,9 +91,9 @@ pub struct CampaignResult {
     /// a fault-free campaign.
     pub gaps: Vec<TraceGap>,
     /// Gap-aware accounting: how many samples were expected, how many
-    /// arrived, and the surviving summary. `coverage() == 1.0` for a
-    /// fault-free campaign.
-    pub gap_summary: GapAwareSummary,
+    /// arrived, and how many gaps `gaps` holds. `coverage() == 1.0` for
+    /// a fault-free campaign.
+    pub coverage: Coverage,
     /// Total retransmissions observed.
     pub total_retransmissions: u64,
     /// Total bits transferred.
@@ -118,17 +119,55 @@ impl CampaignResult {
 
     /// Fraction of expected samples that survived, in `[0, 1]`.
     pub fn coverage(&self) -> f64 {
-        self.gap_summary.coverage()
+        self.coverage.coverage()
     }
 
     /// Whether any samples were lost to faults.
     pub fn is_degraded(&self) -> bool {
-        self.gap_summary.is_degraded()
+        self.coverage.is_degraded()
     }
 
     /// Total seconds of the campaign covered by gaps.
     pub fn gapped_time_s(&self) -> f64 {
         self.gaps.iter().map(|g| g.duration_s()).sum()
+    }
+
+    /// The one constructor, shared by the live campaign and the journal
+    /// decoder so that both derive the same bits: the summary and
+    /// coverage of the surviving samples, the trace totals, and the
+    /// pair's cost for `billed_s` seconds (a pair that died early is
+    /// billed to its death, not to `duration_s`). `gaps` must already
+    /// be merged. `None` when no sample survived or `expected_n` is
+    /// below the sample count.
+    pub(crate) fn derive(
+        profile: &CloudProfile,
+        pattern: TrafficPattern,
+        duration_s: f64,
+        mut trace: BandwidthTrace,
+        gaps: Vec<TraceGap>,
+        expected_n: u64,
+        billed_s: f64,
+    ) -> Option<CampaignResult> {
+        let bandwidths = trace.bandwidths();
+        let observed = bandwidths.len() as u64;
+        if observed == 0 || expected_n < observed {
+            return None;
+        }
+        trace.samples.shrink_to_fit();
+        let hours = billed_s / 3600.0;
+        Some(CampaignResult {
+            provider: profile.provider.name(),
+            instance_type: profile.instance_type,
+            pattern: pattern.label(),
+            duration_s,
+            summary: Summary::from_samples(&bandwidths),
+            coverage: Coverage { expected: expected_n, observed, gaps: gaps.len() as u64 },
+            gaps,
+            total_retransmissions: trace.total_retransmissions(),
+            total_bits: trace.total_bits(),
+            cost_usd: profile.price_per_hour_usd.map(|p| p * 2.0 * hours),
+            trace,
+        })
     }
 }
 
@@ -224,41 +263,11 @@ fn run_campaign_with<S: Shaper>(
         )
     };
 
-    package_result(profile, pattern, duration_s, bandwidth, gaps)
-}
-
-/// Shared tail of the campaign runners: summarize the surviving trace
-/// and annotate the gap accounting.
-fn package_result(
-    profile: &CloudProfile,
-    pattern: TrafficPattern,
-    duration_s: f64,
-    mut bandwidth: BandwidthTrace,
-    gaps: Vec<TraceGap>,
-) -> Result<CampaignResult, MeasureError> {
-    let bandwidths = bandwidth.bandwidths();
-    if bandwidths.is_empty() {
-        return Err(MeasureError::EmptyTrace);
-    }
-    let expected_n = bandwidths.len() + gaps.len();
+    // Every censored sample left one unmerged gap behind.
+    let expected_n = (bandwidth.samples.len() + gaps.len()) as u64;
     let gaps = merge_gaps(gaps);
-    let summary = Summary::from_samples(&bandwidths);
-    let gap_summary = GapAwareSummary::from_samples(&bandwidths, expected_n, gaps.len());
-    bandwidth.samples.shrink_to_fit();
-    let hours = duration_s / 3600.0;
-    Ok(CampaignResult {
-        provider: profile.provider.name(),
-        instance_type: profile.instance_type,
-        pattern: pattern.label(),
-        duration_s,
-        total_retransmissions: bandwidth.total_retransmissions(),
-        total_bits: bandwidth.total_bits(),
-        cost_usd: profile.price_per_hour_usd.map(|p| p * 2.0 * hours),
-        summary,
-        gaps,
-        gap_summary,
-        trace: bandwidth,
-    })
+    CampaignResult::derive(profile, pattern, duration_s, bandwidth, gaps, expected_n, duration_s)
+        .ok_or(MeasureError::EmptyTrace)
 }
 
 /// Remove samples lost to stalls or probe loss; return the surviving
@@ -420,6 +429,15 @@ impl FleetResult {
         self.across_pairs.cov
     }
 
+    /// Coverage accounting folded over every pair with data.
+    pub fn coverage(&self) -> Coverage {
+        let mut total = Coverage::default();
+        for p in &self.pairs {
+            total.merge(&p.coverage);
+        }
+        total
+    }
+
     /// Whether any pair died or panicked, or any trace has gaps.
     pub fn is_degraded(&self) -> bool {
         !self.failed_pairs.is_empty()
@@ -468,7 +486,6 @@ pub(crate) fn simulate_pair_capped(
         Ok(mut r) => {
             let interval = r.trace.interval;
             let lost_after_death = expected_intervals(pattern, death_s, duration_s, interval, 0.1);
-            let expected_n = r.gap_summary.expected_n + lost_after_death;
             r.duration_s = duration_s;
             r.gaps.push(TraceGap {
                 start_s: death_s,
@@ -476,8 +493,8 @@ pub(crate) fn simulate_pair_capped(
                 cause: GapCause::PairDeath,
             });
             r.gaps = merge_gaps(std::mem::take(&mut r.gaps));
-            r.gap_summary =
-                GapAwareSummary::from_samples(&r.trace.bandwidths(), expected_n, r.gaps.len());
+            r.coverage.expected += lost_after_death as u64;
+            r.coverage.gaps = r.gaps.len() as u64;
             Ok(PairSim::Partial(r, PairFailure { pair: i, death_s, partial_data: true }))
         }
         Err(MeasureError::EmptyTrace) => {
@@ -704,7 +721,7 @@ mod tests {
         // Bit-for-bit reproducible from the seed, faults included.
         assert_eq!(a.trace.samples, b.trace.samples);
         assert_eq!(a.gaps, b.gaps);
-        assert_eq!(a.gap_summary, b.gap_summary);
+        assert_eq!(a.coverage, b.coverage);
         // A 24-hour campaign at reference rates loses *some* data.
         assert!(a.is_degraded(), "no faults hit in 24 h?");
         assert!(!a.gaps.is_empty());
@@ -718,8 +735,8 @@ mod tests {
             assert!(w[0].end_s <= w[1].start_s + 1e-9 || w[0].cause != w[1].cause);
         }
         // Accounting adds up: surviving + lost = expected.
-        assert_eq!(a.gap_summary.observed_n, a.trace.samples.len());
-        assert!(a.gap_summary.expected_n > a.gap_summary.observed_n);
+        assert_eq!(a.coverage.observed, a.trace.samples.len() as u64);
+        assert!(a.coverage.expected > a.coverage.observed);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!
 //! * [`campaign`] — week-scale bandwidth campaigns per cloud and
 //!   traffic pattern, producing the 10-second summaries behind
-//!   Figures 4–6, 9, 10 and Table 3.
+//!   Figures 4–6, 9, 10 and Table 3. Each [`CampaignResult`] carries
+//!   one `Summary` and one gap-aware `Coverage`, derived by one
+//!   constructor that the journal decoder shares.
 //! * [`latency`] — per-segment RTT collection (Figures 7, 8) and the
 //!   `write()`-size sweep of Figure 12.
 //! * [`probe`] — black-box identification of token-bucket parameters
@@ -35,7 +37,9 @@
 //!   by a simulated-step budget and the campaign by a retry budget.
 //! * [`stream`] — million-tenant campaigns folded into fixed-size
 //!   sketch state, with the same two-driver shape: [`run_fleet_stream`]
-//!   and [`run_fleet_stream_journaled`].
+//!   and [`run_fleet_stream_journaled`]. A pane and the campaign are
+//!   both a [`StreamSummary`]; the campaign absorbs its panes in pane
+//!   order.
 //!
 //! Both journaled drivers report each durable checkpoint to a callback
 //! with the pairs or tenants it covers; the CLI's one crash-test flag,

@@ -17,8 +17,8 @@
 //!
 //! Tenants are partitioned into fixed panes of [`PANE_TENANTS`]. A
 //! worker folds its pane's tenants **serially in tenant order** into a
-//! pane accumulator; the driver merges pane accumulators **in pane
-//! order**. Both fold orders are fixed by tenant index — never by
+//! pane [`StreamSummary`]; the driver absorbs the pane summaries **in
+//! pane order**. Both fold orders are fixed by tenant index — never by
 //! worker count or completion order — so the report is byte-identical
 //! at any `--jobs`. A chained FNV-1a fingerprint (per-tenant record
 //! bytes → pane digest → campaign digest) witnesses this: verify.sh
@@ -231,121 +231,6 @@ fn tenant_path_cap(p: &Placement, pair_seed: u64, tenant: u64) -> Option<f64> {
     cap.is_finite().then_some(cap)
 }
 
-/// One pane's fold state — fixed size, merged into [`StreamSummary`]
-/// in pane order.
-struct PaneAccum {
-    tenants: u64,
-    alive: u64,
-    partial: u64,
-    dead: u64,
-    panicked: u64,
-    mean_bps: Sketch,
-    within_cov: Sketch,
-    coverage: Coverage,
-    total_retransmissions: u64,
-    total_bits: f64,
-    /// FNV-1a digest of this pane's tenant records, from the basis.
-    fp: u64,
-    /// Exact per-tenant means (self-check mode only).
-    check_means: Vec<f64>,
-}
-
-impl PaneAccum {
-    fn new() -> PaneAccum {
-        PaneAccum {
-            tenants: 0,
-            alive: 0,
-            partial: 0,
-            dead: 0,
-            panicked: 0,
-            mean_bps: Sketch::new(SketchConfig::bandwidth_bps()),
-            within_cov: Sketch::new(SketchConfig::ratio()),
-            coverage: Coverage::default(),
-            total_retransmissions: 0,
-            total_bits: 0.0,
-            fp: FNV_BASIS,
-            check_means: Vec::new(),
-        }
-    }
-
-    /// A stand-in for a pane whose worker task panicked: every tenant
-    /// in it is counted panicked, and the pane digest deterministically
-    /// records the event (so a panicked pane still produces the same
-    /// bytes at any worker count).
-    fn panicked_pane(pane: u64, n_tenants: u64) -> PaneAccum {
-        let mut acc = PaneAccum::new();
-        acc.tenants = n_tenants;
-        acc.panicked = n_tenants;
-        acc.fp = fnv_fold(
-            acc.fp,
-            &tenant_record(3, pane, 0.0, 0.0, 0.0, 0.0, n_tenants, 0, 0, 0, 0.0, 0.0),
-        );
-        acc
-    }
-
-    fn fold(&mut self, tenant: u64, sim: PairSim, self_check: bool) {
-        self.tenants += 1;
-        match sim {
-            PairSim::Alive(r) => {
-                self.alive += 1;
-                self.fold_result(0, tenant, &r, f64::INFINITY, self_check);
-            }
-            PairSim::Partial(r, f) => {
-                self.partial += 1;
-                self.fold_result(1, tenant, &r, f.death_s, self_check);
-            }
-            PairSim::Dead(f) => {
-                self.dead += 1;
-                self.fp = fnv_fold(
-                    self.fp,
-                    &tenant_record(2, tenant, 0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0, 0.0, f.death_s),
-                );
-            }
-        }
-    }
-
-    fn fold_result(
-        &mut self,
-        tag: u8,
-        tenant: u64,
-        r: &crate::campaign::CampaignResult,
-        death_s: f64,
-        self_check: bool,
-    ) {
-        let mean = r.summary.mean;
-        let cov = r.summary.cov;
-        self.mean_bps.push(mean);
-        self.within_cov.push(cov);
-        self.coverage.add(
-            r.gap_summary.expected_n as u64,
-            r.gap_summary.observed_n as u64,
-            r.gaps.len() as u64,
-        );
-        self.total_retransmissions += r.total_retransmissions;
-        self.total_bits += r.total_bits;
-        if self_check {
-            self.check_means.push(mean);
-        }
-        self.fp = fnv_fold(
-            self.fp,
-            &tenant_record(
-                tag,
-                tenant,
-                mean,
-                cov,
-                r.summary.min,
-                r.summary.max,
-                r.gap_summary.expected_n as u64,
-                r.gap_summary.observed_n as u64,
-                r.gaps.len() as u64,
-                r.total_retransmissions,
-                r.total_bits,
-                death_s,
-            ),
-        );
-    }
-}
-
 /// Bit-faithful per-tenant record bytes (the unit of the campaign
 /// digest): tag, tenant index, the folded statistics, and the death
 /// time. Record layout is fixed so the digest is stable.
@@ -385,11 +270,13 @@ fn tenant_record(
     b
 }
 
-/// The streaming campaign's complete result — fixed-size no matter how
-/// many tenants were simulated (self-check mode excepted).
+/// A fold of streamed tenants, fixed-size no matter how many tenants
+/// were simulated (self-check mode excepted): one pane's, folded in
+/// tenant order, or the campaign's complete result, which absorbs the
+/// panes in pane order.
 #[derive(Debug, Clone)]
 pub struct StreamSummary {
-    /// Tenants requested by the spec.
+    /// Tenants requested by the spec (by the pane, for a pane).
     pub tenants: u64,
     /// Tenants actually folded (equals `tenants` on success).
     pub tenants_done: u64,
@@ -411,17 +298,20 @@ pub struct StreamSummary {
     pub total_retransmissions: u64,
     /// Total bits moved across all tenants.
     pub total_bits: f64,
-    /// Chained FNV-1a digest of every tenant record in tenant order —
-    /// the jobs-invariance witness.
+    /// Chained FNV-1a digest — the jobs-invariance witness. A pane
+    /// chains its tenant records in tenant order; the campaign chains
+    /// its panes' digests in pane order.
     pub fingerprint: u64,
     /// Exact per-tenant means (self-check mode only; empty otherwise).
     check_means: Vec<f64>,
 }
 
 impl StreamSummary {
-    fn empty(spec: &StreamSpec) -> StreamSummary {
+    /// An empty fold over `tenants` tenants: a whole campaign's, or one
+    /// pane's, whose digest then chains from the basis.
+    fn empty(tenants: u64) -> StreamSummary {
         StreamSummary {
-            tenants: spec.tenants,
+            tenants,
             tenants_done: 0,
             alive: 0,
             partial: 0,
@@ -437,9 +327,84 @@ impl StreamSummary {
         }
     }
 
-    /// Merge one pane, in pane order; returns the pane's digest.
-    fn absorb(&mut self, pane: PaneAccum) -> u64 {
-        self.tenants_done += pane.tenants;
+    /// A stand-in for a pane whose worker task panicked: every tenant
+    /// in it is counted panicked, and the pane digest deterministically
+    /// records the event (so a panicked pane still produces the same
+    /// bytes at any worker count).
+    fn panicked_pane(pane: u64, n_tenants: u64) -> StreamSummary {
+        let mut acc = StreamSummary::empty(n_tenants);
+        acc.tenants_done = n_tenants;
+        acc.panicked = n_tenants;
+        acc.fingerprint = fnv_fold(
+            acc.fingerprint,
+            &tenant_record(3, pane, 0.0, 0.0, 0.0, 0.0, n_tenants, 0, 0, 0, 0.0, 0.0),
+        );
+        acc
+    }
+
+    /// Fold one tenant's outcome into a pane, in tenant order.
+    fn fold(&mut self, tenant: u64, sim: PairSim, self_check: bool) {
+        self.tenants_done += 1;
+        match sim {
+            PairSim::Alive(r) => {
+                self.alive += 1;
+                self.fold_result(0, tenant, &r, f64::INFINITY, self_check);
+            }
+            PairSim::Partial(r, f) => {
+                self.partial += 1;
+                self.fold_result(1, tenant, &r, f.death_s, self_check);
+            }
+            PairSim::Dead(f) => {
+                self.dead += 1;
+                self.fingerprint = fnv_fold(
+                    self.fingerprint,
+                    &tenant_record(2, tenant, 0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0, 0.0, f.death_s),
+                );
+            }
+        }
+    }
+
+    fn fold_result(
+        &mut self,
+        tag: u8,
+        tenant: u64,
+        r: &crate::campaign::CampaignResult,
+        death_s: f64,
+        self_check: bool,
+    ) {
+        let mean = r.summary.mean;
+        let cov = r.summary.cov;
+        self.mean_bps.push(mean);
+        self.within_cov.push(cov);
+        self.coverage.merge(&r.coverage);
+        self.total_retransmissions += r.total_retransmissions;
+        self.total_bits += r.total_bits;
+        if self_check {
+            self.check_means.push(mean);
+        }
+        self.fingerprint = fnv_fold(
+            self.fingerprint,
+            &tenant_record(
+                tag,
+                tenant,
+                mean,
+                cov,
+                r.summary.min,
+                r.summary.max,
+                r.coverage.expected,
+                r.coverage.observed,
+                r.coverage.gaps,
+                r.total_retransmissions,
+                r.total_bits,
+                death_s,
+            ),
+        );
+    }
+
+    /// Merge one pane's summary, in pane order; returns the pane's
+    /// digest.
+    fn absorb(&mut self, pane: StreamSummary) -> u64 {
+        self.tenants_done += pane.tenants_done;
         self.alive += pane.alive;
         self.partial += pane.partial;
         self.dead += pane.dead;
@@ -451,9 +416,9 @@ impl StreamSummary {
         self.coverage.merge(&pane.coverage);
         self.total_retransmissions += pane.total_retransmissions;
         self.total_bits += pane.total_bits;
-        self.fingerprint = fnv_fold(self.fingerprint, &pane.fp.to_le_bytes());
+        self.fingerprint = fnv_fold(self.fingerprint, &pane.fingerprint.to_le_bytes());
         self.check_means.extend_from_slice(&pane.check_means);
-        pane.fp
+        pane.fingerprint
     }
 
     /// Cross-check the sketch against the exact `describe` path over
@@ -601,9 +566,9 @@ fn simulate_pane(
     spec: &StreamSpec,
     placement: Option<&Placement>,
     pane: u64,
-) -> Result<PaneAccum, MeasureError> {
+) -> Result<StreamSummary, MeasureError> {
     let (start, end) = spec.pane_bounds(pane);
-    let mut acc = PaneAccum::new();
+    let mut acc = StreamSummary::empty(end - start);
     for t in start..end {
         let pair_seed = derive_seed(spec.seed, t);
         let cap = placement.and_then(|p| tenant_path_cap(p, pair_seed, t));
@@ -624,7 +589,7 @@ fn simulate_pane(
 /// the panes in flight; the report is byte-identical at any `jobs`.
 pub fn run_fleet_stream(spec: &StreamSpec, jobs: usize) -> Result<StreamSummary, MeasureError> {
     let placement = resolve_placement(spec)?;
-    let mut summary = StreamSummary::empty(spec);
+    let mut summary = StreamSummary::empty(spec.tenants);
     drive_panes(spec, placement.as_ref(), jobs, 0, &mut summary, |_, _, _| Ok(()))?;
     Ok(summary)
 }
@@ -658,7 +623,7 @@ fn drive_panes(
                 // are counted panicked and the campaign continues.
                 Err(_panic) => {
                     let (s, e) = spec.pane_bounds(p);
-                    PaneAccum::panicked_pane(p, e - s)
+                    StreamSummary::panicked_pane(p, e - s)
                 }
             };
             let pane_fp = summary.absorb(acc);
@@ -723,7 +688,7 @@ pub fn run_fleet_stream_journaled(
         open_or_create(journal_path, config_fp, resume, |rec| last_record = Some(rec))?;
 
     let placement = resolve_placement(spec)?;
-    let mut summary = StreamSummary::empty(spec);
+    let mut summary = StreamSummary::empty(spec.tenants);
     let mut last_ckpt: u64 = 0;
     let mut verified_pane = false;
     let mut start_pane: u64 = 0;
@@ -737,11 +702,11 @@ pub fn run_fleet_stream_journaled(
             });
         };
         let fresh = simulate_pane(spec, placement.as_ref(), ckpt.last_pane)?;
-        if fresh.fp != ckpt.last_pane_fp {
+        if fresh.fingerprint != ckpt.last_pane_fp {
             return Err(MeasureError::ResumeDivergence {
                 shard: ckpt.last_pane,
                 journaled_fp: ckpt.last_pane_fp,
-                recomputed_fp: fresh.fp,
+                recomputed_fp: fresh.fingerprint,
             });
         }
         verified_pane = true;

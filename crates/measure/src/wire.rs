@@ -15,7 +15,6 @@ use crate::campaign::{CampaignResult, GapCause, PairFailure, PairSim, TraceGap};
 use clouds::CloudProfile;
 use netsim::pattern::TrafficPattern;
 use netsim::trace::{BandwidthTrace, BwSample};
-use vstats::describe::{GapAwareSummary, Summary};
 
 /// A shard's final, journal-worthy outcome: the simulated pair's
 /// outcome, or one of the two supervision-only terminal states
@@ -154,13 +153,13 @@ fn encode_campaign(buf: &mut Vec<u8>, r: &CampaignResult) {
         buf.extend_from_slice(&g.end_s.to_bits().to_le_bytes());
         buf.push(gap_cause_tag(g.cause));
     }
-    buf.extend_from_slice(&(r.gap_summary.expected_n as u32).to_le_bytes());
+    buf.extend_from_slice(&(r.coverage.expected as u32).to_le_bytes());
 }
 
-/// Rebuild a [`CampaignResult`] from its encoded core, recomputing the
-/// derived fields with the same expressions the live campaign uses so
-/// the result is bit-identical. `billed_to_s` is the death time for a
-/// partial pair (billing stops at death), `None` for a survivor.
+/// Rebuild a [`CampaignResult`] from its encoded core through the
+/// constructor the live campaign uses, so every derived field is
+/// bit-identical. `billed_to_s` is the death time for a partial pair
+/// (billing stops at death), `None` for a survivor.
 fn decode_campaign(
     r: &mut Reader<'_>,
     profile: &CloudProfile,
@@ -189,26 +188,10 @@ fn decode_campaign(
             cause: gap_cause_from_tag(r.u8()?)?,
         });
     }
-    let expected_n = r.u32()? as usize;
-    let bandwidths = trace.bandwidths();
-    if bandwidths.is_empty() {
-        return None; // an Alive/Partial record always has samples
-    }
-    // Same expression order as `run_campaign`, for identical f64 bits.
-    let hours = billed_to_s.unwrap_or(duration_s) / 3600.0;
-    Some(CampaignResult {
-        provider: profile.provider.name(),
-        instance_type: profile.instance_type,
-        pattern: pattern.label(),
-        duration_s,
-        summary: Summary::from_samples(&bandwidths),
-        gap_summary: GapAwareSummary::from_samples(&bandwidths, expected_n, gaps.len()),
-        gaps,
-        total_retransmissions: trace.total_retransmissions(),
-        total_bits: trace.total_bits(),
-        cost_usd: profile.price_per_hour_usd.map(|p| p * 2.0 * hours),
-        trace,
-    })
+    let expected_n = u64::from(r.u32()?);
+    // An Alive/Partial record always has samples, never more than expected.
+    let billed_s = billed_to_s.unwrap_or(duration_s);
+    CampaignResult::derive(profile, pattern, duration_s, trace, gaps, expected_n, billed_s)
 }
 
 fn gap_cause_tag(c: GapCause) -> u8 {
@@ -290,11 +273,16 @@ mod tests {
     use netsim::rng::derive_seed;
     use netsim::units::hours;
 
-    fn outcome_for(seed: u64, i: usize) -> ShardOutcome {
-        let mut p = clouds::hpccloud::n_core(8).with_reference_faults();
+    /// `p` with every reference fault on and a mean pair life of 2 h.
+    fn fault_heavy(p: CloudProfile) -> CloudProfile {
+        let mut p = p.with_reference_faults();
         p.faults.pair_death_rate_per_hour = 0.5;
+        p
+    }
+
+    fn outcome_for(p: &CloudProfile, seed: u64, i: usize) -> ShardOutcome {
         let pair_seed = derive_seed(seed, i as u64);
-        let sim = simulate_pair_capped(&p, TrafficPattern::FullSpeed, hours(3.0), pair_seed, i, None)
+        let sim = simulate_pair_capped(p, TrafficPattern::FullSpeed, hours(3.0), pair_seed, i, None)
             .unwrap_or_else(|e| panic!("unexpected simulation error: {e}"));
         ShardOutcome { retries: i as u32, starved: i % 2 == 1, sim: ShardSim::Sim(sim) }
     }
@@ -313,47 +301,57 @@ mod tests {
             r.cost_usd.unwrap_or(f64::NAN).to_bits(),
             r.trace.samples,
             r.gaps,
-            r.gap_summary,
+            r.coverage,
         )
     }
 
     #[test]
     fn campaign_outcomes_roundtrip_bit_for_bit() {
-        let mut p = clouds::hpccloud::n_core(8).with_reference_faults();
-        p.faults.pair_death_rate_per_hour = 0.5;
-        let mut seen = [false, false];
-        for i in 0..12 {
-            let out = outcome_for(5, i);
-            match out.sim {
-                ShardSim::Sim(PairSim::Alive(_)) => seen[0] = true,
-                ShardSim::Sim(PairSim::Partial(..)) => seen[1] = true,
-                _ => {}
+        // HPCCloud is free; EC2 is priced, so a partial pair's cost,
+        // billed to its death, goes through the decoder too.
+        for p in [clouds::hpccloud::n_core(8), clouds::ec2::c5_xlarge()].map(fault_heavy) {
+            let mut seen = [false, false];
+            for i in 0..12 {
+                let out = outcome_for(&p, 5, i);
+                match &out.sim {
+                    ShardSim::Sim(PairSim::Alive(_)) => seen[0] = true,
+                    ShardSim::Sim(PairSim::Partial(r, f)) => {
+                        seen[1] = true;
+                        if let Some(cost) = r.cost_usd {
+                            let per_s = p.price_per_hour_usd.expect("priced") * 2.0 / 3600.0;
+                            assert!((cost - per_s * f.death_s).abs() < 1e-9, "billed to death");
+                        }
+                    }
+                    _ => {}
+                }
+                let bytes = encode_outcome(&out);
+                let back = decode_outcome(&bytes, &p, TrafficPattern::FullSpeed, i)
+                    .unwrap_or_else(|| panic!("shard {i} failed to decode"));
+                assert_eq!(back.retries, out.retries);
+                assert_eq!(back.starved, out.starved);
+                match (&out.sim, &back.sim) {
+                    (ShardSim::Sim(PairSim::Alive(a)), ShardSim::Sim(PairSim::Alive(b))) => {
+                        assert_eq!(campaign_bits(a), campaign_bits(b));
+                    }
+                    (
+                        ShardSim::Sim(PairSim::Partial(a, fa)),
+                        ShardSim::Sim(PairSim::Partial(b, fb)),
+                    ) => {
+                        assert_eq!(campaign_bits(a), campaign_bits(b));
+                        assert_eq!(fa, fb);
+                    }
+                    (ShardSim::Sim(PairSim::Dead(fa)), ShardSim::Sim(PairSim::Dead(fb))) => {
+                        assert_eq!(fa, fb)
+                    }
+                    (a, b) => panic!("variant changed in roundtrip: {a:?} vs {b:?}"),
+                }
+                // Re-encoding the decoded outcome reproduces the bytes.
+                assert_eq!(encode_outcome(&back), bytes, "shard {i} re-encode differs");
             }
-            let bytes = encode_outcome(&out);
-            let back = decode_outcome(&bytes, &p, TrafficPattern::FullSpeed, i)
-                .unwrap_or_else(|| panic!("shard {i} failed to decode"));
-            assert_eq!(back.retries, out.retries);
-            assert_eq!(back.starved, out.starved);
-            match (&out.sim, &back.sim) {
-                (ShardSim::Sim(PairSim::Alive(a)), ShardSim::Sim(PairSim::Alive(b))) => {
-                    assert_eq!(campaign_bits(a), campaign_bits(b));
-                }
-                (
-                    ShardSim::Sim(PairSim::Partial(a, fa)),
-                    ShardSim::Sim(PairSim::Partial(b, fb)),
-                ) => {
-                    assert_eq!(campaign_bits(a), campaign_bits(b));
-                    assert_eq!(fa, fb);
-                }
-                (ShardSim::Sim(PairSim::Dead(fa)), ShardSim::Sim(PairSim::Dead(fb))) => {
-                    assert_eq!(fa, fb)
-                }
-                (a, b) => panic!("variant changed in roundtrip: {a:?} vs {b:?}"),
-            }
-            // Re-encoding the decoded outcome reproduces the bytes.
-            assert_eq!(encode_outcome(&back), bytes, "shard {i} re-encode differs");
+            let name = p.instance_type;
+            assert!(seen.iter().all(|&s| s), "{name}: fixture should cover alive and partial");
         }
-        assert!(seen.iter().all(|&s| s), "fixture should cover alive and partial: {seen:?}");
+        let p = fault_heavy(clouds::hpccloud::n_core(8));
 
         // Dead (died before producing anything) is too rare to draw
         // from the fixture; round-trip it explicitly.
@@ -409,8 +407,8 @@ mod tests {
 
     #[test]
     fn malformed_bodies_decode_to_none() {
-        let p = clouds::hpccloud::n_core(8);
-        let out = outcome_for(5, 0);
+        let p = fault_heavy(clouds::hpccloud::n_core(8));
+        let out = outcome_for(&p, 5, 0);
         let bytes = encode_outcome(&out);
         // Truncation at any prefix length never panics, and only the
         // full buffer decodes.

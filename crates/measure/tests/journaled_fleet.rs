@@ -59,7 +59,7 @@ fn fleet_bits(f: &FleetResult) -> String {
             p.total_retransmissions,
             p.cost_usd.unwrap_or(f64::NAN).to_bits(),
             p.gaps,
-            p.gap_summary,
+            p.coverage,
         );
     }
     s

@@ -86,12 +86,12 @@ prop_cases! {
         let b = run_campaign(&profile, TrafficPattern::FullSpeed, duration, seed).unwrap();
         prop_assert!(a.trace.samples == b.trace.samples);
         prop_assert!(a.gaps == b.gaps);
-        prop_assert!(a.gap_summary == b.gap_summary);
+        prop_assert!(a.coverage == b.coverage);
         // Accounting invariants: the expected count covers every
         // surviving sample, coverage is a fraction, gaps are ordered
         // and inside the campaign window.
-        prop_assert!(a.gap_summary.expected_n >= a.gap_summary.observed_n);
-        prop_assert!(a.gap_summary.observed_n == a.trace.samples.len());
+        prop_assert!(a.coverage.expected >= a.coverage.observed);
+        prop_assert!(a.coverage.observed == a.trace.samples.len() as u64);
         prop_assert!((0.0..=1.0).contains(&a.coverage()));
         for g in &a.gaps {
             prop_assert!(g.start_s < g.end_s && g.end_s <= duration + 1e-9);

@@ -74,6 +74,19 @@ pub enum StepPath {
     Reference,
 }
 
+impl StepPath {
+    /// The engine the environment selects: [`StepPath::Reference`] when
+    /// `FABRIC_SLOW_PATH` is set to anything but `0`, for A/B
+    /// verification, else [`StepPath::Event`]. The one place that reads
+    /// the variable.
+    pub fn from_env() -> StepPath {
+        match std::env::var_os("FABRIC_SLOW_PATH") {
+            Some(v) if v != "0" => StepPath::Reference,
+            _ => StepPath::Event,
+        }
+    }
+}
+
 /// The closed-form next-event bound for one kernel window: the number
 /// of steps the event engine may take before any cached input *could*
 /// change, and which source bound it. Built by min-reducing per-node
@@ -538,12 +551,10 @@ impl<S: Shaper> Default for Fabric<S> {
 }
 
 impl<S: Shaper> Fabric<S> {
-    /// An empty fabric at t=0 running the event-driven engine.
-    /// `FABRIC_SLOW_PATH` (set to anything but `0`) forces the
-    /// reference loops for A/B verification; the two are bit-identical
-    /// in every observable.
+    /// An empty fabric at t=0 running the engine
+    /// [`StepPath::from_env`] selects; the two are bit-identical in
+    /// every observable.
     pub fn new() -> Self {
-        let slow = std::env::var_os("FABRIC_SLOW_PATH").is_some_and(|v| v != "0");
         Fabric {
             nodes: Vec::new(),
             flows: FlowMap::default(),
@@ -560,11 +571,7 @@ impl<S: Shaper> Fabric<S> {
             active_link: Vec::new(),
             scratch: StepScratch::default(),
             perf: FabricPerf::default(),
-            path: if slow {
-                StepPath::Reference
-            } else {
-                StepPath::Event
-            },
+            path: StepPath::from_env(),
         }
     }
 

@@ -35,12 +35,14 @@
 //! | `prop_assert!` / `prop_assert_eq!` / `prop_assume!` | same names |
 
 pub mod combinators;
+pub mod deadline;
 pub mod runner;
 pub mod strategy;
 
 mod macros;
 
 pub use combinators::{oneof, Filter, Map, OneOf};
+pub use deadline::{within_deadline, DEADLINE};
 pub use runner::{check, run, CaseError, CaseResult, Config, Failure};
 pub use strategy::{bools, just, vec_of, Bools, Just, Strategy, VecOf};
 

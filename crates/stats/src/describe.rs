@@ -164,67 +164,6 @@ impl Summary {
     }
 }
 
-/// A [`Summary`] over a sample with known holes — the gap-aware form
-/// used for campaigns that lost probes or stalled mid-run.
-///
-/// Dropping lost intervals and summarizing the survivors as if nothing
-/// happened silently biases week-long campaigns (the gaps are rarely
-/// independent of the value being measured: stalls eat the *low*
-/// samples). `GapAwareSummary` keeps the survivor statistics but
-/// carries the accounting needed to decide whether they are
-/// trustworthy: how many observations were expected, how many arrived,
-/// and how many distinct gaps the trace had.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GapAwareSummary {
-    /// Summary over the surviving samples (`None` if none survived).
-    pub summary: Option<Summary>,
-    /// Observations the campaign would have produced with no faults.
-    pub expected_n: usize,
-    /// Observations that actually arrived.
-    pub observed_n: usize,
-    /// Number of distinct gaps in the trace.
-    pub gap_count: usize,
-}
-
-impl GapAwareSummary {
-    /// Build from surviving samples plus the gap accounting.
-    /// `expected_n` must be at least `xs.len()`.
-    pub fn from_samples(xs: &[f64], expected_n: usize, gap_count: usize) -> Self {
-        assert!(
-            expected_n >= xs.len(),
-            "expected_n {} < observed {}",
-            expected_n,
-            xs.len()
-        );
-        GapAwareSummary {
-            summary: (!xs.is_empty()).then(|| Summary::from_samples(xs)),
-            expected_n,
-            observed_n: xs.len(),
-            gap_count,
-        }
-    }
-
-    /// A complete (gap-free) summary.
-    pub fn complete(xs: &[f64]) -> Self {
-        Self::from_samples(xs, xs.len(), 0)
-    }
-
-    /// Fraction of expected observations that arrived, in `[0, 1]`
-    /// (1.0 for an empty expected set: nothing was lost).
-    pub fn coverage(&self) -> f64 {
-        if self.expected_n == 0 {
-            1.0
-        } else {
-            self.observed_n as f64 / self.expected_n as f64
-        }
-    }
-
-    /// Whether any data was lost.
-    pub fn is_degraded(&self) -> bool {
-        self.observed_n < self.expected_n
-    }
-}
-
 /// Empirical CDF: sorted `(value, F(value))` points (Figure 6 left).
 pub fn ecdf(xs: &[f64]) -> Vec<(f64, f64)> {
     let mut sorted: Vec<f64> = xs.to_vec();
@@ -331,31 +270,6 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn summary_rejects_empty() {
         Summary::from_samples(&[]);
-    }
-
-    #[test]
-    fn gap_aware_summary_tracks_coverage() {
-        let xs: Vec<f64> = (1..=80).map(|i| i as f64).collect();
-        let g = GapAwareSummary::from_samples(&xs, 100, 3);
-        assert!((g.coverage() - 0.8).abs() < 1e-12);
-        assert!(g.is_degraded());
-        assert_eq!(g.gap_count, 3);
-        assert_eq!(g.summary.unwrap().n, 80);
-
-        let full = GapAwareSummary::complete(&xs);
-        assert_eq!(full.coverage(), 1.0);
-        assert!(!full.is_degraded());
-    }
-
-    #[test]
-    fn gap_aware_summary_survives_total_loss() {
-        let g = GapAwareSummary::from_samples(&[], 50, 1);
-        assert!(g.summary.is_none());
-        assert_eq!(g.coverage(), 0.0);
-        assert!(g.is_degraded());
-        // Degenerate: nothing expected, nothing observed.
-        let none = GapAwareSummary::from_samples(&[], 0, 0);
-        assert_eq!(none.coverage(), 1.0);
     }
 
     #[test]

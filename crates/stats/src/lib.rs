@@ -22,8 +22,9 @@
 //! * **Bootstrap** CIs and one-way **ANOVA** for robust comparisons —
 //!   [`bootstrap`], [`htest::anova`].
 //! * **Streaming sketches** for million-tenant campaigns: fixed-memory
-//!   deterministic quantiles, moments and coverage counters that are
-//!   bit-pinned to the exact path at small N — [`sketch`].
+//!   deterministic quantiles and moments that are bit-pinned to the
+//!   exact path at small N, and the gap-aware [`Coverage`] counters
+//!   every campaign, fleet and stream pane reports — [`sketch`].
 //!
 //! All routines are dependency-light (`rand` only, for the bootstrap)
 //! and deterministic where randomness is involved (explicit seeds).
@@ -43,8 +44,6 @@ pub use autocorr::{autocorrelation, autocovariance};
 pub use bootstrap::{block_bootstrap_ci, block_bootstrap_ci_jobs, bootstrap_ci, bootstrap_ci_jobs};
 pub use ci::{quantile_ci, QuantileCi};
 pub use confirm::{confirm_curve, repetitions_needed, ConfirmPoint};
-pub use describe::{
-    coefficient_of_variation, mean, median, quantile, std_dev, BoxSummary, GapAwareSummary, Summary,
-};
+pub use describe::{coefficient_of_variation, mean, median, quantile, std_dev, BoxSummary, Summary};
 pub use kappa::cohens_kappa;
 pub use sketch::{Coverage, Sketch, SketchConfig};

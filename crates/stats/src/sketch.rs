@@ -383,9 +383,17 @@ impl Sketch {
     }
 }
 
-/// Gap-aware coverage counters: the integer accounting of
-/// [`GapAwareSummary`](crate::describe::GapAwareSummary) in a form
-/// that folds and merges exactly (no floats, no order sensitivity).
+/// Gap-aware coverage counters for a campaign, or a fold of many, with
+/// known holes.
+///
+/// Dropping lost intervals and summarizing the survivors as if nothing
+/// happened silently biases long campaigns (the gaps are rarely
+/// independent of the value being measured: stalls eat the *low*
+/// samples). These counters carry what a report needs to decide
+/// whether the survivors are trustworthy: how many observations were
+/// expected, how many arrived, and how many distinct gaps there were.
+/// They are integers, so they fold and merge exactly (no floats, no
+/// order sensitivity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Coverage {
     /// Observations the campaigns would have produced with no faults.
@@ -397,13 +405,6 @@ pub struct Coverage {
 }
 
 impl Coverage {
-    /// Fold one trace's accounting in.
-    pub fn add(&mut self, expected: u64, observed: u64, gaps: u64) {
-        self.expected += expected;
-        self.observed += observed;
-        self.gaps += gaps;
-    }
-
     /// Merge another accumulator (exact: integer adds commute).
     pub fn merge(&mut self, other: &Coverage) {
         self.expected += other.expected;
@@ -643,15 +644,25 @@ mod tests {
 
     #[test]
     fn coverage_counters_fold_and_merge() {
-        let mut a = Coverage::default();
-        a.add(100, 90, 3);
-        let mut b = Coverage::default();
-        b.add(50, 50, 0);
-        a.merge(&b);
+        let mut a = Coverage { expected: 100, observed: 90, gaps: 3 };
+        a.merge(&Coverage { expected: 50, observed: 50, gaps: 0 });
         assert_eq!(a, Coverage { expected: 150, observed: 140, gaps: 3 });
         assert!((a.coverage() - 140.0 / 150.0).abs() < 1e-15);
         assert!(a.is_degraded());
         assert_eq!(Coverage::default().coverage(), 1.0);
+        assert!(!Coverage::default().is_degraded());
+
+        // Total loss: nothing of 50 arrived.
+        let lost = Coverage { expected: 50, observed: 0, gaps: 1 };
+        assert_eq!(lost.coverage(), 0.0);
+        assert!(lost.is_degraded());
+        // Fewer observed than expected is degraded; all observed is not.
+        let short = Coverage { expected: 100, observed: 80, gaps: 3 };
+        assert!((short.coverage() - 0.8).abs() < 1e-12);
+        assert!(short.is_degraded());
+        let full = Coverage { expected: 80, observed: 80, gaps: 0 };
+        assert_eq!(full.coverage(), 1.0);
+        assert!(!full.is_degraded());
     }
 
     #[test]

@@ -131,14 +131,10 @@ prop_cases! {
         let mut fwd = Coverage::default();
         let mut rev = Coverage::default();
         for &(e, o, g) in &parts {
-            let mut c = Coverage::default();
-            c.add(e, o.min(e), g);
-            fwd.merge(&c);
+            fwd.merge(&Coverage { expected: e, observed: o.min(e), gaps: g });
         }
         for &(e, o, g) in parts.iter().rev() {
-            let mut c = Coverage::default();
-            c.add(e, o.min(e), g);
-            rev.merge(&c);
+            rev.merge(&Coverage { expected: e, observed: o.min(e), gaps: g });
         }
         prop_assert_eq!(fwd, rev);
         prop_assert!(fwd.coverage() >= 0.0 && fwd.coverage() <= 1.0);

@@ -351,6 +351,9 @@ echo "== flow churn: 64-node terasort shuffles, event vs reference, byte-identic
 #   2. The two engines' reports are byte-identical apart from the
 #      header's `[reference fabric path]` marker and the `fabric:`
 #      footer, whose cache counters differ between engines by design.
+#   3. `FABRIC_SLOW_PATH=1` without `--fabric-path` selects the
+#      reference engine: its report, header marker and footer included,
+#      is byte-identical to `--fabric-path reference`'s.
 churn_dir=$(mktemp -d)
 trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$churn_dir"' EXIT
 churn="cargo run -q --release --offline --bin cloud-repro -- run \
@@ -376,6 +379,12 @@ fi
 if ! diff -u "$churn_dir/event.cmp" "$churn_dir/reference.cmp" > /dev/null; then
   echo "FAIL: terasort churn run differs between the event and reference engines:" >&2
   diff -u "$churn_dir/event.cmp" "$churn_dir/reference.cmp" >&2 | head -20
+  exit 1
+fi
+FABRIC_SLOW_PATH=1 $churn > "$churn_dir/env.out"
+if ! diff -u "$churn_dir/reference_j1.out" "$churn_dir/env.out" > /dev/null; then
+  echo "FAIL: FABRIC_SLOW_PATH=1 run lacks the [reference fabric path] report of --fabric-path reference:" >&2
+  diff -u "$churn_dir/reference_j1.out" "$churn_dir/env.out" >&2 | head -20
   exit 1
 fi
 echo "OK: 4032-flow shuffles retire identically on both engines and any worker count"

@@ -318,12 +318,8 @@ fn render_fleet(spec: &measure::FleetSpec, h: f64, fleet: &measure::FleetResult)
     );
     if !fleet.pairs.is_empty() {
         let means: Vec<f64> = fleet.pairs.iter().map(|p| p.mean_bandwidth_bps()).collect();
-        let (obs, exp) = fleet.pairs.iter().fold((0usize, 0usize), |(o, e), p| {
-            (o + p.gap_summary.observed_n, e + p.gap_summary.expected_n)
-        });
-        let coverage = if exp == 0 { 1.0 } else { obs as f64 / exp as f64 };
         let report = MeasurementReport::new("pair mean bandwidth [bps]", &means)
-            .with_coverage(coverage.min(1.0))
+            .with_coverage(fleet.coverage().coverage())
             .with_exhaustion(ExhaustionNote {
                 retries_used: supervision.retries_used,
                 retry_budget: supervision.retry_budget,
@@ -342,10 +338,11 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let nodes = get_u64(flags, "nodes", 12)? as usize;
     let seed = get_u64(flags, "seed", 1)?;
     // A/B escape hatch: run the reference loops instead of the event
-    // engine. The two are bit-identical; output must not change.
+    // engine. The two are bit-identical; output must not change. The
+    // flag wins over `FABRIC_SLOW_PATH`.
     let path = match flags.get("fabric-path") {
         Some(name) => fabric_path_by_name(name)?,
-        None => netsim::StepPath::Event,
+        None => netsim::StepPath::from_env(),
     };
     // A flat topology is byte-identical to passing no `--topology` at
     // all (the flat-equivalence contract, DESIGN.md §12); verify.sh
