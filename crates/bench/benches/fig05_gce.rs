@@ -3,6 +3,7 @@
 
 use bench::{banner, box_row, check, series_row};
 use repro_core::clouds::gce;
+use repro_core::exec::current_jobs;
 use repro_core::measure::{campaign::run_all_patterns, CampaignResult};
 use repro_core::netsim::units::{as_gbps, gbps, WEEK};
 use repro_core::vstats::describe::BoxSummary;
@@ -24,7 +25,7 @@ fn main() {
         "Google Cloud (8-core) bandwidth by access pattern, one week",
     );
     let profile = gce::n_core(8);
-    let results = run_all_patterns(&profile, WEEK, 5).unwrap();
+    let results = run_all_patterns(&profile, WEEK, 5, current_jobs()).unwrap();
 
     for r in &results {
         let series: Vec<(f64, f64)> = r

@@ -4,6 +4,7 @@
 
 use bench::{banner, check};
 use repro_core::clouds::ec2;
+use repro_core::exec::current_jobs;
 use repro_core::measure::campaign::run_all_patterns;
 use repro_core::netsim::units::{as_gbps, WEEK};
 use repro_core::vstats::describe::ecdf;
@@ -14,7 +15,7 @@ fn main() {
         "Amazon EC2 c5.xlarge bandwidth by access pattern, one week",
     );
     let profile = ec2::c5_xlarge();
-    let results = run_all_patterns(&profile, WEEK, 6).unwrap();
+    let results = run_all_patterns(&profile, WEEK, 6, current_jobs()).unwrap();
 
     // CDF at selected probabilities.
     println!(

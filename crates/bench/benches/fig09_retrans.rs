@@ -5,6 +5,7 @@
 
 use bench::{banner, check};
 use repro_core::clouds::{ec2, gce, hpccloud};
+use repro_core::exec::current_jobs;
 use repro_core::measure::campaign::run_all_patterns;
 use repro_core::netsim::units::WEEK;
 
@@ -14,9 +15,9 @@ fn main() {
         "TCP retransmissions per week-long experiment, all clouds",
     );
 
-    let ec2_res = run_all_patterns(&ec2::c5_xlarge(), WEEK, 9).unwrap();
-    let gce_res = run_all_patterns(&gce::n_core(8), WEEK, 9).unwrap();
-    let hpc_res = run_all_patterns(&hpccloud::n_core(8), WEEK, 9).unwrap();
+    let ec2_res = run_all_patterns(&ec2::c5_xlarge(), WEEK, 9, current_jobs()).unwrap();
+    let gce_res = run_all_patterns(&gce::n_core(8), WEEK, 9, current_jobs()).unwrap();
+    let hpc_res = run_all_patterns(&hpccloud::n_core(8), WEEK, 9, current_jobs()).unwrap();
 
     println!("  per-cloud totals (thousand retransmissions, by pattern):");
     println!(

@@ -4,6 +4,7 @@
 
 use bench::{banner, check, series_row};
 use repro_core::clouds::{ec2, gce};
+use repro_core::exec::current_jobs;
 use repro_core::measure::campaign::run_all_patterns;
 use repro_core::netsim::units::{as_tb, WEEK};
 
@@ -15,7 +16,7 @@ fn main() {
         ("Google Cloud", gce::n_core(8), 11u64),
     ] {
         println!("  -- {name} --");
-        let results = run_all_patterns(&profile, WEEK, seed).unwrap();
+        let results = run_all_patterns(&profile, WEEK, seed, current_jobs()).unwrap();
         for r in &results {
             let cum = r.trace.cumulative_traffic();
             series_row(&r.pattern, &cum, 1.0 / 8e12, "TB");

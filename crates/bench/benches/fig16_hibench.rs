@@ -6,7 +6,7 @@
 
 use bench::{banner, box_row, check};
 use repro_core::bigdata::engine::EngineConfig;
-use repro_core::bigdata::runner::{durations, run_repetitions_cfg, BudgetPolicy};
+use repro_core::bigdata::runner::{durations, run_repetitions, BudgetPolicy};
 use repro_core::bigdata::workloads::hibench;
 use repro_core::bigdata::Cluster;
 use repro_core::vstats::describe::{mean, BoxSummary};
@@ -32,7 +32,7 @@ fn main() {
     for job in hibench::all() {
         for &budget in &BUDGETS {
             let mut cluster = Cluster::ec2_emulated(12, 16, budget);
-            let runs = run_repetitions_cfg(
+            let runs = run_repetitions(
                 &mut cluster,
                 &job,
                 RUNS,

@@ -4,7 +4,7 @@
 
 use bench::{banner, check};
 use repro_core::bigdata::engine::EngineConfig;
-use repro_core::bigdata::runner::{durations, run_repetitions_cfg, BudgetPolicy};
+use repro_core::bigdata::runner::{durations, run_repetitions, BudgetPolicy};
 use repro_core::bigdata::workloads::tpcds;
 use repro_core::bigdata::Cluster;
 use repro_core::vstats::describe::{mean, BoxSummary};
@@ -32,7 +32,7 @@ fn main() {
         let job = tpcds::query(q);
         for &budget in &BUDGETS {
             let mut cluster = Cluster::ec2_emulated(12, 16, budget);
-            let runs = run_repetitions_cfg(
+            let runs = run_repetitions(
                 &mut cluster,
                 &job,
                 RUNS,

@@ -17,7 +17,7 @@ use repro_core::exec;
 use repro_core::measure::{run_campaign, run_fleet, FleetResult, FleetSpec};
 use repro_core::netsim::units::{days, hours};
 use repro_core::netsim::TrafficPattern;
-use repro_core::vstats::{bootstrap_ci_jobs, mean};
+use repro_core::vstats::{bootstrap_ci, mean};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -99,8 +99,8 @@ fn main() {
 
     // Bootstrap resampling shards the same way.
     let samples: Vec<f64> = (0..400).map(|i| 9.0 + ((i * 37) % 100) as f64 / 100.0).collect();
-    let ci1 = bootstrap_ci_jobs(&samples, mean, 2000, 0.95, SEED, 1);
-    let ci4 = bootstrap_ci_jobs(&samples, mean, 2000, 0.95, SEED, 4);
+    let ci1 = bootstrap_ci(&samples, mean, 2000, 0.95, SEED, 1);
+    let ci4 = bootstrap_ci(&samples, mean, 2000, 0.95, SEED, 4);
 
     check(
         "fleet results bit-identical at 1, 2, and 4 workers",

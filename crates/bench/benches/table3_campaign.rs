@@ -7,6 +7,7 @@
 
 use bench::{banner, check};
 use repro_core::clouds::{ec2, gce, hpccloud, CloudProfile};
+use repro_core::exec::current_jobs;
 use repro_core::measure::campaign::run_all_patterns;
 use repro_core::netsim::units::{days, WEEK};
 
@@ -50,7 +51,8 @@ fn main() {
         // A 24 h slice of each of the three patterns is plenty to
         // exhibit (or not) the variability; the paper's "Yes" column
         // covers all patterns of a campaign.
-        let patterns = run_all_patterns(&row.profile, days(1.0), 1000 + i as u64).unwrap();
+        let patterns =
+            run_all_patterns(&row.profile, days(1.0), 1000 + i as u64, current_jobs()).unwrap();
         let variable = patterns.iter().any(|r| r.exhibits_variability());
         let res = &patterns[0];
         all_variable &= variable;

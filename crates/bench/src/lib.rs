@@ -10,6 +10,7 @@
 pub mod rss;
 pub mod timer;
 
+use repro_core::exec::current_jobs;
 use repro_core::vstats::describe::BoxSummary;
 use repro_core::vstats::{bootstrap_ci, median};
 
@@ -95,7 +96,8 @@ pub struct MedianCi {
 impl MedianCi {
     /// Summarize `samples` (at least one).
     pub fn of(samples: &[f64]) -> MedianCi {
-        let ci = bootstrap_ci(samples, median, 2000, 0.95, 0x6d65_6469_616e);
+        let seed = 0x6d65_6469_616e;
+        let ci = bootstrap_ci(samples, median, 2000, 0.95, seed, current_jobs());
         MedianCi {
             median: ci.estimate,
             ci_lo: ci.lower,

@@ -39,18 +39,9 @@ pub enum BudgetPolicy {
 /// `derive_seed(seed, i)` for its task-time randomness, so sequences
 /// are reproducible and runs are statistically independent *except*
 /// through shared shaper state — exactly the coupling under study.
+/// `cfg` sets the engine's stepping ([`EngineConfig::default`] is the
+/// usual choice).
 pub fn run_repetitions(
-    cluster: &mut Cluster<TokenBucket>,
-    job: &JobSpec,
-    n: usize,
-    policy: BudgetPolicy,
-    seed: u64,
-) -> Vec<JobResult> {
-    run_repetitions_cfg(cluster, job, n, policy, seed, &EngineConfig::default())
-}
-
-/// [`run_repetitions`] with explicit engine stepping.
-pub fn run_repetitions_cfg(
     cluster: &mut Cluster<TokenBucket>,
     job: &JobSpec,
     n: usize,
@@ -101,7 +92,8 @@ mod tests {
     #[test]
     fn fresh_vms_are_statistically_stable() {
         let mut c = Cluster::ec2_emulated(4, 8, 5000.0);
-        let results = run_repetitions(&mut c, &job(), 8, BudgetPolicy::FreshVms, 1);
+        let cfg = EngineConfig::default();
+        let results = run_repetitions(&mut c, &job(), 8, BudgetPolicy::FreshVms, 1, &cfg);
         let d = durations(&results);
         let mean = d.iter().sum::<f64>() / d.len() as f64;
         // All runs near the mean: only task-time noise.
@@ -113,13 +105,15 @@ mod tests {
     #[test]
     fn preset_low_budget_is_slower_than_fresh() {
         let mut c = Cluster::ec2_emulated(4, 8, 5000.0);
-        let fresh = durations(&run_repetitions(&mut c, &job(), 4, BudgetPolicy::FreshVms, 2));
+        let cfg = EngineConfig::default();
+        let fresh = durations(&run_repetitions(&mut c, &job(), 4, BudgetPolicy::FreshVms, 2, &cfg));
         let low = durations(&run_repetitions(
             &mut c,
             &job(),
             4,
             BudgetPolicy::PresetGbit(10.0),
             2,
+            &cfg,
         ));
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         assert!(mean(&low) > 1.5 * mean(&fresh), "low {low:?} fresh {fresh:?}");
@@ -135,6 +129,7 @@ mod tests {
             6,
             BudgetPolicy::CarryOver { rest_s: 5.0 },
             3,
+            &EngineConfig::default(),
         );
         let d = durations(&results);
         // Each run consumes ~60 Gbit/node; by run 4 budgets are gone
@@ -161,6 +156,7 @@ mod tests {
             5,
             BudgetPolicy::CarryOver { rest_s: 100.0 },
             4,
+            &EngineConfig::default(),
         );
         let d = durations(&results);
         let spread = d.iter().cloned().fold(0.0, f64::max) / d.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -169,10 +165,11 @@ mod tests {
 
     #[test]
     fn reproducible() {
+        let cfg = EngineConfig::default();
         let mut c1 = Cluster::ec2_emulated(4, 8, 1000.0);
-        let a = durations(&run_repetitions(&mut c1, &job(), 3, BudgetPolicy::FreshVms, 7));
+        let a = durations(&run_repetitions(&mut c1, &job(), 3, BudgetPolicy::FreshVms, 7, &cfg));
         let mut c2 = Cluster::ec2_emulated(4, 8, 1000.0);
-        let b = durations(&run_repetitions(&mut c2, &job(), 3, BudgetPolicy::FreshVms, 7));
+        let b = durations(&run_repetitions(&mut c2, &job(), 3, BudgetPolicy::FreshVms, 7, &cfg));
         assert_eq!(a, b);
     }
 }

@@ -355,20 +355,12 @@ fn expected_intervals(pattern: TrafficPattern, from_s: f64, to_s: f64, interval:
 /// Run all three paper patterns on a profile; returns results in
 /// `[full-speed, 10-30, 5-30]` order.
 ///
-/// Patterns are sharded across [`exec::current_jobs`] workers; each
-/// pattern's campaign is a pure function of `(profile, pattern,
-/// duration_s, seed)`, and results merge in pattern order, so the
-/// output is bit-identical at any worker count.
+/// Patterns are sharded across `jobs` workers
+/// ([`exec::current_jobs`] is the usual choice); each pattern's
+/// campaign is a pure function of `(profile, pattern, duration_s,
+/// seed)`, and results merge in pattern order, so the output is
+/// bit-identical at any worker count.
 pub fn run_all_patterns(
-    profile: &CloudProfile,
-    duration_s: f64,
-    seed: u64,
-) -> Result<Vec<CampaignResult>, MeasureError> {
-    run_all_patterns_jobs(profile, duration_s, seed, exec::current_jobs())
-}
-
-/// [`run_all_patterns`] with an explicit worker count.
-pub fn run_all_patterns_jobs(
     profile: &CloudProfile,
     duration_s: f64,
     seed: u64,
@@ -611,7 +603,7 @@ mod tests {
         // Steady-state: full-speed ≈ 1 Gbps, 10-30 ≈ 4 Gbps (≈3-4×),
         // 5-30 ≈ 7 Gbps (≈7×).
         let p = clouds::ec2::c5_xlarge();
-        let rs = run_all_patterns(&p, hours(4.0), 2).unwrap();
+        let rs = run_all_patterns(&p, hours(4.0), 2, exec::current_jobs()).unwrap();
         let full = rs[0].mean_bandwidth_bps();
         let ten = rs[1].mean_bandwidth_bps();
         let five = rs[2].mean_bandwidth_bps();
@@ -624,7 +616,7 @@ mod tests {
     fn gce_pattern_ordering_is_opposite_of_ec2() {
         // Figure 5: longer streams do BETTER on Google Cloud.
         let p = clouds::gce::n_core(8);
-        let rs = run_all_patterns(&p, hours(6.0), 3).unwrap();
+        let rs = run_all_patterns(&p, hours(6.0), 3, exec::current_jobs()).unwrap();
         let full = rs[0].mean_bandwidth_bps();
         let five = rs[2].mean_bandwidth_bps();
         assert!(full > five, "full {full} vs 5-30 {five}");
@@ -655,12 +647,12 @@ mod tests {
         // (the token bucket equalizes them); GCE full-speed moves far
         // more than its duty-cycled patterns.
         let d = hours(6.0);
-        let ec2: Vec<f64> = run_all_patterns(&clouds::ec2::c5_xlarge(), d, 5)
+        let ec2: Vec<f64> = run_all_patterns(&clouds::ec2::c5_xlarge(), d, 5, exec::current_jobs())
             .unwrap()
             .iter()
             .map(|r| r.total_bits)
             .collect();
-        let gce: Vec<f64> = run_all_patterns(&clouds::gce::n_core(8), d, 5)
+        let gce: Vec<f64> = run_all_patterns(&clouds::gce::n_core(8), d, 5, exec::current_jobs())
             .unwrap()
             .iter()
             .map(|r| r.total_bits)
@@ -826,9 +818,9 @@ mod tests {
     #[test]
     fn all_patterns_is_bit_identical_at_any_worker_count() {
         let p = clouds::ec2::c5_xlarge();
-        let one = run_all_patterns_jobs(&p, hours(2.0), 23, 1).unwrap();
+        let one = run_all_patterns(&p, hours(2.0), 23, 1).unwrap();
         for jobs in [2usize, 8] {
-            let wide = run_all_patterns_jobs(&p, hours(2.0), 23, jobs).unwrap();
+            let wide = run_all_patterns(&p, hours(2.0), 23, jobs).unwrap();
             assert_eq!(wide.len(), one.len());
             for (a, b) in wide.iter().zip(one.iter()) {
                 assert_eq!(a.trace.samples, b.trace.samples, "jobs={jobs}");

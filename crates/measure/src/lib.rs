@@ -66,8 +66,7 @@ pub mod stream;
 mod wire;
 
 pub use campaign::{
-    run_all_patterns, run_all_patterns_jobs, run_campaign, CampaignResult, FleetResult, GapCause,
-    PairFailure, TraceGap,
+    run_all_patterns, run_campaign, CampaignResult, FleetResult, GapCause, PairFailure, TraceGap,
 };
 pub use error::MeasureError;
 pub use experiment::{ExperimentPlan, ExperimentReport};

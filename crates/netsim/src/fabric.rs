@@ -23,10 +23,10 @@
 //!   incrementally instead of rebuilding them every water-filling
 //!   round, and keys the allocation by its exact inputs: the flow-set
 //!   epoch, each node's `rate_hint` × fault factor, each node's
-//!   effective ingress cap, the per-link capacities, and the core
-//!   capacity. Water-filling is a pure function of that signature (it
-//!   never reads `remaining_bits`), so a bitwise unchanged signature
-//!   means the previous allocation can be reused verbatim;
+//!   effective ingress cap, and the per-link capacities. Water-filling
+//!   is a pure function of that signature (it never reads
+//!   `remaining_bits`), so a bitwise unchanged signature means the
+//!   previous allocation can be reused verbatim;
 //! * **event windows** are the engine's one step body.
 //!   [`Fabric::advance`] generalizes the signature cache from "check
 //!   every step" to "prove a horizon": it min-reduces a [`NextEvent`]
@@ -213,7 +213,7 @@ pub const MAX_ROUTE_LINKS: usize = 8;
 /// inline so routed flow churn stays allocation-free (see
 /// `tests/alloc_free.rs`). Link indexes refer to the capacity slots
 /// installed by [`Fabric::set_link_caps`]; the empty route is a flat
-/// flow constrained only by endpoints and the optional core.
+/// flow constrained only by its endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkRoute {
     links: [u32; MAX_ROUTE_LINKS],
@@ -481,8 +481,6 @@ struct StepScratch {
     link_count: Vec<usize>,
     /// Flow-set epoch the cache was computed for.
     sig_epoch: u64,
-    /// Core capacity bit pattern the cache was computed for.
-    sig_core: Option<u64>,
     /// Per-link capacity bit patterns the cache was computed for — the
     /// per-node signature generalized to the topology's links.
     sig_links: Vec<u64>,
@@ -515,10 +513,6 @@ pub struct Fabric<S> {
     flows: FlowMap,
     next_flow: u64,
     now_s: f64,
-    /// Optional aggregate core capacity in bits/s shared by every flow
-    /// (models an oversubscribed datacenter core; `None` = full
-    /// bisection bandwidth, the default).
-    core_capacity_bps: Option<f64>,
     /// Optional fault timeline: faulted nodes transmit and receive at
     /// zero/degraded rate for the fault window (`None` = no faults).
     faults: Option<FaultSchedule>,
@@ -533,7 +527,7 @@ pub struct Fabric<S> {
     /// Directed per-link capacities in bits/s, installed by a topology
     /// wiring ([`Fabric::set_link_caps`]). Empty = flat fabric: every
     /// link loop below is vacuous and the arithmetic stream is exactly
-    /// the pre-topology per-node + core model.
+    /// the pre-topology per-node model.
     link_caps: Vec<f64>,
     /// Per-link count of active flows crossing each directed link,
     /// maintained incrementally — the round-0 link counts.
@@ -560,7 +554,6 @@ impl<S: Shaper> Fabric<S> {
             flows: FlowMap::default(),
             next_flow: 0,
             now_s: 0.0,
-            core_capacity_bps: None,
             faults: None,
             // Start at 1 so a fresh scratch (sig_epoch 0) never matches
             // before its first water-fill.
@@ -620,19 +613,6 @@ impl<S: Shaper> Fabric<S> {
         self.faults
             .as_ref()
             .is_some_and(|s| s.stalled_at(n, self.now_s))
-    }
-
-    /// Constrain the fabric core: the sum of all flow rates may not
-    /// exceed `bps` (oversubscription). Pass `f64::INFINITY`-like
-    /// removal via [`Fabric::clear_core_capacity`].
-    pub fn set_core_capacity(&mut self, bps: f64) {
-        assert!(bps > 0.0, "core capacity must be positive");
-        self.core_capacity_bps = Some(bps);
-    }
-
-    /// Remove the core constraint (full bisection bandwidth).
-    pub fn clear_core_capacity(&mut self) {
-        self.core_capacity_bps = None;
     }
 
     /// Install directed per-link capacities (bits/s): slot `l` is one
@@ -821,10 +801,10 @@ impl<S: Shaper> Fabric<S> {
         let mut rate = vec![0.0f64; ids.len()];
         let mut frozen = vec![false; ids.len()];
 
-        // Residual capacity per resource: egress, ingress, and the
-        // (optional) shared core. Fault episodes scale a node's link in
-        // both directions: a stalled VM neither sends nor receives, a
-        // degraded link is degraded for traffic either way.
+        // Residual capacity per resource: egress and ingress. Fault
+        // episodes scale a node's link in both directions: a stalled VM
+        // neither sends nor receives, a degraded link is degraded for
+        // traffic either way.
         let mut egress: Vec<f64> = self
             .nodes
             .iter()
@@ -849,7 +829,6 @@ impl<S: Shaper> Fabric<S> {
                 n.ingress_cap_bps * factor
             })
             .collect();
-        let mut core = self.core_capacity_bps;
         // Per-link residuals mirror the per-node ones; an empty link set
         // (flat fabric) makes every link loop below vacuous.
         let n_links = self.link_caps.len();
@@ -892,9 +871,6 @@ impl<S: Shaper> Fabric<S> {
                     share = share.min(link_res[l] / link_count[l] as f64);
                 }
             }
-            if let Some(c) = core {
-                share = share.min(c / unfrozen as f64);
-            }
             // Per-flow caps can be tighter than any shared resource.
             for (&fz, s) in frozen.iter().zip(&flows.specs) {
                 if !fz {
@@ -916,9 +892,6 @@ impl<S: Shaper> Fabric<S> {
             // Freeze every flow limited at this share: flows crossing a
             // bottleneck resource, or capped at exactly the share.
             let eps = share * 1e-9 + 1e-9;
-            let core_binding = core
-                .map(|c| c / unfrozen as f64 <= share + eps)
-                .unwrap_or(false);
             let mut froze_any = false;
             for k in 0..ids.len() {
                 if frozen[k] {
@@ -935,21 +908,13 @@ impl<S: Shaper> Fabric<S> {
                     }
                 }
                 let capped = s.max_rate_bps <= share + eps;
-                if core_binding
-                    || src_share <= share + eps
-                    || dst_share <= share + eps
-                    || link_binding
-                    || capped
-                {
+                if src_share <= share + eps || dst_share <= share + eps || link_binding || capped {
                     frozen[k] = true;
                     rate[k] = share;
                     egress[s.src] = (egress[s.src] - share).max(0.0);
                     ingress[s.dst] = (ingress[s.dst] - share).max(0.0);
                     for &l in route.links() {
                         link_res[l as usize] = (link_res[l as usize] - share).max(0.0);
-                    }
-                    if let Some(c) = core.as_mut() {
-                        *c = (*c - share).max(0.0);
                     }
                     froze_any = true;
                 }
@@ -966,7 +931,7 @@ impl<S: Shaper> Fabric<S> {
     /// Ensure `scratch.rate` holds the max-min allocation for the
     /// current inputs, re-running water-filling only when the input
     /// signature (flow-set epoch, per-node effective egress/ingress,
-    /// core capacity) changed bitwise since the last step.
+    /// per-link capacities) changed bitwise since the last step.
     ///
     /// Bit-identity with [`Fabric::compute_rates_reference`]: the
     /// gathered capacities and the flow table's specs are the exact
@@ -990,14 +955,14 @@ impl<S: Shaper> Fabric<S> {
     /// flow never reads (its source already binds) cannot change it.
     ///
     /// A round in which every source with unfrozen flows binds at round
-    /// start ends without the sweep. Past the core test (which can only
-    /// freeze more), a flow's first predicate is its source's egress
-    /// verdict; the first flow of each source reads it before any flow
-    /// of that source froze, i.e. on the round-start residual, finds it
-    /// binding, and binding is final. So the sweep would freeze every
-    /// unfrozen flow at `share`, and the round would be the last: the
-    /// residuals, counts and verdicts it updates are re-gathered before
-    /// any later read. A terasort shuffle's one round is such a round.
+    /// start ends without the sweep. A flow's first predicate is its
+    /// source's egress verdict; the first flow of each source reads it
+    /// before any flow of that source froze, i.e. on the round-start
+    /// residual, finds it binding, and binding is final. So the sweep
+    /// would freeze every unfrozen flow at `share`, and the round would
+    /// be the last: the residuals, counts and verdicts it updates are
+    /// re-gathered before any later read. A terasort shuffle's one round
+    /// is such a round.
     fn refresh_rates(&mut self) {
         let n_nodes = self.nodes.len();
         let sc = &mut self.scratch;
@@ -1039,11 +1004,6 @@ impl<S: Shaper> Fabric<S> {
             }
             sc.egress.push(eg);
             sc.ingress.push(ing);
-        }
-        let core_bits = self.core_capacity_bps.map(f64::to_bits);
-        if sc.sig_core != core_bits {
-            sc.sig_core = core_bits;
-            dirty = true;
         }
         // Per-link capacity signature: the per-node check generalized
         // to the topology's directed link slots. Vacuous (zero work,
@@ -1091,7 +1051,6 @@ impl<S: Shaper> Fabric<S> {
         sc.in_bind.resize(n_nodes, Verdict::Stale);
         sc.link_bind.resize(n_links, Verdict::Stale);
         let mut unfrozen = k_flows;
-        let mut core = self.core_capacity_bps;
 
         loop {
             if unfrozen == 0 {
@@ -1112,9 +1071,6 @@ impl<S: Shaper> Fabric<S> {
                 if sc.link_count[l] > 0 {
                     share = share.min(sc.link_res[l] / sc.link_count[l] as f64);
                 }
-            }
-            if let Some(c) = core {
-                share = share.min(c / unfrozen as f64);
             }
             // Per-flow caps can be tighter than any shared resource.
             for k in 0..k_flows {
@@ -1171,9 +1127,6 @@ impl<S: Shaper> Fabric<S> {
             sc.eg_bind.fill(Verdict::Stale);
             sc.in_bind.fill(Verdict::Stale);
             sc.link_bind.fill(Verdict::Stale);
-            let core_binding = core
-                .map(|c| c / unfrozen as f64 <= share + eps)
-                .unwrap_or(false);
             sc.round_frozen.clear();
             for k in 0..k_flows {
                 if sc.frozen[k] {
@@ -1181,9 +1134,12 @@ impl<S: Shaper> Fabric<S> {
                 }
                 let s = flows.specs[k];
                 let route = flows.routes[k].links();
-                if core_binding
-                    || binds(&mut sc.eg_bind[s.src], sc.egress[s.src], sc.eg_count[s.src])
-                    || binds(&mut sc.in_bind[s.dst], sc.ingress[s.dst], sc.in_count[s.dst])
+                if binds(&mut sc.eg_bind[s.src], sc.egress[s.src], sc.eg_count[s.src])
+                    || binds(
+                        &mut sc.in_bind[s.dst],
+                        sc.ingress[s.dst],
+                        sc.in_count[s.dst],
+                    )
                     || route.iter().any(|&l| {
                         let l = l as usize;
                         binds(&mut sc.link_bind[l], sc.link_res[l], sc.link_count[l])
@@ -1200,9 +1156,6 @@ impl<S: Shaper> Fabric<S> {
                         let l = l as usize;
                         sc.link_res[l] = (sc.link_res[l] - share).max(0.0);
                         lowered(&mut sc.link_bind[l]);
-                    }
-                    if let Some(c) = core.as_mut() {
-                        *c = (*c - share).max(0.0);
                     }
                     sc.round_frozen.push(k);
                 }
@@ -2099,45 +2052,6 @@ mod tests {
     fn rejects_loopback_flows() {
         let mut f = static_fabric(2, gbps(10.0));
         f.start_flow(FlowSpec::new(1, 1, 1.0));
-    }
-
-    #[test]
-    fn oversubscribed_core_caps_aggregate_rate() {
-        // 4 senders to 4 distinct receivers: node caps allow 40 Gbps
-        // aggregate, but a 10 Gbps core forces 2.5 Gbps each.
-        let mut f = static_fabric(8, gbps(10.0));
-        f.set_core_capacity(gbps(10.0));
-        let ids: Vec<_> = (0..4)
-            .map(|i| f.start_flow(FlowSpec::new(i, i + 4, gbit(1000.0))))
-            .collect();
-        f.step(0.1);
-        for id in &ids {
-            assert!((f.flow_last_rate(*id).unwrap() - gbps(2.5)).abs() < 1.0);
-        }
-        // Removing the constraint restores full bisection bandwidth.
-        f.clear_core_capacity();
-        f.step(0.1);
-        for id in &ids {
-            assert!((f.flow_last_rate(*id).unwrap() - gbps(10.0)).abs() < 1.0);
-        }
-    }
-
-    #[test]
-    fn core_interacts_with_per_node_caps() {
-        // One sender capped at 1 Gbps by its own NIC; others share the
-        // remaining core fairly.
-        let mut f: Fabric<StaticShaper> = Fabric::new();
-        f.add_node(StaticShaper::new(gbps(1.0)), gbps(10.0));
-        for _ in 0..3 {
-            f.add_node(StaticShaper::new(gbps(10.0)), gbps(10.0));
-        }
-        f.set_core_capacity(gbps(7.0));
-        let a = f.start_flow(FlowSpec::new(0, 2, gbit(1000.0)));
-        let b = f.start_flow(FlowSpec::new(1, 3, gbit(1000.0)));
-        f.step(0.1);
-        // a limited by its 1 Gbps NIC; b gets the core's leftover 6.
-        assert!((f.flow_last_rate(a).unwrap() - gbps(1.0)).abs() < 1.0);
-        assert!((f.flow_last_rate(b).unwrap() - gbps(6.0)).abs() < 1.0);
     }
 
     #[test]

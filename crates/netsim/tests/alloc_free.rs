@@ -13,6 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use netsim::fabric::{Fabric, FlowSpec};
+use netsim::faults::{FaultEpisode, FaultKind, FaultSchedule};
 use netsim::shaper::{Shaper, StaticShaper, TokenBucket};
 use netsim::LinkRoute;
 
@@ -98,18 +99,29 @@ fn steady_state_stepping_is_allocation_free() {
     assert!(perf.rate_cache_hits >= 990, "expected cache hits, got {perf:?}");
     assert_eq!(hit_allocs, 0, "cache-hit steps allocated {hit_allocs} times");
 
-    // 2. Forced recomputation every step (alternating core capacity
-    // flips the input signature without changing the flow set): the
-    // water-filling rerun must reuse the scratch buffers, still zero.
-    // One warm-up round first so both signature states have been seen.
-    for i in 0..4 {
-        fabric.set_core_capacity(if i % 2 == 0 { 20e9 } else { 30e9 });
+    // 2. Forced recomputation every step (node 0's link degrades to
+    // half on every other 0.1 s step, which flips the input signature
+    // without changing the flow set): the water-filling rerun must
+    // reuse the scratch buffers, still zero. Each episode is centred
+    // on its step's start, so clock rounding cannot move an edge onto
+    // one. One warm-up round first so both signature states have been
+    // seen.
+    let t0 = fabric.now();
+    let degrade = |i: usize| FaultEpisode {
+        node: 0,
+        start_s: t0 + 0.1 * i as f64 - 0.05,
+        end_s: t0 + 0.1 * i as f64 + 0.05,
+        kind: FaultKind::LinkDegrade,
+        rate_factor: 0.5,
+    };
+    let episodes = (0..1_004).step_by(2).map(degrade);
+    fabric.set_fault_schedule(FaultSchedule::from_episodes(8, t0 + 200.0, episodes));
+    for _ in 0..4 {
         fabric.step(0.1);
     }
     fabric.reset_perf();
     let recompute_allocs = measured(|| {
-        for i in 0..1_000 {
-            fabric.set_core_capacity(if i % 2 == 0 { 20e9 } else { 30e9 });
+        for _ in 0..1_000 {
             fabric.step(0.1);
         }
     });

@@ -5,7 +5,7 @@
 //! boundaries, fault-schedule edges, flow-completion epochs) and must
 //! be **bit-identical** to the reference loops in every observable —
 //! not merely close. These properties drive randomized campaigns
-//! (mixed shaper kinds, fault schedules, core capacities, flow churn)
+//! (mixed shaper kinds, fault schedules, flow churn)
 //! through an event-path fabric and a `force_path(StepPath::Reference)`
 //! twin via [`Fabric::advance`], stopping the event fabric at every event
 //! boundary [`Fabric::next_event`] reports and comparing rates, queue
@@ -61,12 +61,7 @@ type DynFabric = Fabric<Box<dyn Shaper + Send>>;
 
 /// Build the event-path fabric and its reference-path twin from the
 /// same construction script.
-fn build_pair(
-    kinds: &[usize],
-    seed: u64,
-    with_faults: bool,
-    core_gbps: Option<f64>,
-) -> (DynFabric, DynFabric) {
+fn build_pair(kinds: &[usize], seed: u64, with_faults: bool) -> (DynFabric, DynFabric) {
     let build = || {
         let mut f: DynFabric = Fabric::new();
         for (v, &k) in kinds.iter().enumerate() {
@@ -87,9 +82,6 @@ fn build_pair(
                 pair_death_rate_per_hour: 0.0,
             };
             f.set_fault_schedule(FaultSchedule::generate(&cfg, kinds.len(), 600.0, seed));
-        }
-        if let Some(g) = core_gbps {
-            f.set_core_capacity(g * 1e9);
         }
         f
     };
@@ -414,7 +406,7 @@ prop_cases! {
     #![config(Config::with_cases(24))]
 
     /// The flagship property: mixed shapers, random flow churn, faults
-    /// and core capacity on or off — every observable bitwise equal
+    /// on or off — every observable bitwise equal
     /// between the event-jumped and reference paths at every event
     /// boundary, with matching golden trace hashes.
     #[test]
@@ -422,13 +414,11 @@ prop_cases! {
         seed in 0u64..100_000,
         n_nodes in 2usize..7,
         with_faults in bools(),
-        with_core in bools(),
         dt_ms in 50u64..500,
     ) {
         let mut rng = SimRng::new(seed ^ 0xE7);
         let kinds: Vec<usize> = (0..n_nodes).map(|_| rng.index(5)).collect();
-        let core = if with_core { Some(12.0) } else { None };
-        let (mut event, mut reference) = build_pair(&kinds, seed, with_faults, core);
+        let (mut event, mut reference) = build_pair(&kinds, seed, with_faults);
         run_event_script(&mut event, &mut reference, seed ^ 0x5C817, 80, dt_ms as f64 / 1000.0);
     }
 
@@ -438,7 +428,7 @@ prop_cases! {
     #[test]
     fn event_path_depletion_regime(seed in 0u64..100_000, dt_ms in 100u64..600) {
         let kinds = [0usize, 0, 0, 0];
-        let (mut event, mut reference) = build_pair(&kinds, seed, false, None);
+        let (mut event, mut reference) = build_pair(&kinds, seed, false);
         run_event_script(&mut event, &mut reference, seed, 60, dt_ms as f64 / 1000.0);
         let perf = event.perf();
         assert!(perf.event_jumps > 0, "event engine never jumped: {perf:?}");
@@ -497,7 +487,7 @@ prop_cases! {
     #[test]
     fn simultaneous_crossings(seed in 0u64..100_000, pairs in 2usize..5) {
         let kinds = vec![0usize; pairs * 2];
-        let (mut event, mut reference) = build_pair(&kinds, seed & !0x3, false, None);
+        let (mut event, mut reference) = build_pair(&kinds, seed & !0x3, false);
         let mut flows = Vec::new();
         for p in 0..pairs {
             // Same size both directions: completions coincide.

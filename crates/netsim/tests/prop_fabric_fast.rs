@@ -6,14 +6,14 @@
 //! idle), must be **bit-identical** to the
 //! reference loops — not merely close. These properties drive
 //! randomized scripts (mixed shaper kinds, random flow sets, fault
-//! schedules, core capacities, drain and rest windows) through a
+//! schedules, drain and rest windows) through a
 //! default fabric and a `force_path(StepPath::Reference)` twin,
 //! comparing every observable with `f64::to_bits` after every step;
 //! plus exact closed-form-`rest`-vs-idle-loop tests for every shaper
 //! implementation.
 
 use netsim::fabric::{Fabric, FlowId, FlowSpec, StepPath};
-use netsim::faults::{FaultConfig, FaultInjector, FaultSchedule};
+use netsim::faults::{FaultConfig, FaultEpisode, FaultInjector, FaultKind, FaultSchedule};
 use netsim::rng::SimRng;
 use netsim::shaper::{
     EmpiricalShaper, MinShaper, NoiseConfig, NoiseShaper, PerCoreQos, PerCoreQosConfig,
@@ -43,37 +43,35 @@ fn make_shaper(kind: usize, seed: u64) -> Box<dyn Shaper + Send> {
 
 type DynFabric = Fabric<Box<dyn Shaper + Send>>;
 
+/// A generated 600 s fault timeline mixing stalls, degradations and
+/// loss bursts on every node.
+fn fault_schedule(n_nodes: usize, seed: u64) -> FaultSchedule {
+    let cfg = FaultConfig {
+        stall_rate_per_hour: 30.0,
+        stall_mean_s: 4.0,
+        degrade_rate_per_hour: 60.0,
+        degrade_mean_s: 8.0,
+        degrade_min_factor: 0.2,
+        degrade_max_factor: 0.8,
+        loss_rate_per_hour: 20.0,
+        loss_mean_s: 3.0,
+        loss_frac: 0.3,
+        probe_loss_prob: 0.0,
+        pair_death_rate_per_hour: 0.0,
+    };
+    FaultSchedule::generate(&cfg, n_nodes, 600.0, seed)
+}
+
 /// Build the fast fabric and its reference-path twin from the same
 /// construction script.
-fn build_pair(
-    kinds: &[usize],
-    seed: u64,
-    with_faults: bool,
-    core_gbps: Option<f64>,
-) -> (DynFabric, DynFabric) {
+fn build_pair(kinds: &[usize], seed: u64, with_faults: bool) -> (DynFabric, DynFabric) {
     let build = || {
         let mut f: DynFabric = Fabric::new();
         for (v, &k) in kinds.iter().enumerate() {
             f.add_node(make_shaper(k, seed ^ v as u64), 10e9);
         }
         if with_faults {
-            let cfg = FaultConfig {
-                stall_rate_per_hour: 30.0,
-                stall_mean_s: 4.0,
-                degrade_rate_per_hour: 60.0,
-                degrade_mean_s: 8.0,
-                degrade_min_factor: 0.2,
-                degrade_max_factor: 0.8,
-                loss_rate_per_hour: 20.0,
-                loss_mean_s: 3.0,
-                loss_frac: 0.3,
-                probe_loss_prob: 0.0,
-                pair_death_rate_per_hour: 0.0,
-            };
-            f.set_fault_schedule(FaultSchedule::generate(&cfg, kinds.len(), 600.0, seed));
-        }
-        if let Some(g) = core_gbps {
-            f.set_core_capacity(g * 1e9);
+            f.set_fault_schedule(fault_schedule(kinds.len(), seed));
         }
         f
     };
@@ -181,38 +179,46 @@ fn run_script(
 prop_cases! {
     #![config(Config::with_cases(24))]
 
-    /// The flagship property: mixed shapers, random flows, faults and
-    /// core capacity on or off — every observable bitwise equal between
-    /// the fast and reference paths at every step.
+    /// The flagship property: mixed shapers, random flows, faults on
+    /// or off — every observable bitwise equal between the fast and
+    /// reference paths at every step.
     #[test]
     fn fast_path_is_bit_identical(
         seed in 0u64..100_000,
         n_nodes in 2usize..7,
         with_faults in bools(),
-        with_core in bools(),
         dt_ms in 50u64..500,
     ) {
         let mut rng = SimRng::new(seed ^ 0xFAB);
         let kinds: Vec<usize> = (0..n_nodes).map(|_| rng.index(5)).collect();
-        let core = if with_core { Some(12.0) } else { None };
-        let (mut fast, mut reference) = build_pair(&kinds, seed, with_faults, core);
+        let (mut fast, mut reference) = build_pair(&kinds, seed, with_faults);
         run_script(&mut fast, &mut reference, seed ^ 0x5C817, 120, dt_ms as f64 / 1000.0);
     }
 
-    /// Mid-script reconfiguration (core capacity toggles, fault
-    /// schedule clears, resets) must invalidate the rate cache — the
+    /// Mid-script reconfiguration (a fault schedule attached, then
+    /// replaced, then a reset) must invalidate the rate cache — the
     /// twin comparison catches any stale reuse.
     #[test]
     fn fast_path_survives_reconfiguration(seed in 0u64..100_000) {
         let kinds = [0usize, 1, 3, 4];
-        let (mut fast, mut reference) = build_pair(&kinds, seed, false, None);
+        let (mut fast, mut reference) = build_pair(&kinds, seed, false);
         run_script(&mut fast, &mut reference, seed, 40, 0.1);
+        // Node 0's link degrades from the instant the schedule lands,
+        // so the next step's inputs differ from the cached ones.
+        let t = fast.now();
+        let degrade = FaultEpisode {
+            node: 0,
+            start_s: t,
+            end_s: t + 2.0,
+            kind: FaultKind::LinkDegrade,
+            rate_factor: 0.5,
+        };
         for f in [&mut fast, &mut reference] {
-            f.set_core_capacity(9e9);
+            f.set_fault_schedule(FaultSchedule::from_episodes(kinds.len(), t + 600.0, [degrade]));
         }
         run_script(&mut fast, &mut reference, seed ^ 1, 40, 0.1);
         for f in [&mut fast, &mut reference] {
-            f.clear_core_capacity();
+            f.set_fault_schedule(fault_schedule(kinds.len(), seed));
         }
         run_script(&mut fast, &mut reference, seed ^ 2, 40, 0.1);
         for f in [&mut fast, &mut reference] {
@@ -396,7 +402,7 @@ prop_cases! {
     #[test]
     fn rate_cache_hits_on_steady_state(seed in 0u64..10_000) {
         let kinds = [0usize, 0, 0, 0];
-        let (mut fast, _) = build_pair(&kinds, seed, false, None);
+        let (mut fast, _) = build_pair(&kinds, seed, false);
         let id = fast.start_flow(FlowSpec::new(0, 1, 1e12));
         for _ in 0..500 {
             fast.step(0.1);

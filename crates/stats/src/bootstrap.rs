@@ -37,22 +37,10 @@ pub struct BootstrapCi {
 /// * `resamples` — number of bootstrap replicates (1000+ recommended).
 /// * `conf` — confidence level, e.g. 0.95.
 /// * `seed` — RNG seed (deterministic output).
+/// * `jobs` — worker count ([`exec::current_jobs`] is the usual
+///   choice); the CI is bit-identical at any `jobs` (see the module
+///   docs).
 pub fn bootstrap_ci<F>(
-    samples: &[f64],
-    statistic: F,
-    resamples: usize,
-    conf: f64,
-    seed: u64,
-) -> BootstrapCi
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
-    bootstrap_ci_jobs(samples, statistic, resamples, conf, seed, exec::current_jobs())
-}
-
-/// [`bootstrap_ci`] with an explicit worker count. The CI is
-/// bit-identical at any `jobs` (see the module docs).
-pub fn bootstrap_ci_jobs<F>(
     samples: &[f64],
     statistic: F,
     resamples: usize,
@@ -104,24 +92,8 @@ where
 /// *effective* (smaller) sample size of a correlated series.
 ///
 /// A common block-length default is `n^(1/3)`, available via
-/// [`default_block_len`].
+/// [`default_block_len`]. The other arguments are [`bootstrap_ci`]'s.
 pub fn block_bootstrap_ci<F>(
-    samples: &[f64],
-    statistic: F,
-    block_len: usize,
-    resamples: usize,
-    conf: f64,
-    seed: u64,
-) -> BootstrapCi
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
-    block_bootstrap_ci_jobs(samples, statistic, block_len, resamples, conf, seed, exec::current_jobs())
-}
-
-/// [`block_bootstrap_ci`] with an explicit worker count. The CI is
-/// bit-identical at any `jobs` (see the module docs).
-pub fn block_bootstrap_ci_jobs<F>(
     samples: &[f64],
     statistic: F,
     block_len: usize,
@@ -187,7 +159,7 @@ mod tests {
     #[test]
     fn mean_ci_brackets_true_mean() {
         let xs = uniform_samples(500, 1);
-        let ci = bootstrap_ci(&xs, mean, 1000, 0.95, 42);
+        let ci = bootstrap_ci(&xs, mean, 1000, 0.95, 42, exec::current_jobs());
         assert!(ci.lower <= ci.estimate && ci.estimate <= ci.upper);
         // True mean 50; CI of a 500-sample mean should be tight-ish.
         assert!(ci.contains_value(50.0), "{ci:?}");
@@ -197,7 +169,7 @@ mod tests {
     #[test]
     fn median_ci_works_too() {
         let xs = uniform_samples(300, 2);
-        let ci = bootstrap_ci(&xs, median, 800, 0.95, 7);
+        let ci = bootstrap_ci(&xs, median, 800, 0.95, 7, exec::current_jobs());
         assert!(ci.lower <= ci.upper);
         assert!(ci.contains_value(ci.estimate));
     }
@@ -205,10 +177,10 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let xs = uniform_samples(50, 3);
-        let a = bootstrap_ci(&xs, mean, 500, 0.95, 9);
-        let b = bootstrap_ci(&xs, mean, 500, 0.95, 9);
+        let a = bootstrap_ci(&xs, mean, 500, 0.95, 9, exec::current_jobs());
+        let b = bootstrap_ci(&xs, mean, 500, 0.95, 9, exec::current_jobs());
         assert_eq!(a, b);
-        let c = bootstrap_ci(&xs, mean, 500, 0.95, 10);
+        let c = bootstrap_ci(&xs, mean, 500, 0.95, 10, exec::current_jobs());
         assert_ne!(a.lower, c.lower);
     }
 
@@ -216,11 +188,11 @@ mod tests {
     fn wider_confidence_wider_interval() {
         let xs = uniform_samples(100, 4);
         let w90 = {
-            let ci = bootstrap_ci(&xs, mean, 2000, 0.90, 5);
+            let ci = bootstrap_ci(&xs, mean, 2000, 0.90, 5, exec::current_jobs());
             ci.upper - ci.lower
         };
         let w99 = {
-            let ci = bootstrap_ci(&xs, mean, 2000, 0.99, 5);
+            let ci = bootstrap_ci(&xs, mean, 2000, 0.99, 5, exec::current_jobs());
             ci.upper - ci.lower
         };
         assert!(w99 > w90);
@@ -248,8 +220,8 @@ mod tests {
         // Strongly autocorrelated series: the iid bootstrap underrates
         // the uncertainty of the mean; the block bootstrap does not.
         let xs = ar1_series(400, 0.9, 5);
-        let iid = bootstrap_ci(&xs, mean, 1500, 0.95, 1);
-        let blocked = block_bootstrap_ci(&xs, mean, 20, 1500, 0.95, 1);
+        let iid = bootstrap_ci(&xs, mean, 1500, 0.95, 1, exec::current_jobs());
+        let blocked = block_bootstrap_ci(&xs, mean, 20, 1500, 0.95, 1, exec::current_jobs());
         assert!(
             blocked.upper - blocked.lower > 1.5 * (iid.upper - iid.lower),
             "blocked [{:.3},{:.3}] vs iid [{:.3},{:.3}]",
@@ -263,8 +235,8 @@ mod tests {
     #[test]
     fn block_len_one_recovers_iid_behaviour() {
         let xs = ar1_series(200, 0.0, 6);
-        let iid = bootstrap_ci(&xs, mean, 1000, 0.95, 2);
-        let blocked = block_bootstrap_ci(&xs, mean, 1, 1000, 0.95, 3);
+        let iid = bootstrap_ci(&xs, mean, 1000, 0.95, 2, exec::current_jobs());
+        let blocked = block_bootstrap_ci(&xs, mean, 1, 1000, 0.95, 3, exec::current_jobs());
         let w_iid = iid.upper - iid.lower;
         let w_blk = blocked.upper - blocked.lower;
         assert!((w_blk / w_iid - 1.0).abs() < 0.35, "iid {w_iid} blk {w_blk}");
@@ -274,8 +246,8 @@ mod tests {
     fn block_bootstrap_brackets_and_is_deterministic() {
         let xs = ar1_series(150, 0.5, 7);
         let block = default_block_len(xs.len());
-        let a = block_bootstrap_ci(&xs, median, block, 500, 0.95, 9);
-        let b = block_bootstrap_ci(&xs, median, block, 500, 0.95, 9);
+        let a = block_bootstrap_ci(&xs, median, block, 500, 0.95, 9, exec::current_jobs());
+        let b = block_bootstrap_ci(&xs, median, block, 500, 0.95, 9, exec::current_jobs());
         assert_eq!(a, b);
         assert!(a.lower <= a.upper);
     }
@@ -283,9 +255,9 @@ mod tests {
     #[test]
     fn bootstrap_ci_is_bit_identical_at_any_worker_count() {
         let xs = uniform_samples(300, 8);
-        let one = bootstrap_ci_jobs(&xs, mean, 1000, 0.95, 11, 1);
+        let one = bootstrap_ci(&xs, mean, 1000, 0.95, 11, 1);
         for jobs in [2usize, 8] {
-            let wide = bootstrap_ci_jobs(&xs, mean, 1000, 0.95, 11, jobs);
+            let wide = bootstrap_ci(&xs, mean, 1000, 0.95, 11, jobs);
             assert_eq!(one.lower.to_bits(), wide.lower.to_bits(), "jobs={jobs}");
             assert_eq!(one.upper.to_bits(), wide.upper.to_bits(), "jobs={jobs}");
             assert_eq!(one.estimate.to_bits(), wide.estimate.to_bits(), "jobs={jobs}");
@@ -296,9 +268,9 @@ mod tests {
     fn block_bootstrap_ci_is_bit_identical_at_any_worker_count() {
         let xs = ar1_series(250, 0.7, 12);
         let block = default_block_len(xs.len());
-        let one = block_bootstrap_ci_jobs(&xs, median, block, 800, 0.95, 13, 1);
+        let one = block_bootstrap_ci(&xs, median, block, 800, 0.95, 13, 1);
         for jobs in [2usize, 8] {
-            let wide = block_bootstrap_ci_jobs(&xs, median, block, 800, 0.95, 13, jobs);
+            let wide = block_bootstrap_ci(&xs, median, block, 800, 0.95, 13, jobs);
             assert_eq!(one.lower.to_bits(), wide.lower.to_bits(), "jobs={jobs}");
             assert_eq!(one.upper.to_bits(), wide.upper.to_bits(), "jobs={jobs}");
         }
@@ -311,8 +283,8 @@ mod tests {
         // adding repetitions never perturbs existing ones (the same
         // property the campaign layer guarantees for pairs).
         let xs = uniform_samples(80, 9);
-        let a = bootstrap_ci(&xs, mean, 500, 0.95, 21);
-        let b = bootstrap_ci(&xs, mean, 500, 0.95, 21);
+        let a = bootstrap_ci(&xs, mean, 500, 0.95, 21, exec::current_jobs());
+        let b = bootstrap_ci(&xs, mean, 500, 0.95, 21, exec::current_jobs());
         assert_eq!(a, b);
     }
 

@@ -41,7 +41,7 @@ pub mod kappa;
 pub mod sketch;
 
 pub use autocorr::{autocorrelation, autocovariance};
-pub use bootstrap::{block_bootstrap_ci, block_bootstrap_ci_jobs, bootstrap_ci, bootstrap_ci_jobs};
+pub use bootstrap::{block_bootstrap_ci, bootstrap_ci};
 pub use ci::{quantile_ci, QuantileCi};
 pub use confirm::{confirm_curve, repetitions_needed, ConfirmPoint};
 pub use describe::{coefficient_of_variation, mean, median, quantile, std_dev, BoxSummary, Summary};

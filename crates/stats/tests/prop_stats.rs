@@ -102,7 +102,7 @@ prop_cases! {
 
     #[test]
     fn bootstrap_brackets_reasonably(xs in finite_vec(5..100), seed in 0u64..100) {
-        let ci = bootstrap_ci(&xs, mean, 200, 0.95, seed);
+        let ci = bootstrap_ci(&xs, mean, 200, 0.95, seed, exec::current_jobs());
         prop_assert!(ci.lower <= ci.upper);
         // The point estimate need not be inside a percentile CI for
         // pathological data, but for the mean of bounded data it is.

@@ -17,9 +17,6 @@
 //! * [`zoo`] — named shapes: `flat` (the linkless model every
 //!   campaign used before this crate), `star`, `fattree<k>`,
 //!   `oversub<ratio>`; resolve with [`zoo::by_name`].
-//! * [`json`] — a hand-rolled parser/serializer for the
-//!   parsimon-style cluster schema (`fab2spine` / `planes` / `pods`),
-//!   no serde: the workspace builds hermetically.
 //! * [`ecmp`] — equal-cost shortest paths per host pair as a counted
 //!   shortest-path DAG, unranked on demand in sorted-adjacency DFS
 //!   order; flows spread by a seed-derived hash ([`EcmpRouter`]).
@@ -60,12 +57,10 @@
 //! ```
 
 pub mod ecmp;
-pub mod json;
 pub mod model;
 pub mod wiring;
 pub mod zoo;
 
 pub use ecmp::{EcmpRouter, MAX_ECMP_PATHS};
-pub use json::{from_cluster_json, to_cluster_json};
 pub use model::{Link, NodeKind, TopoError, Topology, TopologyBuilder};
 pub use wiring::Wiring;

@@ -3,9 +3,9 @@
 //! deterministic, sorted iteration order.
 
 /// What a topology node is. The tiers mirror the paper's datacenter
-/// model (and parsimon-eval's cluster schema): hosts at the leaves,
-/// top-of-rack switches above them, pod-local fabric (aggregation)
-/// switches, and the spine planes on top.
+/// model: hosts at the leaves, top-of-rack switches above them,
+/// pod-local fabric (aggregation) switches, and the spine planes on
+/// top.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum NodeKind {
     /// A server: the only kind a fabric node may be placed on.
@@ -16,18 +16,6 @@ pub enum NodeKind {
     Fabric,
     /// Spine switch (one per plane position).
     Spine,
-}
-
-impl NodeKind {
-    /// Stable label used by the JSON schema and reports.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            NodeKind::Host => "Host",
-            NodeKind::Tor => "Tor",
-            NodeKind::Fabric => "Fabric",
-            NodeKind::Spine => "Spine",
-        }
-    }
 }
 
 /// One undirected physical link. Each link owns two directed capacity
@@ -42,7 +30,7 @@ pub struct Link {
     /// Capacity of each direction, bits/s.
     pub bandwidth_bps: f64,
     /// Propagation delay, seconds (metadata; the rate allocator is
-    /// bandwidth-only, delays feed latency models and the JSON schema).
+    /// bandwidth-only; delays are for latency models).
     pub delay_s: f64,
 }
 
@@ -133,7 +121,7 @@ impl Topology {
     }
 }
 
-/// Errors a topology construction or parse can report.
+/// Errors a topology construction or wiring can report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopoError {
     /// A link referenced a node id that was never declared.
@@ -142,9 +130,8 @@ pub enum TopoError {
     SelfLink(usize),
     /// A link bandwidth or delay was not a positive finite number.
     BadLink(String),
-    /// The JSON text failed to parse (position, message).
-    Json(usize, String),
-    /// The JSON parsed but did not match the cluster schema.
+    /// The topology cannot carry the requested wiring: too few hosts,
+    /// disconnected hosts, or a shortest path longer than a route holds.
     Schema(String),
     /// A zoo name was not recognized or its parameters are invalid.
     Zoo(String),
@@ -156,7 +143,6 @@ impl std::fmt::Display for TopoError {
             TopoError::UnknownNode(v) => write!(f, "link references unknown node {v}"),
             TopoError::SelfLink(v) => write!(f, "self-link at node {v}"),
             TopoError::BadLink(msg) => write!(f, "bad link: {msg}"),
-            TopoError::Json(pos, msg) => write!(f, "json error at byte {pos}: {msg}"),
             TopoError::Schema(msg) => write!(f, "cluster schema error: {msg}"),
             TopoError::Zoo(msg) => write!(f, "unknown topology: {msg}"),
         }
@@ -193,18 +179,6 @@ impl TopologyBuilder {
     /// Declare `n` nodes of one kind; returns their ids, ascending.
     pub fn nodes(&mut self, kind: NodeKind, n: usize) -> Vec<usize> {
         (0..n).map(|_| self.node(kind)).collect()
-    }
-
-    /// Declare a node with an explicit id (the JSON parser's path:
-    /// cluster files name their ids). Gaps are an error at `build`.
-    pub fn node_with_id(&mut self, id: usize, kind: NodeKind) {
-        if id >= self.kinds.len() {
-            // Fill the gap with Hosts; `build` verifies every slot was
-            // explicitly declared via the `declared` bitmap the JSON
-            // parser keeps, so this default never survives a valid file.
-            self.kinds.resize(id + 1, NodeKind::Host);
-        }
-        self.kinds[id] = kind;
     }
 
     /// Connect `a` and `b` with an undirected link; returns the link id.

@@ -102,7 +102,7 @@ pub fn oversub(n_hosts: usize, ratio: f64) -> Result<Topology, TopoError> {
     let uplink = HOSTS_PER_TOR as f64 * HOST_BPS / ratio;
     let mut b = TopologyBuilder::new(&format!("oversub{ratio}"));
     // The shared aggregation switch is a Fabric node: two-tier
-    // leaf-spine maps onto the cluster schema's tor2fab section.
+    // leaf-spine has no spine tier.
     let agg = b.node(NodeKind::Fabric);
     for _ in 0..racks {
         let tor = b.node(NodeKind::Tor);

@@ -1,6 +1,6 @@
 //! Property suite for the topology subsystem (DESIGN.md §12).
 //!
-//! Six contracts, each driven with randomized inputs:
+//! Five contracts, each driven with randomized inputs:
 //!
 //! * the fabric's per-link max-min water-filling is **bit-identical**
 //!   between the event engine and the reference loops on arbitrary
@@ -19,24 +19,17 @@
 //!   router's single-flow [`Wiring::route_for`];
 //! * a fabric wired with a **flat** topology is bitwise
 //!   indistinguishable from a plain fabric under a random flow script
-//!   (the flat-equivalence contract);
-//! * the hand-rolled cluster JSON round-trips: `parse(serialize(t))`
-//!   reproduces every node kind and link bit-for-bit, and serializing
-//!   again is byte-stable.
+//!   (the flat-equivalence contract).
 
 use netsim::fabric::{Fabric, FlowId, FlowSpec, StepPath};
 use netsim::rng::{derive_seed, SimRng};
 use netsim::shaper::StaticShaper;
 use netsim::LinkRoute;
 use proplite::prelude::*;
-use topo::{
-    from_cluster_json, to_cluster_json, EcmpRouter, NodeKind, Topology, TopologyBuilder, Wiring,
-    MAX_ECMP_PATHS,
-};
+use topo::{EcmpRouter, NodeKind, Topology, TopologyBuilder, Wiring, MAX_ECMP_PATHS};
 
 /// A random routed fabric problem: mixed finite/infinite node egress,
-/// node ingress and directed link capacities, an optional core cap,
-/// and a flow script with per-flow rate caps and random routes of up to
+/// node ingress and directed link capacities, and a flow script with per-flow rate caps and random routes of up to
 /// four links. Returns the event-engine fabric, its reference twin and
 /// the script's random stream.
 fn random_routed_pair(seed: u64) -> (Fabric<StaticShaper>, Fabric<StaticShaper>, SimRng) {
@@ -53,20 +46,12 @@ fn random_routed_pair(seed: u64) -> (Fabric<StaticShaper>, Fabric<StaticShaper>,
     let egress: Vec<f64> = (0..n_nodes).map(|_| cap(&mut rng)).collect();
     let ingress: Vec<f64> = (0..n_nodes).map(|_| cap(&mut rng)).collect();
     let links: Vec<f64> = (0..2 * n_links).map(|_| cap(&mut rng)).collect();
-    let core = if rng.chance(0.4) {
-        Some(rng.uniform_in(1e9, 5e10))
-    } else {
-        None
-    };
     let build = |path: StepPath| {
         let mut f = Fabric::new();
         for (&eg, &ing) in egress.iter().zip(&ingress) {
             f.add_node(StaticShaper::new(eg), ing);
         }
         f.set_link_caps(links.clone());
-        if let Some(c) = core {
-            f.set_core_capacity(c);
-        }
         f.force_path(path);
         f
     };
@@ -170,16 +155,20 @@ fn layered_topology(seed: u64) -> Topology {
 }
 
 /// `t` with its node ids randomly permuted, links declared in the same
-/// order — the same graph as an imported cluster file might number it.
+/// order — the same graph under another numbering.
 /// Sorted adjacency then interleaves a node's closer and farther
 /// neighbors, so the neighbors one hop closer to a host no longer form
 /// one contiguous block.
 fn relabeled(t: &Topology, seed: u64) -> Topology {
     let mut id: Vec<usize> = (0..t.node_count()).collect();
     SimRng::new(seed ^ 0x2e1a).shuffle(&mut id);
-    let mut b = TopologyBuilder::new(t.name());
+    let mut kinds = vec![NodeKind::Host; id.len()];
     for (v, &to) in id.iter().enumerate() {
-        b.node_with_id(to, t.kind(v));
+        kinds[to] = t.kind(v);
+    }
+    let mut b = TopologyBuilder::new(t.name());
+    for kind in kinds {
+        b.node(kind);
     }
     for l in t.links() {
         b.link(id[l.a], id[l.b], l.bandwidth_bps, l.delay_s).unwrap();
@@ -632,37 +621,4 @@ prop_cases! {
         prop_assert_eq!(perf.link_cache_hits, 0, "flat fabric hit the link cache");
     }
 
-    /// JSON round-trip: parse(serialize(t)) reproduces the structure
-    /// bit-for-bit and re-serializes byte-identically.
-    #[test]
-    fn cluster_json_round_trips(seed in 0u64..1_000_000) {
-        let t = random_tiered_topology(seed);
-        let json = to_cluster_json(&t).unwrap();
-        let back = from_cluster_json(&json).unwrap();
-        prop_assert_eq!(t.node_count(), back.node_count(), "node count changed");
-        for v in 0..t.node_count() {
-            prop_assert_eq!(t.kind(v), back.kind(v), "node {} kind changed", v);
-        }
-        // Serialization groups links by schema section (host2tor,
-        // tor2fab, fab2spine), so the round-trip canonicalizes link
-        // *order*; the link multiset must survive bit-for-bit.
-        let canon = |t: &Topology| {
-            let mut ls: Vec<(usize, usize, u64, u64)> = t
-                .links()
-                .iter()
-                .map(|l| {
-                    let (a, b) = (l.a.min(l.b), l.a.max(l.b));
-                    (a, b, l.bandwidth_bps.to_bits(), l.delay_s.to_bits())
-                })
-                .collect();
-            ls.sort_unstable();
-            ls
-        };
-        prop_assert_eq!(canon(&t), canon(&back), "link multiset changed");
-        prop_assert_eq!(
-            to_cluster_json(&back).unwrap(),
-            json,
-            "second serialization not byte-stable"
-        );
-    }
 }

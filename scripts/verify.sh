@@ -11,6 +11,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Inside a git work tree, the last stage checks that the gate left the
+# tracked files as it found them: a stage that rewrites one fails the
+# gate instead of slipping its bytes into the next commit.
+tree_before=""
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  tree_before=$(git diff --binary | sha256sum)
+fi
+
 echo "== tier-1: offline release build =="
 cargo build --release --workspace --offline
 
@@ -85,10 +93,15 @@ rm -f "$lint_a" "$lint_b"
 echo "OK: detlint --json is byte-identical across runs"
 
 echo "== detlint: pipeline benchmark =="
-# Times the analysis over this workspace, re-checks byte-identity and
-# deny-cleanliness from inside the bench, and writes the files/sec
-# trajectory to BENCH_detlint.json.
+# Times the analysis over this workspace and re-checks byte-identity
+# and deny-cleanliness from inside the bench. The bench rewrites the
+# tracked BENCH_detlint.json with this host's wall times; the gate
+# prints them and puts the committed file back.
+detlint_bench=$(mktemp)
+cp BENCH_detlint.json "$detlint_bench"
 cargo bench -q --offline -p bench --bench supp_detlint
+cp "$detlint_bench" BENCH_detlint.json
+rm -f "$detlint_bench"
 
 echo "== paper benches: every figure and ablation CHECK passes, on both engines =="
 # The fig* and ablation targets rerun the paper's figures and print one
@@ -302,18 +315,19 @@ echo "== topology: flat campaign byte-identical to the topology-less path =="
 # footer shows a live link cache instead of the flat marker), and the
 # randomized property suite pits routed water-filling (event engine vs
 # reference), ECMP replay and unranking (against a BFS + DFS path
-# enumeration oracle), flat wiring, and the JSON codec against their
-# reference contracts.
+# enumeration oracle) and flat wiring against their reference
+# contracts. `FABRIC_SLOW_PATH=1` selects the reference engine, `0`
+# the event engine.
 topo_dir=$(mktemp -d)
 trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir"' EXIT
 topo_run="cargo run -q --release --offline --bin cloud-repro -- run \
   --cloud gce-8 --workload q65 --reps 5 --nodes 16 --seed 11"
-for path in event reference; do
-  $topo_run --fabric-path "$path" > "$topo_dir/plain_$path.out"
-  $topo_run --fabric-path "$path" --topology flat > "$topo_dir/flat_$path.out"
-  if ! diff -u "$topo_dir/plain_$path.out" "$topo_dir/flat_$path.out" > /dev/null; then
-    echo "FAIL: --topology flat differs from the topology-less run ($path engine):" >&2
-    diff -u "$topo_dir/plain_$path.out" "$topo_dir/flat_$path.out" >&2 | head -20
+for slow in 0 1; do
+  FABRIC_SLOW_PATH=$slow $topo_run > "$topo_dir/plain_slow$slow.out"
+  FABRIC_SLOW_PATH=$slow $topo_run --topology flat > "$topo_dir/flat_slow$slow.out"
+  if ! diff -u "$topo_dir/plain_slow$slow.out" "$topo_dir/flat_slow$slow.out" > /dev/null; then
+    echo "FAIL: --topology flat differs from the topology-less run (FABRIC_SLOW_PATH=$slow):" >&2
+    diff -u "$topo_dir/plain_slow$slow.out" "$topo_dir/flat_slow$slow.out" >&2 | head -20
     exit 1
   fi
 done
@@ -336,7 +350,7 @@ if ! grep -q "link cache [0-9]" "$topo_dir/tree.out"; then
   tail -1 "$topo_dir/tree.out" >&2
   exit 1
 fi
-if diff -u "$topo_dir/tree.out" "$topo_dir/flat_event.out" > /dev/null; then
+if diff -u "$topo_dir/tree.out" "$topo_dir/flat_slow0.out" > /dev/null; then
   echo "FAIL: fat-tree run is identical to the flat one (topology inert)" >&2
   exit 1
 fi
@@ -351,40 +365,48 @@ echo "== flow churn: 64-node terasort shuffles, event vs reference, byte-identic
 #   2. The two engines' reports are byte-identical apart from the
 #      header's `[reference fabric path]` marker and the `fabric:`
 #      footer, whose cache counters differ between engines by design.
-#   3. `FABRIC_SLOW_PATH=1` without `--fabric-path` selects the
-#      reference engine: its report, header marker and footer included,
-#      is byte-identical to `--fabric-path reference`'s.
+#   3. `FABRIC_SLOW_PATH` is the one engine switch: the
+#      `FABRIC_SLOW_PATH=1` report carries the `[reference fabric
+#      path]` header marker and the `FABRIC_SLOW_PATH=0` report does
+#      not, and `run` refuses the retired `--fabric-path` flag instead
+#      of silently running the event engine.
 churn_dir=$(mktemp -d)
 trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$churn_dir"' EXIT
 churn="cargo run -q --release --offline --bin cloud-repro -- run \
   --cloud ec2-c5.xlarge --workload terasort --nodes 64 --topology fattree8 \
   --reps 4 --seed 11"
-for path in event reference; do
+for slow in 0 1; do
   for jobs in 1 4; do
-    REPRO_JOBS=$jobs $churn --fabric-path "$path" > "$churn_dir/${path}_j$jobs.out"
+    REPRO_JOBS=$jobs FABRIC_SLOW_PATH=$slow $churn > "$churn_dir/slow${slow}_j$jobs.out"
   done
-  if ! diff -u "$churn_dir/${path}_j1.out" "$churn_dir/${path}_j4.out" > /dev/null; then
-    echo "FAIL: terasort churn run differs between 1 and 4 workers ($path engine):" >&2
-    diff -u "$churn_dir/${path}_j1.out" "$churn_dir/${path}_j4.out" >&2 | head -20
+  if ! diff -u "$churn_dir/slow${slow}_j1.out" "$churn_dir/slow${slow}_j4.out" > /dev/null; then
+    echo "FAIL: terasort churn run differs between 1 and 4 workers (FABRIC_SLOW_PATH=$slow):" >&2
+    diff -u "$churn_dir/slow${slow}_j1.out" "$churn_dir/slow${slow}_j4.out" >&2 | head -20
     exit 1
   fi
   sed -e 's/ \[reference fabric path\]//' -e '/^  fabric: /d' \
-    "$churn_dir/${path}_j1.out" > "$churn_dir/$path.cmp"
+    "$churn_dir/slow${slow}_j1.out" > "$churn_dir/slow$slow.cmp"
 done
-if ! grep -q "^TS runtime" "$churn_dir/event.cmp"; then
+if ! grep -q "^TS runtime" "$churn_dir/slow0.cmp"; then
   echo "FAIL: terasort churn run printed no runtime summary:" >&2
-  cat "$churn_dir/event_j1.out" >&2
+  cat "$churn_dir/slow0_j1.out" >&2
   exit 1
 fi
-if ! diff -u "$churn_dir/event.cmp" "$churn_dir/reference.cmp" > /dev/null; then
+if ! diff -u "$churn_dir/slow0.cmp" "$churn_dir/slow1.cmp" > /dev/null; then
   echo "FAIL: terasort churn run differs between the event and reference engines:" >&2
-  diff -u "$churn_dir/event.cmp" "$churn_dir/reference.cmp" >&2 | head -20
+  diff -u "$churn_dir/slow0.cmp" "$churn_dir/slow1.cmp" >&2 | head -20
   exit 1
 fi
-FABRIC_SLOW_PATH=1 $churn > "$churn_dir/env.out"
-if ! diff -u "$churn_dir/reference_j1.out" "$churn_dir/env.out" > /dev/null; then
-  echo "FAIL: FABRIC_SLOW_PATH=1 run lacks the [reference fabric path] report of --fabric-path reference:" >&2
-  diff -u "$churn_dir/reference_j1.out" "$churn_dir/env.out" >&2 | head -20
+if ! head -n 1 "$churn_dir/slow1_j1.out" | grep -qF "[reference fabric path]" \
+  || head -n 1 "$churn_dir/slow0_j1.out" | grep -qF "[reference fabric path]"; then
+  echo "FAIL: the [reference fabric path] header marker does not follow FABRIC_SLOW_PATH:" >&2
+  head -n 1 "$churn_dir/slow0_j1.out" "$churn_dir/slow1_j1.out" >&2
+  exit 1
+fi
+if retired_out=$($churn --fabric-path reference 2>&1) \
+  || ! printf '%s\n' "$retired_out" | grep -q "unknown flag --fabric-path for run"; then
+  echo "FAIL: run did not refuse the retired --fabric-path flag:" >&2
+  printf '%s\n' "$retired_out" | head -5 >&2
   exit 1
 fi
 echo "OK: 4032-flow shuffles retire identically on both engines and any worker count"
@@ -587,5 +609,13 @@ sys.exit(0 if doc["correct"] is True and doc["failed"] == 0 else 1)
   fi
 done
 echo "OK: perfbench workloads are correct with no failed operations"
+
+echo "== tree: the gate left every tracked file as it found it =="
+if [ -n "$tree_before" ] && [ "$(git diff --binary | sha256sum)" != "$tree_before" ]; then
+  echo "FAIL: verify.sh changed tracked files; git diff --stat now reads:" >&2
+  git diff --stat >&2
+  exit 1
+fi
+echo "OK: tracked files are unchanged"
 
 echo "== verify.sh: all gates passed =="

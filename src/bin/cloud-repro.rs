@@ -16,7 +16,7 @@
 //! dependency set minimal.
 
 use cloud_repro::cli::{
-    cloud_by_name, fabric_path_by_name, get_f64, get_jobs, get_u64, parse_flags, pattern_by_name,
+    check_flags, cloud_by_name, get_f64, get_jobs, get_u64, parse_flags, pattern_by_name,
     topology_by_name, workload_by_name,
 };
 use cloud_repro::prelude::*;
@@ -337,13 +337,10 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let reps = get_u64(flags, "reps", 10)? as usize;
     let nodes = get_u64(flags, "nodes", 12)? as usize;
     let seed = get_u64(flags, "seed", 1)?;
-    // A/B escape hatch: run the reference loops instead of the event
-    // engine. The two are bit-identical; output must not change. The
-    // flag wins over `FABRIC_SLOW_PATH`.
-    let path = match flags.get("fabric-path") {
-        Some(name) => fabric_path_by_name(name)?,
-        None => netsim::StepPath::from_env(),
-    };
+    // A/B escape hatch: `FABRIC_SLOW_PATH=1` runs the reference loops
+    // instead of the event engine. The two are bit-identical; output
+    // must not change.
+    let path = netsim::StepPath::from_env();
     // A flat topology is byte-identical to passing no `--topology` at
     // all (the flat-equivalence contract, DESIGN.md §12); verify.sh
     // diffs the two invocations, so flat must not mark the header.
@@ -480,7 +477,7 @@ fn usage() {
     println!("        abort at the first checkpoint covering >= N tenants or pairs");
     println!("  probe --cloud C [--probes N] [--max-seconds T]");
     println!("  fingerprint --cloud C [--bucket]");
-    println!("  run --cloud C --workload W [--reps N] [--nodes N] [--fabric-path event|reference]");
+    println!("  run --cloud C --workload W [--reps N] [--nodes N] [--seed S]");
     println!("      [--topology T] [--placement-seed S]   place nodes on a datacenter");
     println!("      topology with ECMP spreading; re-placed per repetition");
     println!("  plan --cloud C --workload W [--pilot N] [--target FRAC]");
@@ -498,7 +495,7 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
+    let flags = match parse_flags(&args[1..]).and_then(|f| check_flags(cmd, &f).map(|()| f)) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}");

@@ -5,7 +5,7 @@
 
 use repro_core::bigdata::{self, workloads};
 use repro_core::clouds;
-use repro_core::netsim::{StepPath, TrafficPattern};
+use repro_core::netsim::TrafficPattern;
 use repro_core::topo;
 use std::collections::BTreeMap;
 
@@ -32,6 +32,35 @@ pub fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> 
         }
     }
     Ok(flags)
+}
+
+/// Reject any flag `cmd` does not read, so a misspelt or retired flag
+/// fails loudly instead of being silently ignored. `--jobs` is global:
+/// every subcommand accepts it. An unknown subcommand passes: its
+/// caller reports it.
+pub fn check_flags(cmd: &str, flags: &BTreeMap<String, String>) -> Result<(), String> {
+    let known = match cmd {
+        "list" | "survey" | "help" | "--help" | "-h" => "",
+        "campaign" => {
+            "cloud pattern hours seed tenants faults placement-seed self-check \
+             checkpoint-every topology hosts journal resume kill-after"
+        }
+        "fleet" => {
+            "cloud pattern hours pairs seed max-attempts retry-budget step-budget \
+             verify-resume checkpoint-every journal resume kill-after"
+        }
+        "probe" => "cloud probes seed max-seconds",
+        "fingerprint" => "cloud seed bucket",
+        "run" => "cloud workload reps nodes seed topology placement-seed",
+        "plan" => "cloud workload pilot target seed",
+        "detlint" => "root json",
+        _ => return Ok(()),
+    };
+    let reads = |key: &str| key == "jobs" || known.split_whitespace().any(|f| f == key);
+    match flags.keys().find(|k| !reads(k)) {
+        Some(k) => Err(format!("unknown flag --{k} for {cmd}")),
+        None => Ok(()),
+    }
 }
 
 /// Resolve a cloud name like `ec2-c5.xlarge`, `gce-8`, `hpc-2`.
@@ -100,18 +129,6 @@ pub fn pattern_by_name(name: &str) -> Result<TrafficPattern, String> {
 /// `fattree<k>` (e.g. `fattree4`), `oversub<ratio>` (e.g. `oversub2`).
 pub fn topology_by_name(name: &str, nodes: usize) -> Result<topo::Topology, String> {
     topo::zoo::by_name(name, nodes).map_err(|e| e.to_string())
-}
-
-/// Resolve a fabric stepping-engine name (the `--fabric-path` flag):
-/// `event` (the runtime engine, default) or `reference` (the
-/// unbatched test-oracle loops). The two are bit-identical; the choice
-/// trades wall-clock time only.
-pub fn fabric_path_by_name(name: &str) -> Result<StepPath, String> {
-    Ok(match name {
-        "event" => StepPath::Event,
-        "reference" | "ref" => StepPath::Reference,
-        other => return Err(format!("unknown fabric path {other:?} (event, reference)")),
-    })
 }
 
 /// Fetch a float flag with a default.
@@ -243,15 +260,21 @@ mod tests {
     }
 
     #[test]
-    fn resolves_fabric_paths() {
-        assert_eq!(fabric_path_by_name("event").unwrap(), StepPath::Event);
-        assert_eq!(fabric_path_by_name("ref").unwrap(), StepPath::Reference);
+    fn subcommands_refuse_flags_they_do_not_read() {
+        let flags = |line: &str| parse_flags(&args(&line.split(' ').collect::<Vec<_>>())).unwrap();
+        assert!(check_flags("run", &flags("--cloud gce-8 --workload q65 --jobs 2")).is_ok());
         assert_eq!(
-            fabric_path_by_name("reference").unwrap(),
-            StepPath::Reference
+            check_flags("run", &flags("--cloud gce-8 --fabric-path reference")).unwrap_err(),
+            "unknown flag --fabric-path for run"
         );
-        assert!(fabric_path_by_name("turbo").is_err());
-        assert!(fabric_path_by_name("fast").is_err());
+        // A flag one subcommand reads is still foreign to another.
+        let hosts = flags("--hosts 16");
+        assert!(check_flags("campaign", &hosts).is_ok());
+        assert!(check_flags("run", &hosts).is_err());
+        assert!(check_flags("list", &hosts).is_err());
+        // `--jobs` is global; unknown subcommands are reported elsewhere.
+        assert!(check_flags("survey", &flags("--jobs 4")).is_ok());
+        assert!(check_flags("teleport", &hosts).is_ok());
     }
 
     #[test]

@@ -15,7 +15,8 @@ fn budget_monotonicity_for_network_heavy_workloads() {
     let mut means = Vec::new();
     for budget in [5000.0, 100.0, 10.0] {
         let mut cluster = Cluster::ec2_emulated(12, 16, budget);
-        let runs = run_repetitions(&mut cluster, &job, 3, BudgetPolicy::PresetGbit(budget), 1);
+        let policy = BudgetPolicy::PresetGbit(budget);
+        let runs = run_repetitions(&mut cluster, &job, 3, policy, 1, &EngineConfig::default());
         let d = durations(&runs);
         means.push(d.iter().sum::<f64>() / d.len() as f64);
     }
@@ -35,6 +36,7 @@ fn carry_over_breaks_independence_fresh_vms_restore_it() {
         8,
         BudgetPolicy::CarryOver { rest_s: 5.0 },
         2,
+        &EngineConfig::default(),
     ));
     assert!(
         carry.last().unwrap() > &(1.3 * carry[0]),
@@ -48,6 +50,7 @@ fn carry_over_breaks_independence_fresh_vms_restore_it() {
         8,
         BudgetPolicy::FreshVms,
         2,
+        &EngineConfig::default(),
     ));
     let spread = fresh.iter().cloned().fold(0.0f64, f64::max)
         / fresh.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -66,6 +69,7 @@ fn drift_is_caught_by_the_assumption_battery() {
         24,
         BudgetPolicy::CarryOver { rest_s: 5.0 },
         3,
+        &EngineConfig::default(),
     ));
     let report = MeasurementReport::new("carry-over q65", &carry);
     assert!(

@@ -4,6 +4,7 @@
 //! the congestion model agreeing with the fluid model's steady state.
 
 use cloud_repro::prelude::*;
+use bigdata::engine::EngineConfig;
 use bigdata::runner::{durations, run_repetitions, BudgetPolicy};
 use bigdata::workloads::tpcds;
 use bigdata::Cluster;
@@ -68,6 +69,7 @@ fn rest_planner_restores_run_independence() {
         6,
         BudgetPolicy::CarryOver { rest_s: rest },
         1,
+        &EngineConfig::default(),
     ));
     let spread = with_rest.iter().cloned().fold(0.0f64, f64::max)
         / with_rest.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -81,6 +83,7 @@ fn rest_planner_restores_run_independence() {
         6,
         BudgetPolicy::CarryOver { rest_s: 5.0 },
         1,
+        &EngineConfig::default(),
     ));
     assert!(
         no_rest.last().unwrap() > &(1.3 * no_rest[0]),
@@ -135,8 +138,9 @@ fn oversubscribed_core_slows_all_to_all_shuffles() {
     let mut free = Cluster::ec2_emulated(6, 8, 5000.0);
     let fast = bigdata::run_job(&mut free, &job, 2).duration_s;
     let mut tight = Cluster::ec2_emulated(6, 8, 5000.0);
-    // 2:1 oversubscription of the 6×10 Gbps access layer.
-    tight.fabric_mut().set_core_capacity(gbps(30.0));
+    // Racks of four 10 Gbps hosts behind 4:1 oversubscribed uplinks.
+    let oversub = topo::zoo::oversub(6, 4.0).unwrap();
+    tight.set_wiring(topo::Wiring::new(oversub, 6, 7, 42).unwrap());
     let slow = bigdata::run_job(&mut tight, &job, 2).duration_s;
     assert!(slow > 1.05 * fast, "fast {fast} slow {slow}");
 }

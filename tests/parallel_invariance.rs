@@ -7,10 +7,10 @@
 //! assembly), and `crates/stats` (resample streams).
 
 use cloud_repro::prelude::*;
-use measure::{run_all_patterns_jobs, run_fleet, FleetResult, FleetSpec};
+use measure::{run_all_patterns, run_fleet, FleetResult, FleetSpec};
 use netsim::units::hours;
 use netsim::TrafficPattern;
-use vstats::{bootstrap_ci_jobs, block_bootstrap_ci_jobs, mean};
+use vstats::{block_bootstrap_ci, bootstrap_ci, mean};
 
 /// Serialize every result field down to f64 bit patterns.
 fn fingerprint(fleet: &FleetResult) -> String {
@@ -50,9 +50,9 @@ fn faulty_fleet_is_worker_count_invariant_end_to_end() {
 #[test]
 fn pattern_sweep_is_worker_count_invariant() {
     let profile = clouds::gce::n_core(8);
-    let serial = run_all_patterns_jobs(&profile, hours(3.0), 7, 1).expect("patterns run");
+    let serial = run_all_patterns(&profile, hours(3.0), 7, 1).expect("patterns run");
     for jobs in [2usize, 8] {
-        let wide = run_all_patterns_jobs(&profile, hours(3.0), 7, jobs).expect("patterns run");
+        let wide = run_all_patterns(&profile, hours(3.0), 7, jobs).expect("patterns run");
         for (a, b) in wide.iter().zip(serial.iter()) {
             assert_eq!(a.trace.samples, b.trace.samples, "jobs={jobs} pattern={}", a.pattern);
             assert_eq!(a.total_retransmissions, b.total_retransmissions);
@@ -67,11 +67,11 @@ fn bootstrap_cis_are_worker_count_invariant() {
     let res = measure::run_campaign(&profile, TrafficPattern::FullSpeed, hours(2.0), 3)
         .expect("campaign runs");
     let xs = res.trace.bandwidths();
-    let iid1 = bootstrap_ci_jobs(&xs, mean, 1000, 0.95, 5, 1);
-    let blk1 = block_bootstrap_ci_jobs(&xs, mean, 8, 1000, 0.95, 5, 1);
+    let iid1 = bootstrap_ci(&xs, mean, 1000, 0.95, 5, 1);
+    let blk1 = block_bootstrap_ci(&xs, mean, 8, 1000, 0.95, 5, 1);
     for jobs in [2usize, 8] {
-        let iid = bootstrap_ci_jobs(&xs, mean, 1000, 0.95, 5, jobs);
-        let blk = block_bootstrap_ci_jobs(&xs, mean, 8, 1000, 0.95, 5, jobs);
+        let iid = bootstrap_ci(&xs, mean, 1000, 0.95, 5, jobs);
+        let blk = block_bootstrap_ci(&xs, mean, 8, 1000, 0.95, 5, jobs);
         assert_eq!(iid.lower.to_bits(), iid1.lower.to_bits(), "jobs={jobs}");
         assert_eq!(iid.upper.to_bits(), iid1.upper.to_bits(), "jobs={jobs}");
         assert_eq!(blk.lower.to_bits(), blk1.lower.to_bits(), "jobs={jobs}");
