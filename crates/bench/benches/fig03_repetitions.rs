@@ -12,7 +12,7 @@ use repro_core::bigdata::workloads::{hibench, tpcds};
 use repro_core::bigdata::Cluster;
 use repro_core::clouds::ballani;
 use repro_core::netsim::rng::derive_seed;
-use repro_core::netsim::shaper::Shaper;
+use repro_core::netsim::shaper::EmpiricalShaper;
 use repro_core::netsim::units::gbps;
 use repro_core::vstats::ci::quantile_ci;
 use repro_core::vstats::describe::quantile;
@@ -36,11 +36,8 @@ fn run_emulated(
     (0..REPS)
         .map(|rep| {
             let s = derive_seed(seed ^ label as u64, rep as u64);
-            let shapers: Vec<Box<dyn Shaper + Send>> = (0..NODES)
-                .map(|n| {
-                    Box::new(ballani::shaper_for(label, resample_s, derive_seed(s, n as u64)))
-                        as Box<dyn Shaper + Send>
-                })
+            let shapers: Vec<EmpiricalShaper> = (0..NODES)
+                .map(|n| ballani::shaper_for(label, resample_s, derive_seed(s, n as u64)))
                 .collect();
             let mut cluster = Cluster::from_shapers(shapers, gbps(1.0), 16);
             run_job_cfg(&mut cluster, job, s, &cfg).duration_s

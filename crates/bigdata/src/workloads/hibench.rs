@@ -104,43 +104,9 @@ pub fn kmeans_emulation() -> JobSpec {
     JobSpec::new("KM-emu", stages)
 }
 
-/// PageRank (PR): iterative graph processing — edge exchanges every
-/// superstep make it moderately network-bound. Not part of Figure 16's
-/// five, included for HiBench completeness.
-pub fn pagerank() -> JobSpec {
-    let mut stages = vec![StageSpec::new("load-graph", SLOTS, 35.0, gbit(120.0))];
-    for i in 0..5 {
-        stages.push(StageSpec::new(&format!("superstep{i}"), SLOTS, 15.0, gbit(110.0)));
-    }
-    stages.push(StageSpec::new("rank-write", SLOTS, 10.0, 0.0));
-    JobSpec::new("PR", stages)
-}
-
-/// NWeight (NW): graph embedding over 2-hop neighbourhoods — the most
-/// network-intensive of HiBench's graph workloads.
-pub fn nweight() -> JobSpec {
-    JobSpec::new(
-        "NW",
-        vec![
-            StageSpec::new("load", SLOTS, 25.0, gbit(200.0)),
-            StageSpec::new("expand-1hop", SLOTS, 30.0, gbit(900.0)),
-            StageSpec::new("expand-2hop", SLOTS, 35.0, gbit(1400.0)),
-            StageSpec::new("weights", SLOTS, 20.0, 0.0),
-        ],
-    )
-}
-
 /// All five apps in Figure 16's x-axis order (BS, KM, S, WC, TS).
 pub fn all() -> Vec<JobSpec> {
     vec![bayes(), kmeans(), sort(), wordcount(), terasort()]
-}
-
-/// The extended catalogue (Figure 16's five plus the graph workloads).
-pub fn extended() -> Vec<JobSpec> {
-    let mut v = all();
-    v.push(pagerank());
-    v.push(nweight());
-    v
 }
 
 #[cfg(test)]
@@ -192,18 +158,5 @@ mod tests {
     #[test]
     fn confirm_kmeans_is_shorter_than_bigdata_kmeans() {
         assert!(kmeans_confirm().nominal_compute_s() < 0.5 * kmeans().nominal_compute_s());
-    }
-
-    #[test]
-    fn graph_workloads_extend_the_catalogue() {
-        let ext = extended();
-        assert_eq!(ext.len(), 7);
-        let names: Vec<&str> = ext.iter().map(|j| j.name.as_str()).collect();
-        assert!(names.contains(&"PR") && names.contains(&"NW"));
-        // NWeight is the most network-intense graph app; PageRank sits
-        // between Sort and WordCount.
-        let i = |j: &JobSpec| j.network_intensity();
-        assert!(i(&nweight()) > i(&pagerank()));
-        assert!(i(&pagerank()) > i(&bayes()));
     }
 }

@@ -187,7 +187,7 @@ const STABLE_ADAPTERS: &[&str] = &[
 /// A reduction is `.sum::<f64|f32>()`, `.product::<f64|f32>()`, or a
 /// `.fold(...)` whose first argument is a float literal or `f64::`/
 /// `f32::` constant. The chain walking left from the reduction must
-/// consist solely of [`STABLE_ADAPTERS`] calls and terminate in a
+/// consist solely of `STABLE_ADAPTERS` calls and terminate in a
 /// *named place* — a variable, field path, index expression, or a
 /// parenthesized range. A head that is a function-call result (e.g.
 /// `make_series().sum::<f64>()` or a reduction directly over a

@@ -1,16 +1,13 @@
-//! Generic repetition runner implementing Section 5's protocols.
+//! Repetition schedules implementing Section 5's protocols.
 //!
 //! The paper's recommendations for reliable cloud experiments:
-//! enough repetitions (F5.3), randomized experiment order and rests
-//! between runs to avoid self-interference (F5.4), and statistical
-//! reporting with nonparametric CIs. [`ExperimentPlan`] encodes the
-//! protocol; [`ExperimentPlan::run`] executes treatments through a
-//! caller-supplied measurement closure and produces an
-//! [`ExperimentReport`] per treatment.
+//! enough repetitions (F5.3) and randomized experiment order and rests
+//! between runs to avoid self-interference (F5.4).
+//! [`ExperimentPlan`] encodes the protocol, and
+//! [`ExperimentPlan::schedule`] turns it into the global run order
+//! that a caller executes.
 
 use netsim::rng::SimRng;
-use vstats::ci::{quantile_ci, QuantileCi};
-use vstats::describe::Summary;
 
 /// An experiment protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,11 +18,9 @@ pub struct ExperimentPlan {
     /// "randomizing experiment order is a useful technique for
     /// avoiding self-interference").
     pub randomize_order: bool,
-    /// Simulated rest between consecutive runs, seconds (passed to the
-    /// measurement closure so it can advance hidden state).
+    /// Simulated rest between consecutive runs, seconds (carried in
+    /// each [`RunRequest`] so the caller can advance hidden state).
     pub rest_between_s: f64,
-    /// Confidence level for reported CIs.
-    pub confidence: f64,
 }
 
 impl Default for ExperimentPlan {
@@ -34,7 +29,6 @@ impl Default for ExperimentPlan {
             repetitions: 10,
             randomize_order: true,
             rest_between_s: 60.0,
-            confidence: 0.95,
         }
     }
 }
@@ -48,19 +42,6 @@ pub struct RunRequest {
     pub repetition: usize,
     /// Rest to apply before the run, seconds.
     pub rest_before_s: f64,
-}
-
-/// Per-treatment results.
-#[derive(Debug, Clone)]
-pub struct ExperimentReport {
-    /// Treatment name.
-    pub name: String,
-    /// Raw measurements in execution order.
-    pub samples: Vec<f64>,
-    /// Descriptive summary.
-    pub summary: Summary,
-    /// Nonparametric CI of the median, if computable at this n.
-    pub median_ci: Option<QuantileCi>,
 }
 
 impl ExperimentPlan {
@@ -85,89 +66,6 @@ impl ExperimentPlan {
         }
         runs
     }
-
-    /// Execute `measure(request) -> f64` over every scheduled run and
-    /// aggregate per treatment.
-    pub fn run<F>(
-        &self,
-        treatment_names: &[&str],
-        seed: u64,
-        mut measure: F,
-    ) -> Vec<ExperimentReport>
-    where
-        F: FnMut(RunRequest) -> f64,
-    {
-        let schedule = self.schedule(treatment_names.len(), seed);
-        let mut samples: Vec<Vec<f64>> = vec![Vec::new(); treatment_names.len()];
-        for req in schedule {
-            let v = measure(req);
-            samples[req.treatment].push(v);
-        }
-        treatment_names
-            .iter()
-            .zip(samples)
-            .map(|(name, xs)| ExperimentReport {
-                name: name.to_string(),
-                summary: Summary::from_samples(&xs),
-                median_ci: quantile_ci(&xs, 0.5, self.confidence),
-                samples: xs,
-            })
-            .collect()
-    }
-}
-
-/// Pairwise comparison of two treatments' samples: Mann–Whitney for a
-/// location shift and KS for any distributional difference (the F5.1
-/// sensitivity-analysis readout).
-#[derive(Debug, Clone)]
-pub struct TreatmentComparison {
-    /// Names of the two treatments.
-    pub pair: (String, String),
-    /// Mann–Whitney two-sided p-value.
-    pub mann_whitney_p: f64,
-    /// Kolmogorov–Smirnov D statistic.
-    pub ks_d: f64,
-    /// Kolmogorov–Smirnov p-value.
-    pub ks_p: f64,
-    /// Cliff's delta effect size of `b` over `a` (positive = b larger).
-    pub cliffs_delta: f64,
-    /// Relative median difference `(med_b − med_a) / med_a`.
-    pub median_shift: f64,
-}
-
-impl TreatmentComparison {
-    /// Do the treatments differ at significance `alpha` by either test?
-    pub fn differs(&self, alpha: f64) -> bool {
-        self.mann_whitney_p < alpha || self.ks_p < alpha
-    }
-}
-
-/// All pairwise comparisons between treatment reports.
-pub fn compare_treatments(reports: &[ExperimentReport]) -> Vec<TreatmentComparison> {
-    use vstats::htest::ks::ks_two_sample;
-    use vstats::htest::mannwhitney::mann_whitney_u;
-    let mut out = Vec::new();
-    for i in 0..reports.len() {
-        for j in i + 1..reports.len() {
-            let (a, b) = (&reports[i], &reports[j]);
-            let mw = mann_whitney_u(&a.samples, &b.samples);
-            let ks = ks_two_sample(&a.samples, &b.samples);
-            let med_a = a.summary.median();
-            out.push(TreatmentComparison {
-                pair: (a.name.clone(), b.name.clone()),
-                mann_whitney_p: mw.p_value,
-                ks_d: ks.d,
-                ks_p: ks.p_value,
-                cliffs_delta: vstats::effect::cliffs_delta(&b.samples, &a.samples),
-                median_shift: if med_a != 0.0 {
-                    (b.summary.median() - med_a) / med_a
-                } else {
-                    f64::INFINITY
-                },
-            });
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -180,7 +78,6 @@ mod tests {
             repetitions: 5,
             randomize_order: true,
             rest_between_s: 30.0,
-            confidence: 0.95,
         };
         let sched = plan.schedule(3, 42);
         assert_eq!(sched.len(), 15);
@@ -218,64 +115,9 @@ mod tests {
     }
 
     #[test]
-    fn run_aggregates_per_treatment() {
-        let plan = ExperimentPlan {
-            repetitions: 10,
-            randomize_order: true,
-            rest_between_s: 0.0,
-            confidence: 0.95,
-        };
-        let reports = plan.run(&["fast", "slow"], 1, |req| {
-            if req.treatment == 0 {
-                10.0 + req.repetition as f64 * 0.1
-            } else {
-                20.0 + req.repetition as f64 * 0.1
-            }
-        });
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].samples.len(), 10);
-        assert!(reports[0].summary.mean < 11.0);
-        assert!(reports[1].summary.mean > 20.0);
-        assert!(reports[0].median_ci.is_some());
-    }
-
-    #[test]
     fn deterministic_schedule() {
         let plan = ExperimentPlan::default();
         assert_eq!(plan.schedule(4, 9), plan.schedule(4, 9));
         assert_ne!(plan.schedule(4, 9), plan.schedule(4, 10));
-    }
-
-    #[test]
-    fn treatment_comparison_detects_real_differences() {
-        let plan = ExperimentPlan {
-            repetitions: 40,
-            randomize_order: true,
-            rest_between_s: 0.0,
-            confidence: 0.95,
-        };
-        let reports = plan.run(&["same-a", "same-b", "shifted"], 3, |req| {
-            let noise = ((req.repetition * 2654435761) % 100) as f64 / 100.0;
-            match req.treatment {
-                0 | 1 => 100.0 + noise,
-                _ => 120.0 + noise,
-            }
-        });
-        let cmp = compare_treatments(&reports);
-        assert_eq!(cmp.len(), 3); // 3 pairs
-        let get = |a: &str, b: &str| {
-            cmp.iter()
-                .find(|c| c.pair == (a.to_string(), b.to_string()))
-                .unwrap()
-                .clone()
-        };
-        assert!(!get("same-a", "same-b").differs(0.01));
-        assert!(get("same-a", "shifted").differs(0.001));
-        assert!(get("same-b", "shifted").median_shift > 0.15);
-        assert!(get("same-a", "shifted").ks_d > 0.9);
-        // Effect sizes: none within the identical pair, maximal for the
-        // disjoint shifted pair.
-        assert!(get("same-a", "same-b").cliffs_delta.abs() < 0.3);
-        assert!(get("same-a", "shifted").cliffs_delta > 0.95);
     }
 }

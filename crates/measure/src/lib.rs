@@ -18,9 +18,9 @@
 //! * [`fingerprint`] — performance fingerprints (finding F5.2): capture
 //!   baseline network behaviour, serialize it alongside results, and
 //!   detect provider policy drift before new experiments.
-//! * [`experiment`] — a generic repetition runner implementing the
-//!   paper's protocol recommendations: repetitions, randomized
-//!   ordering, rests, fresh environments.
+//! * [`experiment`] — repetition schedules implementing the paper's
+//!   protocol recommendations: repetitions, randomized ordering and
+//!   rests between runs.
 //! * [`error`] — typed failure modes ([`MeasureError`]): week-scale
 //!   campaigns lose probes and VMs, and the harness degrades gracefully
 //!   (gap-annotated traces, partial fleet results, probe retry with
@@ -69,7 +69,7 @@ pub use campaign::{
     run_all_patterns, run_campaign, CampaignResult, FleetResult, GapCause, PairFailure, TraceGap,
 };
 pub use error::MeasureError;
-pub use experiment::{ExperimentPlan, ExperimentReport};
+pub use experiment::ExperimentPlan;
 pub use fingerprint::{DriftFinding, Fingerprint};
 pub use placement::{run_placement_fleet, PlacementFleetResult};
 pub use probe::{

@@ -8,32 +8,12 @@
 //! while gathering baseline runs can be used to determine the
 //! appropriate length (e.g., seconds or minutes) of these rests."
 //!
-//! [`RestPlanner`] does exactly that: from a probed
-//! [`BucketEstimate`](crate::probe::BucketEstimate) it computes how long
-//! a VM must idle after a given amount of traffic before its token
-//! budget is restored to a target level, and how much "neutral budget"
-//! an experiment needs to never touch the low-rate regime.
+//! [`RestPlanner`] does exactly that: from a probed [`BucketEstimate`]
+//! it computes how long a VM must idle to refill its token budget from
+//! empty, and how long a rest between repetitions restores what each
+//! run consumed.
 
 use crate::probe::BucketEstimate;
-use netsim::shaper::Shaper;
-
-/// Execute a planned rest against a shaper: advance it through
-/// `rest_s / dt` idle ticks starting at `now`, returning the simulated
-/// time after the rest.
-///
-/// This is the measure-side resting protocol. It delegates to
-/// [`Shaper::rest`], whose contract guarantees the result is bitwise
-/// identical to stepping `transmit(t, dt, 0.0)` in a loop — but closed
-/// forms (token refill saturates, constant shapers are stateless) let
-/// multi-minute rests cost O(1) instead of O(rest_s / dt).
-pub fn execute_rest<S: Shaper>(shaper: &mut S, now: f64, rest_s: f64, dt: f64) -> f64 {
-    assert!(dt > 0.0, "rest step must be positive");
-    let steps = (rest_s / dt).round().max(0.0) as u64;
-    shaper.rest(now, dt, steps);
-    // The clock advances by repeated `+= dt`, exactly as the explicit
-    // loop would, so downstream timestamps stay bit-identical.
-    netsim::shaper::advance_clock(now, dt, steps)
-}
 
 /// Rest-duration planning from a probed token bucket.
 #[derive(Debug, Clone, Copy)]
@@ -56,16 +36,6 @@ impl RestPlanner {
         }
     }
 
-    /// Planner for a cloud without a detected bucket: rests are never
-    /// required for the *network* (other hidden state may still exist).
-    pub fn no_bucket() -> Self {
-        RestPlanner {
-            budget_bits: f64::INFINITY,
-            refill_bps: f64::INFINITY,
-            high_bps: f64::INFINITY,
-        }
-    }
-
     /// Does the bucket constrain experiments at all?
     pub fn has_bucket(&self) -> bool {
         self.budget_bits.is_finite()
@@ -80,22 +50,6 @@ impl RestPlanner {
         (bits - self.refill_bps * duration_s).max(0.0)
     }
 
-    /// Seconds of rest needed after consuming `consumed_bits` of budget
-    /// so that at least `target_fraction` of the full budget is
-    /// available again. Returns 0 when already satisfied.
-    pub fn rest_needed_s(&self, consumed_bits: f64, target_fraction: f64) -> f64 {
-        assert!(
-            (0.0..=1.0).contains(&target_fraction),
-            "target fraction must be within [0, 1]"
-        );
-        if !self.has_bucket() {
-            return 0.0;
-        }
-        let current = (self.budget_bits - consumed_bits).max(0.0);
-        let target = self.budget_bits * target_fraction;
-        ((target - current) / self.refill_bps).max(0.0)
-    }
-
     /// Seconds to refill from empty to full — the worst-case "neutral
     /// state" wait (the paper notes this "takes several minutes" or
     /// more; for c5.xlarge's 5000 Gbit at 1 Gbps it is ~83 minutes,
@@ -105,12 +59,6 @@ impl RestPlanner {
             return 0.0;
         }
         self.budget_bits / self.refill_bps
-    }
-
-    /// Can an experiment transferring `bits` per node (over
-    /// `duration_s`) run entirely at the high rate from a full budget?
-    pub fn fits_in_budget(&self, bits: f64, duration_s: f64) -> bool {
-        self.tokens_consumed(bits, duration_s) <= self.budget_bits
     }
 
     /// Recommend a between-runs rest for a repetition campaign: enough
@@ -124,22 +72,6 @@ impl RestPlanner {
         } else {
             consumed / self.refill_bps
         }
-    }
-
-    /// Apply [`Self::rest_needed_s`] to an actual shaper: idle it at
-    /// step `dt` until at least `target_fraction` of the budget (for
-    /// `consumed_bits` of prior consumption) is restored. Returns the
-    /// simulated time after the rest.
-    pub fn execute_rest_needed<S: Shaper>(
-        &self,
-        shaper: &mut S,
-        now: f64,
-        consumed_bits: f64,
-        target_fraction: f64,
-        dt: f64,
-    ) -> f64 {
-        let rest_s = self.rest_needed_s(consumed_bits, target_fraction);
-        execute_rest(shaper, now, rest_s, dt)
     }
 }
 
@@ -174,33 +106,12 @@ mod tests {
     }
 
     #[test]
-    fn rest_needed_reaches_target_fraction() {
-        let p = RestPlanner {
-            budget_bits: 1000e9,
-            refill_bps: 1e9,
-            high_bps: 10e9,
-        };
-        // Consumed 600 Gbit → at 400; to get back to 90% (900) needs
-        // 500 s.
-        let rest = p.rest_needed_s(600e9, 0.9);
-        assert!((rest - 500.0).abs() < 1e-6);
-        assert_eq!(p.rest_needed_s(50e9, 0.5), 0.0);
-    }
-
-    #[test]
-    fn fits_in_budget() {
-        let p = RestPlanner {
-            budget_bits: 1000e9,
-            refill_bps: 1e9,
-            high_bps: 10e9,
-        };
-        assert!(p.fits_in_budget(900e9, 10.0));
-        assert!(!p.fits_in_budget(2000e9, 10.0));
-    }
-
-    #[test]
     fn no_bucket_needs_no_rest() {
-        let p = RestPlanner::no_bucket();
+        let p = RestPlanner {
+            budget_bits: f64::INFINITY,
+            refill_bps: f64::INFINITY,
+            high_bps: f64::INFINITY,
+        };
         assert!(!p.has_bucket());
         assert_eq!(p.rest_between_runs_s(1e15, 1.0), 0.0);
         assert_eq!(p.full_refill_s(), 0.0);
@@ -208,8 +119,9 @@ mod tests {
 
     #[test]
     fn resting_actually_restores_simulated_performance() {
-        // End-to-end: use the planner's rest on a real simulated bucket
-        // and verify the next burst runs at the high rate.
+        // End-to-end: rest a real simulated bucket for the planner's
+        // worst-case refill and verify the next burst runs at the high
+        // rate.
         use netsim::shaper::{Shaper, TokenBucket};
         let p = RestPlanner {
             budget_bits: 100e9,
@@ -223,44 +135,11 @@ mod tests {
             tb.transmit(t, 0.1, f64::INFINITY);
             t += 0.1;
         }
-        t = p.execute_rest_needed(&mut tb, t, 100e9, 1.0, 0.1);
+        let steps = (p.full_refill_s() / 0.1).round() as u64;
+        tb.rest(t, 0.1, steps);
+        t = netsim::shaper::advance_clock(t, 0.1, steps);
         // Next second runs at ~10 Gbps again.
         let granted = tb.transmit(t, 1.0, f64::INFINITY);
         assert!(granted > 9.9e9, "granted {granted}");
-    }
-
-    #[test]
-    fn execute_rest_is_bitwise_equal_to_the_idle_loop() {
-        // The resting protocol's contract: delegating to Shaper::rest
-        // leaves the shaper and clock in exactly the state the explicit
-        // idle-transmit loop produces — compared bitwise, not within a
-        // tolerance.
-        use netsim::shaper::{Shaper, TokenBucket};
-        let mut fast = TokenBucket::sigma_rho(100e9, 1e9, 10e9);
-        let mut slow = fast.clone();
-        // Leave both in a mid-depletion state.
-        for s in [&mut fast, &mut slow] {
-            let mut t = 0.0;
-            for _ in 0..70 {
-                s.transmit(t, 0.1, f64::INFINITY);
-                t += 0.1;
-            }
-        }
-        let now = 7.0;
-        let t_fast = super::execute_rest(&mut fast, now, 33.7, 0.1);
-        let mut t_slow = now;
-        for _ in 0..(33.7f64 / 0.1).round() as usize {
-            slow.transmit(t_slow, 0.1, 0.0);
-            t_slow += 0.1;
-        }
-        assert_eq!(t_fast.to_bits(), t_slow.to_bits());
-        assert_eq!(
-            fast.budget_bits().to_bits(),
-            slow.budget_bits().to_bits()
-        );
-        // Subsequent traffic is also identical.
-        let g_fast = fast.transmit(t_fast, 0.5, f64::INFINITY);
-        let g_slow = slow.transmit(t_slow, 0.5, f64::INFINITY);
-        assert_eq!(g_fast.to_bits(), g_slow.to_bits());
     }
 }

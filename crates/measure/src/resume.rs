@@ -45,7 +45,7 @@
 //! same state the interrupted run would have reached, and every
 //! downstream decision replays identically. First attempts stream
 //! through the `exec` ordered pipeline, at most
-//! [`IN_FLIGHT`](crate::IN_FLIGHT) ahead of the shard being settled;
+//! `IN_FLIGHT` ahead of the shard being settled;
 //! retries (rare) run serially as each shard settles.
 
 use crate::campaign::{assemble_fleet, simulate_pair_capped, FleetResult, PairSim};

@@ -106,7 +106,7 @@ pub struct StreamSpec {
     pub self_check: bool,
     /// Checkpoint cadence in tenants for the journaled driver,
     /// rounded up to pane boundaries; 0 means auto
-    /// ([`AUTO_CHECKPOINT_EVERY`]). Not part of the config fingerprint:
+    /// (`AUTO_CHECKPOINT_EVERY`). Not part of the config fingerprint:
     /// it changes how often durability happens, never what is computed.
     pub checkpoint_every: u64,
 }

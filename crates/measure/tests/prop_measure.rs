@@ -47,14 +47,15 @@ prop_cases! {
         }
     }
 
-    /// Rest planning is monotone: consuming more requires resting at
-    /// least as long, and resting to a higher target never takes less.
+    /// Rest planning is monotone: a run that moves more bits, or moves
+    /// them in less time, never needs a shorter rest after it.
     #[test]
     fn rest_planning_monotone(
         budget in 100.0f64..5000.0,
         c1 in 0.0f64..5000.0,
         c2 in 0.0f64..5000.0,
-        frac in 0.1f64..1.0,
+        d1 in 1.0f64..600.0,
+        d2 in 1.0f64..600.0,
     ) {
         let p = RestPlanner {
             budget_bits: budget * 1e9,
@@ -62,9 +63,10 @@ prop_cases! {
             high_bps: 10e9,
         };
         let (lo, hi) = if c1 <= c2 { (c1, c2) } else { (c2, c1) };
-        prop_assert!(p.rest_needed_s(hi * 1e9, frac) >= p.rest_needed_s(lo * 1e9, frac));
-        prop_assert!(p.rest_needed_s(c1 * 1e9, 1.0) >= p.rest_needed_s(c1 * 1e9, frac));
-        prop_assert!(p.rest_needed_s(c1 * 1e9, frac) >= 0.0);
+        let (short, long) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
+        prop_assert!(p.rest_between_runs_s(hi * 1e9, d1) >= p.rest_between_runs_s(lo * 1e9, d1));
+        prop_assert!(p.rest_between_runs_s(c1 * 1e9, short) >= p.rest_between_runs_s(c1 * 1e9, long));
+        prop_assert!(p.rest_between_runs_s(c1 * 1e9, d1) >= 0.0);
     }
 
     /// Faulty campaigns are bit-for-bit reproducible from the seed:

@@ -157,71 +157,6 @@ pub fn run_reno<S: Shaper>(
     }
 }
 
-/// Run `n_flows` Reno flows sharing one shaper (e.g. several Spark
-/// fetch streams over one VM's egress bucket). Rounds are lock-stepped
-/// at the mean RTT; the shaper's admission is divided in proportion to
-/// each flow's offer, and a flow whose share falls below half its offer
-/// sees a loss. Returns each flow's delivered bits and the per-round
-/// aggregate goodput.
-pub fn run_reno_multi<S: Shaper>(
-    shaper: &mut S,
-    nic: &mut NicModel,
-    cfg: &RenoConfig,
-    n_flows: usize,
-    duration_s: f64,
-) -> (Vec<f64>, Vec<RenoRound>) {
-    assert!(
-        n_flows >= 1 && duration_s > 0.0,
-        "need at least one flow and a positive duration"
-    );
-    let seg_bits = cfg.segment_bytes * 8.0;
-    let mut cwnd = vec![cfg.initial_cwnd; n_flows];
-    let mut ssthresh = vec![cfg.initial_ssthresh; n_flows];
-    let mut delivered = vec![0.0f64; n_flows];
-    let mut rounds = Vec::new();
-    let mut t = 0.0;
-
-    while t < duration_s {
-        let rate_now = shaper.rate_hint(t).max(1e6);
-        let rtt = nic.sample_rtt(cfg.segment_bytes, rate_now).max(1e-5);
-        let offers: Vec<f64> = cwnd.iter().map(|w| w * seg_bits).collect();
-        let total_offer: f64 = offers.iter().sum();
-        let granted_total = shaper.transmit(t, rtt, total_offer);
-        let scale = if total_offer > 0.0 {
-            granted_total / total_offer
-        } else {
-            1.0
-        };
-        let mut any_loss = false;
-        for f in 0..n_flows {
-            let granted = offers[f] * scale;
-            delivered[f] += granted;
-            let p_seg = nic.retrans_prob(cfg.segment_bytes, rate_now);
-            let p_round = 1.0 - (1.0 - p_seg).powf(cwnd[f].max(1.0));
-            let loss = scale < 0.5 || nic.chance(p_round);
-            any_loss |= loss;
-            if loss {
-                ssthresh[f] = (cwnd[f] / 2.0).max(2.0);
-                cwnd[f] = ssthresh[f];
-            } else if cwnd[f] < ssthresh[f] {
-                cwnd[f] = (cwnd[f] * 2.0).min(ssthresh[f]);
-            } else {
-                cwnd[f] += 1.0;
-            }
-            cwnd[f] = cwnd[f].clamp(1.0, cfg.max_cwnd);
-        }
-        rounds.push(RenoRound {
-            t,
-            cwnd: cwnd.iter().sum(),
-            goodput_bps: granted_total / rtt,
-            rtt_s: rtt,
-            loss: any_loss,
-        });
-        t += rtt;
-    }
-    (delivered, rounds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,37 +241,6 @@ mod tests {
             run_reno(&mut shaper, &mut n, &RenoConfig::default(), 5.0).delivered_bits
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn multi_flow_shares_are_roughly_fair() {
-        let mut shaper = StaticShaper::new(gbps(10.0));
-        let mut n = nic(gbps(10.0), 21);
-        let (delivered, _rounds) =
-            run_reno_multi(&mut shaper, &mut n, &RenoConfig::default(), 4, 30.0);
-        let total: f64 = delivered.iter().sum();
-        assert!(total > 0.0);
-        for d in &delivered {
-            let share = d / total;
-            // Lock-stepped identical flows split evenly.
-            assert!((share - 0.25).abs() < 0.05, "share {share}");
-        }
-    }
-
-    #[test]
-    fn multi_flow_aggregate_tracks_single_flow() {
-        let run_multi = |k: usize| {
-            let mut shaper = StaticShaper::new(gbps(10.0));
-            let mut n = nic(gbps(10.0), 22);
-            let (delivered, _) =
-                run_reno_multi(&mut shaper, &mut n, &RenoConfig::default(), k, 20.0);
-            delivered.iter().sum::<f64>()
-        };
-        let one = run_multi(1);
-        let four = run_multi(4);
-        // More flows fill the pipe at least as well (faster aggregate
-        // ramp, shared losses), within a generous band.
-        assert!(four > 0.8 * one, "one {one} four {four}");
     }
 
     #[test]

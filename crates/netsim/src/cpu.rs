@@ -72,12 +72,6 @@ impl CpuCredits {
         }
     }
 
-    /// A t3.large-style profile: 2 vCPU, 30% baseline, 24-hour credit
-    /// cap (576 credits), starting with half the cap.
-    pub fn t3_large() -> Self {
-        CpuCredits::new(2, 0.30, 288.0, 576.0)
-    }
-
     /// An unlimited (non-burstable) instance: never throttles.
     pub fn unlimited(vcpus: u32) -> Self {
         CpuCredits::new(vcpus, 1.0, 0.0, 0.0)
@@ -145,11 +139,6 @@ impl CpuCredits {
     pub fn reset(&mut self) {
         self.balance_s = self.initial_s;
     }
-
-    /// Wall time `work_s` would take without mutating state.
-    pub fn preview(&self, work_s: f64) -> f64 {
-        self.clone().run(work_s)
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +168,9 @@ mod tests {
 
     #[test]
     fn short_work_is_unaffected() {
-        let mut c = CpuCredits::t3_large();
+        // A t3.large-style profile: 2 vCPU, 30% baseline, 24-hour
+        // credit cap (576 credits), starting with half the cap.
+        let mut c = CpuCredits::new(2, 0.30, 288.0, 576.0);
         let wall = c.run(60.0);
         assert!((wall - 60.0).abs() < 1e-9);
         assert!(c.balance_credits() < 288.0);
@@ -203,11 +194,9 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_preview() {
+    fn reset_restores_the_initial_balance() {
         let mut c = CpuCredits::new(2, 0.3, 10.0, 100.0);
-        let w1 = c.preview(1000.0);
-        let w2 = c.run(1000.0);
-        assert_eq!(w1, w2);
+        c.run(1000.0);
         assert!(c.balance_credits() < 1e-9);
         c.reset();
         assert!((c.balance_credits() - 10.0).abs() < 1e-9);

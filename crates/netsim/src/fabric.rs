@@ -17,7 +17,7 @@
 //! runs one **event-driven engine**, with the original loops kept
 //! beside it as a bit-identical test oracle ([`StepPath`]):
 //!
-//! * the **rate cache** ([`Fabric::refresh_rates`]) keeps every
+//! * the **rate cache** (`Fabric::refresh_rates`) keeps every
 //!   per-step buffer in per-fabric scratch storage (zero steady-state
 //!   heap allocations), maintains per-node active-flow counts
 //!   incrementally instead of rebuilding them every water-filling
@@ -599,22 +599,6 @@ impl<S: Shaper> Fabric<S> {
         self.faults.as_ref()
     }
 
-    /// Fault rate factor of node `n` at the current simulated time
-    /// (1.0 when healthy or when no schedule is attached).
-    pub fn node_fault_factor(&self, n: NodeId) -> f64 {
-        match &self.faults {
-            Some(s) => s.factor_at(n, self.now_s),
-            None => 1.0,
-        }
-    }
-
-    /// Whether node `n` is inside a VM-stall episode right now.
-    pub fn node_stalled(&self, n: NodeId) -> bool {
-        self.faults
-            .as_ref()
-            .is_some_and(|s| s.stalled_at(n, self.now_s))
-    }
-
     /// Install directed per-link capacities (bits/s): slot `l` is one
     /// direction of one physical link of an external topology. Routed
     /// flows ([`Fabric::start_flow_routed`]) name the slots they cross;
@@ -1187,8 +1171,8 @@ impl<S: Shaper> Fabric<S> {
     /// completed during the step, in id order.
     ///
     /// On the event engine this is an event window of one step: the
-    /// allocation from [`Fabric::refresh_rates`], then one step of
-    /// [`Fabric::event_window`] (or, with no flow in flight, one idle
+    /// allocation from `Fabric::refresh_rates`, then one step of
+    /// `Fabric::event_window` (or, with no flow in flight, one idle
     /// tick). Its window is not counted as an event jump.
     pub fn step(&mut self, dt: f64) -> Vec<FlowId> {
         assert!(dt > 0.0, "step must be positive");
@@ -1460,7 +1444,7 @@ impl<S: Shaper> Fabric<S> {
     /// crossings (+1: a window's first step runs on an allocation
     /// refreshed at its own clock, the bound covers the transmits
     /// *after* it), the fault schedule's next episode edge
-    /// ([`Fabric::fault_horizon`]), per-flow
+    /// (`Fabric::fault_horizon`), per-flow
     /// completion horizons (how long `remaining` provably stays above
     /// the per-step demand `rate * dt`, with a relative `1e-6` plus two
     /// absolute guard steps absorbing delivery rounding — available
@@ -1887,14 +1871,11 @@ mod tests {
         // t=1 and t=2: stalled, nothing moves.
         f.step(1.0);
         assert_eq!(f.flow_last_rate(id).unwrap(), 0.0);
-        assert!(f.node_stalled(0));
-        assert_eq!(f.node_fault_factor(0), 0.0);
         f.step(1.0);
         assert_eq!(f.flow_last_rate(id).unwrap(), 0.0);
         // t=3: recovered.
         f.step(1.0);
         assert!((f.flow_last_rate(id).unwrap() - gbps(10.0)).abs() < 1.0);
-        assert!(!f.node_stalled(0));
     }
 
     #[test]

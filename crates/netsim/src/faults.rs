@@ -12,9 +12,8 @@
 //! * [`FaultConfig`] — per-provider fault-rate parameters (all zero by
 //!   default, so existing goldens are untouched).
 //! * [`FaultSchedule`] — the materialized, time-ordered fault timeline
-//!   for a set of nodes over a horizon, generated through the same
-//!   [`EventQueue`](crate::events::EventQueue) discipline the rest of
-//!   the simulator uses (stable ordering for simultaneous events).
+//!   for a set of nodes over a horizon (a stable sort by start time, so
+//!   simultaneous episodes keep their generation order).
 //! * [`FaultInjector`] — a [`Shaper`] wrapper that applies a node's
 //!   fault factor to a single shaped endpoint (the campaign path).
 //! * [`Fabric::set_fault_schedule`](crate::fabric::Fabric::set_fault_schedule)
@@ -22,7 +21,6 @@
 //!   transmit at zero/degraded rate for the fault window (the bigdata
 //!   path).
 
-use crate::events::EventQueue;
 use crate::rng::{derive_seed, SimRng};
 use crate::shaper::Shaper;
 
@@ -237,17 +235,13 @@ impl FaultSchedule {
         horizon_s: f64,
         episodes: impl IntoIterator<Item = FaultEpisode>,
     ) -> Self {
-        let mut queue: EventQueue<FaultEpisode> = EventQueue::new();
+        let mut schedule = FaultSchedule::empty(n_nodes, horizon_s);
         for ep in episodes {
             assert!(ep.node < n_nodes, "episode on unknown node {}", ep.node);
             assert!(ep.start_s < ep.end_s, "episode must have positive duration");
-            queue.schedule(ep.start_s, ep);
-        }
-        let mut schedule = FaultSchedule::empty(n_nodes, horizon_s);
-        while let Some((_, ep)) = queue.pop() {
             schedule.timeline.push(ep);
-            schedule.per_node[ep.node].push(ep);
         }
+        schedule.index_timeline();
         schedule
     }
 
@@ -256,15 +250,16 @@ impl FaultSchedule {
     /// Arrivals within each class are Poisson (exponential gaps);
     /// durations are exponential with the class mean; degradation
     /// factors are uniform in the configured range. Episodes are
-    /// clipped to the horizon. Generation funnels through an
-    /// [`EventQueue`] so that simultaneous episodes order stably.
+    /// clipped to the horizon. Simultaneous episodes keep their
+    /// generation order (node, then stall, degrade, loss).
     pub fn generate(config: &FaultConfig, n_nodes: usize, horizon_s: f64, seed: u64) -> Self {
         assert!(horizon_s >= 0.0, "fault horizon must be non-negative");
-        let mut queue: EventQueue<FaultEpisode> = EventQueue::new();
+        let mut schedule = FaultSchedule::empty(n_nodes, horizon_s);
+        let timeline = &mut schedule.timeline;
         for node in 0..n_nodes {
             let node_seed = derive_seed(seed, node as u64);
             Self::arrivals(
-                &mut queue,
+                timeline,
                 node,
                 horizon_s,
                 config.stall_rate_per_hour,
@@ -274,7 +269,7 @@ impl FaultSchedule {
             );
             let (dmin, dmax) = (config.degrade_min_factor, config.degrade_max_factor);
             Self::arrivals(
-                &mut queue,
+                timeline,
                 node,
                 horizon_s,
                 config.degrade_rate_per_hour,
@@ -284,7 +279,7 @@ impl FaultSchedule {
             );
             let loss = config.loss_frac;
             Self::arrivals(
-                &mut queue,
+                timeline,
                 node,
                 horizon_s,
                 config.loss_rate_per_hour,
@@ -293,18 +288,24 @@ impl FaultSchedule {
                 move |_| (FaultKind::LossBurst, (1.0 - loss).max(0.0)),
             );
         }
-
-        let mut schedule = FaultSchedule::empty(n_nodes, horizon_s);
-        while let Some((_, ep)) = queue.pop() {
-            schedule.timeline.push(ep);
-            schedule.per_node[ep.node].push(ep);
-        }
+        schedule.index_timeline();
         schedule
     }
 
-    /// Pour one class's Poisson arrivals for one node into the queue.
+    /// Sort the timeline by start time and fill the per-node indexes.
+    /// The sort is stable, so episodes that start together keep the
+    /// order they were pushed in.
+    fn index_timeline(&mut self) {
+        self.timeline
+            .sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
+        for &ep in &self.timeline {
+            self.per_node[ep.node].push(ep);
+        }
+    }
+
+    /// Append one class's Poisson arrivals for one node to `timeline`.
     fn arrivals(
-        queue: &mut EventQueue<FaultEpisode>,
+        timeline: &mut Vec<FaultEpisode>,
         node: usize,
         horizon_s: f64,
         rate_per_hour: f64,
@@ -320,16 +321,13 @@ impl FaultSchedule {
         while t < horizon_s {
             let dur = rng.exponential(1.0 / mean_dur_s);
             let (kind, rate_factor) = kind_and_factor(&mut rng);
-            queue.schedule(
-                t,
-                FaultEpisode {
-                    node,
-                    start_s: t,
-                    end_s: (t + dur).min(horizon_s),
-                    kind,
-                    rate_factor,
-                },
-            );
+            timeline.push(FaultEpisode {
+                node,
+                start_s: t,
+                end_s: (t + dur).min(horizon_s),
+                kind,
+                rate_factor,
+            });
             t += rng.exponential(rate_per_s);
         }
     }
@@ -408,32 +406,6 @@ impl FaultSchedule {
                 .find(|e| e.kind == FaultKind::VmStall && e.active_at(t))
                 .copied()
         })
-    }
-
-    /// Total seconds of `[0, horizon)` during which `node` is stalled
-    /// (union of stall episodes).
-    pub fn stalled_time_s(&self, node: usize) -> f64 {
-        let eps = match self.per_node.get(node) {
-            Some(e) => e,
-            None => return 0.0,
-        };
-        // Merge overlapping stall intervals (episodes are start-sorted).
-        let mut total = 0.0;
-        let mut cur: Option<(f64, f64)> = None;
-        for e in eps.episodes.iter().filter(|e| e.kind == FaultKind::VmStall) {
-            match cur {
-                Some((s, en)) if e.start_s <= en => cur = Some((s, en.max(e.end_s))),
-                Some((s, en)) => {
-                    total += en - s;
-                    cur = Some((e.start_s, e.end_s));
-                }
-                None => cur = Some((e.start_s, e.end_s)),
-            }
-        }
-        if let Some((s, en)) = cur {
-            total += en - s;
-        }
-        total
     }
 }
 
@@ -726,7 +698,7 @@ mod tests {
     }
 
     #[test]
-    fn stalled_time_merges_overlaps() {
+    fn stall_queries_see_overlapping_episodes() {
         let mut s = FaultSchedule::empty(1, 1000.0);
         for (start, end) in [(10.0, 50.0), (40.0, 80.0), (200.0, 210.0)] {
             let ep = FaultEpisode {
@@ -739,7 +711,6 @@ mod tests {
             s.timeline.push(ep);
             s.per_node[0].push(ep);
         }
-        assert!((s.stalled_time_s(0) - 80.0).abs() < 1e-9);
         assert!(s.stalled_at(0, 45.0));
         assert!(!s.stalled_at(0, 100.0));
         assert!(s.stall_covering(0, 205.0).is_some());

@@ -48,7 +48,6 @@
 
 pub mod congestion;
 pub mod cpu;
-pub mod events;
 pub mod fabric;
 pub mod faults;
 pub mod nic;

@@ -66,20 +66,6 @@ impl TrafficPattern {
         }
     }
 
-    /// Time elapsed inside the current burst, or `None` while idle.
-    ///
-    /// Useful for models whose behaviour depends on burst age (e.g. GCE
-    /// flow ramp-up through gateway routing).
-    pub fn burst_age(&self, t: f64) -> Option<f64> {
-        match *self {
-            TrafficPattern::FullSpeed => Some(t),
-            TrafficPattern::DutyCycle { on_s, off_s } => {
-                let phase = t.rem_euclid(on_s + off_s);
-                (phase < on_s).then_some(phase)
-            }
-        }
-    }
-
     /// Short label matching the paper's figures.
     pub fn label(&self) -> String {
         match *self {
@@ -127,15 +113,6 @@ mod tests {
         assert!(!p.is_on(5.0));
         assert!(p.is_on(35.0));
         assert!((p.duty_fraction() - 5.0 / 35.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn burst_age_tracks_phase() {
-        let p = TrafficPattern::TEN_THIRTY;
-        assert_eq!(p.burst_age(3.0), Some(3.0));
-        assert_eq!(p.burst_age(12.0), None);
-        assert_eq!(p.burst_age(42.5), Some(2.5));
-        assert_eq!(TrafficPattern::FullSpeed.burst_age(100.0), Some(100.0));
     }
 
     #[test]

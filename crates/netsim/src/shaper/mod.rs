@@ -124,11 +124,10 @@ pub trait Shaper {
 /// tick — **never** the closed form `now + steps as f64 * dt`, which
 /// rounds differently.
 ///
-/// This is the single clock idiom shared by `Fabric::rest`, the
-/// event-driven `Fabric::advance` idle jump, and
-/// `measure::execute_rest`: batched engines may skip per-step *work*,
-/// but the clock value they leave behind must be bitwise identical to
-/// the stepped loop's.
+/// This is the single clock idiom shared by `Fabric::rest` and the
+/// event-driven `Fabric::advance` idle jump: batched engines may skip
+/// per-step *work*, but the clock value they leave behind must be
+/// bitwise identical to the stepped loop's.
 pub fn advance_clock(now: f64, dt: f64, steps: u64) -> f64 {
     let mut t = now;
     for _ in 0..steps {
@@ -328,6 +327,40 @@ mod tests {
             let gs = slow.transmit(tt, 0.1, f64::INFINITY);
             assert_eq!(gf.to_bits(), gs.to_bits(), "burst step {k} diverged");
         }
+    }
+
+    #[test]
+    fn rest_and_advance_clock_equal_the_idle_loop() {
+        // The resting idiom of `Fabric::rest` and the idle jump:
+        // `Shaper::rest` plus `advance_clock` leave the shaper and the
+        // clock in exactly the state the explicit idle-transmit loop
+        // produces, compared bitwise, not within a tolerance.
+        use super::TokenBucket;
+        let mut fast = TokenBucket::sigma_rho(100e9, 1e9, 10e9);
+        let mut slow = fast.clone();
+        // Leave both in a mid-depletion state.
+        for s in [&mut fast, &mut slow] {
+            let mut t = 0.0;
+            for _ in 0..70 {
+                s.transmit(t, 0.1, f64::INFINITY);
+                t += 0.1;
+            }
+        }
+        let now = 7.0;
+        let steps = (33.7f64 / 0.1).round() as u64;
+        fast.rest(now, 0.1, steps);
+        let t_fast = advance_clock(now, 0.1, steps);
+        let mut t_slow = now;
+        for _ in 0..steps {
+            slow.transmit(t_slow, 0.1, 0.0);
+            t_slow += 0.1;
+        }
+        assert_eq!(t_fast.to_bits(), t_slow.to_bits());
+        assert_eq!(fast.budget_bits().to_bits(), slow.budget_bits().to_bits());
+        // Subsequent traffic is also identical.
+        let g_fast = fast.transmit(t_fast, 0.5, f64::INFINITY);
+        let g_slow = slow.transmit(t_slow, 0.5, f64::INFINITY);
+        assert_eq!(g_fast.to_bits(), g_slow.to_bits());
     }
 
     #[test]

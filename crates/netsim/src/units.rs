@@ -64,28 +64,10 @@ pub fn as_gbps(bits_per_sec: f64) -> f64 {
     bits_per_sec / 1e9
 }
 
-/// Megabits-per-second readout from a bits-per-second value.
-#[inline]
-pub fn as_mbps(bits_per_sec: f64) -> f64 {
-    bits_per_sec / 1e6
-}
-
-/// Gigabit readout from a bits value.
-#[inline]
-pub fn as_gbit(bits: f64) -> f64 {
-    bits / 1e9
-}
-
 /// Terabyte (decimal) readout from a bits value.
 #[inline]
 pub fn as_tb(bits: f64) -> f64 {
     bits / 8e12
-}
-
-/// Milliseconds from seconds (latency reporting).
-#[inline]
-pub fn as_ms(seconds: f64) -> f64 {
-    seconds * 1e3
 }
 
 /// Seconds from milliseconds.
@@ -128,8 +110,6 @@ mod tests {
     #[test]
     fn rate_roundtrip() {
         assert_eq!(as_gbps(gbps(10.0)), 10.0);
-        assert_eq!(as_mbps(mbps(250.0)), 250.0);
-        assert_eq!(as_gbit(gbit(5000.0)), 5000.0);
     }
 
     #[test]
@@ -146,7 +126,6 @@ mod tests {
         assert_eq!(minutes(2.0), 120.0);
         assert_eq!(hours(1.0), 3600.0);
         assert_eq!(days(7.0), WEEK);
-        assert_eq!(as_ms(ms(2.3)), 2.3);
         assert!((us(500.0) - 0.0005).abs() < 1e-12);
     }
 

@@ -204,21 +204,45 @@ prop_cases! {
     }
 
     /// Static shapers under a stall grant exactly zero for the stalled
-    /// window and full rate outside it.
+    /// window and full rate outside it. Episodes that start together
+    /// keep their input order, in the timeline and per node.
     #[test]
-    fn stall_windows_gate_exactly(start in 10.0f64..100.0, len in 1.0f64..50.0) {
+    fn stall_windows_gate_exactly(
+        start in 10.0f64..100.0,
+        len in 1.0f64..50.0,
+        ties in 1usize..6,
+    ) {
         use netsim::faults::FaultEpisode;
-        let schedule = FaultSchedule::from_episodes(
-            1,
-            1000.0,
-            vec![FaultEpisode {
-                node: 0,
-                start_s: start,
-                end_s: start + len,
-                kind: FaultKind::VmStall,
-                rate_factor: 0.0,
-            }],
-        );
+        let ep = |node, start_s, end_s, kind, rate_factor| FaultEpisode {
+            node,
+            start_s,
+            end_s,
+            kind,
+            rate_factor,
+        };
+        let mut episodes = vec![ep(0, start, start + len, FaultKind::VmStall, 0.0)];
+        // Ties at the stall's start: loss bursts on node 1 interleaved
+        // with unit-factor degrades on node 0 (transparent, so the
+        // stall alone gates node 0), each told apart by its end time.
+        for k in 0..ties {
+            let end = start + len + k as f64;
+            episodes.push(ep(1, start, end, FaultKind::LossBurst, 0.5));
+            episodes.push(ep(0, start, end, FaultKind::LinkDegrade, 1.0));
+        }
+        // An earlier episode given last: the sort must move it first.
+        episodes.push(ep(1, 1.0, 2.0, FaultKind::LossBurst, 0.5));
+        let schedule = FaultSchedule::from_episodes(2, 1000.0, episodes.clone());
+        let mut expected = episodes.clone();
+        expected.rotate_right(1);
+        prop_assert!(schedule.timeline() == expected.as_slice(), "timeline ties reordered");
+        for node in 0..2 {
+            let want: Vec<FaultEpisode> =
+                expected.iter().filter(|e| e.node == node).copied().collect();
+            prop_assert!(
+                schedule.node_episodes(node) == want.as_slice(),
+                "node {node} ties reordered"
+            );
+        }
         let mut s = FaultInjector::new(StaticShaper::new(gbps(1.0)), 0, schedule);
         let mut t = 0.0;
         while t < 200.0 {

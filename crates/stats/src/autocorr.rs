@@ -32,11 +32,6 @@ pub fn autocorrelation(xs: &[f64], lag: usize) -> f64 {
     autocovariance(xs, lag) / c0
 }
 
-/// Autocorrelation function for lags `0..=max_lag`.
-pub fn acf(xs: &[f64], max_lag: usize) -> Vec<f64> {
-    (0..=max_lag).map(|k| autocorrelation(xs, k)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,15 +71,5 @@ mod tests {
     #[test]
     fn out_of_range_lag_is_zero() {
         assert_eq!(autocovariance(&[1.0, 2.0], 5), 0.0);
-    }
-
-    #[test]
-    fn acf_vector_shape() {
-        let xs: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let a = acf(&xs, 5);
-        assert_eq!(a.len(), 6);
-        assert_eq!(a[0], 1.0);
-        // Strong positive correlation in a trend.
-        assert!(a[1] > 0.9);
     }
 }

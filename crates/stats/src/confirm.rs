@@ -69,41 +69,6 @@ pub fn repetitions_needed(samples: &[f64], p: f64, conf: f64, err_frac: f64) -> 
     candidate
 }
 
-/// Discretize a timestamped measurement stream into fixed windows and
-/// return one **median per window** (finding F5.4: "discretize
-/// performance evaluation into units of time, e.g., one hour. Gathering
-/// median performance for each interval, and applying techniques such
-/// as CONFIRM over large-numbers of gathered medians results in
-/// statistically significant and realistic performance data").
-///
-/// Windows with no samples are skipped. Input need not be sorted.
-pub fn discretize_medians(samples: &[(f64, f64)], window_s: f64) -> Vec<f64> {
-    assert!(window_s > 0.0, "window must be positive");
-    if samples.is_empty() {
-        return Vec::new();
-    }
-    let mut buckets: std::collections::BTreeMap<i64, Vec<f64>> = Default::default();
-    for &(t, v) in samples {
-        buckets.entry((t / window_s).floor() as i64).or_default().push(v);
-    }
-    buckets
-        .into_values()
-        .map(|vals| crate::describe::median(&vals))
-        .collect()
-}
-
-/// CONFIRM over window medians: discretize, then compute the
-/// convergence curve of the median-of-medians. Large windows smooth out
-/// unrepresentative bursts, as F5.4 recommends.
-pub fn confirm_discretized(
-    samples: &[(f64, f64)],
-    window_s: f64,
-    conf: f64,
-) -> Vec<ConfirmPoint> {
-    let medians = discretize_medians(samples, window_s);
-    confirm_curve(&medians, 0.5, conf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,50 +125,6 @@ mod tests {
         let n = repetitions_needed(&xs, 0.5, 0.95, 0.01);
         // The drift destroys the bound at large n, so no stable point.
         assert!(n.is_none(), "got {n:?}");
-    }
-
-    #[test]
-    fn discretize_produces_window_medians() {
-        // Two windows: [0,10) holds {1,2,3}, [10,20) holds {10,20}.
-        let samples = vec![(0.0, 1.0), (5.0, 3.0), (9.9, 2.0), (10.0, 10.0), (19.0, 20.0)];
-        let med = discretize_medians(&samples, 10.0);
-        assert_eq!(med, vec![2.0, 15.0]);
-        assert!(discretize_medians(&[], 10.0).is_empty());
-    }
-
-    #[test]
-    fn discretize_skips_empty_windows_and_ignores_order() {
-        let samples = vec![(35.0, 7.0), (1.0, 1.0), (36.0, 9.0)];
-        let med = discretize_medians(&samples, 10.0);
-        assert_eq!(med, vec![1.0, 8.0]);
-    }
-
-    #[test]
-    fn discretized_confirm_smooths_bursty_noise() {
-        // A stream with occasional large spikes: raw CONFIRM needs many
-        // samples; hourly medians converge immediately.
-        let mut rng = SimRng::new(5);
-        let samples: Vec<(f64, f64)> = (0..2000)
-            .map(|i| {
-                let spike = if rng.uniform() < 0.05 { 50.0 } else { 0.0 };
-                (i as f64 * 10.0, 100.0 + rng.uniform() + spike)
-            })
-            .collect();
-        let curve = confirm_discretized(&samples, 3600.0, 0.95);
-        // 2000 samples x 10 s = ~5.5 hourly windows.
-        assert!(curve.len() >= 5);
-        let raw: Vec<f64> = samples.iter().map(|&(_, v)| v).collect();
-        let raw_med = crate::describe::median(&raw);
-        // Window medians cluster tightly around the true centre.
-        for pt in &curve {
-            assert!((pt.estimate - raw_med).abs() < 3.0, "{pt:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be positive")]
-    fn discretize_rejects_zero_window() {
-        discretize_medians(&[(0.0, 1.0)], 0.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Descriptive statistics matching the paper's reporting style.
 //!
 //! Finding F2.2 is that most studies "do not report what performance
-//! measures are reported (i.e., mean, median) [or] minimal statistical
+//! measures are reported (i.e., mean, median) \[or\] minimal statistical
 //! data (i.e., standard deviation, quartiles)". The toolkit here makes
 //! that cheap: [`Summary`] carries the full set, and [`BoxSummary`]
 //! matches the paper's box-and-whisker plots (1st, 25th, 50th, 75th,

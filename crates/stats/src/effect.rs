@@ -28,21 +28,6 @@ pub fn cliffs_delta(a: &[f64], b: &[f64]) -> f64 {
     sum / (a.len() as f64 * nb)
 }
 
-/// Magnitude bands of Romano et al. (2006), the usual interpretation
-/// scale for Cliff's delta.
-pub fn interpret_delta(delta: f64) -> &'static str {
-    let d = delta.abs();
-    if d < 0.147 {
-        "negligible"
-    } else if d < 0.33 {
-        "small"
-    } else if d < 0.474 {
-        "medium"
-    } else {
-        "large"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,14 +65,6 @@ mod tests {
         let a = [1.0, 5.0, 7.0, 7.0];
         let b = [2.0, 2.0, 6.0];
         assert!((cliffs_delta(&a, &b) + cliffs_delta(&b, &a)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bands() {
-        assert_eq!(interpret_delta(0.05), "negligible");
-        assert_eq!(interpret_delta(-0.2), "small");
-        assert_eq!(interpret_delta(0.4), "medium");
-        assert_eq!(interpret_delta(-0.9), "large");
     }
 
     #[test]

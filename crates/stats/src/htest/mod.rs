@@ -12,21 +12,13 @@
 //!   stationarity.
 //! * [`ljungbox::ljung_box`] — portmanteau test of autocorrelation
 //!   (a sharper independence check for time series).
-//! * [`anova::one_way_anova`] — the classic tool F5.3 recommends for
-//!   comparing groups under stochastic noise.
 
 pub mod adf;
-pub mod anova;
-pub mod kruskal;
-pub mod ks;
 pub mod ljungbox;
 pub mod mannwhitney;
 pub mod shapiro;
 
 pub use adf::{adf_test, AdfResult};
-pub use anova::{one_way_anova, AnovaResult};
-pub use kruskal::{kruskal_wallis, KruskalWallisResult};
-pub use ks::{ks_two_sample, KsResult};
 pub use ljungbox::{ljung_box, LjungBoxResult};
 pub use mannwhitney::{mann_whitney_u, MannWhitneyResult};
 pub use shapiro::{shapiro_wilk, ShapiroWilkResult};

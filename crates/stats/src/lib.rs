@@ -19,8 +19,8 @@
 //! * **Descriptive statistics** matching the paper's plots: percentile
 //!   boxes with 1st/99th whiskers, CDFs, coefficients of variation —
 //!   [`describe`].
-//! * **Bootstrap** CIs and one-way **ANOVA** for robust comparisons —
-//!   [`bootstrap`], [`htest::anova`].
+//! * **Bootstrap** CIs for statistics that are not plain quantiles —
+//!   [`bootstrap`].
 //! * **Streaming sketches** for million-tenant campaigns: fixed-memory
 //!   deterministic quantiles and moments that are bit-pinned to the
 //!   exact path at small N, and the gap-aware [`Coverage`] counters
@@ -41,7 +41,7 @@ pub mod kappa;
 pub mod sketch;
 
 pub use autocorr::{autocorrelation, autocovariance};
-pub use bootstrap::{block_bootstrap_ci, bootstrap_ci};
+pub use bootstrap::bootstrap_ci;
 pub use ci::{quantile_ci, QuantileCi};
 pub use confirm::{confirm_curve, repetitions_needed, ConfirmPoint};
 pub use describe::{coefficient_of_variation, mean, median, quantile, std_dev, BoxSummary, Summary};

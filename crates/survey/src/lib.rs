@@ -20,7 +20,6 @@ pub mod article;
 pub mod corpus;
 pub mod params;
 pub mod pipeline;
-pub mod trends;
 
 pub use article::{Article, Reporting, Venue};
 pub use corpus::generate;

@@ -35,16 +35,4 @@ prop_cases! {
         prop_assert!(hist_sum <= res.cloud_selected);
         prop_assert!((0.0..=1.0).contains(&res.frac_low_repetitions));
     }
-
-    /// Venue/year breakdowns partition the selection for any prefix.
-    #[test]
-    fn breakdowns_partition_selection(take in 100usize..1867) {
-        let corpus = generate();
-        let sub = &corpus[..take];
-        let selected = sub.iter().filter(|a| a.cloud_experiments).count();
-        let by_v: usize = survey::trends::by_venue(sub).iter().map(|(_, q)| q.selected).sum();
-        let by_y: usize = survey::trends::by_year(sub).iter().map(|(_, q)| q.selected).sum();
-        prop_assert_eq!(by_v, selected);
-        prop_assert_eq!(by_y, selected);
-    }
 }

@@ -80,7 +80,6 @@ fn main() {
         repetitions: 10,
         randomize_order: true,
         rest_between_s: 120.0,
-        confidence: 0.95,
     };
     let schedule = plan.schedule(3, 77);
     println!(

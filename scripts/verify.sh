@@ -45,6 +45,14 @@ if grep -q 'source = "registry' Cargo.lock; then
 fi
 echo "OK: all dependencies are workspace-local"
 
+echo "== rustdoc: the API docs build without a warning =="
+# Deleting an item leaves every intra-doc link to it dangling, and a
+# link to a private item renders as dead text in the public docs;
+# rustdoc reports both as warnings, which this stage makes fatal.
+# It writes only under target/doc.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
+echo "OK: rustdoc is warning-free"
+
 echo "== detlint: determinism & hermeticity contract =="
 # Static gate: the self-hosted linter (crates/detlint) analyzes every
 # source file and manifest in the workspace and rejects the constructs
@@ -435,6 +443,9 @@ echo "== streaming scale: campaign --tenants, O(1) aggregation, byte-identical e
 #      reproduce the uninterrupted report and journal byte-for-byte.
 #   4. The sketch property suite and the worker-invariance integration
 #      test run under the gate.
+#   5. `campaign` without `--tenants` runs the batch campaign, which
+#      reads none of the streaming flags: given `--faults --journal
+#      PATH` it must exit non-zero and write no journal.
 scale_dir=$(mktemp -d)
 trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$churn_dir" "$scale_dir"' EXIT
 stream="cargo run -q --release --offline --bin cloud-repro -- campaign \
@@ -502,6 +513,14 @@ if ! diff -u "$scale_dir/full_jnl.out" "$scale_dir/resumed.out" > /dev/null; the
 fi
 if ! cmp -s "$scale_dir/full.jnl" "$scale_dir/kill.jnl"; then
   echo "FAIL: healed streaming journal differs from the uninterrupted one" >&2
+  exit 1
+fi
+if batch_out=$(cargo run -q --release --offline --bin cloud-repro -- campaign \
+  --cloud hpc-8 --hours 0.2 --seed 3 --faults --journal "$scale_dir/batch.jnl" 2>&1) \
+  || ! printf '%s\n' "$batch_out" | grep -q "unknown flag --faults for campaign without --tenants" \
+  || [ -e "$scale_dir/batch.jnl" ]; then
+  echo "FAIL: campaign without --tenants did not refuse the streaming flags:" >&2
+  printf '%s\n' "$batch_out" | head -5 >&2
   exit 1
 fi
 cargo test -q --release --offline -p vstats --test prop_sketch

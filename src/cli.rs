@@ -35,12 +35,19 @@ pub fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> 
 }
 
 /// Reject any flag `cmd` does not read, so a misspelt or retired flag
-/// fails loudly instead of being silently ignored. `--jobs` is global:
-/// every subcommand accepts it. An unknown subcommand passes: its
-/// caller reports it.
+/// fails loudly instead of being silently ignored. The check is per
+/// mode: `campaign` without `--tenants` runs the batch campaign, which
+/// reads none of the streaming flags. `--jobs` is global: every
+/// subcommand accepts it. An unknown subcommand passes: its caller
+/// reports it.
 pub fn check_flags(cmd: &str, flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let known = match cmd {
+    let mode = match cmd {
+        "campaign" if !flags.contains_key("tenants") => "campaign without --tenants",
+        _ => cmd,
+    };
+    let known = match mode {
         "list" | "survey" | "help" | "--help" | "-h" => "",
+        "campaign without --tenants" => "cloud pattern hours seed",
         "campaign" => {
             "cloud pattern hours seed tenants faults placement-seed self-check \
              checkpoint-every topology hosts journal resume kill-after"
@@ -58,7 +65,7 @@ pub fn check_flags(cmd: &str, flags: &BTreeMap<String, String>) -> Result<(), St
     };
     let reads = |key: &str| key == "jobs" || known.split_whitespace().any(|f| f == key);
     match flags.keys().find(|k| !reads(k)) {
-        Some(k) => Err(format!("unknown flag --{k} for {cmd}")),
+        Some(k) => Err(format!("unknown flag --{k} for {mode}")),
         None => Ok(()),
     }
 }
@@ -269,12 +276,39 @@ mod tests {
         );
         // A flag one subcommand reads is still foreign to another.
         let hosts = flags("--hosts 16");
-        assert!(check_flags("campaign", &hosts).is_ok());
+        assert!(check_flags("campaign", &flags("--tenants 8 --hosts 16")).is_ok());
         assert!(check_flags("run", &hosts).is_err());
         assert!(check_flags("list", &hosts).is_err());
         // `--jobs` is global; unknown subcommands are reported elsewhere.
         assert!(check_flags("survey", &flags("--jobs 4")).is_ok());
         assert!(check_flags("teleport", &hosts).is_ok());
+    }
+
+    #[test]
+    fn batch_campaign_refuses_the_streaming_flags() {
+        let flags = |line: &str| parse_flags(&args(&line.split(' ').collect::<Vec<_>>())).unwrap();
+        let batch = "--cloud hpc-8 --pattern 10-30 --hours 0.2 --seed 3 --jobs 2";
+        assert!(check_flags("campaign", &flags(batch)).is_ok());
+        for extra in [
+            "--faults",
+            "--journal x.jnl",
+            "--resume",
+            "--topology star",
+            "--hosts 16",
+            "--placement-seed 4",
+            "--self-check",
+            "--checkpoint-every 8",
+            "--kill-after 5",
+        ] {
+            let key = extra.split(' ').next().unwrap();
+            assert_eq!(
+                check_flags("campaign", &flags(&format!("{batch} {extra}"))).unwrap_err(),
+                format!("unknown flag {key} for campaign without --tenants"),
+            );
+            // The same flag is read once `--tenants` selects streaming.
+            let stream = format!("{batch} --tenants 100 {extra}");
+            assert!(check_flags("campaign", &flags(&stream)).is_ok(), "{extra}");
+        }
     }
 
     #[test]

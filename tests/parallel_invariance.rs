@@ -10,7 +10,7 @@ use cloud_repro::prelude::*;
 use measure::{run_all_patterns, run_fleet, FleetResult, FleetSpec};
 use netsim::units::hours;
 use netsim::TrafficPattern;
-use vstats::{block_bootstrap_ci, bootstrap_ci, mean};
+use vstats::{bootstrap_ci, mean};
 
 /// Serialize every result field down to f64 bit patterns.
 fn fingerprint(fleet: &FleetResult) -> String {
@@ -68,14 +68,10 @@ fn bootstrap_cis_are_worker_count_invariant() {
         .expect("campaign runs");
     let xs = res.trace.bandwidths();
     let iid1 = bootstrap_ci(&xs, mean, 1000, 0.95, 5, 1);
-    let blk1 = block_bootstrap_ci(&xs, mean, 8, 1000, 0.95, 5, 1);
     for jobs in [2usize, 8] {
         let iid = bootstrap_ci(&xs, mean, 1000, 0.95, 5, jobs);
-        let blk = block_bootstrap_ci(&xs, mean, 8, 1000, 0.95, 5, jobs);
         assert_eq!(iid.lower.to_bits(), iid1.lower.to_bits(), "jobs={jobs}");
         assert_eq!(iid.upper.to_bits(), iid1.upper.to_bits(), "jobs={jobs}");
-        assert_eq!(blk.lower.to_bits(), blk1.lower.to_bits(), "jobs={jobs}");
-        assert_eq!(blk.upper.to_bits(), blk1.upper.to_bits(), "jobs={jobs}");
     }
 }
 

@@ -156,7 +156,6 @@ prop_cases! {
             repetitions: reps,
             randomize_order: randomize,
             rest_between_s: 1.0,
-            confidence: 0.95,
         };
         let sched = plan.schedule(treatments, seed);
         prop_assert_eq!(sched.len(), treatments * reps);
