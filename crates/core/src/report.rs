@@ -52,15 +52,6 @@ pub struct ExhaustionNote {
     pub retry_budget: u32,
     /// A shard wanted another attempt and was refused one.
     pub retry_exhausted: bool,
-    /// Shards whose step budget could not afford even one attempt.
-    pub budget_denied_shards: usize,
-}
-
-impl ExhaustionNote {
-    /// Whether any budget actually bit.
-    pub fn any(&self) -> bool {
-        self.retry_exhausted || self.budget_denied_shards > 0
-    }
 }
 
 /// Coverage below which a result is not publishable no matter how tight
@@ -117,7 +108,7 @@ impl MeasurementReport {
     /// Whether any intended data is missing, or a repair budget ran out
     /// (so the sample is censored at the budget).
     pub fn is_degraded(&self) -> bool {
-        self.coverage < 1.0 || self.exhaustion.map(|x| x.any()).unwrap_or(false)
+        self.coverage < 1.0 || self.exhaustion.is_some_and(|x| x.retry_exhausted)
     }
 
     /// Is this result publishable by the paper's bar: a median CI
@@ -177,21 +168,13 @@ impl MeasurementReport {
         }
         if let Some(x) = self.exhaustion {
             out.push_str(&format!(
-                "  supervision: {}/{} retries used{}{}\n",
+                "  supervision: {}/{} retries used{}\n",
                 x.retries_used,
                 x.retry_budget,
                 if x.retry_exhausted {
                     " (EXHAUSTED: repairs were refused)"
                 } else {
                     ""
-                },
-                if x.budget_denied_shards > 0 {
-                    format!(
-                        "; {} shard(s) denied by step budget",
-                        x.budget_denied_shards
-                    )
-                } else {
-                    String::new()
                 }
             ));
         }
@@ -310,7 +293,6 @@ mod tests {
             retries_used: 2,
             retry_budget: 8,
             retry_exhausted: false,
-            budget_denied_shards: 0,
         };
         let r = MeasurementReport::new("bench", &noisy(60, 12)).with_exhaustion(healthy);
         assert!(!r.is_degraded(), "unexhausted budgets are not degradation");
@@ -321,14 +303,12 @@ mod tests {
             retries_used: 8,
             retry_budget: 8,
             retry_exhausted: true,
-            budget_denied_shards: 3,
         };
         let r = MeasurementReport::new("bench", &noisy(60, 12)).with_exhaustion(drained);
         assert!(r.is_degraded(), "refused repairs cap the sample");
         let text = r.render();
         assert!(text.contains("supervision: 8/8 retries used"));
         assert!(text.contains("EXHAUSTED"));
-        assert!(text.contains("3 shard(s) denied by step budget"));
         // Full coverage plus exhaustion must not print the coverage line.
         assert!(!text.contains("DEGRADED:"));
     }

@@ -1,64 +1,12 @@
-//! Deterministic execution budgets for supervised task running.
+//! The campaign-wide retry accountant for supervised task running.
 //!
-//! Long campaigns need two guard rails that wall-clock deadlines cannot
-//! provide without breaking the determinism contract (and detlint's D2
-//! wall-clock rule): a **per-task step budget** — a deadline measured in
-//! simulated fluid steps, so the same task under the same seed always
-//! hits (or never hits) its deadline on every machine — and a
-//! **campaign-wide retry accountant** that caps how much recomputation a
-//! degraded campaign may buy before it must settle for partial results.
-//!
-//! Both are pure counters: no clocks, no threads, no shared state. A
-//! supervisor charges a task's worth of steps *before* running the task
-//! (the step count of a simulation is a pure function of its config, so
-//! the charge is knowable up front), and asks the accountant for each
+//! A supervisor repairs a failed task by running it again, so the unit
+//! of repair is an attempt: each task has a fixed attempt cap, and the
+//! accountant caps how many retries the whole campaign may buy before
+//! it must settle for partial results. It is a pure counter (no clocks,
+//! no threads, no shared state), and the supervisor asks it for each
 //! retry *in stable task order*, which keeps grant decisions — and
 //! therefore results — independent of worker count.
-
-/// A per-task deadline measured in simulated steps.
-///
-/// `try_charge` either reserves the whole attempt or refuses it — there
-/// are no partial grants, so a refused attempt has consumed nothing and
-/// the refusal itself is reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StepBudget {
-    limit: u64,
-    spent: u64,
-}
-
-impl StepBudget {
-    /// A budget of `limit` simulated steps.
-    pub fn new(limit: u64) -> StepBudget {
-        StepBudget { limit, spent: 0 }
-    }
-
-    /// Reserve `steps` for an attempt. Returns `false` — charging
-    /// nothing — when the attempt does not fit in what remains.
-    pub fn try_charge(&mut self, steps: u64) -> bool {
-        match self.remaining() >= steps {
-            true => {
-                self.spent += steps;
-                true
-            }
-            false => false,
-        }
-    }
-
-    /// Steps charged so far.
-    pub fn spent(&self) -> u64 {
-        self.spent
-    }
-
-    /// Steps still available.
-    pub fn remaining(&self) -> u64 {
-        self.limit - self.spent
-    }
-
-    /// The budget's limit.
-    pub fn limit(&self) -> u64 {
-        self.limit
-    }
-}
 
 /// A campaign-wide cap on retries.
 ///
@@ -134,21 +82,6 @@ impl RetryAccountant {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn step_budget_charges_whole_attempts_or_nothing() {
-        let mut b = StepBudget::new(100);
-        assert!(b.try_charge(60));
-        assert_eq!((b.spent(), b.remaining()), (60, 40));
-        // Refusal charges nothing.
-        assert!(!b.try_charge(41));
-        assert_eq!((b.spent(), b.remaining()), (60, 40));
-        assert!(b.try_charge(40));
-        assert_eq!(b.remaining(), 0);
-        assert!(!b.try_charge(1));
-        assert!(b.try_charge(0), "zero-step attempts always fit");
-        assert_eq!(b.limit(), 100);
-    }
 
     #[test]
     fn retry_accountant_caps_and_remembers_refusal() {

@@ -42,6 +42,13 @@
 //! partial results; [`par_map`] re-raises the lowest-indexed panic
 //! (deterministically, regardless of which worker hit it first).
 //!
+//! ## Supervision
+//!
+//! [`RetryAccountant`] caps the retries a supervised campaign may buy
+//! across all its tasks. The unit of repair is an attempt; a
+//! supervisor asks the accountant for each retry in stable task order,
+//! so grants, like results, do not depend on the worker count.
+//!
 //! ## Worker-count resolution
 //!
 //! [`current_jobs`] resolves, in order: a process-global override (set
@@ -63,7 +70,7 @@ mod ordered;
 mod panic;
 mod par;
 
-pub use budget::{RetryAccountant, StepBudget};
+pub use budget::RetryAccountant;
 pub use jobs::{current_jobs, global_jobs, parse_jobs, resolve_jobs, set_global_jobs};
 pub use ordered::par_for_each_ordered;
 pub use panic::TaskPanic;

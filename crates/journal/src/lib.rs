@@ -400,12 +400,6 @@ impl Journal {
         &self.recovered
     }
 
-    /// The most recent recovered record for `shard`, if any (later
-    /// records for the same shard supersede earlier ones).
-    pub fn lookup(&self, shard: u64) -> Option<&JournalRecord> {
-        self.recovered.iter().rev().find(|r| r.shard == shard)
-    }
-
     /// Number of records: recovered at open plus appended since
     /// (flushed or pending).
     pub fn len(&self) -> usize {
@@ -633,20 +627,6 @@ mod tests {
         assert_eq!(re.len(), 1, "prefix survives, corrupt suffix dropped");
         assert_eq!(re.records()[0], rec(0, b"keep me"));
         assert!(report.truncated_bytes > 0);
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn lookup_prefers_latest_record_per_shard() {
-        let path = temp_file("lookup");
-        let _ = fs::remove_file(&path);
-        let mut j = Journal::create(&path, 1).unwrap();
-        j.append(rec(4, b"first")).unwrap();
-        j.append(rec(4, b"second")).unwrap();
-        assert_eq!(j.lookup(4), None, "lookup sees recovered records only");
-        let (re, _) = Journal::open(&path, 1).unwrap();
-        assert_eq!(re.lookup(4).map(|r| r.payload.as_slice()), Some(b"second".as_slice()));
-        assert_eq!(re.lookup(9), None);
         fs::remove_file(&path).unwrap();
     }
 

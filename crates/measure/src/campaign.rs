@@ -509,9 +509,7 @@ pub(crate) enum PairSim {
 
 /// Fold every settled shard, **in pair order**, into a fleet result: a
 /// panicked pair degrades the fleet instead of crashing it, and a fleet
-/// without data is a typed error — the first step-budget denial when
-/// every shard was denied (denial is all-or-nothing: every shard gets
-/// the same budget), else the first contained panic, else
+/// without data is a typed error — the first contained panic, else
 /// [`MeasureError::AllPairsFailed`].
 pub(crate) fn assemble_fleet(
     settled: BTreeMap<usize, ShardOutcome>,
@@ -521,8 +519,6 @@ pub(crate) fn assemble_fleet(
     let mut pairs = Vec::with_capacity(n_pairs);
     let mut failed_pairs = Vec::new();
     let mut panicked = Vec::new();
-    let mut budget_denied = Vec::new();
-    let mut first_denial = None;
     let mut retry_exhausted = accountant.exhausted();
     for (shard, out) in settled {
         retry_exhausted |= out.starved;
@@ -534,21 +530,12 @@ pub(crate) fn assemble_fleet(
             }
             ShardSim::Sim(PairSim::Dead(f)) => failed_pairs.push(f),
             ShardSim::Panicked(payload) => panicked.push(TaskPanic { task: shard, payload }),
-            ShardSim::Denied { needed_steps, remaining_steps } => {
-                budget_denied.push(shard);
-                first_denial.get_or_insert(MeasureError::BudgetExhausted {
-                    shard,
-                    needed_steps,
-                    remaining_steps,
-                });
-            }
         }
     }
     if pairs.is_empty() {
-        return Err(match (first_denial, panicked.into_iter().next()) {
-            (Some(denial), _) => denial,
-            (None, Some(p)) => MeasureError::TaskPanicked { task: p.task, payload: p.payload },
-            (None, None) => MeasureError::AllPairsFailed { n_pairs },
+        return Err(match panicked.into_iter().next() {
+            Some(p) => MeasureError::TaskPanicked { task: p.task, payload: p.payload },
+            None => MeasureError::AllPairsFailed { n_pairs },
         });
     }
     let means: Vec<f64> = pairs.iter().map(|p| p.mean_bandwidth_bps()).collect();
@@ -563,7 +550,6 @@ pub(crate) fn assemble_fleet(
             retries_used: accountant.used(),
             retry_budget: accountant.budget(),
             retry_exhausted,
-            budget_denied,
         },
     })
 }

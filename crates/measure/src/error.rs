@@ -34,18 +34,6 @@ pub enum MeasureError {
         /// Stringified panic payload.
         payload: String,
     },
-    /// A shard's simulated-step budget could not afford another
-    /// attempt. A supervised campaign degrades the shard and records it
-    /// in the exhaustion note; this error is only *returned* when no
-    /// shard could afford even its first attempt.
-    BudgetExhausted {
-        /// Shard (fleet pair) whose attempt was refused.
-        shard: usize,
-        /// Steps the refused attempt needed.
-        needed_steps: u64,
-        /// Steps the shard's budget had left.
-        remaining_steps: u64,
-    },
     /// The journal was written under a different campaign configuration
     /// (profile, pattern, duration, seed, or supervision policy);
     /// resuming would silently mix incompatible results, so the resume
@@ -96,12 +84,6 @@ impl fmt::Display for MeasureError {
             }
             MeasureError::TaskPanicked { task, payload } => {
                 write!(f, "worker task {task} panicked (contained): {payload}")
-            }
-            MeasureError::BudgetExhausted { shard, needed_steps, remaining_steps } => {
-                write!(
-                    f,
-                    "shard {shard}: step budget exhausted (attempt needs {needed_steps} steps, {remaining_steps} left)"
-                )
             }
             MeasureError::ResumeConfigMismatch { expected, found } => {
                 write!(
@@ -156,9 +138,6 @@ mod tests {
         let p = MeasureError::TaskPanicked { task: 3, payload: "index oob".into() };
         assert!(p.to_string().contains("task 3"));
         assert!(p.to_string().contains("index oob"));
-        let b = MeasureError::BudgetExhausted { shard: 2, needed_steps: 600, remaining_steps: 12 };
-        assert!(b.to_string().contains("shard 2"));
-        assert!(b.to_string().contains("600"));
         let m = MeasureError::ResumeConfigMismatch { expected: 1, found: 2 };
         assert!(m.to_string().contains("different campaign config"));
         let d = MeasureError::ResumeDivergence { shard: 4, journaled_fp: 9, recomputed_fp: 10 };

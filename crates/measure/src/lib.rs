@@ -33,8 +33,8 @@
 //!   memory, and [`run_fleet_journaled`] also writes every settled
 //!   shard to a [`journal`] write-ahead log that a SIGKILLed campaign
 //!   resumes from (with bit-for-bit re-verification of a journaled
-//!   sample). Both return the same bits; supervision bounds each shard
-//!   by a simulated-step budget and the campaign by a retry budget.
+//!   sample). Both return the same bits; supervision caps each shard's
+//!   attempts and the campaign's retries.
 //! * [`stream`] — million-tenant campaigns folded into fixed-size
 //!   sketch state, with the same two-driver shape: [`run_fleet_stream`]
 //!   and [`run_fleet_stream_journaled`]. A pane and the campaign are

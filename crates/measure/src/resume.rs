@@ -8,8 +8,8 @@
 //! time or more allocations reduce their error.
 //!
 //! The paper's campaigns run for days. A process death must not lose
-//! completed work, and a wedged or repeatedly dying shard must not hang
-//! or starve the rest of the campaign. Two drivers share one supervised
+//! completed work, and a repeatedly dying shard must not starve the
+//! rest of the campaign of repairs. Two drivers share one supervised
 //! settle loop: [`run_fleet`] keeps everything in memory, and
 //! [`run_fleet_journaled`] also writes each settled shard to a
 //! [`journal`] write-ahead log. For the same [`FleetSpec`] both return
@@ -25,13 +25,13 @@
 //!   journaled supervision prefixes, and computes only the missing
 //!   shards. The final report is byte-identical to an uninterrupted
 //!   run's — the verify.sh `campaign-kill-resume` gate proves it.
-//! * **Supervision** — each shard attempt is charged a deterministic
-//!   *simulated-step* deadline up front (sim-time, not wall-clock, so
-//!   results stay machine-independent); a shard that cannot afford an
-//!   attempt is degraded with a typed [`MeasureError::BudgetExhausted`]
-//!   instead of hanging the run, and retries of dead or panicked shards
-//!   draw from a campaign-wide [`exec::RetryAccountant`] whose
-//!   exhaustion is surfaced in the DEGRADED report.
+//! * **Supervision** — the unit of repair is an attempt, as in the
+//!   paper's re-allocate-and-repeat discipline: a shard whose pair dies
+//!   before producing data, or whose task panics, is retried under a
+//!   fresh incarnation seed, at most [`SupervisePolicy::max_shard_attempts`]
+//!   times. Every retry draws from a campaign-wide
+//!   [`exec::RetryAccountant`]; a refused retry leaves the shard with
+//!   its last outcome and is surfaced in the DEGRADED report.
 //! * **Errors** — a simulation error other than a pair dying without
 //!   data aborts the campaign: the first one in shard order wins, so the
 //!   error, like the result, is independent of the worker count.
@@ -52,7 +52,7 @@ use crate::campaign::{assemble_fleet, simulate_pair_capped, FleetResult, PairSim
 use crate::error::MeasureError;
 use crate::wire::{decode_outcome, encode_outcome, ShardOutcome, ShardSim};
 use clouds::CloudProfile;
-use exec::{RetryAccountant, StepBudget, TaskPanic};
+use exec::{RetryAccountant, TaskPanic};
 use journal::{fingerprint64, Journal, JournalRecord};
 use netsim::pattern::TrafficPattern;
 use netsim::rng::{derive_seed, SimRng};
@@ -64,10 +64,6 @@ use std::path::Path;
 /// off never perturbs the campaign itself.
 const LABEL_RETRY: u64 = 0x52E7;
 const LABEL_VERIFY: u64 = 0x7E81;
-
-/// The fluid-simulation step the stream engine uses (see
-/// [`netsim::tcp::StreamConfig`]); step budgets are denominated in it.
-const FLUID_STEP_S: f64 = 0.1;
 
 /// Supervision limits for a fleet campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,15 +78,11 @@ pub struct SupervisePolicy {
     /// surfaced in the report, not an error: the campaign settles for
     /// what it has, which is the paper's own degraded-data discipline.
     pub retry_budget: u32,
-    /// Per-shard deadline in simulated fluid steps, charged once per
-    /// attempt before it runs. `0` means "auto": enough for exactly
-    /// `max_shard_attempts` full-duration attempts.
-    pub shard_step_budget: u64,
 }
 
 impl Default for SupervisePolicy {
     fn default() -> Self {
-        SupervisePolicy { max_shard_attempts: 3, retry_budget: 8, shard_step_budget: 0 }
+        SupervisePolicy { max_shard_attempts: 3, retry_budget: 8 }
     }
 }
 
@@ -168,19 +160,6 @@ impl FleetSpec {
         fingerprint64(rendered.as_bytes())
     }
 
-    /// Simulated steps one full-duration attempt costs.
-    fn attempt_steps(&self) -> u64 {
-        ((self.duration_s / FLUID_STEP_S).ceil() as u64).max(1)
-    }
-
-    /// The per-shard step budget with the `0 = auto` default applied.
-    fn shard_budget(&self) -> u64 {
-        match self.supervise.shard_step_budget {
-            0 => self.attempt_steps() * self.supervise.max_shard_attempts.max(1) as u64,
-            explicit => explicit,
-        }
-    }
-
     /// Seed for a shard's `attempt`-th try. Attempt 0 is the plain
     /// fleet derivation (`derive_seed(seed, shard)`), the same stream a
     /// streaming campaign gives tenant `shard`; retries re-derive
@@ -219,12 +198,10 @@ pub struct SupervisionStats {
     pub retries_used: u32,
     /// The campaign's total retry budget.
     pub retry_budget: u32,
-    /// Some shard wanted another attempt and was refused one (retry
-    /// budget or its step budget ran dry). The report must say so: the
-    /// sample is not just degraded, it is *capped*.
+    /// Some shard wanted another attempt and the retry budget refused
+    /// it. The report must say so: the sample is not just degraded, it
+    /// is *capped*.
     pub retry_exhausted: bool,
-    /// Shards whose step budget could not afford even one attempt.
-    pub budget_denied: Vec<usize>,
 }
 
 /// A journaled campaign's complete result.
@@ -369,7 +346,7 @@ pub(crate) fn open_or_create(
 /// Recompute [`FleetSpec::verify_sample`] journaled shards and require
 /// their encoded bytes to match the journal exactly. The sample is
 /// chosen by a dedicated derived stream over the *simulated* records
-/// (panicked and budget-denied shards have nothing to recompute).
+/// (panicked shards have nothing to recompute).
 fn verify_resumed_shards(
     spec: &FleetSpec,
     recovered: &BTreeMap<u64, JournalRecord>,
@@ -453,8 +430,8 @@ fn attempt(spec: &FleetSpec, shard: usize, seed: u64) -> Attempt {
 /// The one supervised settle loop behind both drivers. First attempts
 /// of the shards not yet in `done` stream through the ordered pipeline,
 /// at most [`IN_FLIGHT`](crate::IN_FLIGHT) ahead of the shard being
-/// settled; on this thread each shard settles — retries, step-budget
-/// accounting — **in shard-index order** and is handed to `on_settled`
+/// settled; on this thread each shard settles — retries and their
+/// grants — **in shard-index order** and is handed to `on_settled`
 /// (the journaled driver's append) while the workers simulate the
 /// shards after it. Every supervision decision is a pure function of
 /// lower-indexed outcomes, so results and the journal's record
@@ -467,29 +444,15 @@ fn settle(
     done: &mut BTreeMap<usize, ShardOutcome>,
     mut on_settled: impl FnMut(usize, &ShardOutcome) -> Result<(), MeasureError>,
 ) -> Result<(), MeasureError> {
-    let (attempt_steps, budget_steps) = (spec.attempt_steps(), spec.shard_budget());
-    // Every shard starts from the same budget, so either every shard
-    // can afford its first attempt or none can (and none is simulated).
-    let affordable = budget_steps >= attempt_steps;
     let missing: Vec<usize> = (0..spec.n_pairs).filter(|i| !done.contains_key(i)).collect();
     exec::par_for_each_ordered(
         jobs,
         missing.len(),
         crate::IN_FLIGHT,
-        |k| affordable.then(|| simulate(spec, missing[k], spec.attempt_seed(missing[k], 0))),
+        |k| simulate(spec, missing[k], spec.attempt_seed(missing[k], 0)),
         |k, first| {
             let shard = missing[k];
-            let outcome = match first.transpose() {
-                None => ShardOutcome {
-                    retries: 0,
-                    starved: false,
-                    sim: ShardSim::Denied {
-                        needed_steps: attempt_steps,
-                        remaining_steps: budget_steps,
-                    },
-                },
-                Some(first) => supervise(spec, shard, attempt_of(shard, first)?, accountant)?,
-            };
+            let outcome = supervise(spec, shard, attempt_of(shard, first)?, accountant)?;
             on_settled(shard, &outcome)?;
             done.insert(shard, outcome);
             Ok(())
@@ -498,27 +461,23 @@ fn settle(
 }
 
 /// Settle one shard from its first attempt: retry a dead or panicked
-/// attempt under re-derived seeds while `max_shard_attempts`, the
-/// shard's step budget and the campaign's retry accountant allow.
+/// attempt under re-derived seeds while `max_shard_attempts` and the
+/// campaign's retry accountant allow.
 fn supervise(
     spec: &FleetSpec,
     shard: usize,
     mut result: Result<PairSim, TaskPanic>,
     accountant: &mut RetryAccountant,
 ) -> Result<ShardOutcome, MeasureError> {
-    let attempt_steps = spec.attempt_steps();
-    let mut budget = StepBudget::new(spec.shard_budget());
-    budget.try_charge(attempt_steps); // the first attempt, already run
     let mut retries: u32 = 0;
     let mut starved = false;
     while matches!(result, Ok(PairSim::Dead(_)) | Err(_))
         && retries + 1 < spec.supervise.max_shard_attempts
     {
-        if budget.remaining() < attempt_steps || !accountant.try_grant() {
+        if !accountant.try_grant() {
             starved = true;
             break;
         }
-        budget.try_charge(attempt_steps);
         retries += 1;
         result = attempt(spec, shard, spec.attempt_seed(shard, retries))?;
     }

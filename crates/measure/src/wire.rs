@@ -17,22 +17,15 @@ use netsim::pattern::TrafficPattern;
 use netsim::trace::{BandwidthTrace, BwSample};
 
 /// A shard's final, journal-worthy outcome: the simulated pair's
-/// outcome, or one of the two supervision-only terminal states
-/// (contained panic, step-budget denial). Simulation errors abort the
-/// campaign before anything is journaled, so they have no encoding.
+/// outcome, or the supervision-only terminal state of a contained
+/// panic. Simulation errors abort the campaign before anything is
+/// journaled, so they have no encoding.
 #[derive(Debug, Clone)]
 pub(crate) enum ShardSim {
     /// The accepted attempt simulated to an outcome.
     Sim(PairSim),
     /// Every granted attempt panicked; the last payload is kept.
     Panicked(String),
-    /// The shard's step budget could not afford even one attempt.
-    Denied {
-        /// Steps the refused attempt needed.
-        needed_steps: u64,
-        /// Steps the shard's budget had left.
-        remaining_steps: u64,
-    },
 }
 
 /// A decoded journal record body: supervision prefix + outcome.
@@ -41,8 +34,8 @@ pub(crate) struct ShardOutcome {
     /// Retries consumed from the campaign accountant (0 = first attempt
     /// was accepted).
     pub retries: u32,
-    /// The shard wanted another attempt but was refused one (retry
-    /// budget or step budget ran dry before `max_shard_attempts`).
+    /// The shard wanted another attempt but the retry budget ran dry
+    /// before `max_shard_attempts`.
     pub starved: bool,
     /// The outcome itself.
     pub sim: ShardSim,
@@ -52,7 +45,6 @@ const TAG_ALIVE: u8 = 0;
 const TAG_PARTIAL: u8 = 1;
 const TAG_DEAD: u8 = 2;
 const TAG_PANICKED: u8 = 3;
-const TAG_DENIED: u8 = 4;
 
 pub(crate) fn encode_outcome(out: &ShardOutcome) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -76,11 +68,6 @@ pub(crate) fn encode_outcome(out: &ShardOutcome) -> Vec<u8> {
             buf.push(TAG_PANICKED);
             buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             buf.extend_from_slice(payload.as_bytes());
-        }
-        ShardSim::Denied { needed_steps, remaining_steps } => {
-            buf.push(TAG_DENIED);
-            buf.extend_from_slice(&needed_steps.to_le_bytes());
-            buf.extend_from_slice(&remaining_steps.to_le_bytes());
         }
     }
     buf
@@ -114,7 +101,6 @@ pub(crate) fn decode_outcome(
             let raw = r.take(len)?;
             ShardSim::Panicked(String::from_utf8(raw.to_vec()).ok()?)
         }
-        TAG_DENIED => ShardSim::Denied { needed_steps: r.u64()?, remaining_steps: r.u64()? },
         _ => return None,
     };
     match r.done() {
@@ -378,30 +364,18 @@ mod tests {
     #[test]
     fn supervision_only_outcomes_roundtrip() {
         let p = clouds::hpccloud::n_core(8);
-        for out in [
-            ShardOutcome {
-                retries: 2,
-                starved: true,
-                sim: ShardSim::Panicked("worker bug: index 7 out of bounds".into()),
-            },
-            ShardOutcome {
-                retries: 0,
-                starved: false,
-                sim: ShardSim::Denied { needed_steps: 36_000, remaining_steps: 100 },
-            },
-        ] {
-            let bytes = encode_outcome(&out);
-            let back = decode_outcome(&bytes, &p, TrafficPattern::FullSpeed, 0)
-                .unwrap_or_else(|| panic!("failed to decode {out:?}"));
-            assert_eq!(encode_outcome(&back), bytes);
-            match (&out.sim, &back.sim) {
-                (ShardSim::Panicked(a), ShardSim::Panicked(b)) => assert_eq!(a, b),
-                (
-                    ShardSim::Denied { needed_steps: n1, remaining_steps: r1 },
-                    ShardSim::Denied { needed_steps: n2, remaining_steps: r2 },
-                ) => assert_eq!((n1, r1), (n2, r2)),
-                (a, b) => panic!("variant changed: {a:?} vs {b:?}"),
-            }
+        let out = ShardOutcome {
+            retries: 2,
+            starved: true,
+            sim: ShardSim::Panicked("worker bug: index 7 out of bounds".into()),
+        };
+        let bytes = encode_outcome(&out);
+        let back = decode_outcome(&bytes, &p, TrafficPattern::FullSpeed, 0)
+            .unwrap_or_else(|| panic!("failed to decode {out:?}"));
+        assert_eq!(encode_outcome(&back), bytes);
+        match &back.sim {
+            ShardSim::Panicked(payload) => assert_eq!(payload, "worker bug: index 7 out of bounds"),
+            other => panic!("variant changed: {other:?}"),
         }
     }
 

@@ -78,7 +78,7 @@ fn faulty_spec(seed: u64) -> FleetSpec {
     let mut profile = clouds::hpccloud::n_core(8).with_reference_faults();
     profile.faults.pair_death_rate_per_hour = 0.5;
     let mut spec = FleetSpec::new(profile, TrafficPattern::FullSpeed, hours(2.0), 6, seed);
-    spec.supervise = SupervisePolicy { max_shard_attempts: 1, retry_budget: 0, shard_step_budget: 0 };
+    spec.supervise = SupervisePolicy { max_shard_attempts: 1, retry_budget: 0 };
     spec
 }
 
@@ -105,7 +105,7 @@ fn journal_bytes_are_worker_count_invariant() {
         n_pairs: 40,
         ..dying_spec(
             11,
-            SupervisePolicy { max_shard_attempts: 3, retry_budget: 6, shard_step_budget: 0 },
+            SupervisePolicy { max_shard_attempts: 3, retry_budget: 6 },
         )
     };
     for (spec, retries) in [(faulty_spec(29), 0), (dying, 6)] {
@@ -250,23 +250,6 @@ fn tampered_record_fails_verification_with_divergence() {
     fs::remove_file(&tampered_path).unwrap();
 }
 
-#[test]
-fn step_budget_denies_unaffordable_campaigns() {
-    let mut spec = faulty_spec(80);
-    // One attempt needs duration/0.1 = 72_000 steps; allow only 10.
-    spec.supervise.shard_step_budget = 10;
-    let path = temp_path("denied");
-    match journaled(&spec, &path, false, 0, 2) {
-        Err(MeasureError::BudgetExhausted { shard, needed_steps, remaining_steps }) => {
-            assert_eq!(shard, 0);
-            assert_eq!(needed_steps, 72_000);
-            assert_eq!(remaining_steps, 10);
-        }
-        other => panic!("expected BudgetExhausted, got {other:?}"),
-    }
-    fs::remove_file(&path).unwrap();
-}
-
 /// A spec whose pairs die fast enough that retries actually fire: mean
 /// pair life 0.1 s against a 600 s campaign, so a large fraction of
 /// attempts die before producing even one fluid step of data (the
@@ -282,7 +265,7 @@ fn dying_spec(seed: u64, supervise: SupervisePolicy) -> FleetSpec {
 fn retries_rescue_dead_shards_and_drain_the_accountant() {
     let generous = dying_spec(
         5,
-        SupervisePolicy { max_shard_attempts: 4, retry_budget: 1000, shard_step_budget: 0 },
+        SupervisePolicy { max_shard_attempts: 4, retry_budget: 1000 },
     );
     let path_g = temp_path("retry_generous");
     let out_g = journaled(&generous, &path_g, false, 0, 2).expect("generous");
@@ -293,7 +276,7 @@ fn retries_rescue_dead_shards_and_drain_the_accountant() {
     // surfaced, and the run still completes with partial results.
     let stingy = dying_spec(
         5,
-        SupervisePolicy { max_shard_attempts: 4, retry_budget: 2, shard_step_budget: 0 },
+        SupervisePolicy { max_shard_attempts: 4, retry_budget: 2 },
     );
     let path_s = temp_path("retry_stingy");
     let out_s = journaled(&stingy, &path_s, false, 0, 2).expect("stingy");
@@ -317,7 +300,7 @@ fn retries_rescue_dead_shards_and_drain_the_accountant() {
 fn supervised_campaign_resumes_with_exact_accountant_replay() {
     let spec = dying_spec(
         9,
-        SupervisePolicy { max_shard_attempts: 3, retry_budget: 5, shard_step_budget: 0 },
+        SupervisePolicy { max_shard_attempts: 3, retry_budget: 5 },
     );
     let full_path = temp_path("sup_full");
     let full = journaled(&spec, &full_path, false, 0, 2).expect("full");
@@ -414,30 +397,21 @@ prop_cases! {
     /// the same fleet bits and supervision stats (or the same typed
     /// error), and every resume heals the journal to the same bytes.
     /// Pairs die at 0-1/h, except one case in four that dies fast enough
-    /// (mean life 0.036 s) for retries and retry starvation to fire; one
-    /// step-budget choice in four denies every first attempt.
+    /// (mean life 0.036 s) for retries and retry starvation to fire.
     #[test]
     fn supervised_plain_fleet_matches_journaled_and_every_resume(
         seed in 0u64..1_000,
         (death_per_hour, regime) in (0.0f64..1.0, 0u32..4),
         (max_shard_attempts, retry_budget) in (1u32..5, 0u32..9),
-        step_choice in 0u64..4,
         duration_s in 30u64..601,
         n_pairs in 1usize..7,
     ) {
         let mut profile = clouds::hpccloud::n_core(8).with_reference_faults();
         profile.faults.pair_death_rate_per_hour =
             if regime == 0 { 100_000.0 } else { death_per_hour };
-        let attempt_steps = duration_s * 10;
-        let shard_step_budget = match step_choice {
-            0 => 0,
-            1 => attempt_steps - 1,
-            2 => attempt_steps,
-            _ => 2 * attempt_steps + 1,
-        };
         let mut spec =
             FleetSpec::new(profile, TrafficPattern::FullSpeed, duration_s as f64, n_pairs, seed);
-        spec.supervise = SupervisePolicy { max_shard_attempts, retry_budget, shard_step_budget };
+        spec.supervise = SupervisePolicy { max_shard_attempts, retry_budget };
         spec.verify_sample = n_pairs;
 
         let plain = outcome_bits(run_fleet(&spec, 1));

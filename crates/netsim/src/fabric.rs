@@ -1419,23 +1419,10 @@ impl<S: Shaper> Fabric<S> {
         self.now_s = crate::shaper::advance_clock(self.now_s, dt, k);
     }
 
-    /// Steps until the fault schedule's next episode edge, less two
-    /// ticks of guard slack for the iterated clock (`u64::MAX` when no
-    /// edge lies ahead).
+    /// Steps until the fault schedule's next episode edge
+    /// ([`FaultSchedule::stable_steps`]; `u64::MAX` without faults).
     fn fault_horizon(&self, dt: f64) -> u64 {
-        let Some(s) = &self.faults else {
-            return u64::MAX;
-        };
-        let t_next = s.next_transition_after(self.now_s);
-        if !t_next.is_finite() {
-            return u64::MAX;
-        }
-        let raw = (t_next - self.now_s) / dt;
-        if raw <= 3.0 {
-            0
-        } else {
-            (raw.floor() as u64).saturating_sub(2)
-        }
+        self.faults.as_ref().map_or(u64::MAX, |s| s.stable_steps(self.now_s, dt))
     }
 
     /// Closed-form min-reduction of the next event horizon: how many

@@ -373,12 +373,12 @@ impl FaultSchedule {
     ///
     /// Every change of any node's rate factor happens at an episode
     /// start or end, so `factor_at(node, u)` is constant for all nodes
-    /// over `t <= u < next_transition_after(t)`. The event-driven
-    /// fabric engine turns this into a conservative step horizon. The
-    /// scan is O(timeline) on purpose: tests (and future generators)
-    /// may push episodes directly, so no precomputed edge index can be
-    /// trusted to stay in sync.
-    pub fn next_transition_after(&self, t: f64) -> f64 {
+    /// over `t <= u < next_transition_after(t)`.
+    /// [`FaultSchedule::stable_steps`] turns this into a conservative
+    /// step horizon. The scan is O(timeline) on purpose: tests (and
+    /// future generators) may push episodes directly, so no precomputed
+    /// edge index can be trusted to stay in sync.
+    fn next_transition_after(&self, t: f64) -> f64 {
         let mut next = f64::INFINITY;
         for e in &self.timeline {
             if e.start_s > t {
@@ -389,6 +389,24 @@ impl FaultSchedule {
             }
         }
         next
+    }
+
+    /// Conservative number of `dt` ticks from `now` for which no rate
+    /// factor can change: the distance to the next episode edge, less
+    /// two ticks of guard slack for the iterated (`+= dt`) clock
+    /// (`u64::MAX` when no edge lies ahead). Both the event-driven
+    /// fabric engine and [`FaultInjector`]'s stability hints use it.
+    pub fn stable_steps(&self, now: f64, dt: f64) -> u64 {
+        let t_next = self.next_transition_after(now);
+        if !t_next.is_finite() {
+            return u64::MAX;
+        }
+        let raw = (t_next - now) / dt;
+        if raw <= 3.0 {
+            0
+        } else {
+            (raw.floor() as u64).saturating_sub(2)
+        }
     }
 
     /// Whether `node` is inside a VM-stall episode at time `t`.
@@ -484,10 +502,9 @@ impl<S: Shaper> Shaper for FaultInjector<S> {
     fn hint_stable_steps(&self, now: f64, dt: f64) -> u64 {
         // The composed hint is `inner × factor`: pinned while both the
         // inner hint and the schedule's factor are pinned. The factor
-        // is piecewise constant between episode edges; the clock is
-        // iterated (`now += dt`), so two ticks of guard slack absorb
-        // its accumulated rounding, mirroring `Fabric::next_event`.
-        let sched = schedule_stable_steps(&self.schedule, now, dt);
+        // is piecewise constant between episode edges, and
+        // `FaultSchedule::stable_steps` bounds the ticks to the next one.
+        let sched = self.schedule.stable_steps(now, dt);
         sched.min(self.inner.hint_stable_steps(now, dt))
     }
 
@@ -496,29 +513,13 @@ impl<S: Shaper> Shaper for FaultInjector<S> {
         // caller's demand only while the factor is exactly 1.0; under a
         // degraded ceiling the offer depends on the inner hint, so only
         // the demand-agnostic inner bound is sound there.
-        let sched = schedule_stable_steps(&self.schedule, now, dt);
+        let sched = self.schedule.stable_steps(now, dt);
         let inner = if self.schedule.factor_at(self.node, now) >= 1.0 {
             self.inner.hint_stable_steps_busy(now, dt, demand_bits)
         } else {
             self.inner.hint_stable_steps(now, dt)
         };
         sched.min(inner)
-    }
-}
-
-/// Conservative number of `dt` ticks for which a schedule's rate
-/// factors provably cannot change: the distance to the next episode
-/// edge, minus two ticks of slack for the iterated (`+= dt`) clock.
-fn schedule_stable_steps(schedule: &FaultSchedule, now: f64, dt: f64) -> u64 {
-    let t_next = schedule.next_transition_after(now);
-    if !t_next.is_finite() {
-        return u64::MAX;
-    }
-    let raw = (t_next - now) / dt;
-    if raw <= 3.0 {
-        0
-    } else {
-        (raw.floor() as u64).saturating_sub(2)
     }
 }
 

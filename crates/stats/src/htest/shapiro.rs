@@ -96,7 +96,10 @@ pub fn shapiro_wilk(xs: &[f64]) -> ShapiroWilkResult {
     let p_value = if n == 3 {
         // Exact for n = 3.
         let pi6 = 1.90985931710274; // 6/pi
-        let stqr = 1.04719755119660; // asin(sqrt(3/4))
+        // asin(sqrt(3/4)), i.e. pi/3 to 15 digits but not the bits of
+        // `FRAC_PI_3`; switching could move Shapiro-Wilk p-value bits.
+        #[allow(clippy::approx_constant)]
+        let stqr = 1.04719755119660;
         let p = pi6 * ((w.sqrt()).asin() - stqr);
         p.clamp(0.0, 1.0)
     } else if n <= 11 {

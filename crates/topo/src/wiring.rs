@@ -58,25 +58,6 @@ impl Wiring {
         })
     }
 
-    /// The identity placement (endpoint `i` on host `i` in host-id
-    /// order) — what `placement_seed` cannot reach by shuffling but
-    /// tests and docs want as a fixed frame of reference.
-    pub fn identity(topo: Topology, n_endpoints: usize, ecmp_seed: u64) -> Result<Wiring, TopoError> {
-        let mut hosts = topo.hosts();
-        if hosts.len() < n_endpoints {
-            return Err(TopoError::Schema(format!(
-                "topology {:?} has {} hosts, campaign needs {n_endpoints}",
-                topo.name(),
-                hosts.len()
-            )));
-        }
-        hosts.truncate(n_endpoints);
-        Ok(Wiring {
-            router: Arc::new(EcmpRouter::new(&topo, ecmp_seed)?),
-            placement: hosts,
-        })
-    }
-
     /// This wiring with a fresh placement shuffle under
     /// `placement_seed`, sharing the ECMP router — placement fleets
     /// reshuffle per repetition at the cost of one host shuffle.
@@ -214,9 +195,10 @@ mod tests {
 
     #[test]
     fn routed_incast_is_bottlenecked_by_the_access_link() {
-        // 4 endpoints on a star: 3 senders into endpoint 0 share its
-        // single 10 Gbps host link even though shapers allow 100 Gbps.
-        let w = Wiring::identity(zoo::star(4).unwrap(), 4, 1).unwrap();
+        // 4 endpoints on a 4-host star, so any placement uses every
+        // host: 3 senders into endpoint 0 share its single 10 Gbps host
+        // link even though shapers allow 100 Gbps.
+        let w = Wiring::new(zoo::star(4).unwrap(), 4, 1, 2).unwrap();
         let mut fab = fabric(4);
         w.install(&mut fab);
         let ids: Vec<FlowId> = (1..4)

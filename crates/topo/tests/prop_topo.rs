@@ -354,7 +354,7 @@ fn wired_twins(w: &Wiring, rng: &mut SimRng) -> (Fabric<StaticShaper>, Fabric<St
 #[test]
 #[should_panic(expected = "loopback flows bypass the network")]
 fn batch_admission_rejects_a_loopback_inside_the_batch() {
-    let w = Wiring::identity(topo::zoo::fattree(4).unwrap(), 8, 1).unwrap();
+    let w = Wiring::new(topo::zoo::fattree(4).unwrap(), 8, 1, 2).unwrap();
     let (mut f, _) = wired_twins(&w, &mut SimRng::new(1));
     let specs = [
         FlowSpec::new(0, 5, 1e9),
@@ -369,7 +369,7 @@ fn batch_admission_rejects_a_loopback_inside_the_batch() {
 #[test]
 #[should_panic(expected = "route names an uninstalled link slot")]
 fn batch_admission_rejects_a_bad_slot_inside_the_batch() {
-    let w = Wiring::identity(topo::zoo::fattree(4).unwrap(), 8, 1).unwrap();
+    let w = Wiring::new(topo::zoo::fattree(4).unwrap(), 8, 1, 2).unwrap();
     let (mut f, _) = wired_twins(&w, &mut SimRng::new(1));
     let slots = f.link_count() as u32;
     let specs = (1..8).map(|d| FlowSpec::new(0, d, 1e9));
@@ -579,7 +579,7 @@ prop_cases! {
         };
         let mut plain = build();
         let mut wired = build();
-        let wiring = Wiring::identity(topo::zoo::flat(n_nodes), n_nodes, seed).unwrap();
+        let wiring = Wiring::new(topo::zoo::flat(n_nodes), n_nodes, seed, seed).unwrap();
         wiring.install(&mut wired);
 
         let dt = dt_ms as f64 / 1000.0;

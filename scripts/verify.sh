@@ -377,7 +377,8 @@ echo "== flow churn: 64-node terasort shuffles, event vs reference, byte-identic
 #      `FABRIC_SLOW_PATH=1` report carries the `[reference fabric
 #      path]` header marker and the `FABRIC_SLOW_PATH=0` report does
 #      not, and `run` refuses the retired `--fabric-path` flag instead
-#      of silently running the event engine.
+#      of silently running the event engine (as `fleet` refuses the
+#      retired `--step-budget` flag).
 churn_dir=$(mktemp -d)
 trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$churn_dir"' EXIT
 churn="cargo run -q --release --offline --bin cloud-repro -- run \
@@ -414,6 +415,13 @@ fi
 if retired_out=$($churn --fabric-path reference 2>&1) \
   || ! printf '%s\n' "$retired_out" | grep -q "unknown flag --fabric-path for run"; then
   echo "FAIL: run did not refuse the retired --fabric-path flag:" >&2
+  printf '%s\n' "$retired_out" | head -5 >&2
+  exit 1
+fi
+if retired_out=$(cargo run -q --release --offline --bin cloud-repro -- fleet \
+  --cloud hpc-8 --pairs 2 --hours 0.1 --step-budget 10 2>&1) \
+  || ! printf '%s\n' "$retired_out" | grep -q "unknown flag --step-budget for fleet"; then
+  echo "FAIL: fleet did not refuse the retired --step-budget flag:" >&2
   printf '%s\n' "$retired_out" | head -5 >&2
   exit 1
 fi

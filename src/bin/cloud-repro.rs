@@ -232,7 +232,6 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
     spec.supervise = measure::SupervisePolicy {
         max_shard_attempts: get_u64(flags, "max-attempts", 3)? as u32,
         retry_budget: get_u64(flags, "retry-budget", 8)? as u32,
-        shard_step_budget: get_u64(flags, "step-budget", 0)?,
     };
     spec.verify_sample = get_u64(flags, "verify-resume", 2)? as usize;
     spec.checkpoint_every = get_u64(flags, "checkpoint-every", 1)? as usize;
@@ -306,9 +305,6 @@ fn render_fleet(spec: &measure::FleetSpec, h: f64, fleet: &measure::FleetResult)
         let _ = writeln!(s, "  pair {:>2}: worker task panicked (contained): {}", p.task, p.payload);
     }
     let supervision = &fleet.supervision;
-    for shard in &supervision.budget_denied {
-        let _ = writeln!(s, "  pair {shard:>2}: denied by step budget (no attempt ran)");
-    }
     let _ = writeln!(
         s,
         "across-pair CoV {:.4} (spatial), mean within-pair CoV {:.4} (temporal){}",
@@ -324,7 +320,6 @@ fn render_fleet(spec: &measure::FleetSpec, h: f64, fleet: &measure::FleetResult)
                 retries_used: supervision.retries_used,
                 retry_budget: supervision.retry_budget,
                 retry_exhausted: supervision.retry_exhausted,
-                budget_denied_shards: supervision.budget_denied.len(),
             });
         s.push_str(&report.render());
     }
@@ -468,8 +463,8 @@ fn usage() {
     println!("        check sketch vs exact quantiles; [--journal PATH] [--resume]");
     println!("        [--checkpoint-every K] crash-safe checkpoints every K tenants");
     println!("  fleet --cloud C [--pairs N] [--pattern P] [--hours H] [--seed S]");
-    println!("        [--max-attempts N] [--retry-budget N] [--step-budget STEPS] bound");
-    println!("        repairs; [--journal PATH] [--resume] [--verify-resume N] crash-safe");
+    println!("        [--max-attempts N] [--retry-budget N] bound repairs; [--journal PATH]");
+    println!("        [--resume] [--verify-resume N] crash-safe");
     println!("        campaign: journal every settled shard, resume after a crash, re-verify");
     println!("        N journaled shards bit-for-bit; [--checkpoint-every K] group-commit one");
     println!("        journal write per K shards; same report with or without a journal");

@@ -53,8 +53,8 @@ pub fn check_flags(cmd: &str, flags: &BTreeMap<String, String>) -> Result<(), St
              checkpoint-every topology hosts journal resume kill-after"
         }
         "fleet" => {
-            "cloud pattern hours pairs seed max-attempts retry-budget step-budget \
-             verify-resume checkpoint-every journal resume kill-after"
+            "cloud pattern hours pairs seed max-attempts retry-budget verify-resume \
+             checkpoint-every journal resume kill-after"
         }
         "probe" => "cloud probes seed max-seconds",
         "fingerprint" => "cloud seed bucket",
@@ -273,6 +273,10 @@ mod tests {
         assert_eq!(
             check_flags("run", &flags("--cloud gce-8 --fabric-path reference")).unwrap_err(),
             "unknown flag --fabric-path for run"
+        );
+        assert_eq!(
+            check_flags("fleet", &flags("--cloud hpc-8 --pairs 2 --step-budget 10")).unwrap_err(),
+            "unknown flag --step-budget for fleet"
         );
         // A flag one subcommand reads is still foreign to another.
         let hosts = flags("--hosts 16");
