@@ -44,7 +44,7 @@ fn depletion_sequence(job: &JobSpec, seed: u64) -> Vec<f64> {
         let mut cluster = Cluster::ec2_emulated(12, 16, budget);
         for rep in 0..RUNS_PER_LEVEL {
             if rep > 0 {
-                cluster.fabric_mut().rest(5.0, 1.0); // brief gap only
+                cluster.rest(5.0, 1.0); // brief gap only
             }
             let s = derive_seed(seed, (li * RUNS_PER_LEVEL + rep) as u64);
             out.push(run_job_cfg(&mut cluster, job, s, &cfg).duration_s);

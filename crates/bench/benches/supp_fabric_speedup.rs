@@ -115,12 +115,11 @@ fn main() {
         MedianCi::of(&speedups),
     );
     println!(
-        "  reference: {:.2} ms wall (median of {TIMING_PAIRS}, 95% CI {:.2}..{:.2}), {reps_ref} reps, {} steps, {} vec allocs, hash {hash_ref:016x}",
+        "  reference: {:.2} ms wall (median of {TIMING_PAIRS}, 95% CI {:.2}..{:.2}), {reps_ref} reps, {} steps, hash {hash_ref:016x}",
         t_ref.median * 1e3,
         t_ref.ci_lo * 1e3,
         t_ref.ci_hi * 1e3,
-        perf_ref.steps,
-        perf_ref.ref_vec_allocs
+        perf_ref.steps
     );
 
     let hit_rate = perf_event.cache_hit_rate();
@@ -208,7 +207,7 @@ fn main() {
     // Machine-readable perf trajectory.
     let goldens_ok = hash_event == hash_ref;
     let json = format!(
-        "{{\n  \"bench\": \"supp_fabric_speedup\",\n  \"workload\": \"fig19_depletion_600s_q65\",\n  \"speedup\": {},\n  \"wall_s_reference\": {},\n  \"wall_s_event\": {},\n  \"steps_per_sec_event\": {steps_per_sec_event:.1},\n  \"fabric_steps\": {},\n  \"rate_recomputes\": {},\n  \"rate_cache_hits\": {},\n  \"cache_hit_rate\": {hit_rate:.4},\n  \"event_jumps\": {},\n  \"event_steps\": {},\n  \"allocations_avoided\": {},\n  \"micro_step_general_ns\": {:.1},\n  \"micro_step_event_ns\": {:.1},\n  \"micro_step_reference_ns\": {:.1},\n  \"golden_hash\": \"{hash_event:016x}\",\n  \"goldens_match_reference\": {},\n  \"jobs_invariant\": {}\n}}\n",
+        "{{\n  \"bench\": \"supp_fabric_speedup\",\n  \"workload\": \"fig19_depletion_600s_q65\",\n  \"speedup\": {},\n  \"wall_s_reference\": {},\n  \"wall_s_event\": {},\n  \"steps_per_sec_event\": {steps_per_sec_event:.1},\n  \"fabric_steps\": {},\n  \"rate_recomputes\": {},\n  \"rate_cache_hits\": {},\n  \"cache_hit_rate\": {hit_rate:.4},\n  \"event_jumps\": {},\n  \"event_steps\": {},\n  \"micro_step_general_ns\": {:.1},\n  \"micro_step_event_ns\": {:.1},\n  \"micro_step_reference_ns\": {:.1},\n  \"golden_hash\": \"{hash_event:016x}\",\n  \"goldens_match_reference\": {},\n  \"jobs_invariant\": {}\n}}\n",
         speedup.json("x", 3),
         t_ref.json("s", 5),
         t_event.json("s", 6),
@@ -217,7 +216,6 @@ fn main() {
         perf_event.rate_cache_hits,
         perf_event.event_jumps,
         perf_event.event_steps,
-        perf_ref.ref_vec_allocs,
         micro_general.median_ns,
         micro_event_step_ns,
         micro_ref.median_ns,

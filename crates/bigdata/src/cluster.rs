@@ -156,10 +156,10 @@ impl<S: Shaper> Cluster<S> {
     }
 
     /// Idle the cluster for `duration` seconds in steps of `dt` (token
-    /// refill). Cross traffic and any active flows keep flowing, unlike
-    /// [`Fabric::rest`], which requires an empty fabric; on a quiet
-    /// cluster [`Cluster::advance`] takes the whole rest as one idle
-    /// jump.
+    /// refill): `round(duration / dt)` steps through
+    /// [`Cluster::advance`]. Cross traffic and any active flows keep
+    /// flowing; on a quiet cluster the event engine takes the whole
+    /// rest as one idle jump, and the reference engine steps it.
     pub fn rest(&mut self, duration: f64, dt: f64) {
         let steps = (duration / dt).round().max(0.0) as u64;
         let mut done = Vec::new();

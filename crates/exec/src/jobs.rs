@@ -17,7 +17,7 @@ pub fn set_global_jobs(jobs: Option<usize>) {
 }
 
 /// The currently installed global override, if any.
-pub fn global_jobs() -> Option<usize> {
+fn global_jobs() -> Option<usize> {
     match GLOBAL_JOBS.load(Ordering::Relaxed) {
         0 => None,
         n => Some(n),

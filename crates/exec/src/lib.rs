@@ -71,7 +71,7 @@ mod panic;
 mod par;
 
 pub use budget::RetryAccountant;
-pub use jobs::{current_jobs, global_jobs, parse_jobs, resolve_jobs, set_global_jobs};
+pub use jobs::{current_jobs, parse_jobs, resolve_jobs, set_global_jobs};
 pub use ordered::par_for_each_ordered;
 pub use panic::TaskPanic;
 pub use par::{par_map, par_map_indexed, par_map_with, try_par_map};

@@ -76,8 +76,11 @@ impl Fingerprint {
         let mut vm = profile.instantiate(seed);
         let base_rtt = rtt_stream(&mut vm, 20.0, 9_000.0, 50).mean() * 1e3;
 
-        // Loaded RTT: continue on the same VM with iperf-default 128 K
-        // writes (sustained foreground traffic).
+        // Loaded RTT: iperf-default 128 K writes (sustained foreground
+        // traffic), on a fresh VM too. Each stream starts its clock at
+        // t = 0, so running it on the VM the base-RTT stream just used
+        // would rewind that VM's shapers.
+        let mut vm = profile.instantiate(seed);
         let loaded_rtt = rtt_stream(&mut vm, 60.0, 131_072.0, 50).mean() * 1e3;
 
         let token_bucket = if probe_bucket {
@@ -209,6 +212,18 @@ mod tests {
         // Presence difference is drift.
         let d = f2.drift(&f, 0.15);
         assert!(d.iter().any(|x| x.metric == "token_bucket.presence"));
+    }
+
+    /// The loaded-RTT stream runs on a fresh VM: bit for bit the mean
+    /// RTT of the same stream on a VM instantiated for it alone.
+    #[test]
+    fn loaded_rtt_is_measured_on_a_fresh_vm() {
+        for p in [clouds::gce::n_core(8), clouds::hpccloud::n_core(8)] {
+            let f = Fingerprint::capture(&p, 6, false);
+            let mut vm = p.instantiate(6);
+            let want = rtt_stream(&mut vm, 60.0, 131_072.0, 50).mean() * 1e3;
+            assert_eq!(f.loaded_rtt_ms.to_bits(), want.to_bits(), "{}", p.provider.name());
+        }
     }
 
     #[test]

@@ -29,14 +29,16 @@
 //!   previous allocation can be reused verbatim;
 //! * **event windows** are the engine's one step body.
 //!   [`Fabric::advance`] generalizes the signature cache from "check
-//!   every step" to "prove a horizon": it min-reduces a [`NextEvent`]
-//!   over per-node state (closed-form [`Shaper::hint_stable_steps`]
-//!   crossings, the fault schedule's next transition, the
-//!   flow-completion epoch, the caller's budget) and runs the
-//!   intervening steps in a kernel over the flow table's
+//!   every step" to "prove a horizon": it min-reduces a window length
+//!   (`Fabric::busy_horizon`) over per-node state (closed-form
+//!   [`Shaper::hint_stable_steps_busy`] crossings, the fault schedule's
+//!   next transition, the flow-completion epoch, the caller's budget)
+//!   and runs the intervening steps in a kernel over the flow table's
 //!   struct-of-arrays columns that skips the per-step signature
 //!   gathers and demand passes entirely; [`Fabric::step`] is a window
-//!   of one step. Idle stretches batch through [`Shaper::rest`]. The
+//!   of one step. Idle stretches, from a single empty step to a whole
+//!   rest between jobs, take one path (`Fabric::idle`), which batches
+//!   them through [`Shaper::rest`]. The
 //!   kernel executes the *identical* per-step floating-point
 //!   recurrences (demand, transmit, scale, deliver, clock) the
 //!   reference loops do, so it is bit-identical by construction —
@@ -85,37 +87,6 @@ impl StepPath {
             _ => StepPath::Event,
         }
     }
-}
-
-/// The closed-form next-event bound for one kernel window: the number
-/// of steps the event engine may take before any cached input *could*
-/// change, and which source bound it. Built by min-reducing per-node
-/// shaper crossings, the fault schedule's next transition, per-flow
-/// completion horizons, and the caller's step budget. The bounds are
-/// conservative (guard slack absorbs floating-point rounding), so the
-/// kernel still detects actual completions per step exactly like the
-/// per-step paths do — the horizon only proves what may be *skipped*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NextEvent {
-    /// Steps until the event horizon (0 = the window cannot open).
-    pub steps: u64,
-    /// What bounded the horizon.
-    pub cause: EventCause,
-}
-
-/// What bounded an event window (see [`NextEvent`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventCause {
-    /// The caller's `max_steps` budget.
-    Budget,
-    /// A node's [`Shaper::hint_stable_steps`] crossing bound.
-    HintCrossing(NodeId),
-    /// The fault schedule's next episode edge.
-    FaultTransition,
-    /// A flow is near enough to completion that its per-step demand
-    /// `min(rate·dt, remaining)` could stop being the constant
-    /// `rate·dt`.
-    Completion(FlowId),
 }
 
 /// Closed-form completion horizon for one flow: a number of steps over
@@ -353,9 +324,8 @@ struct Node<S> {
     total_tx_bits: f64,
 }
 
-/// Counters for the stepping engine: how often water-filling ran, how
-/// often the cached allocation was reused, and how many `Vec`
-/// allocations the reference loops performed. Read them with
+/// Counters for the stepping engine: how often water-filling ran and
+/// how often the cached allocation was reused. Read them with
 /// [`Fabric::perf`]; they are instrumentation only and never feed back
 /// into the simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -368,12 +338,6 @@ pub struct FabricPerf {
     pub rate_cache_hits: u64,
     /// Steps taken with no flows at all (water-filling skipped outright).
     pub empty_steps: u64,
-    /// Exact count of per-step `Vec` allocations performed by the
-    /// reference loops (the event engine's steady state performs none;
-    /// see `tests/alloc_free.rs`). Incremented only while the reference
-    /// path is forced, so a reference run reports how many allocations
-    /// the event engine avoids.
-    pub ref_vec_allocs: u64,
     /// Event windows opened by [`Fabric::advance`] (kernel runs of ≥1
     /// step, plus batched idle jumps). The one-step window of a
     /// [`Fabric::step`] is not counted here.
@@ -423,7 +387,6 @@ impl FabricPerf {
         self.rate_recomputes += other.rate_recomputes;
         self.rate_cache_hits += other.rate_cache_hits;
         self.empty_steps += other.empty_steps;
-        self.ref_vec_allocs += other.ref_vec_allocs;
         self.event_jumps += other.event_jumps;
         self.event_steps += other.event_steps;
         self.link_recomputes += other.link_recomputes;
@@ -774,11 +737,8 @@ impl<S: Shaper> Fabric<S> {
     /// This is the **reference** implementation: fresh buffers every
     /// call, counts rebuilt every water-filling round. The production
     /// fixpoint ([`Fabric::refresh_rates`]) must stay bit-identical to
-    /// it. Also
-    /// returns the number of water-filling rounds so the caller can
-    /// account the per-round allocations.
-    fn compute_rates_reference(&self) -> (Vec<(FlowId, f64)>, u64) {
-        let mut rounds = 0u64;
+    /// it.
+    fn compute_rates_reference(&self) -> Vec<(FlowId, f64)> {
         let n_nodes = self.nodes.len();
         let flows = &self.flows;
         let ids: Vec<FlowId> = flows.ids.clone();
@@ -819,7 +779,6 @@ impl<S: Shaper> Fabric<S> {
         let mut link_res: Vec<f64> = self.link_caps.clone();
 
         loop {
-            rounds += 1;
             // Count unfrozen flows per resource.
             let mut eg_count = vec![0usize; n_nodes];
             let mut in_count = vec![0usize; n_nodes];
@@ -909,7 +868,7 @@ impl<S: Shaper> Fabric<S> {
             }
         }
 
-        (ids.into_iter().zip(rate).collect(), rounds)
+        ids.into_iter().zip(rate).collect()
     }
 
     /// Ensure `scratch.rate` holds the max-min allocation for the
@@ -1283,16 +1242,7 @@ impl<S: Shaper> Fabric<S> {
     /// The original stepping loop, kept as the equivalence baseline
     /// (fresh buffers, per-id lookups and per-id removal every step).
     fn step_reference(&mut self, dt: f64) -> Vec<FlowId> {
-        let (rates, rounds) = self.compute_rates_reference();
-        // compute_rates_reference: ids, rate, frozen, egress, ingress,
-        // the final collect, plus two count vectors per round. With a
-        // topology installed, the link residual clone plus one link
-        // count vector per round on top (empty Vecs do not allocate,
-        // so the flat count is unchanged).
-        self.perf.ref_vec_allocs += 6 + 2 * rounds;
-        if !self.link_caps.is_empty() {
-            self.perf.ref_vec_allocs += 1 + rounds;
-        }
+        let rates = self.compute_rates_reference();
 
         // Aggregate per-node egress demand.
         let mut node_demand = vec![0.0f64; self.nodes.len()];
@@ -1338,7 +1288,6 @@ impl<S: Shaper> Fabric<S> {
         if !completed.is_empty() {
             self.flow_epoch += 1;
         }
-        self.perf.ref_vec_allocs += 2 + u64::from(!completed.is_empty());
 
         self.now_s += dt;
         completed
@@ -1405,10 +1354,12 @@ impl<S: Shaper> Fabric<S> {
         taken
     }
 
-    /// Run `k` flow-free ticks of `dt` through [`Shaper::rest`]. An
-    /// idle step grants exactly 0.0 on every shaper, so `last_tx_bits`
-    /// and `total_tx_bits` land on the stepped loop's values, and the
-    /// clock advances by the same repeated `+= dt` the loop performs.
+    /// Run `k` flow-free ticks of `dt` through [`Shaper::rest`]: the
+    /// event engine's one idle path, for an empty [`Fabric::step`] and
+    /// for [`Fabric::advance`]'s idle jump alike. An idle step grants
+    /// exactly 0.0 on every shaper, so `last_tx_bits` and
+    /// `total_tx_bits` land on the stepped loop's values, and the clock
+    /// advances by the same repeated `+= dt` the loop performs.
     fn idle(&mut self, dt: f64, k: u64) {
         for node in &mut self.nodes {
             node.shaper.rest(self.now_s, dt, k);
@@ -1425,72 +1376,26 @@ impl<S: Shaper> Fabric<S> {
         self.faults.as_ref().map_or(u64::MAX, |s| s.stable_steps(self.now_s, dt))
     }
 
-    /// Closed-form min-reduction of the next event horizon: how many
-    /// upcoming ticks of `dt` provably cannot change any input of the
-    /// cached rate allocation. Per-node [`Shaper::hint_stable_steps`]
-    /// crossings (+1: a window's first step runs on an allocation
-    /// refreshed at its own clock, the bound covers the transmits
-    /// *after* it), the fault schedule's next episode edge
-    /// (`Fabric::fault_horizon`), per-flow
-    /// completion horizons (how long `remaining` provably stays above
-    /// the per-step demand `rate * dt`, with a relative `1e-6` plus two
-    /// absolute guard steps absorbing delivery rounding — available
-    /// whenever the rate cache is current), and the caller's `budget`
-    /// all reduce in. The bounds are conservative, so actual
-    /// completions are still detected eagerly inside the window; the
-    /// horizon only proves which re-reads may be skipped.
-    pub fn next_event(&self, dt: f64, budget: u64) -> NextEvent {
-        let mut ev = NextEvent {
-            steps: budget,
-            cause: EventCause::Budget,
-        };
-        let fault = self.fault_horizon(dt);
-        if fault < ev.steps {
-            ev = NextEvent {
-                steps: fault,
-                cause: EventCause::FaultTransition,
-            };
-        }
-        for (v, node) in self.nodes.iter().enumerate() {
-            let stable = node
-                .shaper
-                .hint_stable_steps(self.now_s, dt)
-                .saturating_add(1);
-            if stable < ev.steps {
-                ev = NextEvent {
-                    steps: stable,
-                    cause: EventCause::HintCrossing(v),
-                };
-            }
-        }
-        let sc = &self.scratch;
-        if sc.sig_epoch == self.flow_epoch && sc.rate.len() == self.flows.len() {
-            for (i, &rem) in self.flows.remaining.iter().enumerate() {
-                let h = flow_completion_horizon(rem, sc.rate[i] * dt);
-                if h < ev.steps {
-                    ev = NextEvent {
-                        steps: h,
-                        cause: EventCause::Completion(self.flows.ids[i]),
-                    };
-                }
-            }
-        }
-        ev
-    }
-
-    /// The kernel's sharpened event horizon. Preconditions: the
-    /// window's demand pass (`node_demand`, `want`, `run_rem`) ran for
-    /// the current flow set at the current clock. Min-reduces the same
-    /// fault-schedule and budget bounds as [`Fabric::next_event`], but
-    /// swaps in the per-node [`Shaper::hint_stable_steps_busy`] bound —
-    /// the kernel holds each node's demand bit-constant inside the
-    /// window (see the demand hoist in [`Fabric::event_window`]), which
-    /// is exactly the promise that bound is allowed to assume — and
-    /// per-flow completion horizons over the window's wants. In the
-    /// depleted fig19 steady state this is the difference between a
-    /// zero-length window (a bucket sitting *at* its hint threshold is
-    /// always "one idle tick from crossing" under the demand-agnostic
-    /// bound) and a window spanning the whole depletion plateau.
+    /// The event engine's one horizon: how many upcoming ticks of `dt`
+    /// provably cannot change any input of the cached rate allocation.
+    /// Preconditions: the window's demand pass (`node_demand`, `want`,
+    /// `run_rem`) ran for the current flow set at the current clock.
+    /// Min-reduces the caller's `budget`, the fault schedule's next
+    /// episode edge (`Fabric::fault_horizon`), the per-node
+    /// [`Shaper::hint_stable_steps_busy`] crossings (+1: a window's
+    /// first step runs on an allocation refreshed at its own clock, the
+    /// bound covers the transmits *after* it) and per-flow completion
+    /// horizons over the window's wants. The busy bound may assume the
+    /// demand stays put because the kernel holds each node's demand
+    /// bit-constant inside the window (see the demand hoist in
+    /// [`Fabric::event_window`]). In the depleted fig19 steady state
+    /// that is the difference between a zero-length window (a bucket
+    /// sitting *at* its hint threshold is always "one idle tick from
+    /// crossing" under the demand-agnostic
+    /// [`Shaper::hint_stable_steps`]) and a window spanning the whole
+    /// depletion plateau. The bounds are conservative, so actual
+    /// completions are still detected inside the window; the horizon
+    /// only proves which re-reads may be skipped.
     ///
     /// A flow whose `(remaining, want)` bits equal the previous flow's
     /// has the same horizon, already folded into the window, so it is
@@ -1720,29 +1625,6 @@ impl<S: Shaper> Fabric<S> {
         // completing step.
         self.retire(&completed[first_new..]);
         taken
-    }
-
-    /// Advance with **no** flows for `duration` (resting: token refill).
-    ///
-    /// The event engine rests every shaper through [`Shaper::rest`],
-    /// which replaces the per-step virtual idle `transmit` calls with
-    /// each shaper's (often closed-form or early-exiting) equivalent;
-    /// the clock still advances by the same repeated `+= dt` so `now`
-    /// stays bitwise identical to the reference loop.
-    pub fn rest(&mut self, duration: f64, dt: f64) {
-        assert!(self.flows.is_empty(), "rest() with active flows");
-        let steps = (duration / dt).round().max(0.0) as u64;
-        if self.path == StepPath::Reference {
-            for _ in 0..steps {
-                for node in &mut self.nodes {
-                    node.shaper.transmit(self.now_s, dt, 0.0);
-                    node.last_tx_bits = 0.0;
-                }
-                self.now_s += dt;
-            }
-            return;
-        }
-        self.idle(dt, steps);
     }
 
     /// Reset every node's shaper and the clock (fresh VMs).
@@ -1989,7 +1871,7 @@ mod tests {
         let mut f: Fabric<TokenBucket> = Fabric::new();
         let tb = TokenBucket::new(0.0, gbit(5000.0), gbps(10.0), gbps(1.0), gbps(1.0));
         f.add_node(tb, gbps(10.0));
-        f.rest(120.0, 0.1);
+        assert_eq!(f.advance(0.1, 1_200, &mut Vec::new()), 1_200);
         assert!((f.node_shaper(0).budget_bits() - gbit(120.0)).abs() < gbit(0.01));
         assert!((f.now() - 120.0).abs() < 1e-6);
     }
@@ -2158,8 +2040,8 @@ mod tests {
 
     /// How each entry point books its steps is pinned as a whole: an
     /// empty single step, a routed two-flow batch under single steps,
-    /// event windows through a completion and a water-fill, an idle
-    /// jump, and a rest. `Fabric::step` runs a one-step event window
+    /// event windows through a completion and a water-fill, and an
+    /// idle jump. `Fabric::step` runs a one-step event window
     /// but books it as a plain step, never as an event jump; perfbench
     /// reports these counters and its fleet golden pins them.
     #[test]
@@ -2177,7 +2059,6 @@ mod tests {
         assert_eq!(f.advance(0.1, 1_000, &mut done), 8);
         assert_eq!(done, batch.iter().collect::<Vec<_>>());
         assert_eq!(f.advance(0.1, 10, &mut done), 10);
-        f.rest(1.0, 0.1);
         assert_eq!(
             f.perf(),
             FabricPerf {
@@ -2185,7 +2066,6 @@ mod tests {
                 rate_recomputes: 2,
                 rate_cache_hits: 14,
                 empty_steps: 11,
-                ref_vec_allocs: 0,
                 event_jumps: 7,
                 event_steps: 18,
                 link_recomputes: 2,

@@ -59,8 +59,7 @@ pub mod trace;
 pub mod units;
 
 pub use fabric::{
-    EventCause, Fabric, FabricPerf, FlowId, FlowRange, FlowSpec, LinkRoute, NextEvent, NodeId,
-    StepPath, MAX_ROUTE_LINKS,
+    Fabric, FabricPerf, FlowId, FlowRange, FlowSpec, LinkRoute, NodeId, StepPath, MAX_ROUTE_LINKS,
 };
 pub use faults::{FaultConfig, FaultEpisode, FaultInjector, FaultKind, FaultSchedule};
 pub use nic::{NicModel, PacketOutcome};

@@ -124,10 +124,10 @@ pub trait Shaper {
 /// tick — **never** the closed form `now + steps as f64 * dt`, which
 /// rounds differently.
 ///
-/// This is the single clock idiom shared by `Fabric::rest` and the
-/// event-driven `Fabric::advance` idle jump: batched engines may skip
-/// per-step *work*, but the clock value they leave behind must be
-/// bitwise identical to the stepped loop's.
+/// This is the clock idiom of the event engine's idle path, which runs
+/// `Fabric::step`'s empty step and the `Fabric::advance` idle jump:
+/// batched engines may skip per-step *work*, but the clock value they
+/// leave behind must be bitwise identical to the stepped loop's.
 pub fn advance_clock(now: f64, dt: f64, steps: u64) -> f64 {
     let mut t = now;
     for _ in 0..steps {
@@ -331,7 +331,7 @@ mod tests {
 
     #[test]
     fn rest_and_advance_clock_equal_the_idle_loop() {
-        // The resting idiom of `Fabric::rest` and the idle jump:
+        // The resting idiom of the fabric's idle jump:
         // `Shaper::rest` plus `advance_clock` leave the shaper and the
         // clock in exactly the state the explicit idle-transmit loop
         // produces, compared bitwise, not within a tolerance.

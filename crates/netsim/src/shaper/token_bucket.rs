@@ -399,8 +399,8 @@ mod tests {
         // `dt == 0`: the refill increment is exactly 0.0, so the idle
         // recurrence is at its fixed point immediately (`transmit`
         // itself rejects dt == 0, so the closed form is the only code
-        // that can see this window shape — via `Fabric::rest`'s
-        // degenerate configs).
+        // that can see this window shape, when a caller rests a shaper
+        // directly).
         tb.rest(0.0, 0.0, 1_000);
         assert_eq!(tb.budget_bits().to_bits(), before, "zero dt moved the budget");
     }

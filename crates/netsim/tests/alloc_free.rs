@@ -139,10 +139,11 @@ fn resting_is_allocation_free() {
     for _ in 0..8 {
         fabric.add_node(TokenBucket::sigma_rho(5e12, 1e9, 10e9), 10e9);
     }
-    // Warm-up: one rest call settles any lazy shaper state.
-    fabric.rest(1.0, 0.1);
+    // Warm-up: one idle jump settles any lazy shaper state.
+    let mut done = Vec::new();
+    fabric.advance(0.1, 10, &mut done);
     let rest_allocs = measured(|| {
-        fabric.rest(600.0, 0.1);
+        fabric.advance(0.1, 6_000, &mut done);
         for _ in 0..100 {
             let completed = fabric.step(0.1);
             assert!(completed.is_empty());

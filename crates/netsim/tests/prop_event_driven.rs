@@ -7,15 +7,16 @@
 //! not merely close. These properties drive randomized campaigns
 //! (mixed shaper kinds, fault schedules, flow churn)
 //! through an event-path fabric and a `force_path(StepPath::Reference)`
-//! twin via [`Fabric::advance`], stopping the event fabric at every event
-//! boundary [`Fabric::next_event`] reports and comparing rates, queue
+//! twin via [`Fabric::advance`], under budgets of one step, a few steps
+//! and a few hundred steps, so windows end both on the horizons the
+//! engine finds itself and mid-flight, and compare rates, queue
 //! depths (token budgets), flow state, and an accumulated golden trace
-//! hash bitwise at each boundary. RNG-bearing shapers (PerCoreQos,
+//! hash bitwise after each call. RNG-bearing shapers (PerCoreQos,
 //! NoiseShaper) pin the RNG stream position: one skipped or duplicated
 //! `transmit` would desynchronize the stream and surface in the very
 //! next grant.
 //!
-//! Adversarial cases cover zero-length events (horizon 0 at entry),
+//! Adversarial cases cover zero-length events (every window one step),
 //! simultaneous crossings (identical twins depleting on the same
 //! step + equal-size flows completing together), bursts of 32-256
 //! equal-size flows completing in the same windows between survivors,
@@ -27,7 +28,7 @@
 //! egress, a mixed run, cross traffic breaking the source order, and a
 //! second shuffle overlapping the first.
 
-use netsim::fabric::{EventCause, Fabric, FlowId, FlowSpec, StepPath};
+use netsim::fabric::{Fabric, FlowId, FlowSpec, StepPath};
 use netsim::faults::{FaultConfig, FaultEpisode, FaultKind, FaultSchedule};
 use netsim::rng::SimRng;
 use netsim::shaper::{
@@ -167,13 +168,21 @@ fn assert_fabrics_bit_equal(
     }
 }
 
+/// A budget for one `advance` call: a single step, a random 1–24 steps
+/// or a random 25–256 steps. Short budgets truncate windows mid-flight;
+/// long ones leave the engine's own horizons to end them.
+fn pick_budget(rng: &mut SimRng) -> u64 {
+    match rng.index(3) {
+        0 => 1,
+        1 => rng.index(24) as u64 + 1,
+        _ => rng.index(232) as u64 + 25,
+    }
+}
+
 /// Drive both fabrics through an identical randomized campaign of flow
-/// churn and `advance` calls. The event fabric's budget alternates
-/// between exactly-one-event windows (from [`Fabric::next_event`], so
-/// the comparison lands on every event boundary — including horizon-0,
-/// i.e. zero-length, events) and random budgets that truncate windows
-/// mid-flight. Golden trace hashes accumulate at every boundary and
-/// must agree at every boundary.
+/// churn and `advance` calls under [`pick_budget`] budgets. Golden
+/// trace hashes accumulate after every call and must agree after every
+/// call.
 fn run_event_script(
     event: &mut DynFabric,
     reference: &mut DynFabric,
@@ -225,15 +234,7 @@ fn run_event_script(
                 all_flows.push(a);
             }
         }
-        // Pick this epoch's budget: stop exactly at the next event
-        // boundary (+1 so horizon-0 events still make progress), or
-        // truncate a window at a random earlier point.
-        let budget = if rng.chance(0.7) {
-            let ev = event.next_event(dt, 100_000);
-            ev.steps.saturating_add(1).min(256)
-        } else {
-            rng.index(24) as u64 + 1
-        };
+        let budget = pick_budget(&mut rng);
         let mut done_e = Vec::new();
         let mut done_r = Vec::new();
         let te = event.advance(dt, budget, &mut done_e);
@@ -257,9 +258,9 @@ fn run_event_script(
             }
             assert_eq!(done_e, done_r, "drain completions diverged");
             assert_fabrics_bit_equal(event, reference, &all_flows, "after drain");
-            let window = rng.uniform_in(1.0, 40.0);
-            event.rest(window, dt);
-            reference.rest(window, dt);
+            let steps = (rng.uniform_in(1.0, 40.0) / dt).round() as u64;
+            assert_eq!(event.advance(dt, steps, &mut done_e), steps);
+            assert_eq!(reference.advance(dt, steps, &mut done_r), steps);
             assert_fabrics_bit_equal(event, reference, &all_flows, "after rest");
         }
     }
@@ -438,9 +439,9 @@ prop_cases! {
         );
     }
 
-    /// Zero-length events: a fabric whose next event horizon is 0 at
-    /// entry (fault transition in the very first step) must degrade to
-    /// single honest steps, never stall, and stay bit-identical.
+    /// Zero-length events: a fault schedule denser than the step cadence
+    /// gives a zero horizon at every step, so the engine must degrade to
+    /// one-step windows, never stall, and stay bit-identical.
     #[test]
     fn zero_length_events_make_progress(seed in 0u64..100_000) {
         let kinds = [0usize, 1, 0];
@@ -466,8 +467,24 @@ prop_cases! {
         let mut reference = build();
         reference.force_path(StepPath::Reference);
 
-        let ev = event.next_event(0.25, 1000);
-        prop_assert!(ev.steps <= 1, "expected dense horizon, got {:?}", ev);
+        // A busy stretch inside the schedule: every window the engine
+        // opens is one step long.
+        let spec = FlowSpec::new(0, 1, 1e12);
+        let id = event.start_flow(spec);
+        prop_assert_eq!(id, reference.start_flow(spec));
+        let before = event.perf();
+        let mut done = Vec::new();
+        prop_assert_eq!(event.advance(0.25, 32, &mut done), 32);
+        prop_assert_eq!(reference.advance(0.25, 32, &mut done), 32);
+        prop_assert!(done.is_empty());
+        let after = event.perf();
+        prop_assert_eq!(after.event_steps - before.event_steps, 32);
+        prop_assert_eq!(
+            after.event_jumps - before.event_jumps,
+            after.event_steps - before.event_steps,
+            "a window longer than one step inside the dense schedule"
+        );
+        assert_fabrics_bit_equal(&event, &reference, &[id], "dense schedule");
 
         run_event_script(&mut event, &mut reference, seed, 40, 0.25);
 
@@ -567,16 +584,12 @@ prop_cases! {
             prop_assert_eq!(a, b);
             flows.push(a);
         }
-        // March across the edge one event boundary at a time.
+        // March across the edge under mixed budgets.
+        let mut rng = SimRng::new(seed ^ 0xED6E);
         let mut done_e = Vec::new();
         let mut done_r = Vec::new();
-        let mut crossed_fault_boundary = false;
         while event.now() < edge_t + 6.0 * dt {
-            let ev = event.next_event(dt, 100_000);
-            if matches!(ev.cause, EventCause::FaultTransition) {
-                crossed_fault_boundary = true;
-            }
-            let budget = ev.steps.saturating_add(1).min(128);
+            let budget = pick_budget(&mut rng);
             let te = event.advance(dt, budget, &mut done_e);
             let tr = reference.advance(dt, budget, &mut done_r);
             prop_assert_eq!(te, tr);
@@ -584,10 +597,6 @@ prop_cases! {
             assert_fabrics_bit_equal(&event, &reference, &flows, "fault edge");
         }
         prop_assert_eq!(&done_e, &done_r);
-        prop_assert!(
-            crossed_fault_boundary,
-            "campaign never saw the fault-transition horizon"
-        );
     }
 }
 
@@ -720,10 +729,8 @@ fn run_shuffle_case(case: ShuffleCase, seed: u64) {
         }
         let budget = if matches!(case, ShuffleCase::Overlap) && epoch == 0 {
             1
-        } else if rng.chance(0.7) {
-            event.next_event(dt, 100_000).steps.saturating_add(1).min(512)
         } else {
-            rng.index(16) as u64 + 1
+            pick_budget(&mut rng)
         };
         let (mut done_e, mut done_r, mut done_s) = (Vec::new(), Vec::new(), Vec::new());
         let te = event.advance(dt, budget, &mut done_e);

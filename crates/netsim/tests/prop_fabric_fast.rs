@@ -168,9 +168,9 @@ fn run_script(
                 reference.step(dt);
             }
             assert_fabrics_bit_equal(fast, reference, &all_flows, "after drain");
-            let window = rng.uniform_in(1.0, 40.0);
-            fast.rest(window, dt);
-            reference.rest(window, dt);
+            let steps = (rng.uniform_in(1.0, 40.0) / dt).round() as u64;
+            assert_eq!(fast.advance(dt, steps, &mut Vec::new()), steps);
+            assert_eq!(reference.advance(dt, steps, &mut Vec::new()), steps);
             assert_fabrics_bit_equal(fast, reference, &all_flows, "after rest");
         }
     }

@@ -427,6 +427,31 @@ if retired_out=$(cargo run -q --release --offline --bin cloud-repro -- fleet \
 fi
 echo "OK: 4032-flow shuffles retire identically on both engines and any worker count"
 
+echo "== plan: the pilot is byte-identical across worker counts and engines =="
+# `plan` runs its pilot repetitions through the placement fleet, so they
+# follow `--jobs` and `FABRIC_SLOW_PATH`. Neither may move a byte of the
+# recommendation it prints.
+plan_dir=$(mktemp -d)
+trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$churn_dir" "$plan_dir"' EXIT
+plan="cargo run -q --release --offline --bin cloud-repro -- plan \
+  --cloud hpc-8 --workload terasort --pilot 8 --seed 3"
+$plan --jobs 1 > "$plan_dir/j1.out"
+$plan --jobs 4 > "$plan_dir/j4.out"
+FABRIC_SLOW_PATH=1 $plan --jobs 1 > "$plan_dir/slow.out"
+if ! grep -q "^-> " "$plan_dir/j1.out"; then
+  echo "FAIL: plan printed no recommendation:" >&2
+  cat "$plan_dir/j1.out" >&2
+  exit 1
+fi
+for other in j4 slow; do
+  if ! diff -u "$plan_dir/j1.out" "$plan_dir/$other.out" > /dev/null; then
+    echo "FAIL: plan output differs between --jobs 1 and $other:" >&2
+    diff -u "$plan_dir/j1.out" "$plan_dir/$other.out" >&2 | head -20
+    exit 1
+  fi
+done
+echo "OK: plan's pilot prints the same bytes at --jobs 1 and 4 and on both engines"
+
 echo "== streaming scale: campaign --tenants, O(1) aggregation, byte-identical everywhere =="
 # The streaming-aggregation contract (DESIGN.md §14): a campaign over N
 # seed-derived tenants folds into fixed-size sketch state, and its
@@ -455,7 +480,7 @@ echo "== streaming scale: campaign --tenants, O(1) aggregation, byte-identical e
 #      reads none of the streaming flags: given `--faults --journal
 #      PATH` it must exit non-zero and write no journal.
 scale_dir=$(mktemp -d)
-trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$churn_dir" "$scale_dir"' EXIT
+trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$churn_dir" "$plan_dir" "$scale_dir"' EXIT
 stream="cargo run -q --release --offline --bin cloud-repro -- campaign \
   --cloud hpc-8 --tenants 2000 --hours 0.05 --seed 13 --faults \
   --topology star --hosts 16"
@@ -552,7 +577,7 @@ echo "== kill -9: real SIGKILL at seeded instants, byte-identical resume =="
 #      REPRO_JOBS=4 must reproduce the uninterrupted report and journal
 #      byte for byte.
 sigkill_dir=$(mktemp -d)
-trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$churn_dir" "$scale_dir" "$sigkill_dir"' EXIT
+trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$churn_dir" "$plan_dir" "$scale_dir" "$sigkill_dir"' EXIT
 cargo build -q --release --offline --bin cloud-repro
 repro="${CARGO_TARGET_DIR:-target}/release/cloud-repro"
 

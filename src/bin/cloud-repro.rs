@@ -388,13 +388,19 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), String> {
         cloud.provider.name(),
         cloud.instance_type
     );
-    let samples: Vec<f64> = (0..pilot)
-        .map(|rep| {
-            let s = netsim::rng::derive_seed(seed, rep as u64);
-            let mut cluster = bigdata::Cluster::from_profile(&cloud, 12, 16, s);
-            bigdata::run_job(&mut cluster, &job, s).duration_s
-        })
-        .collect();
+    let samples = measure::run_placement_fleet(
+        &cloud,
+        &job,
+        12,
+        16,
+        pilot,
+        seed,
+        None,
+        seed,
+        netsim::StepPath::from_env(),
+    )
+    .map_err(|e| e.to_string())?
+    .durations_s;
     let rec = recommend_repetitions(&samples, 0.5, 0.95, target);
     println!(
         "pilot median {:.1} s; CI error {}",
